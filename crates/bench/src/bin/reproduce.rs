@@ -24,16 +24,11 @@
 //! writes it as JSON.
 //! For `exec`, `--layout {row,columnar}` picks the storage layout the sweep
 //! scans (columnar builds a partition over every workload table; results
-//! and measured costs are bit-identical to row layout) and
-//! `--bench-json PATH` writes a machine-readable per-query benchmark record
-//! (schema `xmlshred-bench-exec-v1`: wall nanoseconds per thread count,
-//! rows, measured cost, layout).
+//! and measured costs are bit-identical to row layout).
 //! `serve` benchmarks the multi-session TCP server: N concurrent clients
 //! (sweep 1/4/8; `--serve-clients N` extends it) run a deterministic mixed
 //! read/write workload, reporting p50/p99 latency and throughput; the
-//! single-client run is asserted bit-identical to a library-path replay
-//! and `--bench-json PATH` writes the record (schema
-//! `xmlshred-bench-serve-v1`).
+//! single-client run is asserted bit-identical to a library-path replay.
 //! `soak` runs the seeded network-chaos soak matrix: 16 cells (client
 //! count x wire-fault kind x overload on/off), each driving a durable
 //! multi-session server through torn frames, disconnects, delays, and
@@ -56,9 +51,9 @@
 //! `--adapt-ops N` sets the statement count (default scale-derived), and
 //! `--adapt-window N` sets the statements-per-drift-check window (default
 //! 64). The printed `adapt hash` is a pure function of those knobs —
-//! bit-identical across `--exec-threads` values, which CI verifies — and
-//! `--bench-json PATH` writes the record (schema
-//! `xmlshred-bench-adapt-v1`).
+//! bit-identical across `--exec-threads` values, which CI verifies.
+//! Timings here are for reading, not for gating: the repo's one benchmark
+//! is `perf/` (see `perf/README.md`).
 //!
 //! Robustness knobs: `--fault-p X` injects what-if planner faults with
 //! probability X, `--deadline-ms N` gives each strategy an anytime budget
@@ -141,7 +136,6 @@ fn main() {
     }
     let data_dir = take_value::<String>(&mut args, "--data-dir");
     let layout = take_value::<Layout>(&mut args, "--layout").unwrap_or_default();
-    let bench_json = take_value::<String>(&mut args, "--bench-json");
     let serve_clients = take_value::<usize>(&mut args, "--serve-clients");
     let adapt_seed = take_value::<u64>(&mut args, "--adapt-seed").unwrap_or(5);
     let adapt_ops = take_value::<usize>(&mut args, "--adapt-ops");
@@ -186,7 +180,6 @@ fn main() {
         heal_points,
         list_cells,
         layout,
-        bench_json,
         serve_clients,
         adapt_seed,
         adapt_ops,

@@ -205,73 +205,5 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         ));
     }
     println!("adapt hash: {hash:016x}");
-
-    if let Some(path) = &opts.bench_json {
-        let json = bench_json(
-            scale,
-            seed,
-            ops,
-            window,
-            shift_at,
-            hash,
-            pre_cost,
-            post_cost,
-            adb.events(),
-        );
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("bench record written to {path}");
-    }
     Ok(())
-}
-
-/// Render the run as a stable JSON document (schema
-/// `xmlshred-bench-adapt-v1`). Every field is deterministic: the hash is a
-/// pure function of `(scale, seed, ops, window)` and CI diffs it across
-/// `--exec-threads` values.
-#[allow(clippy::too_many_arguments)]
-fn bench_json(
-    scale: BenchScale,
-    seed: u64,
-    ops: usize,
-    window: usize,
-    shift_at: usize,
-    hash: u64,
-    pre_cost: f64,
-    post_cost: f64,
-    events: &[xmlshred_core::profile::AdaptEvent],
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"xmlshred-bench-adapt-v1\",");
-    let _ = writeln!(out, "  \"scale\": {},", scale.0);
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"ops\": {ops},");
-    let _ = writeln!(out, "  \"window\": {window},");
-    let _ = writeln!(out, "  \"shift_at\": {shift_at},");
-    let _ = writeln!(out, "  \"adapt_hash\": \"{hash:016x}\",");
-    let _ = writeln!(out, "  \"pre_shift_cost\": {pre_cost:.3},");
-    let _ = writeln!(out, "  \"post_shift_cost\": {post_cost:.3},");
-    out.push_str("  \"events\": [\n");
-    for (i, e) in events.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"statement\": {}, \"divergence\": {:.6}, \"threshold\": {:.6}, \
-             \"drifted\": {}, \"installed\": {}, \"est_cost\": {}}}",
-            e.statement,
-            e.decision.divergence,
-            e.decision.threshold,
-            e.decision.drifted,
-            e.applied
-                .map(|fp| format!("\"{fp:016x}\""))
-                .unwrap_or_else(|| "null".to_string()),
-            if e.est_cost.is_nan() {
-                "null".to_string()
-            } else {
-                format!("{:.3}", e.est_cost)
-            },
-        );
-        out.push_str(if i + 1 < events.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
 }

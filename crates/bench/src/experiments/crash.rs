@@ -17,11 +17,14 @@
 //! values to pin the thread-invariance of recovery.
 
 use crate::experiments::{list_cells, RunOptions};
-use crate::harness::{fold, fold_answer, mix, render_table, space_budget, BenchScale};
-use std::path::{Path, PathBuf};
+use crate::harness::{
+    fold, fold_answer, matrix_fixture, mix, render_table, run_queries, space_budget, BenchScale,
+    MatrixDir,
+};
+use std::path::Path;
 use xmlshred_core::metrics::record_recovery;
 use xmlshred_core::{tune_with, CostOracle, MetricsRegistry, TuneOptions};
-use xmlshred_data::workload::{Projections, Selectivity, WorkloadSpec};
+use xmlshred_data::workload::Projections;
 use xmlshred_data::Dataset;
 use xmlshred_rel::db::Database;
 use xmlshred_rel::sql::SqlQuery;
@@ -29,10 +32,6 @@ use xmlshred_rel::{
     CrashKind, CrashPoint, ExecOptions, ExecStats, PhysicalConfig, RecoveryReport, RelError, Row,
     TableDef, TableId,
 };
-use xmlshred_shred::mapping::Mapping;
-use xmlshred_shred::schema::derive_schema;
-use xmlshred_shred::shredder::load_database;
-use xmlshred_translate::translate::translate;
 
 /// Rows per logged insert batch: small enough that crash points land inside
 /// the load phase with interesting frequency, large enough to keep the WAL
@@ -83,49 +82,7 @@ struct Oracle {
 }
 
 fn build_oracle(dataset: &Dataset, scale: BenchScale, opts: &RunOptions) -> Result<Oracle, String> {
-    let mapping = Mapping::hybrid(&dataset.tree);
-    let schema = derive_schema(&dataset.tree, &mapping);
-    let mut db = load_database(&dataset.tree, &mapping, &schema, &[&dataset.document])
-        .map_err(|e| format!("load failed: {e}"))?;
-    db.set_exec_options(opts.exec);
-
-    let workload = if dataset.name == "dblp" {
-        let config = scale.dblp_config();
-        xmlshred_data::workload::dblp_workload(
-            &WorkloadSpec {
-                projections: Projections::Low,
-                selectivity: Selectivity::Low,
-                n_queries: 4,
-                seed: 31,
-            },
-            config.years,
-            config.n_conferences,
-        )?
-    } else {
-        let config = scale.movie_config();
-        xmlshred_data::workload::movie_workload(
-            &WorkloadSpec {
-                projections: Projections::Low,
-                selectivity: Selectivity::Low,
-                n_queries: 4,
-                seed: 32,
-            },
-            config.years,
-            config.n_genres,
-        )?
-    };
-    let queries: Vec<SqlQuery> = workload
-        .queries
-        .iter()
-        .filter_map(|(path, _)| translate(&dataset.tree, &mapping, &schema, path).ok())
-        .map(|t| t.sql)
-        .collect();
-    if queries.is_empty() {
-        return Err(format!(
-            "crash matrix: no translatable {} queries",
-            dataset.name
-        ));
-    }
+    let (mut db, queries) = matrix_fixture(dataset, scale, Projections::Low, opts.exec)?;
 
     // A realistic physical design from the paper's tuning tool, so crash
     // points can land inside index/view builds, not just loads.
@@ -168,17 +125,6 @@ fn build_oracle(dataset: &Dataset, scale: BenchScale, opts: &RunOptions) -> Resu
         queries,
         answers,
     })
-}
-
-fn run_queries(db: &Database, queries: &[SqlQuery]) -> Result<Vec<(Vec<Row>, ExecStats)>, String> {
-    queries
-        .iter()
-        .map(|q| {
-            db.execute(q)
-                .map(|outcome| (outcome.rows, outcome.exec))
-                .map_err(|e| format!("query failed: {e}"))
-        })
-        .collect()
 }
 
 /// One matrix cell: kill the load/build at the seeded crash point, recover,
@@ -315,19 +261,12 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         opts.crash_seed
     );
 
-    let (base_dir, keep) = match &opts.data_dir {
-        Some(dir) => (PathBuf::from(dir), true),
-        None => (
-            std::env::temp_dir().join(format!("xmlshred-crash-{}", std::process::id())),
-            false,
-        ),
-    };
-    std::fs::create_dir_all(&base_dir).map_err(|e| format!("data dir: {e}"))?;
+    let matrix_dir = MatrixDir::create(opts.data_dir.as_deref(), "crash")?;
 
     let registry = MetricsRegistry::new();
     let mut matrix_hash = 0xcbf2_9ce4_8422_2325u64;
     let mut rows = Vec::new();
-    let mut artifact = String::from("[");
+    let mut reports = Vec::new();
     let mut frames_replayed_total = 0u64;
 
     for dataset in [crash_scale.dblp()?, crash_scale.movie()?] {
@@ -352,7 +291,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
                     _ => mix(mix(seed) ^ seed) % oracle.lsn_ops,
                 };
                 let cell = format!("{}-{kind}-{seed}", dataset.name);
-                let dir = base_dir.join(format!("cell-{cell}"));
+                let dir = matrix_dir.cell_dir(&cell);
                 let result = run_cell(
                     &oracle,
                     &dir,
@@ -368,10 +307,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
                 for (answer_rows, answer_stats) in &result.answers {
                     matrix_hash = fold_answer(matrix_hash, answer_rows, answer_stats);
                 }
-                if artifact.len() > 1 {
-                    artifact.push_str(", ");
-                }
-                artifact.push_str(&format!(
+                reports.push(format!(
                     "{{\"cell\": \"{cell}\", \"crash_after\": {}, \"report\": {}}}",
                     result.crash_after,
                     result.report.to_json()
@@ -389,14 +325,10 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
                     result.report.snapshot_loaded.to_string(),
                     format!("{}/{}", result.answers.len(), oracle.queries.len()),
                 ]);
-                if !keep {
-                    std::fs::remove_dir_all(&dir).ok();
-                }
+                matrix_dir.release(&dir);
             }
         }
     }
-    artifact.push(']');
-
     println!(
         "{}",
         render_table(
@@ -434,13 +366,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         rows.len()
     );
 
-    if keep {
-        let path = base_dir.join("recovery-reports.json");
-        std::fs::write(&path, &artifact).map_err(|e| format!("artifact write: {e}"))?;
-        println!("recovery reports written to {}", path.display());
-    } else {
-        std::fs::remove_dir_all(&base_dir).ok();
-    }
+    matrix_dir.finish("recovery-reports.json", &reports)?;
     println!("crash matrix hash: {matrix_hash:016x}");
     Ok(())
 }

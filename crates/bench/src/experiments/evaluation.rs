@@ -14,7 +14,7 @@
 //! workloads ("it did not stop after running for five days").
 
 use crate::harness::{
-    fmt_duration, hybrid_baseline_exec, render_table, run_algorithms_exec, space_budget, Algo,
+    fmt_duration, hybrid_baseline_exec, render_table, run_algorithms, space_budget, Algo,
     BenchScale, EvalRun,
 };
 use xmlshred_core::SearchOptions;
@@ -70,7 +70,7 @@ fn evaluate_dataset(
             vec![Algo::Greedy, Algo::NaiveGreedy, Algo::TwoStep]
         };
         let baseline = hybrid_baseline_exec(dataset, workload, budget, exec);
-        let runs = run_algorithms_exec(dataset, &source, workload, budget, &algos, search, exec);
+        let runs = run_algorithms(dataset, &source, workload, budget, &algos, search, exec);
 
         let cell = |name: &str, f: &dyn Fn(&EvalRun) -> String| -> String {
             runs.iter()

@@ -29,21 +29,6 @@ use xmlshred_translate::translate::translate;
 /// already covered, so `--exec-threads N` extends the sweep.
 const SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// Machine-readable record of one query across the thread sweep.
-struct QueryBench {
-    label: String,
-    rows: usize,
-    measured_cost: f64,
-    /// `(threads, wall nanoseconds)`, in sweep order.
-    walls: Vec<(usize, u64)>,
-}
-
-/// One dataset's sweep results, for the bench-JSON artifact.
-struct DatasetBench {
-    name: String,
-    queries: Vec<QueryBench>,
-}
-
 /// Run the thread-sweep experiment on both fixtures.
 pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     // The sweep executes every query once per thread count; keep the
@@ -66,7 +51,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         dblp_config.years,
         dblp_config.n_conferences,
     )?;
-    let (dblp_hash, dblp_bench) = sweep_dataset(
+    let dblp_hash = sweep_dataset(
         &dblp,
         &dblp_workload,
         &threads,
@@ -86,7 +71,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         movie_config.years,
         movie_config.n_genres,
     )?;
-    let (movie_hash, movie_bench) = sweep_dataset(
+    let movie_hash = sweep_dataset(
         &movie,
         &movie_workload,
         &threads,
@@ -103,39 +88,15 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     // which CI diffs (the layout-invariance contract, end to end).
     println!("exec sweep hash: {sweep_hash:016x}");
 
-    let micro = scan_microbench(opts.exec.morsel_rows)?;
-
-    if let Some(path) = &opts.bench_json {
-        let json = bench_json(
-            opts.layout,
-            opts.exec.morsel_rows,
-            scale,
-            sweep_hash,
-            &[dblp_bench, movie_bench],
-            &micro,
-        );
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("bench record written to {path}");
-    }
-    Ok(())
+    scan_microbench(opts.exec.morsel_rows)
 }
 
-/// Result of the wide-table scan microbenchmark: one serial (threads=1)
-/// scan-heavy query in both layouts, same rows and measured cost, different
-/// wall-clock.
-struct ScanMicrobench {
-    table_rows: usize,
-    rows_out: usize,
-    row_wall_ns: u64,
-    columnar_wall_ns: u64,
-}
-
-/// Time the wide-scan fixture in both layouts at threads=1 (best of five
-/// runs after a warmup), asserting the layout-invariance contract on rows
-/// and measured stats along the way. This is the criterion
-/// `columnar_scan_*` benchmark's quick in-harness counterpart, so the
-/// speedup lands in the bench-JSON artifact.
-fn scan_microbench(morsel_rows: usize) -> Result<ScanMicrobench, String> {
+/// Time the wide-scan fixture — one serial (threads=1) scan-heavy query —
+/// in both layouts (best of five runs after a warmup), asserting the
+/// layout-invariance contract on rows and measured stats along the way.
+/// This is the criterion `columnar_scan_*` benchmark's quick in-harness
+/// counterpart.
+fn scan_microbench(morsel_rows: usize) -> Result<(), String> {
     const TABLE_ROWS: usize = 20_000;
     let mut walls = [0u64; 2];
     let mut baseline: Option<(usize, u64)> = None;
@@ -154,7 +115,6 @@ fn scan_microbench(morsel_rows: usize) -> Result<ScanMicrobench, String> {
         db.set_exec_options(ExecOptions {
             threads: 1,
             morsel_rows,
-            ..ExecOptions::default()
         });
         let mut best = u64::MAX;
         let mut outcome = None;
@@ -184,82 +144,13 @@ fn scan_microbench(morsel_rows: usize) -> Result<ScanMicrobench, String> {
         }
         walls[slot] = best;
     }
-    let micro = ScanMicrobench {
-        table_rows: TABLE_ROWS,
-        rows_out: baseline.map_or(0, |(rows, _)| rows),
-        row_wall_ns: walls[0],
-        columnar_wall_ns: walls[1],
-    };
     println!(
-        "wide-scan microbench ({} rows, threads=1): row {} vs columnar {} ({:.2}x)",
-        micro.table_rows,
-        fmt_duration(Duration::from_nanos(micro.row_wall_ns)),
-        fmt_duration(Duration::from_nanos(micro.columnar_wall_ns)),
-        micro.row_wall_ns as f64 / micro.columnar_wall_ns.max(1) as f64,
+        "wide-scan microbench ({TABLE_ROWS} rows, threads=1): row {} vs columnar {} ({:.2}x)",
+        fmt_duration(Duration::from_nanos(walls[0])),
+        fmt_duration(Duration::from_nanos(walls[1])),
+        walls[0] as f64 / walls[1].max(1) as f64,
     );
-    Ok(micro)
-}
-
-/// Render the sweep as a stable JSON document (schema
-/// `xmlshred-bench-exec-v1`). Wall nanoseconds are the only
-/// non-deterministic field; everything else is a pure function of
-/// `(scale, workload seeds, morsel_rows)`.
-fn bench_json(
-    layout: Layout,
-    morsel_rows: usize,
-    scale: BenchScale,
-    sweep_hash: u64,
-    datasets: &[DatasetBench],
-    micro: &ScanMicrobench,
-) -> String {
-    use std::fmt::Write as _;
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"xmlshred-bench-exec-v1\",");
-    let _ = writeln!(out, "  \"layout\": \"{}\",", layout.name());
-    let _ = writeln!(out, "  \"morsel_rows\": {morsel_rows},");
-    let _ = writeln!(out, "  \"scale\": {},", scale.0);
-    let _ = writeln!(out, "  \"sweep_hash\": \"{sweep_hash:016x}\",");
-    let _ = writeln!(
-        out,
-        "  \"scan_microbench\": {{\"table_rows\": {}, \"rows_out\": {}, \
-         \"row_wall_ns\": {}, \"columnar_wall_ns\": {}}},",
-        micro.table_rows, micro.rows_out, micro.row_wall_ns, micro.columnar_wall_ns
-    );
-    out.push_str("  \"datasets\": [\n");
-    for (d, dataset) in datasets.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", escape(&dataset.name));
-        out.push_str("      \"queries\": [\n");
-        for (q, query) in dataset.queries.iter().enumerate() {
-            let walls: Vec<String> = query
-                .walls
-                .iter()
-                .map(|(threads, nanos)| format!("{{\"threads\": {threads}, \"wall_ns\": {nanos}}}"))
-                .collect();
-            let _ = write!(
-                out,
-                "        {{\"query\": \"{}\", \"rows\": {}, \"measured_cost\": {}, \"walls\": [{}]}}",
-                escape(&query.label),
-                query.rows,
-                query.measured_cost,
-                walls.join(", ")
-            );
-            out.push_str(if q + 1 < dataset.queries.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("      ]\n");
-        out.push_str(if d + 1 < datasets.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Ok(())
 }
 
 /// Hash everything that must be thread-invariant about one execution.
@@ -284,7 +175,7 @@ fn sweep_dataset(
     threads: &[usize],
     morsel_rows: usize,
     layout: Layout,
-) -> Result<(u64, DatasetBench), String> {
+) -> Result<u64, String> {
     println!(
         "\n=== Exec thread sweep on {} ({}, threads {:?}, morsel {} rows, {} layout) ===",
         dataset.name,
@@ -340,39 +231,22 @@ fn sweep_dataset(
         queries.len()
     );
 
-    let mut bench = DatasetBench {
-        name: dataset.name.clone(),
-        queries: Vec::new(),
-    };
     let mut rows_table = Vec::new();
     let mut operators: Vec<OperatorTiming> = Vec::new();
     let mut dataset_hash = DefaultHasher::new();
     for (i, (sql, _weight)) in queries.iter().enumerate() {
         let mut baseline: Option<(u64, String)> = None;
         let mut walls: Vec<Duration> = Vec::new();
-        let mut query_bench = QueryBench {
-            label: format!("q{i}"),
-            rows: 0,
-            measured_cost: 0.0,
-            walls: Vec::new(),
-        };
         for &n in threads {
             db.set_exec_options(ExecOptions {
                 threads: n,
                 morsel_rows,
-                ..ExecOptions::default()
             });
             let started = Instant::now();
             let outcome = db
                 .execute(sql)
                 .map_err(|e| format!("query {i} failed at {n} thread(s): {e}"))?;
-            let wall = started.elapsed();
-            walls.push(wall);
-            query_bench.rows = outcome.rows.len();
-            query_bench.measured_cost = outcome.exec.measured_cost();
-            query_bench
-                .walls
-                .push((n, u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX)));
+            walls.push(started.elapsed());
             let profile_fp = outcome.profile.deterministic_fingerprint();
             let fp = result_fingerprint(&outcome.rows, &outcome.exec, &profile_fp);
             match &baseline {
@@ -412,7 +286,6 @@ fn sweep_dataset(
             row.pop();
             row.extend(wall_cells);
         }
-        bench.queries.push(query_bench);
     }
 
     let mut headers: Vec<String> = vec![
@@ -448,5 +321,5 @@ fn sweep_dataset(
         queries.len(),
         threads
     );
-    Ok((dataset_hash.finish(), bench))
+    Ok(dataset_hash.finish())
 }

@@ -21,11 +21,13 @@
 //! repair.
 
 use crate::experiments::{list_cells, RunOptions};
-use crate::harness::{fold, fold_answer, mix, render_table, BenchScale};
-use std::path::{Path, PathBuf};
+use crate::harness::{
+    fold, fold_answer, matrix_fixture, mix, render_table, run_queries, BenchScale, MatrixDir,
+};
+use std::path::Path;
 use xmlshred_core::metrics::record_heal;
 use xmlshred_core::MetricsRegistry;
-use xmlshred_data::workload::{Projections, Selectivity, WorkloadSpec};
+use xmlshred_data::workload::Projections;
 use xmlshred_data::Dataset;
 use xmlshred_rel::db::Database;
 use xmlshred_rel::expr::FilterOp;
@@ -35,10 +37,6 @@ use xmlshred_rel::{
     ExecOptions, ExecStats, FaultConfig, FaultStats, HealReport, IndexDef, PhysicalConfig, Row,
     StructureKind, TableDef, TableId, ViewDef,
 };
-use xmlshred_shred::mapping::Mapping;
-use xmlshred_shred::schema::derive_schema;
-use xmlshred_shred::shredder::load_database;
-use xmlshred_translate::translate::translate;
 
 /// Rows per logged insert batch (same as the crash matrix): keeps the WAL
 /// frame count bounded while still giving the heap repair path a realistic
@@ -205,52 +203,15 @@ struct Oracle {
 }
 
 fn build_oracle(dataset: &Dataset, scale: BenchScale, opts: &RunOptions) -> Result<Oracle, String> {
-    let mapping = Mapping::hybrid(&dataset.tree);
-    let schema = derive_schema(&dataset.tree, &mapping);
-    let mut db = load_database(&dataset.tree, &mapping, &schema, &[&dataset.document])
-        .map_err(|e| format!("load failed: {e}"))?;
-    db.set_exec_options(opts.exec);
-
-    let workload = if dataset.name == "dblp" {
-        let config = scale.dblp_config();
-        xmlshred_data::workload::dblp_workload(
-            &WorkloadSpec {
-                projections: Projections::Low,
-                selectivity: Selectivity::Low,
-                n_queries: 4,
-                seed: 31,
-            },
-            config.years,
-            config.n_conferences,
-        )?
+    // High projections on movie: its low-projection paths translate to
+    // single-table branches only, and the view target needs at least one
+    // two-table join branch in the workload.
+    let projections = if dataset.name == "dblp" {
+        Projections::Low
     } else {
-        // High projections: the low-projection movie paths translate to
-        // single-table branches only, and the view target needs at least
-        // one two-table join branch in the workload.
-        let config = scale.movie_config();
-        xmlshred_data::workload::movie_workload(
-            &WorkloadSpec {
-                projections: Projections::High,
-                selectivity: Selectivity::Low,
-                n_queries: 4,
-                seed: 32,
-            },
-            config.years,
-            config.n_genres,
-        )?
+        Projections::High
     };
-    let queries: Vec<SqlQuery> = workload
-        .queries
-        .iter()
-        .filter_map(|(path, _)| translate(&dataset.tree, &mapping, &schema, path).ok())
-        .map(|t| t.sql)
-        .collect();
-    if queries.is_empty() {
-        return Err(format!(
-            "heal matrix: no translatable {} queries",
-            dataset.name
-        ));
-    }
+    let (mut db, queries) = matrix_fixture(dataset, scale, projections, opts.exec)?;
     let targets = mine_targets(&queries, &dataset.name)?;
 
     let defs: Vec<TableDef> = db.catalog().iter().map(|(_, def)| def.clone()).collect();
@@ -319,17 +280,6 @@ fn build_oracle(dataset: &Dataset, scale: BenchScale, opts: &RunOptions) -> Resu
         targets,
         kinds,
     })
-}
-
-fn run_queries(db: &Database, queries: &[SqlQuery]) -> Result<Vec<(Vec<Row>, ExecStats)>, String> {
-    queries
-        .iter()
-        .map(|q| {
-            db.execute(q)
-                .map(|outcome| (outcome.rows, outcome.exec))
-                .map_err(|e| format!("query failed: {e}"))
-        })
-        .collect()
 }
 
 /// One matrix cell: build the durable database, corrupt the seeded site,
@@ -541,19 +491,12 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         opts.heal_seed
     );
 
-    let (base_dir, keep) = match &opts.data_dir {
-        Some(dir) => (PathBuf::from(dir), true),
-        None => (
-            std::env::temp_dir().join(format!("xmlshred-heal-{}", std::process::id())),
-            false,
-        ),
-    };
-    std::fs::create_dir_all(&base_dir).map_err(|e| format!("data dir: {e}"))?;
+    let matrix_dir = MatrixDir::create(opts.data_dir.as_deref(), "heal")?;
 
     let registry = MetricsRegistry::new();
     let mut matrix_hash = 0x8422_2325_cbf2_9ce4u64;
     let mut rows = Vec::new();
-    let mut artifact = String::from("[");
+    let mut reports = Vec::new();
     let mut quarantined_total = 0u64;
 
     for dataset in [heal_scale.dblp()?, heal_scale.movie()?] {
@@ -571,7 +514,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
             let kind = kind_oracle.kind;
             for &seed in &seeds {
                 let cell = format!("{}-{kind}-{seed}", oracle.fixture);
-                let dir = base_dir.join(format!("cell-{cell}"));
+                let dir = matrix_dir.cell_dir(&cell);
                 let result = run_cell(
                     &oracle,
                     kind_oracle,
@@ -587,10 +530,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
                 for (answer_rows, answer_stats) in &result.answers {
                     matrix_hash = fold_answer(matrix_hash, answer_rows, answer_stats);
                 }
-                if artifact.len() > 1 {
-                    artifact.push_str(", ");
-                }
-                artifact.push_str(&format!(
+                reports.push(format!(
                     "{{\"cell\": \"{cell}\", \"site\": {}, \"report\": {}}}",
                     result.site,
                     result.report.to_json()
@@ -608,14 +548,10 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
                     result.report.retries.to_string(),
                     format!("{}/{}", result.answers.len(), oracle.queries.len()),
                 ]);
-                if !keep {
-                    std::fs::remove_dir_all(&dir).ok();
-                }
+                matrix_dir.release(&dir);
             }
         }
     }
-    artifact.push(']');
-
     println!(
         "{}",
         render_table(
@@ -653,13 +589,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         rows.len()
     );
 
-    if keep {
-        let path = base_dir.join("heal-reports.json");
-        std::fs::write(&path, &artifact).map_err(|e| format!("artifact write: {e}"))?;
-        println!("heal reports written to {}", path.display());
-    } else {
-        std::fs::remove_dir_all(&base_dir).ok();
-    }
+    matrix_dir.finish("heal-reports.json", &reports)?;
     println!("heal matrix hash: {matrix_hash:016x}");
     Ok(())
 }

@@ -101,10 +101,6 @@ pub struct RunOptions {
     pub list_cells: bool,
     /// Storage layout for the `exec` experiment (`--layout`, default row).
     pub layout: Layout,
-    /// Where the `exec` and `serve` experiments write their
-    /// machine-readable benchmark records (`--bench-json`); `None` prints
-    /// tables only.
-    pub bench_json: Option<String>,
     /// Extra client count for the `serve` sweep (`--serve-clients`):
     /// appended to the built-in 1/4/8 sweep when not already covered.
     pub serve_clients: Option<usize>,

@@ -432,37 +432,5 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         render_table(&["clients", "ops", "wall", "p50", "p99", "ops/s"], &rows)
     );
 
-    overload_cell()?;
-
-    if let Some(path) = &opts.bench_json {
-        let json = bench_json(scale, ops, serve_hash, &cells);
-        std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("bench record written to {path}");
-    }
-    Ok(())
-}
-
-/// Render the sweep as a stable JSON document (schema
-/// `xmlshred-bench-serve-v1`). Wall/latency nanoseconds and throughput are
-/// the only non-deterministic fields; `serve_hash` is a pure function of
-/// `(scale,)` and CI diffs it across invocations.
-fn bench_json(scale: BenchScale, ops: usize, serve_hash: u64, cells: &[CellResult]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"xmlshred-bench-serve-v1\",");
-    let _ = writeln!(out, "  \"scale\": {},", scale.0);
-    let _ = writeln!(out, "  \"ops_per_client\": {ops},");
-    let _ = writeln!(out, "  \"serve_hash\": \"{serve_hash:016x}\",");
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"clients\": {}, \"ops\": {}, \"wall_ns\": {}, \"p50_ns\": {}, \
-             \"p99_ns\": {}, \"ops_per_sec\": {:.1}}}",
-            c.clients, c.total_ops, c.wall_ns, c.p50_ns, c.p99_ns, c.ops_per_sec
-        );
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    overload_cell()
 }

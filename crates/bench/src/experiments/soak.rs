@@ -32,8 +32,8 @@
 //! reports).
 
 use crate::experiments::RunOptions;
-use crate::harness::{fold, fold_answer, mix, render_table, BenchScale};
-use std::path::{Path, PathBuf};
+use crate::harness::{fold, fold_answer, mix, render_table, BenchScale, MatrixDir};
+use std::path::Path;
 use std::time::Duration;
 use xmlshred_core::metrics::{record_drain, record_server};
 use xmlshred_core::MetricsRegistry;
@@ -523,19 +523,12 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         KINDS.len()
     );
 
-    let (base_dir, keep) = match &opts.data_dir {
-        Some(dir) => (PathBuf::from(dir), true),
-        None => (
-            std::env::temp_dir().join(format!("xmlshred-soak-{}", std::process::id())),
-            false,
-        ),
-    };
-    std::fs::create_dir_all(&base_dir).map_err(|e| format!("data dir: {e}"))?;
+    let matrix_dir = MatrixDir::create(opts.data_dir.as_deref(), "soak")?;
 
     let registry = MetricsRegistry::new();
     let mut soak_hash = 0xcbf2_9ce4_8422_2325u64;
     let mut rows = Vec::new();
-    let mut artifact = String::from("[");
+    let mut reports = Vec::new();
     let mut total_committed = 0usize;
 
     for &clients in &CLIENT_SWEEP {
@@ -546,17 +539,14 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
                     kind.name(),
                     if overload { "overload" } else { "calm" }
                 );
-                let dir = base_dir.join(format!("cell-{cell}"));
+                let dir = matrix_dir.cell_dir(&cell);
                 let outcome =
                     run_cell(&dir, clients, kind, overload, ops, seed, opts.exec.threads)?;
                 record_server(&registry, &outcome.stats);
                 record_drain(&registry, &outcome.drain);
                 total_committed += outcome.committed;
                 soak_hash = fold(soak_hash, outcome.cell_hash);
-                if artifact.len() > 1 {
-                    artifact.push_str(", ");
-                }
-                artifact.push_str(&format!(
+                reports.push(format!(
                     "{{\"cell\": \"{cell}\", \"committed\": {}, \"retries\": {}, \
                      \"reconnects\": {}, \"timeouts\": {}, \"client_faults\": {}, \
                      \"server\": {}, \"drain\": {}}}",
@@ -583,14 +573,10 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
                         outcome.drain.drained_clean, outcome.drain.connections_at_shutdown
                     ),
                 ]);
-                if !keep {
-                    std::fs::remove_dir_all(&dir).ok();
-                }
+                matrix_dir.release(&dir);
             }
         }
     }
-    artifact.push(']');
-
     println!(
         "{}",
         render_table(
@@ -626,13 +612,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         return Err("metrics ingested no server counters".into());
     }
 
-    if keep {
-        let path = base_dir.join("soak-reports.json");
-        std::fs::write(&path, &artifact).map_err(|e| format!("artifact write: {e}"))?;
-        println!("soak reports written to {}", path.display());
-    } else {
-        std::fs::remove_dir_all(&base_dir).ok();
-    }
+    matrix_dir.finish("soak-reports.json", &reports)?;
     println!("soak hash: {soak_hash:016x}");
     Ok(())
 }

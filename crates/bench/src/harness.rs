@@ -1,6 +1,7 @@
 //! Shared machinery: scaled datasets, workload suites, algorithm runners,
 //! and text-table rendering.
 
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 use xmlshred_core::quality::{
     measure_quality_with_exec, measure_quality_with_tuning_exec, QualityReport,
@@ -11,11 +12,16 @@ use xmlshred_core::{
 };
 use xmlshred_data::dblp::{generate_dblp, DblpConfig};
 use xmlshred_data::movie::{generate_movie, MovieConfig};
-use xmlshred_data::workload::Workload;
+use xmlshred_data::workload::{
+    dblp_workload, movie_workload, Projections, Selectivity, Workload, WorkloadSpec,
+};
 use xmlshred_data::Dataset;
-use xmlshred_rel::{ExecOptions, ExecStats, Row, Value};
+use xmlshred_rel::{Database, ExecOptions, ExecStats, Row, SqlQuery, Value};
 use xmlshred_shred::mapping::Mapping;
+use xmlshred_shred::schema::derive_schema;
+use xmlshred_shred::shredder::load_database;
 use xmlshred_shred::source_stats::SourceStats;
+use xmlshred_translate::translate::translate;
 
 /// Scale factor for dataset sizes (1.0 = the default bench scale, roughly a
 /// third of the paper's 100 MB; the figures report ratios, which are scale
@@ -133,51 +139,11 @@ pub enum Algo {
     TwoStep,
 }
 
-/// Run the selected algorithms on one workload with default knobs.
-pub fn run_algorithms(
-    dataset: &Dataset,
-    source: &SourceStats,
-    workload: &Workload,
-    budget: f64,
-    algos: &[Algo],
-) -> Vec<EvalRun> {
-    run_algorithms_with(
-        dataset,
-        source,
-        workload,
-        budget,
-        algos,
-        &SearchOptions::default(),
-    )
-}
-
-/// Run the selected algorithms on one workload with explicit
-/// parallelism/caching knobs (recommendations are identical for any value;
-/// only running time and the cache counters change).
-pub fn run_algorithms_with(
-    dataset: &Dataset,
-    source: &SourceStats,
-    workload: &Workload,
-    budget: f64,
-    algos: &[Algo],
-    search: &SearchOptions,
-) -> Vec<EvalRun> {
-    run_algorithms_exec(
-        dataset,
-        source,
-        workload,
-        budget,
-        algos,
-        search,
-        ExecOptions::default(),
-    )
-}
-
-/// [`run_algorithms_with`] with explicit executor options for the quality
-/// measurement (measured costs are identical for any value; only wall-clock
-/// time changes).
+/// Run the selected algorithms on one workload. Recommendations are
+/// identical for any `search` parallelism/caching knobs and measured costs
+/// for any `exec` options; only running time and the cache counters change.
 #[allow(clippy::too_many_arguments)]
-pub fn run_algorithms_exec(
+pub fn run_algorithms(
     dataset: &Dataset,
     source: &SourceStats,
     workload: &Workload,
@@ -277,6 +243,114 @@ pub fn wide_scan_fixture(
     q.filters = vec![Filter::new(0, 9, FilterOp::Eq, Value::Int(7))];
     q.outputs = vec![Output::col(0, 0), Output::col(0, 10)];
     Ok((db, SqlQuery::Select(q)))
+}
+
+// ------------------------------------------------------ matrix scaffolding --
+
+/// The shared prologue of the crash and heal matrices: the fixture loaded
+/// under the hybrid mapping with `exec` installed, plus its four-query
+/// low-selectivity workload translated to SQL.
+pub fn matrix_fixture(
+    dataset: &Dataset,
+    scale: BenchScale,
+    projections: Projections,
+    exec: ExecOptions,
+) -> Result<(Database, Vec<SqlQuery>), String> {
+    let mapping = Mapping::hybrid(&dataset.tree);
+    let schema = derive_schema(&dataset.tree, &mapping);
+    let mut db = load_database(&dataset.tree, &mapping, &schema, &[&dataset.document])
+        .map_err(|e| format!("load failed: {e}"))?;
+    db.set_exec_options(exec);
+
+    let spec = |seed| WorkloadSpec {
+        projections,
+        selectivity: Selectivity::Low,
+        n_queries: 4,
+        seed,
+    };
+    let workload = if dataset.name == "dblp" {
+        let config = scale.dblp_config();
+        dblp_workload(&spec(31), config.years, config.n_conferences)?
+    } else {
+        let config = scale.movie_config();
+        movie_workload(&spec(32), config.years, config.n_genres)?
+    };
+    let queries: Vec<SqlQuery> = workload
+        .queries
+        .iter()
+        .filter_map(|(path, _)| translate(&dataset.tree, &mapping, &schema, path).ok())
+        .map(|t| t.sql)
+        .collect();
+    if queries.is_empty() {
+        return Err(format!("no translatable {} queries", dataset.name));
+    }
+    Ok((db, queries))
+}
+
+/// Execute every query, keeping what the matrices compare: rows and
+/// [`ExecStats`].
+pub fn run_queries(
+    db: &Database,
+    queries: &[SqlQuery],
+) -> Result<Vec<(Vec<Row>, ExecStats)>, String> {
+    queries
+        .iter()
+        .map(|q| {
+            db.execute(q)
+                .map(|outcome| (outcome.rows, outcome.exec))
+                .map_err(|e| format!("query failed: {e}"))
+        })
+        .collect()
+}
+
+/// Where a matrix keeps its per-cell durable databases: under `--data-dir`
+/// (kept, together with a reports artifact) or under a per-process temp
+/// directory (removed as the cells finish).
+pub struct MatrixDir {
+    base: PathBuf,
+    keep: bool,
+}
+
+impl MatrixDir {
+    /// Create the base directory; `tag` names the temp directory when no
+    /// `--data-dir` was given.
+    pub fn create(data_dir: Option<&str>, tag: &str) -> Result<MatrixDir, String> {
+        let (base, keep) = match data_dir {
+            Some(dir) => (PathBuf::from(dir), true),
+            None => (
+                std::env::temp_dir().join(format!("xmlshred-{tag}-{}", std::process::id())),
+                false,
+            ),
+        };
+        std::fs::create_dir_all(&base).map_err(|e| format!("data dir: {e}"))?;
+        Ok(MatrixDir { base, keep })
+    }
+
+    /// The directory of one cell.
+    pub fn cell_dir(&self, cell: &str) -> PathBuf {
+        self.base.join(format!("cell-{cell}"))
+    }
+
+    /// A cell is done with its directory: removed now unless kept.
+    pub fn release(&self, cell_dir: &Path) {
+        if !self.keep {
+            std::fs::remove_dir_all(cell_dir).ok();
+        }
+    }
+
+    /// Write the per-cell JSON reports as one array under `artifact_name`
+    /// when the directory is kept; remove the directory otherwise.
+    pub fn finish(self, artifact_name: &str, reports: &[String]) -> Result<(), String> {
+        if self.keep {
+            let path = self.base.join(artifact_name);
+            std::fs::write(&path, format!("[{}]", reports.join(", ")))
+                .map_err(|e| format!("artifact write: {e}"))?;
+            println!("reports written to {}", path.display());
+        } else {
+            std::fs::remove_dir_all(&self.base).ok();
+        }
+        Ok(())
+    }
 }
 
 // ------------------------------------------------------- matrix digests --
@@ -446,7 +520,15 @@ mod tests {
         )
         .expect("workload generates");
         let budget = space_budget(&dataset);
-        let runs = run_algorithms(&dataset, &source, &workload, budget, &[Algo::Greedy]);
+        let runs = run_algorithms(
+            &dataset,
+            &source,
+            &workload,
+            budget,
+            &[Algo::Greedy],
+            &SearchOptions::default(),
+            ExecOptions::default(),
+        );
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].quality.skipped, 0);
     }

@@ -3,10 +3,7 @@
 
 use crate::catalog::{Catalog, TableDef, TableId};
 use crate::error::{CorruptionEvent, RelError, RelResult, StructureKind};
-use crate::exec::{
-    execute_plan_snapshot, execute_plan_with, ExecOptions, ExecProfile, ExecStats,
-    SnapshotVisibility,
-};
+use crate::exec::{self, ExecOptions, ExecProfile, ExecStats, SnapshotVisibility, StmtCtx};
 use crate::fault::{backoff_nanos, CrashPoint, FaultConfig, FaultPlane};
 use crate::heal::{HealReport, ScrubReport};
 use crate::index::BuiltIndex;
@@ -21,6 +18,7 @@ use crate::types::Row;
 use crate::view::BuiltView;
 use crate::wal::{WalRecord, WalStats, WalWriter};
 use rustc_hash::FxHashMap;
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -800,19 +798,27 @@ impl Database {
     /// without materializing anything. Subject to injected planner faults
     /// when a fault plane is active.
     pub fn estimate(&self, query: &SqlQuery, config: &OptimizerConfig) -> RelResult<QueryPlan> {
-        if let Some(plane) = self.fault_plane() {
-            let token = plane.next_token();
-            return optimizer::plan_query_faulty(
-                &self.catalog,
-                &self.stats,
-                config,
-                query,
-                plane,
-                token,
-                0,
-            );
+        self.optimize(query, &self.stats, config)
+    }
+
+    /// The one optimizer call: every plan this database makes — what-if or
+    /// for execution, library or session — comes through here, so the
+    /// advisor prices exactly the planner the engine then runs. With a
+    /// fault plane armed the call draws one planner token and is subject
+    /// to injected planner faults.
+    fn optimize(
+        &self,
+        query: &SqlQuery,
+        stats: &[TableStats],
+        config: &OptimizerConfig,
+    ) -> RelResult<QueryPlan> {
+        match self.fault_plane() {
+            Some(plane) => {
+                let token = plane.next_token();
+                optimizer::plan_query_faulty(&self.catalog, stats, config, query, plane, token, 0)
+            }
+            None => optimizer::plan_query(&self.catalog, stats, config, query),
         }
-        optimizer::plan_query(&self.catalog, &self.stats, config, query)
     }
 
     /// Estimated size in bytes of a configuration's structures.
@@ -829,74 +835,24 @@ impl Database {
     /// [`RelError::StalePlan`] instead of dereferencing structures the
     /// swap dropped, and the caller replans.
     pub fn plan(&self, query: &SqlQuery) -> RelResult<QueryPlan> {
-        let degraded;
-        let config = if self.quarantined.is_empty() {
-            &self.built_config
-        } else {
-            degraded = self.effective_config();
-            &degraded
-        };
-        let mut plan = if let Some(plane) = self.fault_plane() {
-            let token = plane.next_token();
-            optimizer::plan_query_faulty(
-                &self.catalog,
-                &self.stats,
-                config,
-                query,
-                plane,
-                token,
-                0,
-            )?
-        } else {
-            optimizer::plan_query(&self.catalog, &self.stats, config, query)?
-        };
+        self.plan_stmt(query, &StmtCtx::default())
+    }
+
+    /// Plan one statement: resolve the planning configuration (built,
+    /// minus quarantined structures, minus views under a snapshot — see
+    /// [`StmtCtx::snapshot`]), make the optimizer call with the context's
+    /// statistics, and stamp the epoch.
+    fn plan_stmt(&self, query: &SqlQuery, ctx: &StmtCtx) -> RelResult<QueryPlan> {
+        let mut config = Cow::Borrowed(&self.built_config);
+        if !self.quarantined.is_empty() {
+            config = Cow::Owned(self.effective_config());
+        }
+        if ctx.snapshot.is_some() && !config.views.is_empty() {
+            config.to_mut().views.clear();
+        }
+        let mut plan = self.optimize(query, ctx.stats.unwrap_or(&self.stats), &config)?;
         plan.epoch = self.config_epoch();
         Ok(plan)
-    }
-
-    /// Plan against the *built* configuration — minus any quarantined
-    /// structures — and execute. Subject to injected planner and storage
-    /// faults when a fault plane is active.
-    pub fn execute(&self, query: &SqlQuery) -> RelResult<QueryOutcome> {
-        self.execute_plan(self.plan(query)?)
-    }
-
-    /// [`Database::execute`] under a per-statement deadline: the executor
-    /// polls it at operator starts and morsel boundaries and cancels with
-    /// [`RelError::Timeout`] (transient) once passed. Timeouts are
-    /// **charge/token-neutral**: the fault plane's budget charges and token
-    /// serial are restored to their pre-statement state, exactly like a
-    /// failed heal attempt — a timed-out statement leaves no trace in the
-    /// deterministic fault schedule.
-    pub fn execute_deadline(
-        &self,
-        query: &SqlQuery,
-        deadline: Option<Instant>,
-    ) -> RelResult<QueryOutcome> {
-        if deadline.is_none() {
-            return self.execute(query);
-        }
-        self.timeout_neutral(|| {
-            let plan = self.plan(query)?;
-            self.execute_plan_opts(plan, &self.exec.with_deadline(deadline))
-        })
-    }
-
-    /// Run one statement with fault-plane neutrality on timeout: save the
-    /// plane's state (budget charges, token serial) before the attempt and
-    /// restore it when the attempt ends in [`RelError::Timeout`]. Shared by
-    /// every deadline-bearing execute path.
-    fn timeout_neutral<T>(&self, body: impl FnOnce() -> RelResult<T>) -> RelResult<T> {
-        let saved = self.fault.as_deref().map(FaultPlane::save);
-        match body() {
-            Err(err @ RelError::Timeout { .. }) => {
-                if let (Some(plane), Some(state)) = (self.fault.as_deref(), saved) {
-                    plane.restore(state);
-                }
-                Err(err)
-            }
-            other => other,
-        }
     }
 
     /// Execute an already-chosen plan (must reference built structures
@@ -905,10 +861,12 @@ impl Database {
     /// retry); unstamped plans (`epoch == 0`, e.g. what-if plans promoted
     /// by tests) skip the check and the caller owns their validity.
     pub fn execute_plan(&self, plan: QueryPlan) -> RelResult<QueryOutcome> {
-        self.execute_plan_opts(plan, &self.exec)
+        self.execute_stmt(plan, &StmtCtx::default())
     }
 
-    fn execute_plan_opts(&self, plan: QueryPlan, opts: &ExecOptions) -> RelResult<QueryOutcome> {
+    /// Check the plan's epoch stamp, run it through the executor's one
+    /// entry point, and build the outcome.
+    fn execute_stmt(&self, plan: QueryPlan, ctx: &StmtCtx) -> RelResult<QueryOutcome> {
         if plan.epoch != 0 && plan.epoch != self.config_epoch() {
             return Err(RelError::StalePlan {
                 plan_epoch: plan.epoch,
@@ -916,7 +874,7 @@ impl Database {
             });
         }
         let start = Instant::now();
-        let (rows, exec, profile) = execute_plan_with(self, &plan, opts)?;
+        let (rows, exec, profile) = exec::execute(self, &plan, &self.exec, ctx)?;
         let elapsed = start.elapsed();
         Ok(QueryOutcome {
             rows,
@@ -927,97 +885,48 @@ impl Database {
         })
     }
 
-    /// Plan and execute a query under an MVCC snapshot: scans see only each
-    /// table's visible row prefix (rows committed at or below the
-    /// snapshot's LSN), through the same morsel kernels as
-    /// [`Database::execute`].
+    /// Plan against the *built* configuration — minus any quarantined
+    /// structures — and execute. Subject to injected planner and storage
+    /// faults when a fault plane is active.
+    pub fn execute(&self, query: &SqlQuery) -> RelResult<QueryOutcome> {
+        self.run(query, &StmtCtx::default())
+    }
+
+    /// Plan and execute one statement: the single statement path under the
+    /// library, session and server surfaces. `ctx` carries everything that
+    /// varies per statement — MVCC snapshot, statistics override, deadline
+    /// (see [`StmtCtx`]); the default context is [`Database::execute`].
     ///
-    /// Sessions plan against the built configuration *minus* materialized
-    /// views: a view row carries no provenance back to a base-heap
-    /// position, so it cannot be filtered to a snapshot's prefix. Index
-    /// seeks and columnar scans filter by base-row position and stay
-    /// available.
-    pub fn execute_snapshot(
-        &self,
-        query: &SqlQuery,
-        vis: &SnapshotVisibility,
-    ) -> RelResult<QueryOutcome> {
-        self.execute_snapshot_inner(query, vis, None, None)
+    /// Timeouts are **charge/token-neutral**: a statement that ends in
+    /// [`RelError::Timeout`] (transient) leaves the fault plane's budget
+    /// charges and token serial at their pre-statement state, exactly like
+    /// a failed heal attempt — a timed-out statement leaves no trace in
+    /// the deterministic fault schedule.
+    pub fn run(&self, query: &SqlQuery, ctx: &StmtCtx) -> RelResult<QueryOutcome> {
+        self.attempt(query, ctx, |err| matches!(err, RelError::Timeout { .. }))
     }
 
-    /// [`Database::execute_snapshot`] under a per-statement deadline; see
-    /// [`Database::execute_deadline`] for the timeout contract.
-    pub fn execute_snapshot_deadline(
+    /// One statement attempt with fault-plane neutrality: save the plane's
+    /// state (budget charges, token serial), plan and execute, and restore
+    /// the saved state when the attempt fails with an error `undo` accepts.
+    /// The one neutrality mechanism: [`Database::run`] undoes timeouts,
+    /// [`Database::execute_healing`] undoes the corruption it retries.
+    fn attempt(
         &self,
         query: &SqlQuery,
-        vis: &SnapshotVisibility,
-        deadline: Option<Instant>,
+        ctx: &StmtCtx,
+        undo: impl FnOnce(&RelError) -> bool,
     ) -> RelResult<QueryOutcome> {
-        self.execute_snapshot_inner(query, vis, None, deadline)
-    }
-
-    /// [`Database::execute_snapshot`] with a statistics override: the plan
-    /// is chosen using `stats` (table-id order) instead of the engine's
-    /// live statistics. Sessions pass snapshot-clamped statistics here
-    /// (see [`Database::analyze_snapshot`]) so a transaction's planner
-    /// choices are a pure function of its snapshot, never of rows
-    /// committed above its watermark.
-    pub fn execute_snapshot_with_stats(
-        &self,
-        query: &SqlQuery,
-        vis: &SnapshotVisibility,
-        stats: &[TableStats],
-    ) -> RelResult<QueryOutcome> {
-        self.execute_snapshot_inner(query, vis, Some(stats), None)
-    }
-
-    /// [`Database::execute_snapshot_with_stats`] under a per-statement
-    /// deadline; see [`Database::execute_deadline`] for the timeout
-    /// contract.
-    pub fn execute_snapshot_with_stats_deadline(
-        &self,
-        query: &SqlQuery,
-        vis: &SnapshotVisibility,
-        stats: &[TableStats],
-        deadline: Option<Instant>,
-    ) -> RelResult<QueryOutcome> {
-        self.execute_snapshot_inner(query, vis, Some(stats), deadline)
-    }
-
-    fn execute_snapshot_inner(
-        &self,
-        query: &SqlQuery,
-        vis: &SnapshotVisibility,
-        stats_override: Option<&[TableStats]>,
-        deadline: Option<Instant>,
-    ) -> RelResult<QueryOutcome> {
-        self.timeout_neutral(|| {
-            let stats = stats_override.unwrap_or(&self.stats);
-            let mut config = if self.quarantined.is_empty() {
-                self.built_config.clone()
-            } else {
-                self.effective_config()
-            };
-            config.views.clear();
-            let mut plan = if let Some(plane) = self.fault_plane() {
-                let token = plane.next_token();
-                optimizer::plan_query_faulty(&self.catalog, stats, &config, query, plane, token, 0)?
-            } else {
-                optimizer::plan_query(&self.catalog, stats, &config, query)?
-            };
-            plan.epoch = self.config_epoch();
-            let start = Instant::now();
-            let opts = self.exec.with_deadline(deadline.or(self.exec.deadline));
-            let (rows, exec, profile) = execute_plan_snapshot(self, &plan, &opts, vis)?;
-            let elapsed = start.elapsed();
-            Ok(QueryOutcome {
-                rows,
-                exec,
-                plan,
-                elapsed,
-                profile,
-            })
-        })
+        let saved = self.fault_plane().map(|plane| (plane, plane.save()));
+        let result = self
+            .plan_stmt(query, ctx)
+            .and_then(|plan| self.execute_stmt(plan, ctx));
+        if let (Err(err), Some((plane, state))) = (&result, saved) {
+            if undo(err) {
+                plane.restore(state);
+            }
+        }
+        result
     }
 
     // ------------------------------------------------------ self-healing --
@@ -1118,8 +1027,8 @@ impl Database {
             if !self.quarantined.is_empty() {
                 report.degraded_plans += 1;
             }
-            let saved = self.fault.as_deref().map(FaultPlane::save);
-            match self.execute(query) {
+            let corrupted = |err: &RelError| CorruptionEvent::from_error(err).is_some();
+            match self.attempt(query, &StmtCtx::default(), corrupted) {
                 Ok(outcome) => break outcome,
                 Err(err) => {
                     let Some(event) = CorruptionEvent::from_error(&err) else {
@@ -1127,9 +1036,6 @@ impl Database {
                     };
                     if report.retries >= Self::MAX_HEAL_RETRIES {
                         return Err(err);
-                    }
-                    if let (Some(plane), Some(state)) = (self.fault.as_deref(), saved) {
-                        plane.restore(state);
                     }
                     let attempt = u32::try_from(report.retries).unwrap_or(u32::MAX);
                     report.retries += 1;

@@ -41,6 +41,7 @@ use crate::fault::FaultPlane;
 use crate::par;
 use crate::plan::{Access, BranchPlan, JoinAlgo, QueryPlan, ScanNode, ViewOutput};
 use crate::sql::Output;
+use crate::stats::TableStats;
 use crate::types::{Row, Value};
 use rustc_hash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
@@ -65,13 +66,6 @@ pub struct ExecOptions {
     /// per-morsel reduction order — and the bit pattern of every f64 stat —
     /// is the same for any thread count.
     pub morsel_rows: usize,
-    /// Cooperative cancellation instant: the executor polls it at operator
-    /// starts, morsel boundaries, and per-probe in index-nested-loop joins,
-    /// raising [`RelError::Timeout`] once passed. `None` (the default) runs
-    /// unbounded. A fired deadline aborts the statement wholesale — no
-    /// partial rows escape — so results stay bit-identical across thread
-    /// counts whenever the statement completes at all.
-    pub deadline: Option<Instant>,
 }
 
 impl Default for ExecOptions {
@@ -79,7 +73,6 @@ impl Default for ExecOptions {
         ExecOptions {
             threads: 1,
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            deadline: None,
         }
     }
 }
@@ -90,21 +83,6 @@ impl ExecOptions {
         ExecOptions {
             threads,
             ..ExecOptions::default()
-        }
-    }
-
-    /// These options with a per-statement deadline (replacing any current
-    /// one; `None` clears it).
-    pub fn with_deadline(self, deadline: Option<Instant>) -> Self {
-        ExecOptions { deadline, ..self }
-    }
-
-    /// Raise [`RelError::Timeout`] if the deadline has passed. `site` is a
-    /// stable label of the polling point, surfaced in the error.
-    pub fn check_deadline(&self, site: &'static str) -> RelResult<()> {
-        match self.deadline {
-            Some(at) if Instant::now() >= at => Err(RelError::Timeout { site }),
-            _ => Ok(()),
         }
     }
 }
@@ -143,16 +121,51 @@ impl SnapshotVisibility {
     }
 }
 
-/// The scannable prefix of a `len`-row structure under `vis` (`len` itself
-/// when executing outside any snapshot).
-fn visible_rows(
-    vis: Option<&SnapshotVisibility>,
-    table: crate::catalog::TableId,
-    len: usize,
-) -> usize {
-    match vis {
-        None => len,
-        Some(v) => v.table_rows(table).min(len),
+/// Everything that varies per statement, as plain data: one value of this
+/// type replaces what used to be a function-name suffix (`_snapshot`,
+/// `_with_stats`, `_deadline`) on every layer from the session down to the
+/// executor. The default is the library path: live rows, live statistics,
+/// no deadline.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StmtCtx<'a> {
+    /// Execute under this MVCC snapshot: every table access is clamped to
+    /// the snapshot's visible row prefix, and the statement is planned
+    /// without materialized views (a view row carries no provenance back
+    /// to a base-heap position, so it cannot be filtered to a prefix;
+    /// index seeks and columnar scans filter by base-row position and stay
+    /// available).
+    pub snapshot: Option<&'a SnapshotVisibility>,
+    /// Plan with these statistics (table-id order) instead of the engine's
+    /// live ones. Sessions pass snapshot-clamped statistics here (see
+    /// [`Database::analyze_snapshot`]) so a transaction's planner choices
+    /// are a pure function of its snapshot.
+    pub stats: Option<&'a [TableStats]>,
+    /// Cooperative cancellation instant: the executor polls it at operator
+    /// starts, morsel boundaries, and per-probe in index-nested-loop joins,
+    /// raising [`RelError::Timeout`] once passed. A fired deadline aborts
+    /// the statement wholesale — no partial rows escape — so results stay
+    /// bit-identical across thread counts whenever the statement completes
+    /// at all.
+    pub deadline: Option<Instant>,
+}
+
+impl StmtCtx<'_> {
+    /// Raise [`RelError::Timeout`] if the deadline has passed. `site` is a
+    /// stable label of the polling point, surfaced in the error.
+    fn check_deadline(&self, site: &'static str) -> RelResult<()> {
+        match self.deadline {
+            Some(at) if Instant::now() >= at => Err(RelError::Timeout { site }),
+            _ => Ok(()),
+        }
+    }
+
+    /// The scannable prefix of a `len`-row structure of `table` (`len`
+    /// itself when executing outside any snapshot).
+    fn visible_rows(&self, table: crate::catalog::TableId, len: usize) -> usize {
+        match self.snapshot {
+            None => len,
+            Some(v) => v.table_rows(table).min(len),
+        }
     }
 }
 
@@ -357,9 +370,9 @@ fn morsel_ranges(len: usize, opts: &ExecOptions) -> Vec<Range<usize>> {
 /// raises [`RelError::Timeout`]. No partial rows escape: the whole
 /// statement aborts, which is what keeps results bit-identical across
 /// thread counts whenever a statement completes at all.
-fn deadline_hit(opts: &ExecOptions, hit: &std::sync::atomic::AtomicBool) -> bool {
+fn deadline_hit(ctx: &StmtCtx, hit: &std::sync::atomic::AtomicBool) -> bool {
     use std::sync::atomic::Ordering;
-    match opts.deadline {
+    match ctx.deadline {
         Some(at) if Instant::now() >= at => {
             hit.store(true, Ordering::Relaxed);
             true
@@ -387,57 +400,31 @@ fn partition_of(key: &Value) -> usize {
     (hasher.finish() as usize) % HASH_PARTITIONS
 }
 
-/// Execute a plan with default (serial) options, returning the result rows
-/// and the accounting.
-pub fn execute_plan(db: &Database, plan: &QueryPlan) -> RelResult<(Vec<Row>, ExecStats)> {
-    execute_plan_with(db, plan, &ExecOptions::default()).map(|(rows, stats, _)| (rows, stats))
-}
-
-/// Execute a plan under explicit executor options, returning rows,
-/// accounting, and the execution profile. Rows and [`ExecStats`] are
-/// bit-identical for any `opts.threads` value.
-pub fn execute_plan_with(
+/// Execute a plan, returning rows, accounting, and the execution profile:
+/// the executor's one entry point. Rows and [`ExecStats`] are bit-identical
+/// for any `opts.threads` value. Under `ctx.snapshot` every table access is
+/// clamped to the snapshot's visible row prefix (see [`SnapshotVisibility`]);
+/// such plans must not contain view scans, which [`Database::run`]
+/// guarantees by planning snapshot statements with views stripped.
+pub fn execute(
     db: &Database,
     plan: &QueryPlan,
     opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, ExecStats, ExecProfile)> {
-    execute_plan_inner(db, plan, opts, None)
-}
-
-/// Execute a plan under an MVCC snapshot: every table access is clamped to
-/// the snapshot's visible row prefix (see [`SnapshotVisibility`]), so rows
-/// committed after the snapshot's start LSN are invisible. Plans executed
-/// this way must not contain view scans — the session layer plans snapshot
-/// queries with views stripped, because a materialization built over the
-/// live heaps has no per-row commit provenance to filter by.
-pub fn execute_plan_snapshot(
-    db: &Database,
-    plan: &QueryPlan,
-    opts: &ExecOptions,
-    vis: &SnapshotVisibility,
-) -> RelResult<(Vec<Row>, ExecStats, ExecProfile)> {
-    execute_plan_inner(db, plan, opts, Some(vis))
-}
-
-fn execute_plan_inner(
-    db: &Database,
-    plan: &QueryPlan,
-    opts: &ExecOptions,
-    vis: Option<&SnapshotVisibility>,
+    ctx: &StmtCtx,
 ) -> RelResult<(Vec<Row>, ExecStats, ExecProfile)> {
     let mut profile = ExecProfile::default();
     let mut stats = ExecStats::default();
     let mut rows: Vec<Row> = Vec::new();
     let mut ledger = VerifyLedger::default();
     for branch in &plan.branches {
-        opts.check_deadline("branch")?;
+        ctx.check_deadline("branch")?;
         let (branch_rows, branch_stats) =
-            execute_branch(db, branch, opts, vis, &mut profile, &mut ledger)?;
+            execute_branch(db, branch, opts, ctx, &mut profile, &mut ledger)?;
         stats.absorb(branch_stats);
         rows.extend(branch_rows);
     }
     if !plan.order_by.is_empty() {
-        opts.check_deadline("sort")?;
+        ctx.check_deadline("sort")?;
         let sort_start = Instant::now();
         stats.cpu_cost += sort_cost(rows.len() as f64);
         let keys = plan.order_by.clone();
@@ -492,7 +479,7 @@ fn execute_branch(
     db: &Database,
     branch: &BranchPlan,
     opts: &ExecOptions,
-    vis: Option<&SnapshotVisibility>,
+    ctx: &StmtCtx,
     profile: &mut ExecProfile,
     ledger: &mut VerifyLedger,
 ) -> RelResult<(Vec<Row>, ExecStats)> {
@@ -504,7 +491,7 @@ fn execute_branch(
             outputs,
             ..
         } => execute_pipeline(
-            db, tables, driver, joins, outputs, opts, vis, profile, ledger,
+            db, tables, driver, joins, outputs, opts, ctx, profile, ledger,
         ),
         BranchPlan::ViewScan {
             view,
@@ -515,12 +502,12 @@ fn execute_branch(
             // Materialized views carry no per-row commit provenance; the
             // session layer plans snapshot queries with views stripped, so a
             // ViewScan under a snapshot is a planner-contract violation.
-            if vis.is_some() {
+            if ctx.snapshot.is_some() {
                 return Err(RelError::InvalidQuery(format!(
                     "snapshot execution cannot scan materialized view '{view}'"
                 )));
             }
-            execute_view_scan(db, view, filters, outputs, opts, profile, ledger)
+            execute_view_scan(db, view, filters, outputs, opts, ctx, profile, ledger)
         }
     }
 }
@@ -566,7 +553,7 @@ fn execute_pipeline(
     joins: &[crate::plan::JoinNode],
     outputs: &[Output],
     opts: &ExecOptions,
-    vis: Option<&SnapshotVisibility>,
+    ctx: &StmtCtx,
     profile: &mut ExecProfile,
     ledger: &mut VerifyLedger,
 ) -> RelResult<(Vec<Row>, ExecStats)> {
@@ -603,11 +590,11 @@ fn execute_pipeline(
         validate_filters(&join.inner.filters, inner_def)?;
     }
 
-    let (mut wide, driver_stats) = run_scan(db, driver_table, driver, opts, vis, profile, ledger)?;
+    let (mut wide, driver_stats) = run_scan(db, driver_table, driver, opts, ctx, profile, ledger)?;
     stats.absorb(driver_stats);
 
     for join in joins {
-        opts.check_deadline("join")?;
+        ctx.check_deadline("join")?;
         let &inner_table = tables.get(join.inner.table_ref).ok_or_else(|| {
             RelError::InvalidQuery(format!(
                 "plan join references table #{}",
@@ -620,7 +607,7 @@ fn execute_pipeline(
         let next: Vec<Row> = match &join.algo {
             JoinAlgo::Hash => {
                 let (inner_rows, scan_stats) =
-                    run_scan(db, inner_table, &join.inner, opts, vis, profile, ledger)?;
+                    run_scan(db, inner_table, &join.inner, opts, ctx, profile, ledger)?;
                 stats.absorb(scan_stats);
                 let join_start = Instant::now();
                 stats.cpu_cost += inner_rows.len() as f64 * CPU_HASH_COST;
@@ -637,7 +624,7 @@ fn execute_pipeline(
                 profile.note_morsels(&build_ranges);
                 let partitioned: Vec<Vec<Vec<u32>>> =
                     par::parallel_map(&build_ranges, opts.threads, |_, range| {
-                        if deadline_hit(opts, &hit) {
+                        if deadline_hit(ctx, &hit) {
                             return vec![Vec::new(); HASH_PARTITIONS];
                         }
                         let mut parts: Vec<Vec<u32>> = vec![Vec::new(); HASH_PARTITIONS];
@@ -671,7 +658,7 @@ fn execute_pipeline(
                 profile.note_morsels(&probe_ranges);
                 let pieces: Vec<Vec<Row>> =
                     par::parallel_map(&probe_ranges, opts.threads, |_, range| {
-                        if deadline_hit(opts, &hit) {
+                        if deadline_hit(ctx, &hit) {
                             return Vec::new();
                         }
                         // Pass 1: batch key extraction — hash every non-null
@@ -731,7 +718,7 @@ fn execute_pipeline(
                     // Per-probe deadline poll: INLJ is the one operator with
                     // no morsel boundaries (it stays serial for fault-token
                     // determinism), so cancellation hooks in here.
-                    opts.check_deadline("inlj")?;
+                    ctx.check_deadline("inlj")?;
                     let key = &outer[outer_slot];
                     if key.is_null() {
                         continue;
@@ -739,7 +726,7 @@ fn execute_pipeline(
                     // Per-probe descent.
                     stats.io_cost += BTREE_DESCENT_COST * RANDOM_PAGE_COST;
                     let mut matched = built.seek(&crate::index::KeyRange::eq(vec![key.clone()]));
-                    if let Some(v) = vis {
+                    if let Some(v) = ctx.snapshot {
                         // Drop postings past the snapshot's watermark before
                         // costing, so invisible rows charge nothing.
                         let limit = v.table_rows(inner_table);
@@ -793,7 +780,7 @@ fn execute_pipeline(
     let ranges = morsel_ranges(wide.len(), opts);
     profile.note_morsels(&ranges);
     let pieces: Vec<Vec<Row>> = par::parallel_map(&ranges, opts.threads, |_, range| {
-        if deadline_hit(opts, &hit) {
+        if deadline_hit(ctx, &hit) {
             return Vec::new();
         }
         wide[range.start..range.end]
@@ -933,7 +920,7 @@ fn run_scan(
     table: crate::catalog::TableId,
     scan: &ScanNode,
     opts: &ExecOptions,
-    vis: Option<&SnapshotVisibility>,
+    ctx: &StmtCtx,
     profile: &mut ExecProfile,
     ledger: &mut VerifyLedger,
 ) -> RelResult<(Vec<Row>, ExecStats)> {
@@ -943,7 +930,7 @@ fn run_scan(
     // Operator-start poll: an already-expired deadline must cancel before
     // any budget page is charged or fault token drawn, keeping timeouts
     // charge/token-neutral by construction on this path.
-    opts.check_deadline("scan")?;
+    ctx.check_deadline("scan")?;
     let plane = db.fault_plane();
     let mut stats = ExecStats::default();
     let per_row_cpu = CPU_TUPLE_COST + scan.filters.len() as f64 * CPU_PRED_COST;
@@ -964,13 +951,13 @@ fn run_scan(
             stats.io_cost += heap.pages() as f64 * SEQ_PAGE_COST;
             // Under a snapshot only the visible prefix is scanned; pages are
             // still charged at the live heap (see `SnapshotVisibility`).
-            let rows = &heap.rows()[..visible_rows(vis, table, heap.rows().len())];
+            let rows = &heap.rows()[..ctx.visible_rows(table, heap.rows().len())];
             let hit = std::sync::atomic::AtomicBool::new(false);
             let ranges = morsel_ranges(rows.len(), opts);
             profile.note_morsels(&ranges);
             let pieces: Vec<(Vec<Row>, f64, u64)> =
                 par::parallel_map(&ranges, opts.threads, |_, range| {
-                    if deadline_hit(opts, &hit) {
+                    if deadline_hit(ctx, &hit) {
                         return (Vec::new(), 0.0, 0);
                     }
                     let mut out = Vec::new();
@@ -1034,12 +1021,12 @@ fn run_scan(
             // The partition's row count is clamped to the snapshot's
             // watermark; like the live path's stale-partition semantics,
             // rows past the scanned prefix are simply not produced.
-            let ranges = morsel_ranges(visible_rows(vis, table, col_heap.rows()), opts);
+            let ranges = morsel_ranges(ctx.visible_rows(table, col_heap.rows()), opts);
             let hit = std::sync::atomic::AtomicBool::new(false);
             profile.note_morsels(&ranges);
             let pieces: Vec<(Vec<Row>, f64, u64)> =
                 par::parallel_map(&ranges, opts.threads, |_, range| {
-                    if deadline_hit(opts, &hit) {
+                    if deadline_hit(ctx, &hit) {
                         return (Vec::new(), 0.0, 0);
                     }
                     // Filter to a selection vector: the first kernel scans
@@ -1100,7 +1087,7 @@ fn run_scan(
                 })?;
             }
             let mut matched = built.seek(key);
-            if let Some(v) = vis {
+            if let Some(v) = ctx.snapshot {
                 // Filter postings to the snapshot's visible prefix before
                 // any costing: invisible rows read no leaf entries, fetch no
                 // heap pages, and charge no budget.
@@ -1139,7 +1126,7 @@ fn run_scan(
             profile.note_morsels(&ranges);
             let pieces: Vec<RelResult<(Vec<Row>, f64, u64)>> =
                 par::parallel_map(&ranges, opts.threads, |_, range| {
-                    opts.check_deadline("scan")?;
+                    ctx.check_deadline("scan")?;
                     let mut out = Vec::new();
                     for &i in &matched[range.start..range.end] {
                         let row = heap.row(i as usize).ok_or_else(|| {
@@ -1199,6 +1186,7 @@ fn execute_view_scan(
     filters: &[(usize, crate::expr::FilterOp, Value)],
     outputs: &[ViewOutput],
     opts: &ExecOptions,
+    ctx: &StmtCtx,
     profile: &mut ExecProfile,
     ledger: &mut VerifyLedger,
 ) -> RelResult<(Vec<Row>, ExecStats)> {
@@ -1237,7 +1225,7 @@ fn execute_view_scan(
     let hit = std::sync::atomic::AtomicBool::new(false);
     profile.note_morsels(&ranges);
     let pieces: Vec<(Vec<Row>, f64, u64)> = par::parallel_map(&ranges, opts.threads, |_, range| {
-        if deadline_hit(opts, &hit) {
+        if deadline_hit(ctx, &hit) {
             return (Vec::new(), 0.0, 0);
         }
         let mut out: Vec<Row> = Vec::new();
@@ -1318,6 +1306,14 @@ mod tests {
         })
         .unwrap();
         (db, t)
+    }
+
+    /// A statement context whose deadline has already passed.
+    fn expired() -> StmtCtx<'static> {
+        StmtCtx {
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+            ..StmtCtx::default()
+        }
     }
 
     fn grp_query(t: crate::catalog::TableId) -> SqlQuery {
@@ -1430,17 +1426,18 @@ mod tests {
     fn expired_deadline_cancels_with_typed_timeout() {
         let (db, t) = db_with_index(false);
         let plan = db.estimate(&grp_query(t), db.built_config()).unwrap();
-        let expired =
-            ExecOptions::default().with_deadline(Some(Instant::now() - Duration::from_millis(1)));
-        let err = execute_plan_with(&db, &plan, &expired).unwrap_err();
+        let opts = ExecOptions::default();
+        let err = execute(&db, &plan, &opts, &expired()).unwrap_err();
         assert!(matches!(err, RelError::Timeout { .. }), "{err}");
         assert!(err.is_transient());
         // A generous deadline never fires, and the result matches the
         // unbounded run bit-for-bit.
-        let bounded =
-            ExecOptions::default().with_deadline(Some(Instant::now() + Duration::from_secs(60)));
-        let (rows_b, stats_b, _) = execute_plan_with(&db, &plan, &bounded).unwrap();
-        let (rows, stats, _) = execute_plan_with(&db, &plan, &ExecOptions::default()).unwrap();
+        let bounded = StmtCtx {
+            deadline: Some(Instant::now() + Duration::from_secs(60)),
+            ..StmtCtx::default()
+        };
+        let (rows_b, stats_b, _) = execute(&db, &plan, &opts, &bounded).unwrap();
+        let (rows, stats, _) = execute(&db, &plan, &opts, &StmtCtx::default()).unwrap();
         assert_eq!(rows_b, rows);
         assert_eq!(stats_b, stats);
     }
@@ -1459,9 +1456,8 @@ mod tests {
             let opts = ExecOptions {
                 threads,
                 morsel_rows: 64,
-                deadline: Some(Instant::now() - Duration::from_millis(1)),
             };
-            let err = execute_plan_with(&db, &plan, &opts).unwrap_err();
+            let err = execute(&db, &plan, &opts, &expired()).unwrap_err();
             assert!(matches!(err, RelError::Timeout { .. }), "threads={threads}");
         }
     }
@@ -1471,7 +1467,6 @@ mod tests {
         let opts = ExecOptions {
             threads: 1,
             morsel_rows: 100,
-            ..ExecOptions::default()
         };
         let ranges = morsel_ranges(250, &opts);
         assert_eq!(ranges, vec![0..100, 100..200, 200..250]);
@@ -1489,17 +1484,15 @@ mod tests {
         let opts1 = ExecOptions {
             threads: 1,
             morsel_rows: 128,
-            ..ExecOptions::default()
         };
-        let (rows1, stats1, profile1) = execute_plan_with(&db, &plan, &opts1).unwrap();
+        let (rows1, stats1, profile1) = execute(&db, &plan, &opts1, &StmtCtx::default()).unwrap();
         assert!(profile1.morsels_dispatched > 1);
         for threads in [2, 4, 8] {
             let opts = ExecOptions {
                 threads,
                 morsel_rows: 128,
-                ..ExecOptions::default()
             };
-            let (rows, stats, profile) = execute_plan_with(&db, &plan, &opts).unwrap();
+            let (rows, stats, profile) = execute(&db, &plan, &opts, &StmtCtx::default()).unwrap();
             assert_eq!(rows1, rows, "threads={threads}");
             assert_eq!(stats1, stats, "threads={threads}");
             assert_eq!(
@@ -1715,10 +1708,10 @@ mod tests {
         let opts = ExecOptions {
             threads: 1,
             morsel_rows: 128,
-            ..ExecOptions::default()
         };
         let row_plan = db.estimate(&query, db.built_config()).unwrap();
-        let (row_rows, row_stats, row_profile) = execute_plan_with(&db, &row_plan, &opts).unwrap();
+        let (row_rows, row_stats, row_profile) =
+            execute(&db, &row_plan, &opts, &StmtCtx::default()).unwrap();
         db.apply_config(&PhysicalConfig {
             indexes: vec![],
             views: vec![],
@@ -1744,9 +1737,9 @@ mod tests {
             let opts = ExecOptions {
                 threads,
                 morsel_rows: 128,
-                ..ExecOptions::default()
             };
-            let (rows, stats, profile) = execute_plan_with(&db, &col_plan, &opts).unwrap();
+            let (rows, stats, profile) =
+                execute(&db, &col_plan, &opts, &StmtCtx::default()).unwrap();
             assert_eq!(rows, row_rows, "threads={threads}");
             assert_eq!(stats, row_stats, "threads={threads}");
             assert_eq!(

@@ -59,7 +59,7 @@ pub use catalog::{Catalog, ColumnDef, TableDef, TableId};
 pub use db::{Database, PhysicalConfig, QueryOutcome};
 pub use error::{CorruptionEvent, RelError, RelResult, StructureKind};
 pub use exec::{
-    ExecOptions, ExecProfile, ExecStats, MorselRows, OperatorTiming, SnapshotVisibility,
+    ExecOptions, ExecProfile, ExecStats, MorselRows, OperatorTiming, SnapshotVisibility, StmtCtx,
 };
 pub use expr::{Filter, FilterOp};
 pub use fault::{

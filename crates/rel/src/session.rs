@@ -45,7 +45,7 @@
 use crate::catalog::{TableDef, TableId};
 use crate::db::{Database, PhysicalConfig, QueryOutcome};
 use crate::error::{RelError, RelResult};
-use crate::exec::SnapshotVisibility;
+use crate::exec::{SnapshotVisibility, StmtCtx};
 use crate::sql::SqlQuery;
 use crate::stats::TableStats;
 use crate::storage;
@@ -157,10 +157,9 @@ impl SessionDb {
 
     /// [`SessionDb::execute`] under a per-statement deadline: the executor
     /// polls it at morsel boundaries and cancels with [`RelError::Timeout`]
-    /// (transient, charge/token-neutral — see
-    /// [`Database::execute_deadline`]) once passed. Deadlines are
-    /// per-statement, never stored on the shared engine, so concurrent
-    /// sessions cannot inherit each other's budgets.
+    /// (transient, charge/token-neutral — see [`Database::run`]) once
+    /// passed. Deadlines are per-statement, never stored on the shared
+    /// engine, so concurrent sessions cannot inherit each other's budgets.
     pub fn execute_deadline(
         &self,
         query: &SqlQuery,
@@ -168,7 +167,12 @@ impl SessionDb {
     ) -> RelResult<QueryOutcome> {
         let engine = read_lock(&self.inner);
         let vis = engine.visibility();
-        engine.db.execute_snapshot_deadline(query, &vis, deadline)
+        let ctx = StmtCtx {
+            snapshot: Some(&vis),
+            stats: None,
+            deadline,
+        };
+        engine.db.run(query, &ctx)
     }
 
     /// Auto-commit DDL. Not versioned: the new table is immediately visible
@@ -323,17 +327,13 @@ impl Transaction {
     ) -> RelResult<QueryOutcome> {
         let engine = read_lock(&self.inner);
         if self.writes.is_empty() {
-            return match &self.stats {
-                Some(stats) => engine.db.execute_snapshot_with_stats_deadline(
-                    query,
-                    &self.visibility(),
-                    stats,
-                    deadline,
-                ),
-                None => engine
-                    .db
-                    .execute_snapshot_deadline(query, &self.visibility(), deadline),
+            let vis = self.visibility();
+            let ctx = StmtCtx {
+                snapshot: Some(&vis),
+                stats: self.stats.as_deref(),
+                deadline,
             };
+            return engine.db.run(query, &ctx);
         }
         // Read-your-own-writes: materialize an overlay of the snapshot
         // prefix plus this transaction's pending rows, and plan it bare
@@ -342,7 +342,11 @@ impl Transaction {
         // data; transactions that only read skip it entirely.
         let overlay = self.build_overlay(&engine)?;
         drop(engine);
-        overlay.execute_deadline(query, deadline)
+        let ctx = StmtCtx {
+            deadline,
+            ..StmtCtx::default()
+        };
+        overlay.run(query, &ctx)
     }
 
     fn build_overlay(&self, engine: &Engine) -> RelResult<Database> {

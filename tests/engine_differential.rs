@@ -2,9 +2,19 @@
 //! random conjunctive select-project-join queries, the optimizer+executor
 //! must return exactly what a brute-force nested-loop evaluation returns —
 //! under every physical configuration (no indexes, narrow indexes, covering
-//! indexes, join views, columnar partitions).
+//! indexes, join views, columnar partitions). And the engine's one
+//! statement path must not care who calls it: over both fixtures' workload
+//! queries, the library context and a full-visibility snapshot (what a
+//! session passes) return the same bits.
 
 use proptest::prelude::*;
+use xmlshred::data::dblp::{generate_dblp, DblpConfig};
+use xmlshred::data::movie::{generate_movie, MovieConfig};
+use xmlshred::data::workload::{
+    dblp_workload, movie_workload, Projections, Selectivity, WorkloadSpec,
+};
+use xmlshred::data::Dataset;
+use xmlshred::prelude::{derive_schema, load_database, translate, tune, Mapping};
 use xmlshred::rel::catalog::{ColumnDef, TableDef, TableId};
 use xmlshred::rel::db::Database;
 use xmlshred::rel::expr::{Filter, FilterOp};
@@ -13,6 +23,7 @@ use xmlshred::rel::optimizer::PhysicalConfig;
 use xmlshred::rel::sql::{JoinCond, Output, SelectQuery, SqlQuery, UnionAllQuery};
 use xmlshred::rel::types::{DataType, Row, Value};
 use xmlshred::rel::view::{ViewDef, ViewSide};
+use xmlshred::rel::{ExecOptions, QueryOutcome, SnapshotVisibility, StmtCtx};
 
 /// Build a parent/child database from generated rows.
 fn build_db(
@@ -284,4 +295,147 @@ fn null_join_keys_never_match() {
     let outcome = db.execute(&SqlQuery::Select(q)).unwrap();
     // Only the (5, 2) pair joins; NULLs never match.
     assert_eq!(outcome.rows, vec![vec![Value::Int(5), Value::Int(2)]]);
+}
+
+// ------------------------------------------ library path == session path --
+
+/// One fixture: the hybrid-mapped database, its translated workload, and
+/// the tuner's design for it (indexes and views).
+fn workload_fixture(
+    dataset: &Dataset,
+    workload: &[(xmlshred::xpath::ast::Path, f64)],
+) -> (Database, Vec<SqlQuery>, PhysicalConfig) {
+    let mapping = Mapping::hybrid(&dataset.tree);
+    let schema = derive_schema(&dataset.tree, &mapping);
+    let db = load_database(&dataset.tree, &mapping, &schema, &[&dataset.document]).expect("load");
+    let queries: Vec<SqlQuery> = workload
+        .iter()
+        .filter_map(|(path, _)| translate(&dataset.tree, &mapping, &schema, path).ok())
+        .map(|t| t.sql)
+        .collect();
+    assert!(!queries.is_empty(), "no workload query translated");
+    let weighted: Vec<(&SqlQuery, f64)> = queries.iter().map(|q| (q, 1.0)).collect();
+    let budget = 3.0 * dataset.approx_bytes() as f64;
+    let design = tune(db.catalog(), db.all_stats(), &weighted, budget).config;
+    (db, queries, design)
+}
+
+fn workload_fixtures() -> Vec<(&'static str, Database, Vec<SqlQuery>, PhysicalConfig)> {
+    let spec = |projections, selectivity, seed| WorkloadSpec {
+        projections,
+        selectivity,
+        n_queries: 5,
+        seed,
+    };
+    let dblp = generate_dblp(&DblpConfig {
+        n_inproceedings: 1_200,
+        n_books: 120,
+        ..DblpConfig::default()
+    })
+    .expect("dblp generates");
+    let dblp_queries = dblp_workload(
+        &spec(Projections::High, Selectivity::Low, 11),
+        (1970, 2004),
+        20,
+    )
+    .expect("dblp workload")
+    .queries;
+    let movie_config = MovieConfig {
+        n_movies: 1_500,
+        ..MovieConfig::default()
+    };
+    let movie = generate_movie(&movie_config).expect("movie generates");
+    let movie_queries = movie_workload(
+        &spec(Projections::Low, Selectivity::High, 12),
+        movie_config.years,
+        movie_config.n_genres,
+    )
+    .expect("movie workload")
+    .queries;
+    let (d_db, d_sql, d_design) = workload_fixture(&dblp, &dblp_queries);
+    let (m_db, m_sql, m_design) = workload_fixture(&movie, &movie_queries);
+    vec![
+        ("dblp", d_db, d_sql, d_design),
+        ("movie", m_db, m_sql, m_design),
+    ]
+}
+
+/// Rows and every `ExecStats` field, floats by bit pattern.
+fn bits(outcome: &QueryOutcome) -> (&[Row], u64, u64, usize, u64) {
+    (
+        &outcome.rows,
+        outcome.exec.io_cost.to_bits(),
+        outcome.exec.cpu_cost.to_bits(),
+        outcome.exec.rows_out,
+        outcome.exec.tuples_processed,
+    )
+}
+
+#[test]
+fn library_context_and_full_snapshot_return_the_same_bits() {
+    let mut view_plans = 0;
+    for (name, mut db, queries, design) in workload_fixtures() {
+        let everything = SnapshotVisibility {
+            lsn: 0,
+            visible: db
+                .catalog()
+                .iter()
+                .map(|(id, _)| db.heap(id).len())
+                .collect(),
+        };
+        let session = StmtCtx {
+            snapshot: Some(&everything),
+            ..StmtCtx::default()
+        };
+        let view_free = PhysicalConfig {
+            views: vec![],
+            ..design.clone()
+        };
+        let columnar = PhysicalConfig {
+            columnar: db.catalog().iter().map(|(id, _)| id).collect(),
+            ..view_free.clone()
+        };
+        for (layout, config) in [("row", &view_free), ("columnar", &columnar)] {
+            db.apply_config(config).unwrap();
+            for threads in [1, 4] {
+                db.set_exec_options(ExecOptions {
+                    threads,
+                    morsel_rows: 128,
+                });
+                for (i, query) in queries.iter().enumerate() {
+                    let library = db.run(query, &StmtCtx::default()).unwrap();
+                    let snapshot = db.run(query, &session).unwrap();
+                    assert_eq!(
+                        bits(&library),
+                        bits(&snapshot),
+                        "{name} q{i} {layout} threads={threads}"
+                    );
+                }
+            }
+        }
+        // A design with views: the snapshot statement differs from the
+        // library one by exactly the documented view stripping — it is the
+        // library statement under the same design minus its views.
+        db.apply_config(&view_free).unwrap();
+        let stripped: Vec<QueryOutcome> = queries
+            .iter()
+            .map(|query| db.execute(query).unwrap())
+            .collect();
+        db.apply_config(&design).unwrap();
+        for (i, (query, expected)) in queries.iter().zip(&stripped).enumerate() {
+            let library = db.execute(query).unwrap();
+            let snapshot = db.run(query, &session).unwrap();
+            assert_eq!(bits(&snapshot), bits(expected), "{name} q{i} with views");
+            assert_eq!(
+                sorted(library.rows.clone()),
+                sorted(snapshot.rows),
+                "{name} q{i}"
+            );
+            view_plans += usize::from(library.plan.explain().contains("ViewScan"));
+        }
+    }
+    assert!(
+        view_plans > 0,
+        "no library plan used a view: case is vacuous"
+    );
 }

@@ -128,7 +128,6 @@ fn results_stats_and_profiles_identical_across_exec_threads() {
                 db.set_exec_options(ExecOptions {
                     threads,
                     morsel_rows: MORSEL_ROWS,
-                    ..ExecOptions::default()
                 });
                 let outcome = db.execute(sql).expect("query executes");
                 let view = deterministic_view(&outcome);
@@ -167,7 +166,6 @@ fn fault_plane_budget_charge_is_thread_invariant() {
             db.set_exec_options(ExecOptions {
                 threads,
                 morsel_rows: MORSEL_ROWS,
-                ..ExecOptions::default()
             });
             let mut views = Vec::new();
             for sql in &queries {
@@ -205,7 +203,6 @@ fn assert_cost_parity(name: &str, db: &mut Database, queries: &[SqlQuery]) {
     db.set_exec_options(ExecOptions {
         threads: 2,
         morsel_rows: MORSEL_ROWS,
-        ..ExecOptions::default()
     });
     for (i, sql) in queries.iter().enumerate() {
         let outcome = db.execute(sql).expect("query executes");
@@ -263,7 +260,6 @@ fn columnar_layout_is_bit_identical_to_row_layout() {
         db.set_exec_options(ExecOptions {
             threads: 1,
             morsel_rows: MORSEL_ROWS,
-            ..ExecOptions::default()
         });
         let row_views: Vec<_> = queries
             .iter()
@@ -277,7 +273,6 @@ fn columnar_layout_is_bit_identical_to_row_layout() {
             db.set_exec_options(ExecOptions {
                 threads,
                 morsel_rows: MORSEL_ROWS,
-                ..ExecOptions::default()
             });
             for (i, sql) in queries.iter().enumerate() {
                 let outcome = db.execute(sql).expect("columnar query executes");

@@ -631,7 +631,7 @@ proptest! {
         db.analyze().expect("analyze");
         let query = columnar_case_to_query(table, &types, &raw_filters);
         // Small morsels so even modest tables fan out to several morsels.
-        db.set_exec_options(ExecOptions { threads: 1, morsel_rows: 32, ..ExecOptions::default() });
+        db.set_exec_options(ExecOptions { threads: 1, morsel_rows: 32 });
 
         // Row-layout baseline: plain run, budget-gated run, faulty run.
         let row_view = layout_view(&db.execute(&query).expect("row scan"));
@@ -667,13 +667,13 @@ proptest! {
         );
         prop_assert_eq!(layout_view(&outcome), row_view.clone(), "plain run diverged");
         // Thread fan-out over the partition must not change anything.
-        db.set_exec_options(ExecOptions { threads: 3, morsel_rows: 32, ..ExecOptions::default() });
+        db.set_exec_options(ExecOptions { threads: 3, morsel_rows: 32 });
         prop_assert_eq!(
             layout_view(&db.execute(&query).expect("columnar scan @3")),
             row_view,
             "threaded columnar run diverged"
         );
-        db.set_exec_options(ExecOptions { threads: 1, morsel_rows: 32, ..ExecOptions::default() });
+        db.set_exec_options(ExecOptions { threads: 1, morsel_rows: 32 });
 
         // Identical budget charge: the columnar arm gates the same row-heap
         // page count through the same plane.

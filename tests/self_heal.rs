@@ -20,7 +20,8 @@ use xmlshred::rel::sql::{JoinCond, Output, SelectQuery, SqlQuery, UnionAllQuery}
 use xmlshred::rel::types::{DataType, Value};
 use xmlshred::rel::view::{ViewDef, ViewSide};
 use xmlshred::rel::{
-    ExecOptions, ExecStats, FaultConfig, FaultStats, PhysicalConfig, RelError, StructureKind,
+    ExecOptions, ExecStats, FaultConfig, FaultStats, PhysicalConfig, RelError, SnapshotVisibility,
+    StmtCtx, StructureKind,
 };
 
 // ------------------------------------------------------------- fixture --
@@ -415,6 +416,84 @@ fn scrub_reports_every_corruption_site_typed() {
     assert_eq!(
         registry.snapshot().deterministic.get("scrub.corruptions"),
         Some(&4)
+    );
+}
+
+// ------------------------------------------------ fault-plane neutrality --
+
+/// A failed attempt leaves no trace on the fault plane. The engine has one
+/// neutrality mechanism with two users, covered here by one table: a
+/// statement that times out (every `StmtCtx` shape), and a corruption retry
+/// inside `execute_healing`. `PlaneState` is a superset of
+/// `FaultPlane::snapshot()` — it adds the token serial, which is the one
+/// counter a statement cancelled at its first poll has already moved.
+#[test]
+fn failed_attempts_leave_no_trace_on_the_fault_plane() {
+    let kind = StructureKind::Index;
+    let (mut db, inproc, author) = build_db(600);
+    db.apply_config(&config_for(kind, inproc, author)).unwrap();
+    arm_verification(&mut db, 42);
+    let query = paper_query(inproc, author);
+    let vis = SnapshotVisibility {
+        lsn: 0,
+        visible: vec![db.heap(inproc).len(), db.heap(author).len()],
+    };
+    let stats = db.analyze_snapshot(&vis);
+    let deadline = Some(std::time::Instant::now());
+    let timeouts = [
+        (
+            "library",
+            StmtCtx {
+                deadline,
+                ..StmtCtx::default()
+            },
+        ),
+        (
+            "snapshot",
+            StmtCtx {
+                snapshot: Some(&vis),
+                stats: None,
+                deadline,
+            },
+        ),
+        (
+            "snapshot+stats",
+            StmtCtx {
+                snapshot: Some(&vis),
+                stats: Some(&stats),
+                deadline,
+            },
+        ),
+    ];
+    for (row, ctx) in timeouts {
+        let plane = db.fault_plane().expect("plane armed");
+        let before = (plane.snapshot(), plane.save());
+        let err = db.run(&query, &ctx).expect_err("expired deadline cancels");
+        assert!(matches!(err, RelError::Timeout { .. }), "{row}: {err:?}");
+        assert!(err.is_transient(), "{row}");
+        assert_eq!((plane.snapshot(), plane.save()), before, "{row}");
+    }
+
+    // The heal loop's retry: the attempt that tripped over the corrupted
+    // index drew a planner token and verified the heap before failing. A
+    // twin that never saw the corruption — planned without the index from
+    // the start — must end in the same plane state.
+    corrupt_structure(&mut db, kind, inproc);
+    arm_verification(&mut db, 42);
+    let (outcome, report) = db.execute_healing(&query).unwrap();
+    assert_eq!(report.retries, 1);
+    let (mut twin, t_inproc, t_author) = build_db(600);
+    let mut degraded = config_for(kind, t_inproc, t_author);
+    degraded.indexes.retain(|index| index.name != "ix_conf");
+    twin.apply_config(&degraded).unwrap();
+    arm_verification(&mut twin, 42);
+    let expected = twin.execute(&paper_query(t_inproc, t_author)).unwrap();
+    assert_eq!(outcome.rows, expected.rows);
+    assert_eq!(stats_bits(&outcome.exec), stats_bits(&expected.exec));
+    assert_eq!(
+        db.fault_plane().expect("plane armed").save(),
+        twin.fault_plane().expect("plane armed").save(),
+        "heal retry"
     );
 }
 
