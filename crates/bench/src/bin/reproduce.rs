@@ -38,17 +38,17 @@
 //! committed WAL prefix in commit-LSN order (rows and ExecStats) — and
 //! the printed `soak hash` is a pure function of `(scale, ops)`,
 //! bit-identical across `--exec-threads` values, which CI verifies.
-//! `--soak-seed S` seeds the fault scripts and backoff schedules (default
-//! 13), `--soak-ops N` sets the operations per client (default
-//! scale-derived), and `--data-dir PATH` keeps the per-cell databases and
-//! writes a `soak-reports.json` artifact (per-cell server counters and
-//! drain reports). `--list-cells` prints the matrix without running it.
+//! `--seed S` seeds the fault scripts and backoff schedules (default 13),
+//! `--ops N` sets the operations per client (default scale-derived), and
+//! `--data-dir PATH` keeps the per-cell databases and writes a
+//! `soak-reports.json` artifact (per-cell server counters and drain
+//! reports). `--list-cells` prints the matrix without running it.
 //! `adapt` runs the online self-tuning scenario: a seeded statement
 //! schedule shifts character at its midpoint, the adaptive advisor
 //! detects the drift and installs new designs via non-blocking online
 //! swaps, and the shifted workload's measured cost must not rise.
-//! `--adapt-seed S` seeds the schedule and drift jitter (default 5),
-//! `--adapt-ops N` sets the statement count (default scale-derived), and
+//! `--seed S` seeds the schedule and drift jitter (default 5), `--ops N`
+//! sets the statement count (default scale-derived), and
 //! `--adapt-window N` sets the statements-per-drift-check window (default
 //! 64). The printed `adapt hash` is a pure function of those knobs —
 //! bit-identical across `--exec-threads` values, which CI verifies.
@@ -57,25 +57,28 @@
 //!
 //! Robustness knobs: `--fault-p X` injects what-if planner faults with
 //! probability X, `--deadline-ms N` gives each strategy an anytime budget
-//! of N milliseconds, and `--fault-seed S` seeds the deterministic fault
-//! plane (default 42). For `chaos` these override the built-in sweep grid;
+//! of N milliseconds, and `--seed S` seeds the deterministic fault plane
+//! (default 42). For `chaos` these override the built-in sweep grid;
 //! for the evaluation experiments they apply directly to the search runs.
 //!
-//! Crash-recovery knobs (`crash` experiment): `--crash-seed S` seeds the
-//! deterministic crash positions (default 7), `--crash-points N` sets the
+//! Crash-recovery knobs (`crash` experiment): `--seed S` seeds the
+//! deterministic crash positions (default 7), `--points N` sets the
 //! number of crash seeds per (fixture, kind) cell (default 4, for a
 //! 2x3x4 = 24-cell matrix), and `--data-dir PATH` keeps the durable
 //! databases on disk and writes a `recovery-reports.json` artifact there
 //! (without it, a temporary directory is used and removed).
 //!
-//! Self-healing knobs (`heal` experiment): `--heal-seed S` seeds the
-//! deterministic corruption sites (default 9) and `--heal-points N` sets
-//! the number of corruption seeds per (fixture, kind) cell (default 3, for
+//! Self-healing knobs (`heal` experiment): `--seed S` seeds the
+//! deterministic corruption sites (default 9) and `--points N` sets the
+//! number of corruption seeds per (fixture, kind) cell (default 3, for
 //! a 2x4x3 = 24-cell matrix over index/view/columnar/heap corruption).
 //! `--data-dir PATH` keeps the durable databases and writes a
 //! `heal-reports.json` artifact there. Both `crash` and `heal` accept
 //! `--list-cells` to print their deterministic cell matrix (fixture, kind,
 //! seed, site) without running any cell.
+//!
+//! `--seed`, `--points` and `--ops` are one flag each across experiments:
+//! every seeded experiment reads the same three and keeps its own default.
 
 // Robustness gate: library code must propagate typed errors, not unwrap.
 // Tests are exempt (unwrap there is an assertion).
@@ -123,12 +126,10 @@ fn main() {
     }
     let fault_p = take_value::<f64>(&mut args, "--fault-p");
     let deadline_ms = take_value::<u64>(&mut args, "--deadline-ms");
-    let fault_seed = take_value::<u64>(&mut args, "--fault-seed").unwrap_or(42);
+    let seed = take_value::<u64>(&mut args, "--seed");
+    let points = take_value::<usize>(&mut args, "--points");
+    let ops = take_value::<usize>(&mut args, "--ops");
     let metrics_out = take_value::<String>(&mut args, "--metrics-out");
-    let crash_seed = take_value::<u64>(&mut args, "--crash-seed").unwrap_or(7);
-    let crash_points = take_value::<usize>(&mut args, "--crash-points").unwrap_or(4);
-    let heal_seed = take_value::<u64>(&mut args, "--heal-seed").unwrap_or(9);
-    let heal_points = take_value::<usize>(&mut args, "--heal-points").unwrap_or(3);
     let mut list_cells = false;
     if let Some(pos) = args.iter().position(|a| a == "--list-cells") {
         list_cells = true;
@@ -137,11 +138,7 @@ fn main() {
     let data_dir = take_value::<String>(&mut args, "--data-dir");
     let layout = take_value::<Layout>(&mut args, "--layout").unwrap_or_default();
     let serve_clients = take_value::<usize>(&mut args, "--serve-clients");
-    let adapt_seed = take_value::<u64>(&mut args, "--adapt-seed").unwrap_or(5);
-    let adapt_ops = take_value::<usize>(&mut args, "--adapt-ops");
     let adapt_window = take_value::<usize>(&mut args, "--adapt-window").unwrap_or(64);
-    let soak_seed = take_value::<u64>(&mut args, "--soak-seed").unwrap_or(13);
-    let soak_ops = take_value::<usize>(&mut args, "--soak-ops");
     let experiment = args.first().map(String::as_str).unwrap_or("all");
 
     println!(
@@ -159,34 +156,29 @@ fn main() {
         },
         if search.plan_cache { "on" } else { "off" }
     );
-    if fault_p.is_some() || deadline_ms.is_some() {
-        println!(
-            "robustness: fault-p {}, deadline {}, fault seed {fault_seed}",
-            fault_p.map_or("off".to_string(), |p| p.to_string()),
-            deadline_ms.map_or("none".to_string(), |ms| format!("{ms}ms")),
-        );
-    }
     let opts = RunOptions {
         search,
         fault_p,
         deadline_ms,
-        fault_seed,
+        seed,
+        points,
+        ops,
         exec,
         metrics_out,
-        crash_seed,
-        crash_points,
         data_dir,
-        heal_seed,
-        heal_points,
         list_cells,
         layout,
         serve_clients,
-        adapt_seed,
-        adapt_ops,
         adapt_window,
-        soak_seed,
-        soak_ops,
     };
+    if fault_p.is_some() || deadline_ms.is_some() {
+        println!(
+            "robustness: fault-p {}, deadline {}, fault seed {}",
+            fault_p.map_or("off".to_string(), |p| p.to_string()),
+            deadline_ms.map_or("none".to_string(), |ms| format!("{ms}ms")),
+            opts.fault_seed(),
+        );
+    }
     let start = Instant::now();
     match xmlshred_bench::experiments::run(experiment, scale, &opts) {
         Ok(()) => println!("\ncompleted in {:.1}s", start.elapsed().as_secs_f64()),

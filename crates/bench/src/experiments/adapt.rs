@@ -80,14 +80,14 @@ fn probe_shifted(db: &SessionDb, table: TableId) -> Result<(f64, u64), String> {
 /// Run the adapt scenario: seeded shifting workload, advisor loop,
 /// convergence check, and the CI-diffed `adapt hash`.
 pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
-    let seed = opts.adapt_seed;
+    let seed = opts.seed.unwrap_or(5);
     let window = if opts.adapt_window == 0 {
         64
     } else {
         opts.adapt_window
     };
     let ops = opts
-        .adapt_ops
+        .ops
         .unwrap_or_else(|| ((scale.0 * 512.0) as usize).max(256));
     let shift_at = ops / 2;
     let initial_rows = ((scale.0 * 2048.0) as i64).max(512);

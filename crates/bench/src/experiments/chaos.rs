@@ -48,7 +48,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         Some(ms) => vec![Some(ms)],
         None => vec![None, Some(250)],
     };
-    let seed = opts.fault_seed;
+    let seed = opts.fault_seed();
 
     println!(
         "\n=== Chaos: fault/deadline sweep (p in {ps:?}, deadline in {deadlines:?}, seed {seed}) ===",

@@ -12,7 +12,7 @@
 //! against an uncrashed oracle run.
 //!
 //! The whole matrix — recovery reports included — is a pure function of
-//! `(--crash-seed, --crash-points, scale)`; the closing `crash matrix hash`
+//! `(--seed, --points, scale)`; the closing `crash matrix hash`
 //! line digests it, and CI compares that hash across `--exec-threads`
 //! values to pin the thread-invariance of recovery.
 
@@ -237,9 +237,7 @@ fn run_cell(
 pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     let crash_scale = BenchScale(scale.0 * 0.02);
     let kinds = [CrashKind::Clean, CrashKind::TornTail, CrashKind::BitFlip];
-    let seeds: Vec<u64> = (0..opts.crash_points.max(1) as u64)
-        .map(|i| opts.crash_seed.wrapping_add(i))
-        .collect();
+    let (base_seed, seeds) = opts.matrix_seeds(7, 4);
     if opts.list_cells {
         let kind_labels: Vec<String> = kinds.iter().map(|k| k.to_string()).collect();
         list_cells("crash matrix", &kind_labels, &seeds, &|_, idx, seed| {
@@ -258,7 +256,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         "\n=== Crash matrix: {} kinds x {} seeds x 2 fixtures (crash seed {}) ===",
         kinds.len(),
         seeds.len(),
-        opts.crash_seed
+        base_seed
     );
 
     let matrix_dir = MatrixDir::create(opts.data_dir.as_deref(), "crash")?;

@@ -15,7 +15,7 @@
 //! oracle.
 //!
 //! The whole matrix — heal reports included — is a pure function of
-//! `(--heal-seed, --heal-points, scale)`; the closing `heal matrix hash`
+//! `(--seed, --points, scale)`; the closing `heal matrix hash`
 //! line digests it, and CI compares that hash across `--exec-threads`
 //! values to pin the thread-invariance of detection, quarantine, and
 //! repair.
@@ -50,6 +50,8 @@ const VIEW_NAME: &str = "heal_view";
 
 /// Domain tag for corruption-site selection.
 const SITE_TAG: u64 = 0x6865_616c; // "heal"
+/// Corruption-site seed when `--seed` is not given.
+const DEFAULT_SEED: u64 = 9;
 
 /// The cell's private seed: the CLI seed mixed with the structure kind's
 /// label so every (kind, seed) pair draws a distinct corruption site.
@@ -257,7 +259,7 @@ fn build_oracle(dataset: &Dataset, scale: BenchScale, opts: &RunOptions) -> Resu
             .map_err(|e| format!("oracle {kind} config build failed: {e}"))?;
         // Fresh plane per kind: the oracle charges are seed-independent
         // (verification is charge-free, probabilities are zero).
-        db.set_fault_config(verify_plane(opts.heal_seed));
+        db.set_fault_config(verify_plane(opts.seed.unwrap_or(DEFAULT_SEED)));
         let answers = run_queries(&db, &queries)?;
         let charges = db
             .fault_plane()
@@ -310,14 +312,16 @@ fn corrupt_site(
         }
         StructureKind::Index => {
             let index = db
-                .built_index_mut(INDEX_NAME)
+                .built_mut()
+                .index_mut(INDEX_NAME)
                 .ok_or_else(|| "index target missing".to_string())?;
             let keys = index.distinct_keys();
             index.corrupt_entry(n(keys))
         }
         StructureKind::View => {
             let view = db
-                .built_view_mut(VIEW_NAME)
+                .built_mut()
+                .view_mut(VIEW_NAME)
                 .ok_or_else(|| "view target missing".to_string())?;
             let rows = view.rows.len();
             view.corrupt_row(n(rows))
@@ -327,7 +331,8 @@ fn corrupt_site(
                 .built_columnar(targets.scan_table)
                 .map_err(|e| format!("columnar target missing: {e}"))?;
             let (width, rows) = (columnar.width(), columnar.rows());
-            db.columnar_mut(targets.scan_table)
+            db.built_mut()
+                .columnar_mut(targets.scan_table)
                 .ok_or_else(|| "columnar target missing".to_string())?
                 .corrupt_value(n(width), ((site >> 32) as usize) % rows.max(1))
         }
@@ -469,9 +474,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         StructureKind::Columnar,
         StructureKind::Heap,
     ];
-    let seeds: Vec<u64> = (0..opts.heal_points.max(1) as u64)
-        .map(|i| opts.heal_seed.wrapping_add(i))
-        .collect();
+    let (base_seed, seeds) = opts.matrix_seeds(DEFAULT_SEED, 3);
     if opts.list_cells {
         let kind_labels: Vec<String> = kind_order.iter().map(|k| k.to_string()).collect();
         list_cells("heal matrix", &kind_labels, &seeds, &|kind, _, seed| {
@@ -488,7 +491,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         "\n=== Heal matrix: {} kinds x {} seeds x 2 fixtures (heal seed {}) ===",
         kind_order.len(),
         seeds.len(),
-        opts.heal_seed
+        base_seed
     );
 
     let matrix_dir = MatrixDir::create(opts.data_dir.as_deref(), "heal")?;

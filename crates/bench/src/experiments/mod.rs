@@ -54,8 +54,9 @@ impl std::str::FromStr for Layout {
 }
 
 /// CLI-level knobs for one `reproduce` invocation: the base search options
-/// plus the robustness sweep parameters (`--fault-p`, `--deadline-ms`,
-/// `--fault-seed`).
+/// plus the robustness sweep parameters (`--fault-p`, `--deadline-ms`) and
+/// the three knobs every seeded experiment shares (`--seed`, `--points`,
+/// `--ops`), each `None` for the running experiment's own default.
 ///
 /// The deadline is intentionally stored as a duration, not a
 /// [`Deadline`]: a `Deadline` pins a wall-clock instant, so each strategy
@@ -70,8 +71,19 @@ pub struct RunOptions {
     pub fault_p: Option<f64>,
     /// Anytime budget per strategy run, in milliseconds.
     pub deadline_ms: Option<u64>,
-    /// Seed for the deterministic fault plane.
-    pub fault_seed: u64,
+    /// The running experiment's seed (`--seed`). Defaults: fault plane of
+    /// `chaos` and the evaluation runs 42; `crash` positions 7; `heal`
+    /// corruption sites 9; `soak` wire-fault scripts and backoff schedules
+    /// 13 (the `soak hash` does *not* depend on it — chaos must cancel
+    /// out); `adapt` statement schedule and drift jitter 5.
+    pub seed: Option<u64>,
+    /// Seeds per (fixture, kind) cell in the `crash` / `heal` matrices
+    /// (`--points`; defaults 4 / 3; 0 is treated as 1).
+    pub points: Option<usize>,
+    /// Operations per client in `soak`, statements in `adapt` (`--ops`;
+    /// default derived from the scale). The `adapt` workload shifts at the
+    /// midpoint.
+    pub ops: Option<usize>,
     /// Executor knobs (`--exec-threads`): morsel worker threads for query
     /// execution. Results and measured costs are identical for any value;
     /// only wall-clock time changes.
@@ -79,23 +91,11 @@ pub struct RunOptions {
     /// Where the `profile` experiment writes its JSON metrics report
     /// (`--metrics-out`); `None` prints the summary table only.
     pub metrics_out: Option<String>,
-    /// Base seed for the `crash` matrix (`--crash-seed`): crash positions
-    /// and corruption patterns are a pure function of it.
-    pub crash_seed: u64,
-    /// Crash seeds per (fixture, kind) cell in the `crash` matrix
-    /// (`--crash-points`); 0 is treated as 1.
-    pub crash_points: usize,
     /// Directory for the `crash`/`heal` matrices' durable databases and
     /// their `recovery-reports.json`/`heal-reports.json` artifacts
     /// (`--data-dir`); `None` uses a temporary directory and cleans up
     /// afterwards.
     pub data_dir: Option<String>,
-    /// Base seed for the `heal` matrix (`--heal-seed`): corruption sites
-    /// are a pure function of it.
-    pub heal_seed: u64,
-    /// Corruption seeds per (fixture, kind) cell in the `heal` matrix
-    /// (`--heal-points`); 0 is treated as 1.
-    pub heal_points: usize,
     /// Print the deterministic cell matrix of the `crash`/`heal`
     /// experiments without running any cell (`--list-cells`).
     pub list_cells: bool,
@@ -104,26 +104,26 @@ pub struct RunOptions {
     /// Extra client count for the `serve` sweep (`--serve-clients`):
     /// appended to the built-in 1/4/8 sweep when not already covered.
     pub serve_clients: Option<usize>,
-    /// Seed for the `adapt` scenario's statement schedule and drift
-    /// jitter (`--adapt-seed`); the printed `adapt hash` is a pure
-    /// function of `(scale, seed, ops, window)`.
-    pub adapt_seed: u64,
-    /// Statement count for the `adapt` scenario (`--adapt-ops`); `None`
-    /// derives it from the scale. The workload shifts at the midpoint.
-    pub adapt_ops: Option<usize>,
     /// Statements per drift-check window for the `adapt` scenario
-    /// (`--adapt-window`); 0 is treated as the default 64.
+    /// (`--adapt-window`); 0 is treated as the default 64. The printed
+    /// `adapt hash` is a pure function of `(scale, seed, ops, window)`.
     pub adapt_window: usize,
-    /// Seed for the `soak` matrix (`--soak-seed`): wire-fault scripts and
-    /// client backoff schedules are a pure function of it. The printed
-    /// `soak hash` does *not* depend on it — chaos must cancel out.
-    pub soak_seed: u64,
-    /// Operations per client for the `soak` matrix (`--soak-ops`); `None`
-    /// derives the count from the scale.
-    pub soak_ops: Option<usize>,
 }
 
 impl RunOptions {
+    /// Seed of the what-if fault plane (`chaos` and the evaluation runs).
+    pub fn fault_seed(&self) -> u64 {
+        self.seed.unwrap_or(42)
+    }
+
+    /// The base seed and the per-cell seeds of a seeded matrix (`crash`,
+    /// `heal`): `--seed` / `--points` over the matrix's own defaults.
+    pub(crate) fn matrix_seeds(&self, seed: u64, points: usize) -> (u64, Vec<u64>) {
+        let base = self.seed.unwrap_or(seed);
+        let points = self.points.unwrap_or(points).max(1) as u64;
+        (base, (0..points).map(|i| base.wrapping_add(i)).collect())
+    }
+
     /// Search options for one strategy run, with a freshly started deadline
     /// and the fault plane armed from the CLI parameters.
     pub fn search_for_run(&self) -> SearchOptions {
@@ -133,7 +133,7 @@ impl RunOptions {
         }
         if let Some(p) = self.fault_p {
             search.fault = Some(FaultConfig {
-                seed: self.fault_seed,
+                seed: self.fault_seed(),
                 p_plan: p,
                 ..FaultConfig::default()
             });

@@ -92,8 +92,8 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     metrics.count("space.data_bytes", db.data_bytes() as u64);
     metrics.count("space.built_bytes", db.built_bytes() as u64);
     metrics.count(
-        "space.estimated_built_bytes",
-        db.estimated_built_bytes() as u64,
+        "space.estimated_bytes",
+        db.config_bytes(db.built_config()) as u64,
     );
     metrics.count("space.budget_bytes", budget as u64);
 

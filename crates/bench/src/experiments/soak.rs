@@ -493,8 +493,8 @@ fn run_cell(
 
 /// Run the 16-cell soak matrix and print the CI-checked `soak hash`.
 pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
-    let ops = opts.soak_ops.unwrap_or(((scale.0 * 10.0) as usize).max(10));
-    let seed = opts.soak_seed;
+    let ops = opts.ops.unwrap_or(((scale.0 * 10.0) as usize).max(10));
+    let seed = opts.seed.unwrap_or(13);
     if opts.list_cells {
         let mut rows = Vec::new();
         for &clients in &CLIENT_SWEEP {

@@ -11,15 +11,14 @@
 //!    the snapshot watermarks (the same per-table row-count prefixes that
 //!    define transaction visibility), and clone the visible row prefix of
 //!    every table the configuration references.
-//! 2. **Build (no lock).** Build every index, view, and columnar partition
-//!    from the cloned prefix. Sessions proceed untouched.
+//! 2. **Build (no lock).** [`BuiltSet::build`] from the cloned prefix.
+//!    Sessions proceed untouched.
 //! 3. **Swap (write lock, short).** Re-validate against the possibly
-//!    evolved catalog, log the `ApplyConfig` record through the existing
-//!    validate→log→build WAL discipline, catch the structures up to the
-//!    live heaps (heaps are insert-only, so the delta is exactly the rows
-//!    past each watermark — indexes append in heap order, bit-identical to
-//!    a full build; views and columnar partitions rebuild only if their
-//!    base tables grew), and atomically install the structures.
+//!    evolved catalog, [`BuiltSet::catch_up`] to the live heaps (heaps are
+//!    insert-only, so the delta is exactly the rows past each watermark),
+//!    then log the `ApplyConfig` record and install — the same
+//!    build → log → install tail as the blocking path
+//!    ([`crate::db::Database::apply_built`]).
 //!
 //! Crash safety follows from the log-before-install order: a crash before
 //! the `ApplyConfig` record recovers the *old* design (the swap simply
@@ -32,15 +31,12 @@
 //! rejected with the transient [`crate::RelError::StalePlan`] instead of
 //! executing against a dropped structure.
 
-use crate::catalog::{TableDef, TableId};
+use crate::built::BuiltSet;
+use crate::catalog::TableId;
 use crate::db::PhysicalConfig;
-use crate::error::RelResult;
-use crate::index::BuiltIndex;
+use crate::error::{RelError, RelResult};
 use crate::session::SessionDb;
-use crate::storage::{ColumnarHeap, TableHeap};
 use crate::types::Row;
-use crate::view::BuiltView;
-use crate::wal::WalRecord;
 use rustc_hash::FxHashMap;
 
 /// Accounting for one online swap, for logs and bench output.
@@ -60,135 +56,52 @@ pub struct OnlineSwapReport {
     pub epoch: u64,
 }
 
-/// The visible prefix of every table a configuration references, cloned
-/// under the read lock so the builds can run without it.
-struct SnapshotPrefix {
-    lsn: u64,
-    /// `table -> (definition, watermark, visible rows)` in the snapshot.
-    tables: FxHashMap<TableId, (TableDef, usize, Vec<Row>)>,
-}
-
-impl SnapshotPrefix {
-    /// Temporary heap over a table's visible prefix.
-    fn heap(&self, table: TableId) -> TableHeap {
-        let mut heap = TableHeap::new();
-        if let Some((def, _, rows)) = self.tables.get(&table) {
-            for row in rows {
-                heap.insert_unchecked(def, row.clone());
-            }
-        }
-        heap
-    }
-
-    fn watermark(&self, table: TableId) -> usize {
-        self.tables.get(&table).map(|(_, wm, _)| *wm).unwrap_or(0)
-    }
-}
-
 impl SessionDb {
     /// Materialize `config` online: build from a snapshot off the lock,
     /// then catch up and swap atomically under the write lock. See the
     /// module docs for the protocol and its crash-safety argument.
     pub fn apply_config_online(&self, config: &PhysicalConfig) -> RelResult<OnlineSwapReport> {
-        // Phase 1: validate and clone the snapshot prefix (read lock).
-        let prefix = {
+        // Phase 1 (read lock): validate, then clone the catalog and the
+        // visible row prefix of every backing table.
+        let (snapshot_lsn, catalog, prefix) = {
             let engine = self.read_engine();
             engine.db.validate_config(config)?;
-            engine.db.verify_backing_heaps(config)?;
             let vis = engine.visibility();
-            let mut referenced: Vec<TableId> = config
-                .indexes
-                .iter()
-                .map(|def| def.table)
-                .chain(config.views.iter().flat_map(|def| [def.left, def.right]))
-                .chain(config.columnar.iter().copied())
-                .collect();
-            referenced.sort_unstable();
-            referenced.dedup();
-            let mut tables = FxHashMap::default();
-            for table in referenced {
-                let def = engine.db.catalog().try_table(table)?.clone();
-                let heap = engine.db.try_heap(table)?;
-                let wm = vis.table_rows(table).min(heap.len());
-                tables.insert(table, (def, wm, heap.rows()[..wm].to_vec()));
+            let mut prefix: FxHashMap<TableId, Vec<Row>> = FxHashMap::default();
+            for table in config.backing_tables() {
+                let rows = engine.db.try_heap(table)?.rows();
+                let visible = vis.table_rows(table).min(rows.len());
+                prefix.insert(table, rows[..visible].to_vec());
             }
-            SnapshotPrefix {
-                lsn: vis.lsn,
-                tables,
-            }
+            (vis.lsn, engine.db.catalog().clone(), prefix)
         };
 
-        // Phase 2: build everything from the snapshot, off the lock.
-        let mut indexes: FxHashMap<String, BuiltIndex> = FxHashMap::default();
-        for def in &config.indexes {
-            let heap = prefix.heap(def.table);
-            indexes.insert(def.name.clone(), BuiltIndex::build(def.clone(), &heap));
-        }
-        let mut views: FxHashMap<String, BuiltView> = FxHashMap::default();
-        for def in &config.views {
-            let left = prefix.heap(def.left);
-            let right = prefix.heap(def.right);
-            views.insert(
-                def.name.clone(),
-                BuiltView::build(def.clone(), left.rows(), right.rows()),
-            );
-        }
-        let mut columnar: FxHashMap<TableId, ColumnarHeap> = FxHashMap::default();
-        for &table in &config.columnar {
-            if let Some((def, _, _)) = prefix.tables.get(&table) {
-                columnar.insert(table, ColumnarHeap::build(def, &prefix.heap(table))?);
-            }
-        }
+        // Phase 2 (no lock): build everything from the prefix.
+        let mut built = BuiltSet::build(config, &catalog, &|table| {
+            let rows = prefix.get(&table).map(Vec::as_slice);
+            rows.ok_or_else(|| RelError::UnknownTable(format!("#{}", table.0)))
+        })?;
 
-        // Phase 3: catch up and swap (write lock).
+        // Phase 3 (write lock): the catalog and heaps may have evolved
+        // while we built, so re-validate and catch up; both can still
+        // reject the swap without having touched anything. Then log and
+        // install, exactly as the blocking path does.
         let mut engine = self.write_engine();
-        // The catalog may have evolved while we built; re-validate so the
-        // swap can still be rejected cleanly without touching anything.
         engine.db.validate_config(config)?;
-        engine.db.verify_backing_heaps(config)?;
-        if engine.db.is_durable() {
-            // Same record the blocking path logs: recovery rebuilds the
-            // new design from the replayed heaps, so a crash anywhere
-            // after this line still converges on `config`.
-            engine.db.log(&WalRecord::ApplyConfig(config.clone()))?;
-        }
-        let mut delta_rows = 0usize;
-        let mut rebuilt = 0usize;
-        for built in indexes.values_mut() {
-            let heap = engine.db.try_heap(built.def.table)?;
-            let wm = prefix.watermark(built.def.table);
-            if heap.len() > wm {
-                delta_rows += heap.len() - wm;
-                built.extend_from(heap, wm);
-            }
-        }
-        for built in views.values_mut() {
-            let def = built.def.clone();
-            let left = engine.db.try_heap(def.left)?;
-            let right = engine.db.try_heap(def.right)?;
-            if left.len() > prefix.watermark(def.left) || right.len() > prefix.watermark(def.right)
-            {
-                rebuilt += 1;
-                *built = BuiltView::build(def, left.rows(), right.rows());
-            }
-        }
-        for (&table, built) in columnar.iter_mut() {
-            let heap = engine.db.try_heap(table)?;
-            if heap.len() > prefix.watermark(table) {
-                rebuilt += 1;
-                let def = engine.db.catalog().try_table(table)?;
-                *built = ColumnarHeap::build(def, heap)?;
-            }
-        }
-        let installed = (indexes.len(), views.len(), columnar.len());
-        engine
-            .db
-            .install_built(config.clone(), indexes, views, columnar);
+        let (delta_rows, rebuilt) =
+            built.catch_up(engine.db.catalog(), &engine.db.rows_of(), &|table| {
+                prefix.get(&table).map_or(0, Vec::len)
+            })?;
+        engine.db.apply_built(built)?;
         Ok(OnlineSwapReport {
-            snapshot_lsn: prefix.lsn,
+            snapshot_lsn,
             delta_rows,
             rebuilt,
-            installed,
+            installed: (
+                config.indexes.len(),
+                config.views.len(),
+                config.columnar.len(),
+            ),
             epoch: engine.db.config_epoch(),
         })
     }
@@ -197,7 +110,7 @@ impl SessionDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::ColumnDef;
+    use crate::catalog::{ColumnDef, TableDef};
     use crate::db::Database;
     use crate::index::IndexDef;
     use crate::optimizer::config_fingerprint;
@@ -294,29 +207,5 @@ mod tests {
         q.outputs = vec![Output::col(0, 0)];
         let rows = sdb.execute(&SqlQuery::Select(q)).unwrap().rows;
         assert_eq!(rows.len(), (0..150).filter(|i| i % 7 == 0).count());
-    }
-
-    #[test]
-    fn prefix_build_plus_extend_is_bit_identical_to_full_build() {
-        let (sdb, t) = session_with_rows(300);
-        let def = IndexDef::new("ix_v", t, vec![1], vec![]);
-        sdb.with_db(|db| {
-            let heap = db.try_heap(t).unwrap();
-            let full = BuiltIndex::build(def.clone(), heap);
-            // Build over the first 120 rows, then extend with the rest.
-            let mut prefix_heap = TableHeap::new();
-            let table_def = db.catalog().try_table(t).unwrap();
-            for row in &heap.rows()[..120] {
-                prefix_heap.insert_unchecked(table_def, row.clone());
-            }
-            let mut grown = BuiltIndex::build(def.clone(), &prefix_heap);
-            grown.extend_from(heap, 120);
-            assert!(grown.verify_checksums("t").is_ok());
-            // Same seeks, same postings: probe every distinct key.
-            for v in 0..7i64 {
-                let key = crate::index::KeyRange::eq(vec![Value::Int(v)]);
-                assert_eq!(full.seek(&key), grown.seek(&key));
-            }
-        });
     }
 }

@@ -1,0 +1,245 @@
+//! The built physical design: every derived structure the engine has
+//! materialized, together with the configuration it was built from.
+//!
+//! A derived structure is a pure function of a heap prefix, so a
+//! [`BuiltSet`] has one lifecycle whoever drives it: [`BuiltSet::build`]
+//! from row slices — full heaps (`Database::apply_config`) or cloned
+//! snapshot prefixes (`SessionDb::apply_config_online`) — touching nothing
+//! but its own result; [`BuiltSet::catch_up`] from those prefixes to the
+//! live heaps; then `Database::apply_built` logs the `ApplyConfig` record
+//! and swaps the set in. Structures are stored in configuration order, so
+//! every walk, error and report is deterministic.
+
+use crate::catalog::{Catalog, TableId};
+use crate::error::{RelError, RelResult, StructureKind};
+use crate::index::{BuiltIndex, IndexDef};
+use crate::optimizer::PhysicalConfig;
+use crate::storage::ColumnarHeap;
+use crate::types::Row;
+use crate::view::{BuiltView, ViewDef};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
+
+/// The structures built for one [`PhysicalConfig`], each list parallel to
+/// the configuration's. Equality is bit-identity: same entries, same rows,
+/// same page checksums.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BuiltSet {
+    config: PhysicalConfig,
+    indexes: Vec<BuiltIndex>,
+    views: Vec<BuiltView>,
+    columnar: Vec<(TableId, ColumnarHeap)>,
+}
+
+/// Where a build reads a table's rows from: the full heap, a snapshot
+/// prefix of it, or a heap that is checksum-verified as it is handed out.
+pub type RowsOf<'a, 'r> = &'a dyn Fn(TableId) -> RelResult<&'r [Row]>;
+
+fn index_from(def: &IndexDef, rows_of: RowsOf) -> RelResult<BuiltIndex> {
+    Ok(BuiltIndex::build(def.clone(), rows_of(def.table)?))
+}
+
+fn view_from(def: &ViewDef, rows_of: RowsOf) -> RelResult<BuiltView> {
+    let (left, right) = (rows_of(def.left)?, rows_of(def.right)?);
+    Ok(BuiltView::build(def.clone(), left, right))
+}
+
+fn columnar_from(
+    table: TableId,
+    catalog: &Catalog,
+    rows_of: RowsOf,
+) -> RelResult<(TableId, ColumnarHeap)> {
+    let built = ColumnarHeap::build(catalog.try_table(table)?, rows_of(table)?)?;
+    Ok((table, built))
+}
+
+impl BuiltSet {
+    /// Materialize `config` from the rows `rows_of` hands out for each
+    /// backing table. The configuration must already be validated against
+    /// `catalog` (see `Database::validate_config`).
+    pub fn build(
+        config: &PhysicalConfig,
+        catalog: &Catalog,
+        rows_of: RowsOf,
+    ) -> RelResult<BuiltSet> {
+        let index = |def: &IndexDef| index_from(def, rows_of);
+        let view = |def: &ViewDef| view_from(def, rows_of);
+        let columnar = |table: &TableId| columnar_from(*table, catalog, rows_of);
+        let (indexes, views, tables) = (&config.indexes, &config.views, &config.columnar);
+        Ok(BuiltSet {
+            config: config.clone(),
+            indexes: indexes.iter().map(index).collect::<RelResult<_>>()?,
+            views: views.iter().map(view).collect::<RelResult<_>>()?,
+            columnar: tables.iter().map(columnar).collect::<RelResult<_>>()?,
+        })
+    }
+
+    /// Bring a set built from heap prefixes up to the rows `rows_of` hands
+    /// out now, where `built_from(table)` is the prefix length the set was
+    /// built over. Heaps are insert-only, so the delta is exactly the rows
+    /// past each watermark: indexes append them in heap order
+    /// (bit-identical to a full build); views and columnar partitions
+    /// rebuild iff a base table grew. Returns `(delta_rows, rebuilt)`:
+    /// rows appended to indexes and structures rebuilt.
+    pub fn catch_up(
+        &mut self,
+        catalog: &Catalog,
+        rows_of: RowsOf,
+        built_from: &dyn Fn(TableId) -> usize,
+    ) -> RelResult<(usize, usize)> {
+        let grew = |table: TableId| Ok::<_, RelError>(rows_of(table)?.len() > built_from(table));
+        let (mut delta_rows, mut rebuilt) = (0, 0);
+        for built in &mut self.indexes {
+            let (rows, from) = (rows_of(built.def.table)?, built_from(built.def.table));
+            if rows.len() > from {
+                delta_rows += rows.len() - from;
+                built.extend_from(rows, from);
+            }
+        }
+        for built in &mut self.views {
+            if grew(built.def.left)? || grew(built.def.right)? {
+                rebuilt += 1;
+                *built = view_from(&built.def, rows_of)?;
+            }
+        }
+        for built in &mut self.columnar {
+            if grew(built.0)? {
+                rebuilt += 1;
+                *built = columnar_from(built.0, catalog, rows_of)?;
+            }
+        }
+        Ok((delta_rows, rebuilt))
+    }
+
+    /// Re-derive one structure in place (the repair half of quarantine).
+    /// Columnar partitions are named by their table. Heaps are repaired
+    /// from the log, never rebuilt.
+    pub fn rebuild_one(
+        &mut self,
+        kind: StructureKind,
+        name: &str,
+        catalog: &Catalog,
+        rows_of: RowsOf,
+    ) -> RelResult<()> {
+        let unknown = || RelError::UnknownIndex(name.to_string());
+        match kind {
+            StructureKind::Index => {
+                let built = self.index_mut(name).ok_or_else(unknown)?;
+                *built = index_from(&built.def, rows_of)?;
+            }
+            StructureKind::View => {
+                let built = self.view_mut(name).ok_or_else(unknown)?;
+                *built = view_from(&built.def, rows_of)?;
+            }
+            StructureKind::Columnar => {
+                let table = catalog.table_id(name)?;
+                let built = self.columnar.iter_mut().find(|built| built.0 == table);
+                *built.ok_or_else(unknown)? = columnar_from(table, catalog, rows_of)?;
+            }
+            StructureKind::Heap => return Err(RelError::UnknownTable(name.to_string())),
+        }
+        Ok(())
+    }
+
+    /// Verify every structure's stored checksums, handing each result to
+    /// `note`. Errors name the owning base table (a view's left table).
+    pub fn verify_each(
+        &self,
+        catalog: &Catalog,
+        mut note: impl FnMut(StructureKind, RelResult<()>),
+    ) {
+        let name = |table: TableId| catalog.try_table(table).map_or("", |def| def.name.as_str());
+        for built in &self.indexes {
+            let result = built.verify_checksums(name(built.def.table));
+            note(StructureKind::Index, result);
+        }
+        for built in &self.views {
+            let result = built.verify_checksums(name(built.def.left));
+            note(StructureKind::View, result);
+        }
+        for (table, built) in &self.columnar {
+            let result = built.verify_checksums(name(*table));
+            note(StructureKind::Columnar, result);
+        }
+    }
+
+    /// The configuration the planner may use: the built one minus
+    /// `quarantined` structures (columnar partitions are keyed by table
+    /// name) and — under an MVCC snapshot, where a view cannot be clamped
+    /// to the visible prefix — minus views. Borrowed when nothing is
+    /// filtered.
+    pub fn planning_config(
+        &self,
+        catalog: &Catalog,
+        quarantined: &BTreeSet<(StructureKind, String)>,
+        under_snapshot: bool,
+    ) -> Cow<'_, PhysicalConfig> {
+        let mut config = Cow::Borrowed(&self.config);
+        if !quarantined.is_empty() {
+            let usable = |kind: StructureKind, name: &str| {
+                !quarantined.iter().any(|(k, n)| *k == kind && n == name)
+            };
+            let config = config.to_mut();
+            config
+                .indexes
+                .retain(|def| usable(StructureKind::Index, &def.name));
+            config
+                .views
+                .retain(|def| usable(StructureKind::View, &def.name));
+            config.columnar.retain(|&table| {
+                let def = catalog.try_table(table);
+                def.map_or(true, |def| usable(StructureKind::Columnar, &def.name))
+            });
+        }
+        if under_snapshot && !config.views.is_empty() {
+            config.to_mut().views.clear();
+        }
+        config
+    }
+
+    /// Measured bytes of the built indexes and views (what a space budget
+    /// is enforced against; columnar partitions re-encode the heap and are
+    /// not budgeted).
+    pub fn bytes(&self) -> usize {
+        let index_bytes: usize = self.indexes.iter().map(BuiltIndex::byte_size).sum();
+        let view_bytes: usize = self.views.iter().map(|view| view.byte_size).sum();
+        index_bytes + view_bytes
+    }
+
+    /// The configuration this set was built from.
+    pub fn config(&self) -> &PhysicalConfig {
+        &self.config
+    }
+
+    /// A built index by name.
+    pub fn index(&self, name: &str) -> Option<&BuiltIndex> {
+        self.indexes.iter().find(|built| built.def.name == name)
+    }
+
+    /// A built view by name.
+    pub fn view(&self, name: &str) -> Option<&BuiltView> {
+        self.views.iter().find(|built| built.def.name == name)
+    }
+
+    /// A table's columnar partition.
+    pub fn columnar(&self, table: TableId) -> Option<&ColumnarHeap> {
+        let built = self.columnar.iter().find(|built| built.0 == table);
+        built.map(|(_, heap)| heap)
+    }
+
+    /// Mutable index access, for corruption tests.
+    pub fn index_mut(&mut self, name: &str) -> Option<&mut BuiltIndex> {
+        self.indexes.iter_mut().find(|built| built.def.name == name)
+    }
+
+    /// Mutable view access, for corruption tests.
+    pub fn view_mut(&mut self, name: &str) -> Option<&mut BuiltView> {
+        self.views.iter_mut().find(|built| built.def.name == name)
+    }
+
+    /// Mutable columnar partition access, for corruption tests.
+    pub fn columnar_mut(&mut self, table: TableId) -> Option<&mut ColumnarHeap> {
+        let built = self.columnar.iter_mut().find(|built| built.0 == table);
+        built.map(|(_, heap)| heap)
+    }
+}

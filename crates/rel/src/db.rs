@@ -1,6 +1,7 @@
 //! The database facade tying together catalog, storage, statistics, physical
 //! structures, planning, and execution.
 
+use crate::built::BuiltSet;
 use crate::catalog::{Catalog, TableDef, TableId};
 use crate::error::{CorruptionEvent, RelError, RelResult, StructureKind};
 use crate::exec::{self, ExecOptions, ExecProfile, ExecStats, SnapshotVisibility, StmtCtx};
@@ -17,8 +18,6 @@ use crate::storage::{self, ColumnarHeap, TableHeap};
 use crate::types::Row;
 use crate::view::BuiltView;
 use crate::wal::{WalRecord, WalStats, WalWriter};
-use rustc_hash::FxHashMap;
-use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,10 +54,10 @@ pub struct Database {
     catalog: Catalog,
     heaps: Vec<TableHeap>,
     stats: Vec<TableStats>,
-    built_indexes: FxHashMap<String, BuiltIndex>,
-    built_views: FxHashMap<String, BuiltView>,
-    built_columnar: FxHashMap<TableId, ColumnarHeap>,
-    built_config: OptimizerConfig,
+    /// The materialized physical design: every derived structure plus the
+    /// configuration it was built from. Replaced whole, only by
+    /// [`Database::install`].
+    built: BuiltSet,
     /// Derived structures currently marked unusable after a checksum
     /// failure: `(kind, name)` where the name is the index/view name or the
     /// columnar partition's table name. Planning transparently avoids
@@ -79,8 +78,8 @@ pub struct Database {
     /// `incremental_stats` is on.
     accumulators: Vec<TableStatsAccumulator>,
     /// Physical-configuration epoch, bumped whenever the set of built
-    /// structures is replaced (`apply_config`, `clear_config`, an online
-    /// swap). Plans are stamped with the epoch they were planned under and
+    /// structures is replaced ([`Database::install`]). Plans are stamped
+    /// with the epoch they were planned under and
     /// [`Database::execute_plan`] rejects a stale stamp, so a swap landing
     /// between plan and execute can never send the executor into a
     /// structure the swap just dropped. Stored zero-based; the public
@@ -206,7 +205,7 @@ impl Database {
                     stats: self.stats[id.index()].clone(),
                 })
                 .collect(),
-            config: self.built_config.clone(),
+            config: self.built.config().clone(),
         };
         snapshot::write_snapshot(&d.dir, &image)?;
         // Fresh log: one checkpoint marker, then swap it over the old file.
@@ -285,9 +284,7 @@ impl Database {
 
     /// A table's heap, as a checked result.
     pub fn try_heap(&self, table: TableId) -> RelResult<&TableHeap> {
-        self.heaps
-            .get(table.index())
-            .ok_or_else(|| RelError::UnknownTable(format!("#{}", table.0)))
+        heap_of(&self.heaps, table)
     }
 
     /// Mutable heap access, used by chaos tests to damage stored rows (see
@@ -530,22 +527,22 @@ impl Database {
 
     /// A built index by name.
     pub fn built_index(&self, name: &str) -> RelResult<&BuiltIndex> {
-        self.built_indexes
-            .get(name)
+        self.built
+            .index(name)
             .ok_or_else(|| RelError::UnknownIndex(name.to_string()))
     }
 
     /// A built view by name.
     pub fn built_view(&self, name: &str) -> RelResult<&BuiltView> {
-        self.built_views
-            .get(name)
+        self.built
+            .view(name)
             .ok_or_else(|| RelError::UnknownIndex(name.to_string()))
     }
 
     /// The built columnar partition of a table, if the current
     /// configuration designates one.
     pub fn built_columnar(&self, table: TableId) -> RelResult<&ColumnarHeap> {
-        self.built_columnar.get(&table).ok_or_else(|| {
+        self.built.columnar(table).ok_or_else(|| {
             let name = self
                 .catalog
                 .try_table(table)
@@ -555,68 +552,65 @@ impl Database {
         })
     }
 
-    /// Mutable columnar partition access, used by chaos tests to damage
-    /// stored cells (see [`ColumnarHeap::corrupt_value`]).
-    pub fn columnar_mut(&mut self, table: TableId) -> Option<&mut ColumnarHeap> {
-        self.built_columnar.get_mut(&table)
-    }
-
-    /// Mutable built-index access, used by corruption tests to damage
-    /// stored entries (see [`BuiltIndex::corrupt_entry`]).
-    pub fn built_index_mut(&mut self, name: &str) -> Option<&mut BuiltIndex> {
-        self.built_indexes.get_mut(name)
-    }
-
-    /// Mutable built-view access, used by corruption tests to damage
-    /// materialized rows (see [`BuiltView::corrupt_row`]).
-    pub fn built_view_mut(&mut self, name: &str) -> Option<&mut BuiltView> {
-        self.built_views.get_mut(name)
+    /// Mutable access to the built design, used by corruption tests to
+    /// damage stored entries (see [`BuiltIndex::corrupt_entry`],
+    /// [`BuiltView::corrupt_row`], [`ColumnarHeap::corrupt_value`]).
+    pub fn built_mut(&mut self) -> &mut BuiltSet {
+        &mut self.built
     }
 
     /// The physical configuration currently materialized.
     pub fn built_config(&self) -> &OptimizerConfig {
-        &self.built_config
+        self.built.config()
     }
 
     /// Materialize a physical configuration (replacing any previous one).
     ///
-    /// The configuration is fully validated — and, when a fault plane is
-    /// active, the backing heaps are checksum-verified — *before* anything
-    /// is logged, dropped, or built, so a rejected configuration leaves
-    /// the previous structures intact (and never reaches the WAL).
+    /// Every path that changes the design has the same shape — validate →
+    /// verify backing heaps → build → log → install — and only the last
+    /// step touches the database: a configuration that is rejected, or
+    /// whose build fails, leaves the previous structures intact and never
+    /// reaches the WAL.
     pub fn apply_config(&mut self, config: &OptimizerConfig) -> RelResult<()> {
         self.validate_config(config)?;
-        self.verify_backing_heaps(config)?;
-        // Epoch note: `clear_structures` below bumps the config epoch, so
-        // any plan stamped before this call is rejected by `execute_plan`
-        // rather than executed against structures that no longer exist.
+        let built = BuiltSet::build(config, &self.catalog, &self.rows_of())?;
+        self.apply_built(built)
+    }
+
+    /// Log and install an already-built design: the `ApplyConfig` record
+    /// is appended first, so a crash before it recovers the old design and
+    /// a crash after it recovers this one (rebuilt from the replayed
+    /// heaps); nothing after the append can fail. `built` must come from
+    /// [`BuiltSet::build`] over this database's rows — of a validated
+    /// configuration, caught up to the live heaps.
+    pub fn apply_built(&mut self, built: BuiltSet) -> RelResult<()> {
         if self.is_durable() {
-            self.log(&WalRecord::ApplyConfig(config.clone()))?;
+            self.log(&WalRecord::ApplyConfig(built.config().clone()))?;
         }
-        self.clear_structures();
-        for def in &config.indexes {
-            let heap = self.try_heap(def.table)?;
-            let built = BuiltIndex::build(def.clone(), heap);
-            self.built_indexes.insert(def.name.clone(), built);
-        }
-        for def in &config.views {
-            let left_rows = self.try_heap(def.left)?.rows();
-            let right_rows = self.try_heap(def.right)?.rows();
-            let built = BuiltView::build(def.clone(), left_rows, right_rows);
-            self.built_views.insert(def.name.clone(), built);
-        }
-        for &table in &config.columnar {
-            let def = self.catalog.try_table(table)?;
-            let built = ColumnarHeap::build(def, self.try_heap(table)?)?;
-            self.built_columnar.insert(table, built);
-        }
-        self.built_config = config.clone();
+        self.install(built);
         Ok(())
+    }
+
+    /// The one place the built design is replaced: swap the set, clear
+    /// quarantine (it described the old structures), and bump the epoch so
+    /// any plan stamped before the swap is rejected by `execute_plan`
+    /// rather than run against structures that no longer exist.
+    fn install(&mut self, built: BuiltSet) {
+        self.built = built;
+        self.quarantined.clear();
+        self.config_epoch += 1;
+    }
+
+    /// Every table's live rows, as the row source of [`BuiltSet::build`] /
+    /// [`BuiltSet::catch_up`].
+    pub(crate) fn rows_of<'a>(&'a self) -> impl Fn(TableId) -> RelResult<&'a [Row]> {
+        |table| self.try_heap(table).map(TableHeap::rows)
     }
 
     /// Check a configuration against the catalog without building
     /// anything: unique structure names, known tables, in-bounds columns,
-    /// and at most one clustered index per table.
+    /// at most one clustered index per table, and — when a fault plane is
+    /// active — clean checksums on every backing heap.
     pub(crate) fn validate_config(&self, config: &OptimizerConfig) -> RelResult<()> {
         let mut index_names: Vec<&str> = Vec::new();
         let mut clustered_on: Vec<TableId> = Vec::new();
@@ -646,7 +640,6 @@ impl Database {
                     column: format!("#{bad}"),
                 });
             }
-            self.try_heap(def.table)?;
         }
         let mut view_names: Vec<&str> = Vec::new();
         for def in &config.views {
@@ -675,8 +668,6 @@ impl Database {
                     return Err(bad_col(table, col));
                 }
             }
-            self.try_heap(def.left)?;
-            self.try_heap(def.right)?;
         }
         let mut columnar_seen: Vec<TableId> = Vec::new();
         for &table in &config.columnar {
@@ -686,34 +677,17 @@ impl Database {
             }
             columnar_seen.push(table);
             self.catalog.try_table(table)?;
-            self.try_heap(table)?;
         }
-        Ok(())
-    }
-
-    /// When a fault plane is active, verify the page checksums of every
-    /// heap the configuration reads — each backing table exactly once,
-    /// however many structures reference it — so a corrupted page is
-    /// detected at (re)build time instead of being silently materialized
-    /// into an index or view that carries no checksums of its own.
-    pub(crate) fn verify_backing_heaps(&self, config: &OptimizerConfig) -> RelResult<()> {
-        if self.fault.is_none() {
-            return Ok(());
-        }
-        let mut seen: Vec<TableId> = Vec::new();
-        let backing = config
-            .indexes
-            .iter()
-            .map(|def| def.table)
-            .chain(config.views.iter().flat_map(|def| [def.left, def.right]))
-            .chain(config.columnar.iter().copied());
-        for table in backing {
-            if seen.contains(&table) {
-                continue;
+        // With a fault plane active, verify the page checksums of every
+        // heap the configuration reads — each backing table exactly once,
+        // however many structures reference it — so a corrupted page is
+        // detected at build time instead of being silently materialized
+        // into a structure whose own checksums would then vouch for it.
+        if self.fault.is_some() {
+            for table in config.backing_tables() {
+                let def = self.catalog.try_table(table)?;
+                self.try_heap(table)?.verify_checksums(&def.name)?;
             }
-            seen.push(table);
-            let def = self.catalog.try_table(table)?;
-            self.try_heap(table)?.verify_checksums(&def.name)?;
         }
         Ok(())
     }
@@ -721,17 +695,8 @@ impl Database {
     /// Drop all physical structures.
     pub fn clear_config(&mut self) -> RelResult<()> {
         self.log(&WalRecord::ClearConfig)?;
-        self.clear_structures();
+        self.install(BuiltSet::default());
         Ok(())
-    }
-
-    fn clear_structures(&mut self) {
-        self.built_indexes.clear();
-        self.built_views.clear();
-        self.built_columnar.clear();
-        self.built_config = OptimizerConfig::none();
-        self.quarantined.clear();
-        self.config_epoch += 1;
     }
 
     /// The current configuration epoch (one-based; see the field docs).
@@ -741,57 +706,13 @@ impl Database {
         self.config_epoch + 1
     }
 
-    /// Install pre-built structures wholesale: the commit half of an
-    /// online (non-blocking) configuration swap — see [`crate::adapt`].
-    /// The caller has already validated the configuration, logged the
-    /// `ApplyConfig` record, and caught the builds up to the live heaps;
-    /// this atomically replaces the structure maps, clears quarantine
-    /// (stale: it described the old structures), and bumps the epoch.
-    pub(crate) fn install_built(
-        &mut self,
-        config: OptimizerConfig,
-        indexes: FxHashMap<String, BuiltIndex>,
-        views: FxHashMap<String, BuiltView>,
-        columnar: FxHashMap<TableId, ColumnarHeap>,
-    ) {
-        self.built_indexes = indexes;
-        self.built_views = views;
-        self.built_columnar = columnar;
-        self.built_config = config;
-        self.quarantined.clear();
-        self.config_epoch += 1;
-    }
-
     /// Actual bytes of the materialized physical structures, measured from
-    /// the built B-trees and views themselves.
-    ///
-    /// This used to sum [`crate::index::IndexDef::estimated_bytes`] — the
-    /// optimizer's size *model* — which diverges from reality (the model
-    /// charges included-column widths per row; the built structure never
-    /// stores included columns). Budget enforcement against a built design
-    /// must use the measurement; the model remains available through
-    /// [`Database::estimated_built_bytes`].
+    /// the built B-trees and views themselves — not the optimizer's size
+    /// *model* ([`Database::config_bytes`]), which charges included-column
+    /// widths per row that the built structure never stores. Budget
+    /// enforcement against a built design must use the measurement.
     pub fn built_bytes(&self) -> usize {
-        let index_bytes: usize = self.built_indexes.values().map(|idx| idx.byte_size()).sum();
-        let view_bytes: usize = self.built_views.values().map(|v| v.byte_size).sum();
-        index_bytes + view_bytes
-    }
-
-    /// The optimizer's *estimated* size of the materialized structures:
-    /// what the what-if model predicted for the built configuration.
-    /// Compare with [`Database::built_bytes`] to audit the size model.
-    pub fn estimated_built_bytes(&self) -> usize {
-        let index_bytes: f64 = self
-            .built_indexes
-            .values()
-            .filter_map(|idx| {
-                let def = self.catalog.try_table(idx.def.table).ok()?;
-                let stats = self.stats.get(idx.def.table.index())?;
-                Some(idx.def.estimated_bytes(def, stats))
-            })
-            .sum();
-        let view_bytes: usize = self.built_views.values().map(|v| v.byte_size).sum();
-        index_bytes as usize + view_bytes
+        self.built.bytes()
     }
 
     /// What-if: plan (and cost) a query against a hypothetical configuration
@@ -840,16 +761,12 @@ impl Database {
 
     /// Plan one statement: resolve the planning configuration (built,
     /// minus quarantined structures, minus views under a snapshot — see
-    /// [`StmtCtx::snapshot`]), make the optimizer call with the context's
-    /// statistics, and stamp the epoch.
+    /// [`BuiltSet::planning_config`]), make the optimizer call with the
+    /// context's statistics, and stamp the epoch.
     fn plan_stmt(&self, query: &SqlQuery, ctx: &StmtCtx) -> RelResult<QueryPlan> {
-        let mut config = Cow::Borrowed(&self.built_config);
-        if !self.quarantined.is_empty() {
-            config = Cow::Owned(self.effective_config());
-        }
-        if ctx.snapshot.is_some() && !config.views.is_empty() {
-            config.to_mut().views.clear();
-        }
+        let config =
+            self.built
+                .planning_config(&self.catalog, &self.quarantined, ctx.snapshot.is_some());
         let mut plan = self.optimize(query, ctx.stats.unwrap_or(&self.stats), &config)?;
         plan.epoch = self.config_epoch();
         Ok(plan)
@@ -942,14 +859,6 @@ impl Database {
         self.quarantined.iter().cloned().collect()
     }
 
-    /// True when the named structure is quarantined. Columnar partitions
-    /// are keyed by their table's name.
-    pub fn is_quarantined(&self, kind: StructureKind, name: &str) -> bool {
-        self.quarantined
-            .iter()
-            .any(|(k, n)| *k == kind && n == name)
-    }
-
     /// The quarantine key for a corruption event: index and view names
     /// identify themselves; a columnar partition is quarantined whole, by
     /// its table's name (the event's `structure` carries the damaged
@@ -960,42 +869,6 @@ impl Database {
             _ => event.structure.clone(),
         };
         (event.kind, name)
-    }
-
-    /// The built configuration with quarantined structures filtered out:
-    /// what the planner actually sees. With an empty quarantine this is
-    /// never materialized ([`Database::execute`] borrows `built_config`
-    /// directly).
-    fn effective_config(&self) -> OptimizerConfig {
-        let quarantined = |kind: StructureKind, name: &str| self.is_quarantined(kind, name);
-        OptimizerConfig {
-            indexes: self
-                .built_config
-                .indexes
-                .iter()
-                .filter(|def| !quarantined(StructureKind::Index, &def.name))
-                .cloned()
-                .collect(),
-            views: self
-                .built_config
-                .views
-                .iter()
-                .filter(|def| !quarantined(StructureKind::View, &def.name))
-                .cloned()
-                .collect(),
-            columnar: self
-                .built_config
-                .columnar
-                .iter()
-                .filter(|&&table| {
-                    self.catalog
-                        .try_table(table)
-                        .map(|def| !quarantined(StructureKind::Columnar, &def.name))
-                        .unwrap_or(true)
-                })
-                .copied()
-                .collect(),
-        }
     }
 
     /// Execute a statement, healing any corruption it trips over instead of
@@ -1079,13 +952,21 @@ impl Database {
 
     /// Rebuild every quarantined structure from its backing heaps and
     /// release it. Walks the quarantine in its deterministic (kind, name)
-    /// order; each backing heap is checksum-verified before the rebuild so
+    /// order; each backing heap is checksum-verified as it is read, so
     /// damage is never materialized into the fresh structure. Rebuild
-    /// failures are counted and the structure stays quarantined.
+    /// failures are counted and the structure stays quarantined. Nothing
+    /// is logged: the definitions are still part of the built
+    /// configuration, whose `ApplyConfig` record is already durable, and
+    /// recovery rebuilds all derived structures fresh anyway.
     fn rebuild_quarantined(&mut self, report: &mut HealReport) {
-        let pending = self.quarantined_structures();
-        for (kind, name) in pending {
-            match self.rebuild_structure(kind, &name) {
+        let (catalog, heaps) = (&self.catalog, &self.heaps);
+        let verified_rows = |table: TableId| {
+            let heap = heap_of(heaps, table)?;
+            heap.verify_checksums(&catalog.try_table(table)?.name)?;
+            Ok::<_, RelError>(heap.rows())
+        };
+        for (kind, name) in self.quarantined.clone() {
+            match self.built.rebuild_one(kind, &name, catalog, &verified_rows) {
                 Ok(()) => {
                     self.quarantined.remove(&(kind, name));
                     report.rebuilt += 1;
@@ -1095,114 +976,26 @@ impl Database {
         }
     }
 
-    /// Rebuild one derived structure in place, mirroring the corresponding
-    /// build arm of [`Database::apply_config`]. Nothing is logged: the
-    /// structure's definition is still part of `built_config`, whose
-    /// `ApplyConfig` record is already durable, and recovery rebuilds all
-    /// derived structures fresh anyway.
-    fn rebuild_structure(&mut self, kind: StructureKind, name: &str) -> RelResult<()> {
-        match kind {
-            StructureKind::Index => {
-                let def = self
-                    .built_config
-                    .indexes
-                    .iter()
-                    .find(|def| def.name == name)
-                    .ok_or_else(|| RelError::UnknownIndex(name.to_string()))?
-                    .clone();
-                let table = self.catalog.try_table(def.table)?.name.clone();
-                let heap = self.try_heap(def.table)?;
-                heap.verify_checksums(&table)?;
-                let built = BuiltIndex::build(def.clone(), heap);
-                self.built_indexes.insert(def.name.clone(), built);
-            }
-            StructureKind::View => {
-                let def = self
-                    .built_config
-                    .views
-                    .iter()
-                    .find(|def| def.name == name)
-                    .ok_or_else(|| RelError::UnknownIndex(name.to_string()))?
-                    .clone();
-                let left = self.catalog.try_table(def.left)?.name.clone();
-                let right = self.catalog.try_table(def.right)?.name.clone();
-                self.try_heap(def.left)?.verify_checksums(&left)?;
-                self.try_heap(def.right)?.verify_checksums(&right)?;
-                let built = BuiltView::build(
-                    def.clone(),
-                    self.try_heap(def.left)?.rows(),
-                    self.try_heap(def.right)?.rows(),
-                );
-                self.built_views.insert(def.name.clone(), built);
-            }
-            StructureKind::Columnar => {
-                let table = self.catalog.table_id(name)?;
-                let heap = self.try_heap(table)?;
-                heap.verify_checksums(name)?;
-                let def = self.catalog.try_table(table)?;
-                let built = ColumnarHeap::build(def, heap)?;
-                self.built_columnar.insert(table, built);
-            }
-            // Heaps are repaired from the log, never "rebuilt".
-            StructureKind::Heap => return Err(RelError::UnknownTable(name.to_string())),
-        }
-        Ok(())
-    }
-
-    /// Walk every stored checksum — row heaps, built indexes, materialized
-    /// views, columnar partitions — and report (never raise) each mismatch.
-    /// Runs regardless of the fault plane; deterministic catalog /
-    /// configuration order.
+    /// Walk every stored checksum — row heaps, then the built design in
+    /// configuration order — and report (never raise) each mismatch. Runs
+    /// regardless of the fault plane.
     pub fn scrub(&self) -> ScrubReport {
         let mut report = ScrubReport::default();
-        let note = |result: RelResult<()>, report: &mut ScrubReport| {
-            if let Err(err) = result {
-                if let Some(event) = CorruptionEvent::from_error(&err) {
-                    report.corruptions.push(event);
-                }
-            }
-        };
         for (id, def) in self.catalog.iter() {
             if let Ok(heap) = self.try_heap(id) {
-                report.heaps_checked += 1;
-                note(heap.verify_checksums(&def.name), &mut report);
+                report.note(StructureKind::Heap, heap.verify_checksums(&def.name));
             }
         }
-        for def in &self.built_config.indexes {
-            if let Some(built) = self.built_indexes.get(&def.name) {
-                report.indexes_checked += 1;
-                let table = self
-                    .catalog
-                    .try_table(def.table)
-                    .map(|t| t.name.clone())
-                    .unwrap_or_default();
-                note(built.verify_checksums(&table), &mut report);
-            }
-        }
-        for def in &self.built_config.views {
-            if let Some(built) = self.built_views.get(&def.name) {
-                report.views_checked += 1;
-                let table = self
-                    .catalog
-                    .try_table(def.left)
-                    .map(|t| t.name.clone())
-                    .unwrap_or_default();
-                note(built.verify_checksums(&table), &mut report);
-            }
-        }
-        for &table in &self.built_config.columnar {
-            if let Some(built) = self.built_columnar.get(&table) {
-                report.columnar_checked += 1;
-                let name = self
-                    .catalog
-                    .try_table(table)
-                    .map(|t| t.name.clone())
-                    .unwrap_or_default();
-                note(built.verify_checksums(&name), &mut report);
-            }
-        }
+        self.built
+            .verify_each(&self.catalog, |kind, result| report.note(kind, result));
         report
     }
+}
+
+fn heap_of(heaps: &[TableHeap], table: TableId) -> RelResult<&TableHeap> {
+    heaps
+        .get(table.index())
+        .ok_or_else(|| RelError::UnknownTable(format!("#{}", table.0)))
 }
 
 #[cfg(test)]
@@ -1450,7 +1243,7 @@ mod tests {
         })
         .unwrap();
         let actual = db.built_bytes();
-        let estimated = db.estimated_built_bytes();
+        let estimated = db.config_bytes(db.built_config()) as usize;
         assert_eq!(actual, db.built_index("wide").unwrap().byte_size());
         assert!(
             estimated > 2 * actual,
@@ -1464,7 +1257,7 @@ mod tests {
             columnar: vec![],
         })
         .unwrap();
-        assert!(db.estimated_built_bytes() < estimated / 2);
+        assert!((db.config_bytes(db.built_config()) as usize) < estimated / 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! executor thread counts, exactly like the crash matrix diffs
 //! [`crate::recovery::RecoveryReport`].
 
-use crate::error::CorruptionEvent;
+use crate::error::{CorruptionEvent, RelResult, StructureKind};
 
 /// What one healing execution ([`crate::db::Database::execute_healing`])
 /// observed and repaired. Registered into metrics as deterministic `heal.*`
@@ -109,6 +109,20 @@ pub struct ScrubReport {
 }
 
 impl ScrubReport {
+    /// Record one verified structure: count it under its kind and keep the
+    /// corruption event if its checksums mismatched.
+    pub(crate) fn note(&mut self, kind: StructureKind, result: RelResult<()>) {
+        *match kind {
+            StructureKind::Heap => &mut self.heaps_checked,
+            StructureKind::Index => &mut self.indexes_checked,
+            StructureKind::View => &mut self.views_checked,
+            StructureKind::Columnar => &mut self.columnar_checked,
+        } += 1;
+        if let Some(event) = result.err().as_ref().and_then(CorruptionEvent::from_error) {
+            self.corruptions.push(event);
+        }
+    }
+
     /// True when every checksum matched.
     pub fn is_clean(&self) -> bool {
         self.corruptions.is_empty()
@@ -150,7 +164,6 @@ impl ScrubReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::StructureKind;
 
     #[test]
     fn heal_report_json_is_stable_and_complete() {

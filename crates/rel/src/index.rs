@@ -8,7 +8,6 @@ use crate::catalog::{TableDef, TableId};
 use crate::cost::PAGE_SIZE;
 use crate::error::{RelError, RelResult, StructureKind};
 use crate::stats::TableStats;
-use crate::storage::TableHeap;
 use crate::types::{Row, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -164,7 +163,7 @@ impl KeyRange {
 /// over its `(key, postings)` entries (pages laid out in key order at
 /// [`BuiltIndex::byte_size`] widths), so seeded corruption is detectable
 /// before a seek or probe can return damaged row pointers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BuiltIndex {
     /// Definition.
     pub def: IndexDef,
@@ -174,28 +173,25 @@ pub struct BuiltIndex {
 }
 
 impl BuiltIndex {
-    /// Build the index over a table heap.
-    pub fn build(def: IndexDef, heap: &TableHeap) -> Self {
-        let mut map: BTreeMap<Vec<Value>, Vec<u32>> = BTreeMap::new();
-        for (row_idx, row) in heap.rows().iter().enumerate() {
-            let key: Vec<Value> = def.key_columns.iter().map(|&c| row[c].clone()).collect();
-            map.entry(key).or_default().push(row_idx as u32);
-        }
-        let page_sums = Self::compute_page_sums(&map);
-        BuiltIndex {
+    /// Build the index over a table's rows (the full heap or a snapshot
+    /// prefix of it).
+    pub fn build(def: IndexDef, rows: &[Row]) -> Self {
+        let mut built = BuiltIndex {
             def,
-            map,
-            page_sums,
-        }
+            map: BTreeMap::new(),
+            page_sums: Vec::new(),
+        };
+        built.extend_from(rows, 0);
+        built
     }
 
-    /// Append entries for heap rows `[from, heap.len())` — the delta that
+    /// Append entries for rows `[from, rows.len())` — the delta that
     /// committed after a snapshot-prefix build — and recompute the page
     /// checksums. Row indices are appended in heap order, exactly as
     /// [`BuiltIndex::build`] over the full heap would have pushed them, so
     /// a prefix build plus `extend_from` is bit-identical to a full build.
-    pub fn extend_from(&mut self, heap: &TableHeap, from: usize) {
-        for (row_idx, row) in heap.rows().iter().enumerate().skip(from) {
+    pub fn extend_from(&mut self, rows: &[Row], from: usize) {
+        for (row_idx, row) in rows.iter().enumerate().skip(from) {
             let key: Vec<Value> = self
                 .def
                 .key_columns
@@ -365,7 +361,7 @@ mod tests {
     use crate::catalog::{ColumnDef, TableDef};
     use crate::types::DataType;
 
-    fn setup() -> (TableDef, TableHeap) {
+    fn setup() -> (TableDef, Vec<Row>) {
         let def = TableDef::new(
             "t",
             vec![
@@ -374,18 +370,15 @@ mod tests {
                 ColumnDef::new("name", DataType::Str),
             ],
         );
-        let mut heap = TableHeap::new();
-        for i in 0..100i64 {
-            heap.insert(
-                &def,
+        let heap = (0..100i64)
+            .map(|i| {
                 vec![
                     Value::Int(i),
                     Value::Int(i % 10),
                     Value::str(format!("n{i}")),
-                ],
-            )
-            .unwrap();
-        }
+                ]
+            })
+            .collect();
         (def, heap)
     }
 
@@ -395,9 +388,7 @@ mod tests {
         let idx = BuiltIndex::build(IndexDef::new("i_grp", TableId(0), vec![1], vec![]), &heap);
         let rows = idx.seek(&KeyRange::eq(vec![Value::Int(3)]));
         assert_eq!(rows.len(), 10);
-        assert!(rows
-            .iter()
-            .all(|&r| heap.row(r as usize).unwrap()[1] == Value::Int(3)));
+        assert!(rows.iter().all(|&r| heap[r as usize][1] == Value::Int(3)));
     }
 
     #[test]
@@ -461,7 +452,7 @@ mod tests {
     fn covered_row_projection() {
         let (_, heap) = setup();
         let idx = BuiltIndex::build(IndexDef::new("i", TableId(0), vec![1], vec![2]), &heap);
-        let projected = idx.covered_row(heap.row(5).unwrap());
+        let projected = idx.covered_row(&heap[5]);
         assert_eq!(projected, vec![Value::Int(5), Value::str("n5")]);
     }
 
@@ -519,10 +510,7 @@ mod tests {
 
     #[test]
     fn empty_index_verifies_clean() {
-        let idx = BuiltIndex::build(
-            IndexDef::new("i", TableId(0), vec![0], vec![]),
-            &TableHeap::new(),
-        );
+        let idx = BuiltIndex::build(IndexDef::new("i", TableId(0), vec![0], vec![]), &[]);
         assert_eq!(idx.pages(), 0);
         assert!(idx.verify_checksums("t").is_ok());
         let mut idx = idx;
@@ -535,7 +523,7 @@ mod tests {
         let stats = crate::stats::TableStats {
             rows: heap.len() as u64,
             columns: (0..3)
-                .map(|c| crate::stats::ColumnStats::build(heap.rows().iter().map(|r| r[c].clone())))
+                .map(|c| crate::stats::ColumnStats::build(heap.iter().map(|r| r[c].clone())))
                 .collect(),
         };
         let idx = IndexDef::new("i", TableId(0), vec![0], vec![2]);

@@ -29,6 +29,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod adapt;
+pub mod built;
 pub mod catalog;
 pub mod cost;
 pub mod db;
@@ -55,6 +56,7 @@ pub mod view;
 pub mod wal;
 
 pub use adapt::OnlineSwapReport;
+pub use built::BuiltSet;
 pub use catalog::{Catalog, ColumnDef, TableDef, TableId};
 pub use db::{Database, PhysicalConfig, QueryOutcome};
 pub use error::{CorruptionEvent, RelError, RelResult, StructureKind};

@@ -51,6 +51,21 @@ impl PhysicalConfig {
         self.indexes.iter().filter(move |i| i.table == table)
     }
 
+    /// Every table a structure of this configuration is built from, each
+    /// once, in first-reference order (indexes, then views, then columnar
+    /// partitions).
+    pub fn backing_tables(&self) -> Vec<TableId> {
+        let indexed = self.indexes.iter().map(|def| def.table);
+        let joined = self.views.iter().flat_map(|def| [def.left, def.right]);
+        let mut tables: Vec<TableId> = Vec::new();
+        for table in indexed.chain(joined).chain(self.columnar.iter().copied()) {
+            if !tables.contains(&table) {
+                tables.push(table);
+            }
+        }
+        tables
+    }
+
     /// Merge another configuration in (deduplicating by name).
     pub fn merge(&mut self, other: &PhysicalConfig) {
         for idx in &other.indexes {

@@ -25,7 +25,7 @@
 //! and CI assert.
 
 use crate::catalog::TableId;
-use crate::db::Database;
+use crate::db::{Database, PhysicalConfig};
 use crate::error::{RelError, RelResult};
 use crate::snapshot::{self, WAL_FILE};
 use crate::storage::TableHeap;
@@ -227,13 +227,8 @@ pub fn recover(dir: &Path) -> RelResult<(Database, RecoveryReport)> {
             }
             db.set_table_stats(id, table.stats.clone())?;
         }
-        if !image.config.indexes.is_empty()
-            || !image.config.views.is_empty()
-            || !image.config.columnar.is_empty()
-        {
-            report.indexes_rebuilt += image.config.indexes.len() as u64;
-            report.views_rebuilt += image.config.views.len() as u64;
-            db.apply_config(&image.config)?;
+        if image.config != PhysicalConfig::none() {
+            apply_record(&mut db, WalRecord::ApplyConfig(image.config), &mut report)?;
         }
     }
 

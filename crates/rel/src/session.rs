@@ -43,7 +43,7 @@
 //! single-session library path — bare frames are committed by definition.
 
 use crate::catalog::{TableDef, TableId};
-use crate::db::{Database, PhysicalConfig, QueryOutcome};
+use crate::db::{Database, QueryOutcome};
 use crate::error::{RelError, RelResult};
 use crate::exec::{SnapshotVisibility, StmtCtx};
 use crate::sql::SqlQuery;
@@ -202,13 +202,6 @@ impl SessionDb {
     /// Auto-commit `ANALYZE` over every table.
     pub fn analyze(&self) -> RelResult<()> {
         write_lock(&self.inner).db.analyze()
-    }
-
-    /// Auto-commit physical-design change. Structures are rebuilt from the
-    /// live heaps; snapshot executions clamp their reads to each snapshot's
-    /// watermark, so older snapshots stay consistent.
-    pub fn apply_config(&self, config: &PhysicalConfig) -> RelResult<()> {
-        write_lock(&self.inner).db.apply_config(config)
     }
 
     /// Checkpoint the underlying durable database (no-op semantics match

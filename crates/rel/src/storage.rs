@@ -183,7 +183,7 @@ impl TableHeap {
 /// marked in the null bitmap); strings store an offset-sliced arena so a
 /// cell decodes to `&arena[offsets[r]..offsets[r+1]]` without per-row
 /// allocation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     /// 64-bit integers.
     Int(Vec<i64>),
@@ -231,7 +231,7 @@ impl ColumnData {
 /// One column of a [`ColumnarHeap`]: typed data, a null bitmap, and
 /// per-column-page checksums (a cell belongs to the page where its first
 /// encoded byte lands, counting only this column's bytes).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     data: ColumnData,
     /// Null bitmap: bit `r & 63` of word `r >> 6` is set when row `r` is
@@ -351,33 +351,36 @@ impl Column {
 /// A column-oriented copy of one table's heap: per-column typed arrays with
 /// null bitmaps and per-column-page checksums.
 ///
-/// Built as a *derived* structure — through the same validate → log → build
-/// path as indexes and views — so WAL replay and crash recovery rebuild it
+/// Built as a *derived* structure — by [`crate::built::BuiltSet`], through
+/// the same validate → build → log → install lifecycle as indexes and
+/// views — so WAL replay and crash recovery rebuild it
 /// deterministically from the row heap, which remains the durable source of
 /// truth. The checksums ride the same fault plane as [`TableHeap`]'s: the
 /// executor verifies them (instead of the row heap's) before scanning a
 /// columnar partition when a fault plane is armed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnarHeap {
     columns: Vec<Column>,
     rows: usize,
 }
 
 impl ColumnarHeap {
-    /// Build from a row heap. Rejects cells whose type doesn't match the
-    /// schema (the row heap validates on insert, so this only fires on
-    /// corrupted input).
-    pub fn build(def: &TableDef, heap: &TableHeap) -> RelResult<ColumnarHeap> {
-        let rows = heap.len();
+    /// Build from a table's rows (the full heap or a snapshot prefix of
+    /// it). Rejects cells whose type doesn't match the schema (the row
+    /// heap validates on insert, so this only fires on corrupted input).
+    pub fn build(def: &TableDef, rows: &[Row]) -> RelResult<ColumnarHeap> {
         let mut columns = Vec::with_capacity(def.columns.len());
         for (c, col_def) in def.columns.iter().enumerate() {
-            let mut col = Column::new(col_def.ty, rows);
-            for row in heap.rows() {
+            let mut col = Column::new(col_def.ty, rows.len());
+            for row in rows {
                 col.push(&def.name, &col_def.name, row.get(c).unwrap_or(&Value::Null))?;
             }
             columns.push(col);
         }
-        Ok(ColumnarHeap { columns, rows })
+        Ok(ColumnarHeap {
+            columns,
+            rows: rows.len(),
+        })
     }
 
     /// Number of rows.
@@ -696,7 +699,7 @@ mod tests {
     #[test]
     fn columnar_roundtrips_every_cell() {
         let (def, heap) = wide_heap(300);
-        let col = ColumnarHeap::build(&def, &heap).unwrap();
+        let col = ColumnarHeap::build(&def, heap.rows()).unwrap();
         assert_eq!(col.rows(), 300);
         assert_eq!(col.width(), 3);
         for (r, row) in heap.rows().iter().enumerate() {
@@ -715,7 +718,7 @@ mod tests {
     #[test]
     fn columnar_page_accounting_tracks_encoded_bytes() {
         let (def, heap) = wide_heap(2000);
-        let col = ColumnarHeap::build(&def, &heap).unwrap();
+        let col = ColumnarHeap::build(&def, heap.rows()).unwrap();
         // Int column: 2000 * 8 = 16_000 bytes -> 2 pages.
         assert_eq!(col.column_pages(0), 2);
         // Float column identical.
@@ -733,7 +736,7 @@ mod tests {
     #[test]
     fn columnar_checksums_catch_cell_damage() {
         let (def, heap) = wide_heap(500);
-        let mut col = ColumnarHeap::build(&def, &heap).unwrap();
+        let mut col = ColumnarHeap::build(&def, heap.rows()).unwrap();
         assert!(col.verify_checksums("w").is_ok());
         assert!(col.corrupt_value(0, 123));
         match col.verify_checksums("w").unwrap_err() {
@@ -758,7 +761,7 @@ mod tests {
     fn columnar_checksums_catch_null_bit_flips() {
         let (def, heap) = wide_heap(100);
         // Row 0 has a NULL score: corrupting it clears the null bit.
-        let mut col = ColumnarHeap::build(&def, &heap).unwrap();
+        let mut col = ColumnarHeap::build(&def, heap.rows()).unwrap();
         assert!(col.column(1).unwrap().is_null(0));
         assert!(col.corrupt_value(1, 0));
         assert!(!col.column(1).unwrap().is_null(0));
@@ -767,7 +770,7 @@ mod tests {
             RelError::Corrupted { .. }
         ));
         // A string cell is corrupted by nulling it out.
-        let mut col = ColumnarHeap::build(&def, &heap).unwrap();
+        let mut col = ColumnarHeap::build(&def, heap.rows()).unwrap();
         assert!(col.corrupt_value(2, 1));
         assert!(matches!(
             col.verify_checksums("w").unwrap_err(),
@@ -779,7 +782,7 @@ mod tests {
     fn columnar_empty_table() {
         let def = wide_def();
         let heap = TableHeap::new();
-        let col = ColumnarHeap::build(&def, &heap).unwrap();
+        let col = ColumnarHeap::build(&def, heap.rows()).unwrap();
         assert!(col.is_empty());
         assert_eq!(col.pages(), 0);
         assert!(col.verify_checksums("w").is_ok());

@@ -104,7 +104,7 @@ impl ViewDef {
 /// same layout accounting as [`BuiltView::byte_size`]), captured once at
 /// build, so seeded corruption is detectable before a view scan can return
 /// damaged rows.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BuiltView {
     /// Definition.
     pub def: ViewDef,

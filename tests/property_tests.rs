@@ -23,7 +23,11 @@
 //!   or columnar partition), `execute_healing` completes the statement
 //!   with the uncorrupted oracle's rows, and afterwards rows, stats, and
 //!   fault-plane charges are bit-identical to the oracle at executor
-//!   thread counts 1 and 4, with a thread-invariant heal report.
+//!   thread counts 1 and 4, with a thread-invariant heal report;
+//! * the built-set lifecycle: `BuiltSet::build` over arbitrary per-table
+//!   prefixes followed by `catch_up` is bit-identical to a full build for
+//!   every structure kind, and `rebuild_one` undoes any single-structure
+//!   damage.
 
 use proptest::prelude::*;
 use xmlshred::prelude::*;
@@ -812,10 +816,12 @@ proptest! {
 
 // ------------------------------------------------------- self-healing --
 
-use xmlshred::rel::index::IndexDef;
+use xmlshred::rel::catalog::TableId;
+use xmlshred::rel::index::{IndexDef, KeyRange};
+use xmlshred::rel::plan::{Access, BranchPlan, QueryPlan, ScanNode, ViewOutput};
 use xmlshred::rel::sql::{JoinCond, UnionAllQuery};
 use xmlshred::rel::view::{ViewDef, ViewSide};
-use xmlshred::rel::StructureKind;
+use xmlshred::rel::{BuiltSet, StructureKind};
 
 /// An arbitrary healing case: parent-table shape and rows (reusing the
 /// columnar case's encoding), a structure kind to corrupt, and a
@@ -830,14 +836,27 @@ fn arb_heal_case() -> impl Strategy<Value = (Vec<(u8, bool)>, Vec<u64>, u8, u64)
     )
 }
 
-/// Build the two-table heal fixture (durable when `dir` is given): parent
-/// `t0` from the generated rows, child `t1` whose join column copies a
-/// parent key, and one structure of every derived kind on top.
-fn build_heal_db(
+/// Decode an [`arb_heal_case`] column list into the parent table's column
+/// types.
+fn heal_column_types(cols: &[(u8, bool)]) -> Vec<(DataType, bool)> {
+    let ty = |t| match t {
+        0 => DataType::Int,
+        1 => DataType::Float,
+        _ => DataType::Str,
+    };
+    cols.iter()
+        .map(|&(t, nullable)| (ty(t), nullable))
+        .collect()
+}
+
+/// Load the two-table heal fixture (durable when `dir` is given): parent
+/// `t0` from the generated rows and child `t1` whose join column copies a
+/// parent key, analyzed, with no physical design yet.
+fn load_heal_tables(
     dir: Option<&std::path::Path>,
     types: &[(DataType, bool)],
     row_seeds: &[u64],
-) -> (Database, xmlshred::rel::catalog::TableId, SqlQuery) {
+) -> (Database, TableId, TableId) {
     let def = TableDef::new(
         "t0",
         types
@@ -888,7 +907,12 @@ fn build_heal_db(
         .collect();
     db.insert_rows(child, child_rows).expect("insert t1");
     db.analyze().expect("analyze");
-    db.apply_config(&PhysicalConfig {
+    (db, parent, child)
+}
+
+/// One structure of every derived kind over the heal fixture's tables.
+fn heal_config(parent: TableId, child: TableId) -> PhysicalConfig {
+    PhysicalConfig {
         indexes: vec![IndexDef::new("ix0", parent, vec![0], vec![])],
         views: vec![ViewDef {
             name: "v0".into(),
@@ -899,8 +923,19 @@ fn build_heal_db(
             outputs: vec![(ViewSide::Left, 0), (ViewSide::Right, 1)],
         }],
         columnar: vec![parent],
-    })
-    .expect("apply config");
+    }
+}
+
+/// The heal fixture with [`heal_config`] applied, plus a query that reads
+/// every structure of it.
+fn build_heal_db(
+    dir: Option<&std::path::Path>,
+    types: &[(DataType, bool)],
+    row_seeds: &[u64],
+) -> (Database, TableId, SqlQuery) {
+    let (mut db, parent, child) = load_heal_tables(dir, types, row_seeds);
+    db.apply_config(&heal_config(parent, child))
+        .expect("apply config");
 
     // Branch A: filtered scan of the parent; branch B: the parent ⋈ child
     // join the view covers. Arity 2, ordered by the first output.
@@ -935,17 +970,7 @@ proptest! {
     #[test]
     fn healing_restores_the_uncorrupted_oracle(case in arb_heal_case()) {
         let (cols, row_seeds, kind_sel, site) = case;
-        let types: Vec<(DataType, bool)> = cols
-            .iter()
-            .map(|&(t, nullable)| {
-                let ty = match t {
-                    0 => DataType::Int,
-                    1 => DataType::Float,
-                    _ => DataType::Str,
-                };
-                (ty, nullable)
-            })
-            .collect();
+        let types = heal_column_types(&cols);
         let kind = match kind_sel {
             0 => StructureKind::Heap,
             1 => StructureKind::Index,
@@ -986,13 +1011,13 @@ proptest! {
                     db.heap_mut(parent).expect("heap").corrupt_row(site as usize % row_seeds.len());
                 }
                 StructureKind::Index => {
-                    db.built_index_mut("ix0").expect("index").corrupt_entry(site as usize % row_seeds.len());
+                    db.built_mut().index_mut("ix0").expect("index").corrupt_entry(site as usize % row_seeds.len());
                 }
                 StructureKind::View => {
-                    db.built_view_mut("v0").expect("view").corrupt_row(site as usize % row_seeds.len());
+                    db.built_mut().view_mut("v0").expect("view").corrupt_row(site as usize % row_seeds.len());
                 }
                 StructureKind::Columnar => {
-                    db.columnar_mut(parent).expect("columnar")
+                    db.built_mut().columnar_mut(parent).expect("columnar")
                         .corrupt_value(site as usize % types.len(), site as usize % row_seeds.len());
                 }
             }
@@ -1037,6 +1062,146 @@ proptest! {
             std::fs::remove_dir_all(&dir).ok();
         }
         prop_assert_eq!(&reports[0], &reports[1], "heal report varies with threads");
+    }
+}
+
+// ------------------------------------------------- built-set lifecycle --
+
+/// A single-branch plan over the heal fixture's parent table with the
+/// given access path (unpinned: `epoch == 0`).
+fn parent_scan_plan(parent: TableId, access: Access) -> QueryPlan {
+    let driver = ScanNode {
+        table_ref: 0,
+        access,
+        filters: vec![],
+        est_rows: 0.0,
+        est_cost: 0.0,
+    };
+    QueryPlan {
+        branches: vec![BranchPlan::Pipeline {
+            tables: vec![parent],
+            driver,
+            joins: vec![],
+            outputs: vec![Output::col(0, 0)],
+            est_rows: 0.0,
+            est_cost: 0.0,
+        }],
+        order_by: vec![0],
+        est_cost: 0.0,
+        epoch: 0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A derived structure is a pure function of a heap prefix, for every
+    /// structure kind: building from an arbitrary per-table prefix and
+    /// catching up to the full heaps is bit-identical to building from the
+    /// full heaps — same entries, rows, page checksums and bytes, and the
+    /// same rows + `ExecStats` from an index seek, a view scan and a
+    /// columnar scan at executor thread counts 1 and 4. Likewise
+    /// `rebuild_one` after damaging any one structure restores the
+    /// never-damaged set.
+    #[test]
+    fn built_set_prefix_catch_up_equals_full_build(
+        case in arb_heal_case(),
+        child_cut in 0u64..u64::MAX,
+    ) {
+        let (cols, row_seeds, _, parent_cut) = case;
+        let types = heal_column_types(&cols);
+        let (mut db, parent, child) = load_heal_tables(None, &types, &row_seeds);
+        let config = heal_config(parent, child);
+        let n = row_seeds.len();
+        // A quarter of the watermarks sit at the full heap, so "only the
+        // other table grew" is a common case, not a 1-in-n one.
+        let cut_at = |seed: u64| match seed % 4 {
+            0 => n,
+            _ => (seed / 4) as usize % (n + 1),
+        };
+        let cut = |table: TableId| cut_at(if table == parent { parent_cut } else { child_cut });
+        let full_rows = &|table: TableId| Ok(db.heap(table).rows());
+
+        let full = BuiltSet::build(&config, db.catalog(), full_rows).expect("full build");
+        let mut caught_up = BuiltSet::build(&config, db.catalog(), &|table| {
+            Ok(&db.heap(table).rows()[..cut(table)])
+        })
+        .expect("prefix build");
+        let (delta_rows, rebuilt) = caught_up
+            .catch_up(db.catalog(), full_rows, &cut)
+            .expect("catch up");
+        prop_assert_eq!(delta_rows, n - cut(parent));
+        prop_assert_eq!(
+            rebuilt,
+            usize::from(cut(parent) < n || cut(child) < n) + usize::from(cut(parent) < n)
+        );
+        prop_assert_eq!(&caught_up, &full);
+        prop_assert_eq!(caught_up.bytes(), full.bytes());
+        let mut verified = 0;
+        caught_up.verify_each(db.catalog(), |_, result| {
+            verified += usize::from(result.is_ok());
+        });
+        prop_assert_eq!(verified, 3);
+
+        // Damage each structure in turn; `rebuild_one` restores the set.
+        let mut damaged = full.clone();
+        let site = parent_cut as usize % n;
+        if damaged.index_mut("ix0").expect("index").corrupt_entry(site) {
+            prop_assert!(damaged != full);
+        }
+        if damaged.view_mut("v0").expect("view").corrupt_row(site) {
+            prop_assert!(damaged != full);
+        }
+        damaged
+            .columnar_mut(parent)
+            .expect("columnar")
+            .corrupt_value(site % types.len(), site);
+        for (kind, name) in [
+            (StructureKind::Index, "ix0"),
+            (StructureKind::View, "v0"),
+            (StructureKind::Columnar, "t0"),
+        ] {
+            damaged
+                .rebuild_one(kind, name, db.catalog(), full_rows)
+                .expect("rebuild");
+        }
+        prop_assert_eq!(&damaged, &full);
+
+        // The executor cannot tell the two sets apart either.
+        let plans = [
+            parent_scan_plan(parent, Access::IndexSeek {
+                index: "ix0".into(),
+                key: KeyRange::eq(vec![]),
+                covering: false,
+            }),
+            parent_scan_plan(parent, Access::ColumnarScan { columns: vec![0] }),
+            QueryPlan {
+                branches: vec![BranchPlan::ViewScan {
+                    view: "v0".into(),
+                    filters: vec![],
+                    outputs: vec![ViewOutput::Col(0), ViewOutput::Col(1)],
+                    est_rows: 0.0,
+                    est_cost: 0.0,
+                }],
+                order_by: vec![0, 1],
+                est_cost: 0.0,
+                epoch: 0,
+            },
+        ];
+        let mut views = Vec::new();
+        for set in [full, caught_up] {
+            db.apply_built(set).expect("install");
+            for threads in [1usize, 4] {
+                db.set_exec_options(ExecOptions { threads, ..ExecOptions::default() });
+                for plan in &plans {
+                    let outcome = db.execute_plan(plan.clone()).expect("execute");
+                    views.push(layout_view(&outcome));
+                }
+            }
+        }
+        let (from_full, from_caught_up) = views.split_at(views.len() / 2);
+        prop_assert_eq!(from_full, from_caught_up);
+        prop_assert_eq!(&from_full[..plans.len()], &from_full[plans.len()..]);
     }
 }
 

@@ -185,13 +185,21 @@ fn config_for(kind: StructureKind, inproc: TableId, author: TableId) -> Physical
 fn corrupt_structure(db: &mut Database, kind: StructureKind, inproc: TableId) {
     match kind {
         StructureKind::Index => {
-            assert!(db.built_index_mut("ix_conf").unwrap().corrupt_entry(3));
+            assert!(db
+                .built_mut()
+                .index_mut("ix_conf")
+                .unwrap()
+                .corrupt_entry(3));
         }
         StructureKind::View => {
-            assert!(db.built_view_mut("v_ia").unwrap().corrupt_row(11));
+            assert!(db.built_mut().view_mut("v_ia").unwrap().corrupt_row(11));
         }
         StructureKind::Columnar => {
-            assert!(db.columnar_mut(inproc).unwrap().corrupt_value(3, 7));
+            assert!(db
+                .built_mut()
+                .columnar_mut(inproc)
+                .unwrap()
+                .corrupt_value(3, 7));
         }
         StructureKind::Heap => unreachable!("derived kinds only"),
     }
@@ -276,8 +284,12 @@ fn heal_metrics_are_deterministic_across_thread_counts() {
             threads,
             ..ExecOptions::default()
         });
-        assert!(db.built_index_mut("ix_conf").unwrap().corrupt_entry(4));
-        assert!(db.built_view_mut("v_ia").unwrap().corrupt_row(5));
+        assert!(db
+            .built_mut()
+            .index_mut("ix_conf")
+            .unwrap()
+            .corrupt_entry(4));
+        assert!(db.built_mut().view_mut("v_ia").unwrap().corrupt_row(5));
         arm_verification(&mut db, 7);
         let (outcome, report) = db.execute_healing(&paper_query(inproc, author)).unwrap();
         rows.push(outcome.rows);
@@ -388,9 +400,17 @@ fn scrub_reports_every_corruption_site_typed() {
     assert!(db.scrub().is_clean());
 
     db.heap_mut(author).unwrap().corrupt_row(17);
-    assert!(db.built_index_mut("ix_conf").unwrap().corrupt_entry(2));
-    assert!(db.built_view_mut("v_ia").unwrap().corrupt_row(3));
-    assert!(db.columnar_mut(inproc).unwrap().corrupt_value(0, 0));
+    assert!(db
+        .built_mut()
+        .index_mut("ix_conf")
+        .unwrap()
+        .corrupt_entry(2));
+    assert!(db.built_mut().view_mut("v_ia").unwrap().corrupt_row(3));
+    assert!(db
+        .built_mut()
+        .columnar_mut(inproc)
+        .unwrap()
+        .corrupt_value(0, 0));
 
     let report = db.scrub();
     assert!(!report.is_clean());
