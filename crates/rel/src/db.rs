@@ -18,6 +18,7 @@ use crate::storage::{self, ColumnarHeap, TableHeap};
 use crate::types::Row;
 use crate::view::BuiltView;
 use crate::wal::{WalRecord, WalStats, WalWriter};
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -348,13 +349,13 @@ impl Database {
         table: TableId,
         rows: impl IntoIterator<Item = Row>,
     ) -> RelResult<usize> {
-        let def = self.catalog.try_table(table)?.clone();
+        let def = self.catalog.try_table(table)?;
         if self.heaps.get(table.index()).is_none() {
             return Err(RelError::UnknownTable(def.name.clone()));
         }
         let rows: Vec<Row> = rows.into_iter().collect();
         for row in &rows {
-            storage::validate_row(&def, row)?;
+            storage::validate_row(def, row)?;
         }
         if rows.is_empty() {
             return Ok(0);
@@ -379,12 +380,15 @@ impl Database {
                 }
             }
         }
+        // Both were checked above; the definition is borrowed afresh because
+        // logging needed `&mut self` in between.
+        let def = self.catalog.try_table(table)?;
         let Some(heap) = self.heaps.get_mut(table.index()) else {
-            return Err(RelError::UnknownTable(def.name));
+            return Err(RelError::UnknownTable(def.name.clone()));
         };
         let n = rows.len();
         for row in rows {
-            heap.insert_unchecked(&def, row);
+            heap.insert_unchecked(def, row);
         }
         Ok(n)
     }
@@ -762,11 +766,18 @@ impl Database {
     /// Plan one statement: resolve the planning configuration (built,
     /// minus quarantined structures, minus views under a snapshot — see
     /// [`BuiltSet::planning_config`]), make the optimizer call with the
-    /// context's statistics, and stamp the epoch.
+    /// context's statistics, and stamp the epoch. A statement that carries
+    /// pending rows is planned bare: no built structure holds a row that
+    /// has not committed, so only sequential scans can answer it (the one
+    /// place that rule is applied; the executor's other access paths
+    /// reject pending rows).
     fn plan_stmt(&self, query: &SqlQuery, ctx: &StmtCtx) -> RelResult<QueryPlan> {
-        let config =
+        let config = if ctx.pending.is_empty() {
             self.built
-                .planning_config(&self.catalog, &self.quarantined, ctx.snapshot.is_some());
+                .planning_config(&self.catalog, &self.quarantined, ctx.snapshot.is_some())
+        } else {
+            Cow::Owned(OptimizerConfig::none())
+        };
         let mut plan = self.optimize(query, ctx.stats.unwrap_or(&self.stats), &config)?;
         plan.epoch = self.config_epoch();
         Ok(plan)
@@ -811,8 +822,9 @@ impl Database {
 
     /// Plan and execute one statement: the single statement path under the
     /// library, session and server surfaces. `ctx` carries everything that
-    /// varies per statement — MVCC snapshot, statistics override, deadline
-    /// (see [`StmtCtx`]); the default context is [`Database::execute`].
+    /// varies per statement — MVCC snapshot, statistics override, deadline,
+    /// the open transaction's pending rows (see [`StmtCtx`]); the default
+    /// context is [`Database::execute`].
     ///
     /// Timeouts are **charge/token-neutral**: a statement that ends in
     /// [`RelError::Timeout`] (transient) leaves the fault plane's budget

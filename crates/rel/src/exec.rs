@@ -125,7 +125,7 @@ impl SnapshotVisibility {
 /// type replaces what used to be a function-name suffix (`_snapshot`,
 /// `_with_stats`, `_deadline`) on every layer from the session down to the
 /// executor. The default is the library path: live rows, live statistics,
-/// no deadline.
+/// no deadline, no pending rows.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StmtCtx<'a> {
     /// Execute under this MVCC snapshot: every table access is clamped to
@@ -147,6 +147,17 @@ pub struct StmtCtx<'a> {
     /// bit-identical across thread counts whenever the statement completes
     /// at all.
     pub deadline: Option<Instant>,
+    /// Read-your-own-writes: the open transaction's buffered row batches,
+    /// in statement order (a table may repeat). A sequential scan of a
+    /// table reads its visible heap prefix and then that table's batches as
+    /// trailing morsels, so the statement sees snapshot ++ own writes at a
+    /// cost of one snapshot scan plus the transaction's own rows. Pending
+    /// rows live in no heap page and no physical structure: they charge
+    /// tuples and CPU like heap rows but no pages (pages stay at the live
+    /// heap, as for every snapshot read), and a statement that carries any
+    /// is planned without physical structures (see [`Database::run`]) —
+    /// every access path but the sequential scan rejects it.
+    pub pending: &'a [(crate::catalog::TableId, Vec<Row>)],
 }
 
 impl StmtCtx<'_> {
@@ -157,6 +168,19 @@ impl StmtCtx<'_> {
             Some(at) if Instant::now() >= at => Err(RelError::Timeout { site }),
             _ => Ok(()),
         }
+    }
+
+    /// Planner-contract guard of every access path that cannot read the
+    /// pending tail: indexes, columnar partitions and views hold committed
+    /// rows only, so answering a statement with pending rows through one
+    /// would silently drop the transaction's own writes.
+    fn reject_pending(&self, access: &str) -> RelResult<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        Err(RelError::InvalidQuery(format!(
+            "a statement with pending rows cannot read through {access}"
+        )))
     }
 
     /// The scannable prefix of a `len`-row structure of `table` (`len`
@@ -507,6 +531,7 @@ fn execute_branch(
                     "snapshot execution cannot scan materialized view '{view}'"
                 )));
             }
+            ctx.reject_pending("a materialized view")?;
             execute_view_scan(db, view, filters, outputs, opts, ctx, profile, ledger)
         }
     }
@@ -588,6 +613,9 @@ fn execute_pipeline(
             )));
         }
         validate_filters(&join.inner.filters, inner_def)?;
+        if matches!(join.algo, JoinAlgo::IndexNestedLoop { .. }) {
+            ctx.reject_pending("an index-nested-loop join")?;
+        }
     }
 
     let (mut wide, driver_stats) = run_scan(db, driver_table, driver, opts, ctx, profile, ledger)?;
@@ -950,23 +978,32 @@ fn run_scan(
             )?;
             stats.io_cost += heap.pages() as f64 * SEQ_PAGE_COST;
             // Under a snapshot only the visible prefix is scanned; pages are
-            // still charged at the live heap (see `SnapshotVisibility`).
-            let rows = &heap.rows()[..ctx.visible_rows(table, heap.rows().len())];
+            // still charged at the live heap (see `SnapshotVisibility`). The
+            // statement's pending batches of this table follow as trailing
+            // morsels: each source is cut at `morsel_rows` on its own, so
+            // the boundaries — and the reduction order below — depend on
+            // the data alone, never on the thread count.
+            let visible = &heap.rows()[..ctx.visible_rows(table, heap.rows().len())];
+            let pending = ctx.pending.iter().filter(|(t, _)| *t == table);
+            let mut morsels: Vec<&[Row]> = Vec::new();
+            for source in std::iter::once(visible).chain(pending.map(|(_, rows)| rows.as_slice())) {
+                let ranges = morsel_ranges(source.len(), opts);
+                profile.note_morsels(&ranges);
+                morsels.extend(ranges.into_iter().map(|range| &source[range]));
+            }
             let hit = std::sync::atomic::AtomicBool::new(false);
-            let ranges = morsel_ranges(rows.len(), opts);
-            profile.note_morsels(&ranges);
             let pieces: Vec<(Vec<Row>, f64, u64)> =
-                par::parallel_map(&ranges, opts.threads, |_, range| {
+                par::parallel_map(&morsels, opts.threads, |_, morsel| {
                     if deadline_hit(ctx, &hit) {
                         return (Vec::new(), 0.0, 0);
                     }
                     let mut out = Vec::new();
-                    for row in &rows[range.start..range.end] {
+                    for row in *morsel {
                         if passes_quiet(row, &scan.filters) {
                             out.push(row.clone());
                         }
                     }
-                    (out, range.len() as f64 * per_row_cpu, range.len() as u64)
+                    (out, morsel.len() as f64 * per_row_cpu, morsel.len() as u64)
                 });
             bail_if_hit(&hit, "scan")?;
             let mut result = Vec::new();
@@ -979,6 +1016,7 @@ fn run_scan(
             Ok((result, stats))
         }
         Access::ColumnarScan { columns } => {
+            ctx.reject_pending("a columnar partition")?;
             let scan_start = Instant::now();
             let col_heap = db.built_columnar(table)?;
             if let Some(&bad) = columns.iter().find(|&&c| c >= col_heap.width()) {
@@ -1076,6 +1114,7 @@ fn run_scan(
             key,
             covering,
         } => {
+            ctx.reject_pending("an index seek")?;
             let scan_start = Instant::now();
             let built = db.built_index(index)?;
             // Verify the index before trusting its postings (no budget, no
@@ -1440,6 +1479,87 @@ mod tests {
         let (rows, stats, _) = execute(&db, &plan, &opts, &StmtCtx::default()).unwrap();
         assert_eq!(rows_b, rows);
         assert_eq!(stats_b, stats);
+    }
+
+    /// Read-your-own-writes: the sequential scan reads the pending rows of
+    /// its table behind the heap's, at one tuple each; every access path
+    /// that holds committed rows only refuses the statement before it
+    /// touches a structure, instead of answering without them.
+    #[test]
+    fn only_the_sequential_scan_reads_pending_rows() {
+        let (db, t) = db_with_index(false);
+        let own = vec![Value::Int(5_000), Value::Int(7), Value::str("mine")];
+        let pending = [(t, vec![own])];
+        let ctx = StmtCtx {
+            pending: &pending,
+            ..StmtCtx::default()
+        };
+        // The statement path plans it bare although `ix` serves the filter.
+        let outcome = db.run(&grp_query(t), &ctx).unwrap();
+        assert_eq!(outcome.rows.len(), 11);
+        assert_eq!(
+            outcome.rows[10],
+            vec![Value::Int(5_000), Value::str("mine")]
+        );
+        assert_eq!(outcome.exec.tuples_processed, 5_001);
+
+        let scan = |table_ref, access| ScanNode {
+            table_ref,
+            access,
+            filters: vec![],
+            est_rows: 0.0,
+            est_cost: 0.0,
+        };
+        let pipeline = |driver, joins| BranchPlan::Pipeline {
+            tables: vec![t, t],
+            driver,
+            joins,
+            outputs: vec![Output::col(0, 0)],
+            est_rows: 0.0,
+            est_cost: 0.0,
+        };
+        let seek = Access::IndexSeek {
+            index: "ix".into(),
+            key: KeyRange::eq(vec![Value::Int(7)]),
+            covering: false,
+        };
+        let inlj = JoinNode {
+            inner: scan(1, Access::SeqScan),
+            algo: JoinAlgo::IndexNestedLoop {
+                index: "ix".into(),
+                covering: false,
+            },
+            outer_ref: 0,
+            outer_col: 1,
+            inner_col: 1,
+            est_rows: 0.0,
+            est_cost: 0.0,
+        };
+        let branches = [
+            pipeline(scan(0, seek), vec![]),
+            pipeline(scan(0, Access::ColumnarScan { columns: vec![0] }), vec![]),
+            pipeline(scan(0, Access::SeqScan), vec![inlj]),
+            BranchPlan::ViewScan {
+                view: "v".into(),
+                filters: vec![],
+                outputs: vec![],
+                est_rows: 0.0,
+                est_cost: 0.0,
+            },
+        ];
+        for branch in branches {
+            let plan = QueryPlan {
+                branches: vec![branch],
+                order_by: vec![],
+                est_cost: 0.0,
+                epoch: 0,
+            };
+            let err = execute(&db, &plan, &ExecOptions::default(), &ctx).unwrap_err();
+            assert!(
+                matches!(&err, RelError::InvalidQuery(why) if why.contains("pending rows")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

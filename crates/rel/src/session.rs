@@ -19,10 +19,13 @@
 //!   the same watermark vector captured at `begin`, so rows committed later
 //!   are invisible for the transaction's whole lifetime (no dirty or
 //!   non-repeatable reads).
-//! * **Read-your-own-writes.** A transaction with buffered writes queries
-//!   an *overlay* database: its snapshot prefix plus its own pending rows,
-//!   planned without physical structures (they describe the shared engine,
-//!   not the overlay).
+//! * **Read-your-own-writes.** A transaction's buffered batches ride along
+//!   on every statement it runs ([`StmtCtx::pending`]): sequential scans
+//!   read the snapshot prefix and then the transaction's own rows of that
+//!   table, in statement order. Such a statement is planned without
+//!   physical structures (they hold committed rows only) and costs one
+//!   snapshot scan plus the transaction's own rows — pages are charged at
+//!   the live heap like every snapshot read, tuples are visible + pending.
 //! * **First-committer-wins.** Commit re-checks, under the write lock, that
 //!   no other transaction committed to a written table after this
 //!   transaction's snapshot; if one did, the commit fails with
@@ -136,15 +139,10 @@ impl SessionDb {
     /// Open a transaction: captures the snapshot watermarks under a brief
     /// read lock and releases it before returning.
     pub fn begin(&self) -> Transaction {
-        let (lsn, visible) = {
-            let engine = read_lock(&self.inner);
-            let vis = engine.visibility();
-            (vis.lsn, vis.visible)
-        };
+        let snapshot = read_lock(&self.inner).visibility();
         Transaction {
             inner: Arc::clone(&self.inner),
-            snapshot_lsn: lsn,
-            visible,
+            snapshot,
             writes: Vec::new(),
             stats: None,
         }
@@ -169,8 +167,8 @@ impl SessionDb {
         let vis = engine.visibility();
         let ctx = StmtCtx {
             snapshot: Some(&vis),
-            stats: None,
             deadline,
+            ..StmtCtx::default()
         };
         engine.db.run(query, &ctx)
     }
@@ -239,10 +237,9 @@ impl SessionDb {
 /// Dropping it without [`Transaction::commit`] is a rollback.
 pub struct Transaction {
     inner: Arc<RwLock<Engine>>,
-    /// Every committed batch with `commit_lsn <= snapshot_lsn` is visible.
-    snapshot_lsn: u64,
-    /// Visible row-count prefix per table at `begin` time.
-    visible: Vec<usize>,
+    /// The watermarks captured at `begin`: every batch committed at or
+    /// below `snapshot.lsn` is visible, as a per-table row-count prefix.
+    snapshot: SnapshotVisibility,
     /// Buffered writes in statement order. A table may appear repeatedly.
     writes: Vec<(TableId, Vec<Row>)>,
     /// Snapshot-clamped statistics installed by [`Transaction::analyze`],
@@ -256,15 +253,12 @@ pub struct Transaction {
 impl Transaction {
     /// The snapshot's LSN (highest commit visible to this transaction).
     pub fn snapshot_lsn(&self) -> u64 {
-        self.snapshot_lsn
+        self.snapshot.lsn
     }
 
     /// This transaction's snapshot watermarks.
     pub fn visibility(&self) -> SnapshotVisibility {
-        SnapshotVisibility {
-            lsn: self.snapshot_lsn,
-            visible: self.visible.clone(),
-        }
+        self.snapshot.clone()
     }
 
     /// Buffer rows for insertion at commit. Validated against the current
@@ -301,12 +295,12 @@ impl Transaction {
     /// left untouched.
     pub fn analyze(&mut self) -> RelResult<()> {
         let engine = read_lock(&self.inner);
-        self.stats = Some(engine.db.analyze_snapshot(&self.visibility()));
+        self.stats = Some(engine.db.analyze_snapshot(&self.snapshot));
         Ok(())
     }
 
-    /// Execute a query against this transaction's snapshot (plus its own
-    /// buffered writes, when any exist).
+    /// Execute a query against this transaction's snapshot followed by its
+    /// own buffered writes (read-your-own-writes, see the module docs).
     pub fn query(&self, query: &SqlQuery) -> RelResult<QueryOutcome> {
         self.query_deadline(query, None)
     }
@@ -318,49 +312,13 @@ impl Transaction {
         query: &SqlQuery,
         deadline: Option<std::time::Instant>,
     ) -> RelResult<QueryOutcome> {
-        let engine = read_lock(&self.inner);
-        if self.writes.is_empty() {
-            let vis = self.visibility();
-            let ctx = StmtCtx {
-                snapshot: Some(&vis),
-                stats: self.stats.as_deref(),
-                deadline,
-            };
-            return engine.db.run(query, &ctx);
-        }
-        // Read-your-own-writes: materialize an overlay of the snapshot
-        // prefix plus this transaction's pending rows, and plan it bare
-        // (the shared engine's physical structures don't cover the
-        // overlay's rows). Overlay cost is proportional to the visible
-        // data; transactions that only read skip it entirely.
-        let overlay = self.build_overlay(&engine)?;
-        drop(engine);
         let ctx = StmtCtx {
+            snapshot: Some(&self.snapshot),
+            stats: self.stats.as_deref(),
             deadline,
-            ..StmtCtx::default()
+            pending: &self.writes,
         };
-        overlay.run(query, &ctx)
-    }
-
-    fn build_overlay(&self, engine: &Engine) -> RelResult<Database> {
-        let mut overlay = Database::new();
-        for (id, def) in engine.db.catalog().iter() {
-            let created = overlay.create_table(def.clone())?;
-            debug_assert_eq!(created, id);
-            let heap = engine.db.try_heap(id)?;
-            let visible = self
-                .visible
-                .get(id.index())
-                .copied()
-                .unwrap_or(0)
-                .min(heap.len());
-            overlay.insert_rows(id, heap.rows()[..visible].to_vec())?;
-        }
-        for (table, rows) in &self.writes {
-            overlay.insert_rows(*table, rows.clone())?;
-        }
-        overlay.analyze()?;
-        Ok(overlay)
+        read_lock(&self.inner).db.run(query, &ctx)
     }
 
     /// Commit: first-committer-wins conflict check, WAL txn framing, apply.
@@ -369,13 +327,13 @@ impl Transaction {
     pub fn commit(self) -> RelResult<u64> {
         let mut engine = write_lock(&self.inner);
         if self.writes.is_empty() {
-            return Ok(self.snapshot_lsn);
+            return Ok(self.snapshot.lsn);
         }
         // Conflict check before anything is logged: another transaction
         // committed to one of our tables after our snapshot?
         for (table, _) in &self.writes {
             let committed = engine.last_commit.get(table.index()).copied().unwrap_or(0);
-            if committed > self.snapshot_lsn {
+            if committed > self.snapshot.lsn {
                 let name = engine
                     .db
                     .catalog()
@@ -385,7 +343,7 @@ impl Transaction {
                 return Err(RelError::WriteConflict {
                     table: name,
                     committed_lsn: committed,
-                    snapshot_lsn: self.snapshot_lsn,
+                    snapshot_lsn: self.snapshot.lsn,
                 });
             }
         }
@@ -404,8 +362,10 @@ impl Transaction {
         if durable {
             engine.db.log(&WalRecord::TxnBegin { txn })?;
         }
-        for (table, rows) in &self.writes {
-            engine.db.insert_rows(*table, rows.clone())?;
+        // The batches move into the heaps; keep the ids for the watermarks.
+        let tables: Vec<TableId> = self.writes.iter().map(|(table, _)| *table).collect();
+        for (table, rows) in self.writes {
+            engine.db.insert_rows(table, rows)?;
         }
         let commit_lsn = if durable {
             // The TxnCommit marker's LSN is the commit LSN tagging this
@@ -416,8 +376,8 @@ impl Transaction {
         } else {
             engine.clock + 1
         };
-        for (table, _) in &self.writes {
-            engine.note_commit(*table, commit_lsn);
+        for table in tables {
+            engine.note_commit(table, commit_lsn);
         }
         Ok(commit_lsn)
     }

@@ -114,8 +114,8 @@ fn no_lost_update_first_committer_wins() {
     assert_eq!(rows, vec![row(1, "a")]);
 }
 
-/// Read-your-own-writes: a transaction sees its buffered rows overlaid on
-/// its snapshot, privately.
+/// Read-your-own-writes: a transaction sees its buffered rows after its
+/// snapshot, privately — and nothing anyone else commits meanwhile.
 #[test]
 fn read_your_own_writes() {
     let sdb = SessionDb::new(Database::new());
@@ -130,8 +130,18 @@ fn read_your_own_writes() {
     assert_eq!(rows, vec![row(0, "base"), row(1, "mine")]);
     // Nobody else sees it.
     assert_eq!(sdb.execute(&scan(table)).expect("other").rows.len(), 1);
+
+    // Isolation: another session's commit to the same table lands in the
+    // heap right behind the writer's snapshot prefix, and the writer still
+    // reads prefix + own rows only.
+    sdb.insert_rows(table, vec![row(2, "theirs")])
+        .expect("other commit");
+    let rows = writer.query(&scan(table)).expect("own read").rows;
+    assert_eq!(rows, vec![row(0, "base"), row(1, "mine")]);
+    assert_eq!(sdb.execute(&scan(table)).expect("other").rows.len(), 2);
+
     writer.rollback();
-    assert_eq!(sdb.execute(&scan(table)).expect("after").rows.len(), 1);
+    assert_eq!(sdb.execute(&scan(table)).expect("after").rows.len(), 2);
 }
 
 /// Acceptance: readers never block on writers. A reader on another thread

@@ -27,7 +27,13 @@
 //! * the built-set lifecycle: `BuiltSet::build` over arbitrary per-table
 //!   prefixes followed by `catch_up` is bit-identical to a full build for
 //!   every structure kind, and `rebuild_one` undoes any single-structure
-//!   damage.
+//!   damage;
+//! * own-write reads: with a design installed and another session
+//!   committing in between, a transaction's read of snapshot + pending
+//!   rows equals a brute-force evaluation and the same query on a fresh
+//!   database loaded with exactly those rows, bit-identically at executor
+//!   thread counts 1 and 4, at a tuple count of one bare snapshot scan
+//!   plus the transaction's own rows.
 
 use proptest::prelude::*;
 use xmlshred::prelude::*;
@@ -1268,5 +1274,184 @@ proptest! {
                 prop_assert_eq!(col.consistency_error(), None);
             }
         }
+    }
+}
+
+// ------------------------------------------------------ own-write reads --
+
+use xmlshred::rel::SessionDb;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Read-your-own-writes is the snapshot prefix followed by the pending
+    /// batches in statement order, whatever else the engine holds: a design
+    /// on the written tables (the statement must be planned bare — an index
+    /// or a columnar partition would drop the pending rows), rows another
+    /// session committed after `begin`, a table created after `begin`, and
+    /// a table written twice. Three independent answers agree: the
+    /// transaction's, a brute-force evaluation over the modelled rows, and
+    /// the same query on a fresh database loaded with exactly those rows
+    /// (what the per-query overlay copy used to be). Heap order is exact
+    /// for single-table queries; the join is compared as a multiset, since
+    /// which side drives it follows the statistics, and the transaction
+    /// plans with the engine's while the loaded copy analyzes its own.
+    /// Rows and `ExecStats` bits do not move between 1 and 4 executor
+    /// threads, and `tuples_processed` is exactly a bare scan of the
+    /// snapshot prefix plus the pending rows of the scanned tables (the
+    /// hash join processes each scanned row once more): the cost follows
+    /// the snapshot scan and the transaction, not a copy of the database.
+    #[test]
+    fn own_write_reads_equal_brute_force_and_load_then_read(
+        case in arb_heal_case(),
+        raw_filters in proptest::collection::vec((0u8..8, 0u8..8, 0u8..3, 0u64..u64::MAX), 1..3),
+        concurrent in proptest::collection::vec(0u64..u64::MAX, 1..30),
+        batches in proptest::collection::vec(
+            (0usize..3, proptest::collection::vec(0u64..u64::MAX, 1..40)),
+            1..4,
+        ),
+    ) {
+        let (cols, row_seeds, _, _) = case;
+        let types = heal_column_types(&cols);
+        let parent_row = |seed: u64| -> Row {
+            types
+                .iter()
+                .enumerate()
+                .map(|(c, &(ty, nullable))| dur_value(ty, nullable, seed, c as u64))
+                .collect()
+        };
+        let select = |table: TableId, width: usize| {
+            let mut q = SelectQuery::single(table);
+            q.outputs = (0..width).map(|c| Output::col(0, c)).collect();
+            q
+        };
+
+        let mut views = Vec::new();
+        for threads in [1usize, 4] {
+            let (mut db, parent, child) = load_heal_tables(None, &types, &row_seeds);
+            db.apply_config(&PhysicalConfig {
+                indexes: vec![
+                    IndexDef::new("ix0", parent, vec![0], vec![]),
+                    IndexDef::new("ix1", child, vec![0], vec![1]),
+                ],
+                views: vec![],
+                columnar: vec![parent, child],
+            })
+            .expect("apply config");
+            // Small morsels, so prefix and pending batches both span several.
+            db.set_exec_options(ExecOptions { threads, morsel_rows: 16 });
+            let child_def = db.catalog().try_table(child).expect("t1").clone();
+            // What the transaction must see, per table: the snapshot prefix
+            // now, each pending batch appended as it is buffered.
+            let mut model: Vec<Vec<Row>> = vec![
+                db.heap(parent).rows().to_vec(),
+                db.heap(child).rows().to_vec(),
+                Vec::new(),
+            ];
+
+            let sdb = SessionDb::new(db);
+            let mut txn = sdb.begin();
+            // After the snapshot: another session commits to both written
+            // tables, and a third table appears.
+            sdb.insert_rows(parent, concurrent.iter().map(|&s| parent_row(s)).collect())
+                .expect("concurrent commit");
+            sdb.insert_rows(
+                child,
+                concurrent
+                    .iter()
+                    .map(|&s| vec![parent_row(s)[0].clone(), Value::Int(-1)])
+                    .collect(),
+            )
+            .expect("concurrent commit");
+            let late = sdb
+                .create_table(TableDef::new("t2", child_def.columns.clone()))
+                .expect("create t2");
+            let tables = [parent, child, late];
+            for (t, seeds) in &batches {
+                let rows: Vec<Row> = seeds
+                    .iter()
+                    .map(|&seed| match t {
+                        0 => parent_row(seed),
+                        // Child-shaped rows join to a parent the
+                        // transaction can see.
+                        _ => {
+                            let key = model[0][seed as usize % model[0].len()][0].clone();
+                            vec![key, Value::Int((seed % 1000) as i64)]
+                        }
+                    })
+                    .collect();
+                model[*t].extend(rows.iter().cloned());
+                txn.insert_rows(tables[*t], rows).expect("buffer");
+            }
+
+            // Load-then-read: a fresh database holding exactly the model.
+            let mut loaded = Database::new();
+            for (&table, rows) in tables.iter().zip(&model) {
+                let def = sdb.with_db(|db| db.catalog().try_table(table).expect("def").clone());
+                prop_assert_eq!(loaded.create_table(def).expect("create"), table);
+                loaded.insert_rows(table, rows.clone()).expect("load");
+            }
+            loaded.analyze().expect("analyze");
+
+            let filtered = columnar_case_to_query(parent, &types, &raw_filters);
+            let SqlQuery::Select(filter_block) = &filtered else { unreachable!() };
+            let mut join = select(parent, 1);
+            join.tables.push(child);
+            join.joins.push(JoinCond { left_ref: 0, left_col: 0, right_ref: 1, right_col: 0 });
+            join.outputs.push(Output::col(1, 1));
+            let mut joined = Vec::new();
+            for p in &model[0] {
+                for c in model[1].iter().filter(|c| !p[0].is_null() && c[0] == p[0]) {
+                    joined.push(vec![p[0].clone(), c[1].clone()]);
+                }
+            }
+            let mut by_key = model[1].clone();
+            by_key.sort_by(|a, b| a[0].total_cmp(&b[0]));
+            let scanned = |t: usize| model[t].len() as u64;
+            // (query, brute-force rows, is the row order defined, tuples)
+            let checks = [
+                (SqlQuery::Select(select(parent, types.len())), model[0].clone(), true, scanned(0)),
+                (
+                    filtered.clone(),
+                    model[0]
+                        .iter()
+                        .filter(|row| {
+                            filter_block.filters.iter().all(|f| f.op.eval(&row[f.column], &f.value))
+                        })
+                        .cloned()
+                        .collect(),
+                    true,
+                    scanned(0),
+                ),
+                (SqlQuery::Select(join), joined, false, 2 * (scanned(0) + scanned(1))),
+                (
+                    SqlQuery::Union(UnionAllQuery {
+                        branches: vec![select(child, 2)],
+                        order_by: vec![0],
+                    }),
+                    by_key,
+                    true,
+                    scanned(1),
+                ),
+                (SqlQuery::Select(select(late, 2)), model[2].clone(), true, scanned(2)),
+            ];
+            for (i, (query, brute, ordered, tuples)) in checks.into_iter().enumerate() {
+                let own = txn.query(&query).expect("own-write read");
+                let canon = |mut rows: Vec<Row>| {
+                    if !ordered {
+                        rows.sort();
+                    }
+                    rows
+                };
+                let own_rows = canon(own.rows.clone());
+                prop_assert_eq!(&own_rows, &canon(brute), "query {} vs brute force", i);
+                let reloaded = loaded.execute(&query).expect("load-then-read");
+                prop_assert_eq!(&own_rows, &canon(reloaded.rows), "query {} vs load-then-read", i);
+                prop_assert_eq!(own.exec.tuples_processed, tuples, "query {} tuples", i);
+                views.push(layout_view(&own));
+            }
+        }
+        let (serial, parallel) = views.split_at(views.len() / 2);
+        prop_assert_eq!(serial, parallel, "own-write reads vary with threads");
     }
 }

@@ -20,8 +20,8 @@ use xmlshred::rel::sql::{JoinCond, Output, SelectQuery, SqlQuery, UnionAllQuery}
 use xmlshred::rel::types::{DataType, Value};
 use xmlshred::rel::view::{ViewDef, ViewSide};
 use xmlshred::rel::{
-    ExecOptions, ExecStats, FaultConfig, FaultStats, PhysicalConfig, RelError, SnapshotVisibility,
-    StmtCtx, StructureKind,
+    ExecOptions, ExecStats, FaultConfig, FaultStats, PhysicalConfig, RelError, SessionDb,
+    SnapshotVisibility, StmtCtx, StructureKind,
 };
 
 // ------------------------------------------------------------- fixture --
@@ -109,6 +109,17 @@ fn paper_query(inproc: TableId, author: TableId) -> SqlQuery {
         branches: vec![first, second],
         order_by: vec![0],
     })
+}
+
+/// One more publication, as a row of `inproc`.
+fn pub_row(id: i64, conf: &str) -> Vec<Value> {
+    vec![
+        Value::Int(id),
+        Value::Int(0),
+        Value::str(format!("Paper {id}")),
+        Value::str(conf),
+        Value::Int(2004),
+    ]
 }
 
 /// A configuration exercising all three derived structure kinds.
@@ -459,6 +470,7 @@ fn failed_attempts_leave_no_trace_on_the_fault_plane() {
         visible: vec![db.heap(inproc).len(), db.heap(author).len()],
     };
     let stats = db.analyze_snapshot(&vis);
+    let pending = [(inproc, vec![pub_row(600, "CONF7")])];
     let deadline = Some(std::time::Instant::now());
     let timeouts = [
         (
@@ -472,8 +484,8 @@ fn failed_attempts_leave_no_trace_on_the_fault_plane() {
             "snapshot",
             StmtCtx {
                 snapshot: Some(&vis),
-                stats: None,
                 deadline,
+                ..StmtCtx::default()
             },
         ),
         (
@@ -482,6 +494,16 @@ fn failed_attempts_leave_no_trace_on_the_fault_plane() {
                 snapshot: Some(&vis),
                 stats: Some(&stats),
                 deadline,
+                ..StmtCtx::default()
+            },
+        ),
+        (
+            "snapshot+pending",
+            StmtCtx {
+                snapshot: Some(&vis),
+                deadline,
+                pending: &pending,
+                ..StmtCtx::default()
             },
         ),
     ];
@@ -514,6 +536,45 @@ fn failed_attempts_leave_no_trace_on_the_fault_plane() {
         db.fault_plane().expect("plane armed").save(),
         twin.fault_plane().expect("plane armed").save(),
         "heal retry"
+    );
+}
+
+/// An own-write read is a first-class statement: it runs on the shared
+/// engine, so it charges the page budget and walks the heap checksums
+/// exactly like the plain snapshot read one statement earlier. (It used to run on a private plane-less copy of the visible
+/// rows, which answered silently from a damaged page.)
+#[test]
+fn own_write_reads_verify_and_charge_like_snapshot_reads() {
+    let (mut db, inproc, author) = build_db(600);
+    assert!(db.heap_mut(inproc).unwrap().corrupt_row(17));
+    arm_verification(&mut db, 42);
+    let sdb = SessionDb::new(db);
+    let query = paper_query(inproc, author);
+    let charged = || sdb.with_db(|db| fault_charges(db).pages_charged);
+    let is_heap_corruption = |err: &RelError| {
+        matches!(
+            err,
+            RelError::Corrupted {
+                kind: StructureKind::Heap,
+                ..
+            }
+        )
+    };
+
+    let mut txn = sdb.begin();
+    let err = txn.query(&query).expect_err("snapshot read hits the page");
+    assert!(is_heap_corruption(&err), "snapshot read: {err:?}");
+    let plain = charged();
+    assert!(plain > 0, "the snapshot read charged the budget");
+
+    txn.insert_rows(inproc, vec![pub_row(600, "CONF7")])
+        .unwrap();
+    let err = txn.query(&query).expect_err("own-write read hits it too");
+    assert!(is_heap_corruption(&err), "own-write read: {err:?}");
+    assert_eq!(
+        charged() - plain,
+        plain,
+        "the own-write read charges the snapshot read's pages"
     );
 }
 
