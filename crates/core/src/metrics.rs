@@ -29,6 +29,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
+use xmlshred_rel::json::push_json_string;
 
 /// Number of power-of-two histogram buckets (`u64` bit lengths 0..=64).
 const HISTOGRAM_SLOTS: usize = 65;
@@ -460,22 +461,6 @@ fn push_counter_map(out: &mut String, map: &BTreeMap<String, u64>, indent: usize
     out.push('\n');
     out.push_str(&" ".repeat(indent));
     out.push('}');
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

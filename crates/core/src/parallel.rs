@@ -8,11 +8,12 @@
 //! memoizing cost oracle (a pure function) and commutative atomic counters.
 //!
 //! The scoped-thread loop itself lives in [`xmlshred_rel::par`] and is
-//! shared with the morsel-driven executor; this module adds the advisor's
-//! two concerns on top: the anytime [`Deadline`] poll (workers check it
-//! before starting each item, and items not started before expiry come back
-//! as `None` — with an unbounded deadline every slot is `Some`, preserving
-//! the bit-identical guarantee) and fan-out metrics.
+//! shared with the morsel-driven executor, and so is its one cancellation
+//! mechanism: the `stop` hook polled before each item is claimed. The
+//! executor passes its statement deadline there; this module passes the
+//! advisor's anytime [`Deadline`] (items not started before expiry come
+//! back as `None` — with an unbounded deadline every slot is `Some`,
+//! preserving the bit-identical guarantee) and adds fan-out metrics.
 
 use crate::metrics::MetricsRegistry;
 use crate::search::Deadline;

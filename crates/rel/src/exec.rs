@@ -12,11 +12,17 @@
 //!
 //! Operators fan work out over fixed-size **morsels** — row ranges of the
 //! heap (or of an index-seek match list) whose boundaries depend only on
-//! [`ExecOptions::morsel_rows`], never on the thread count. Each morsel runs
-//! filter+projection on a worker thread via [`crate::par::parallel_map`],
-//! and the per-morsel rows *and* [`ExecStats`] partials are reduced serially
-//! in morsel order. Floating-point accumulation order is therefore fixed,
-//! so results and stats are bit-identical for any `threads` value.
+//! [`ExecOptions::morsel_rows`], never on the thread count. Every operator
+//! fans its morsels out through one helper, `fan_out`, over
+//! [`crate::par::try_parallel_map`]; the per-morsel rows *and*
+//! [`ExecStats`] partials are reduced serially in morsel order.
+//! Floating-point accumulation order is therefore fixed, so results and
+//! stats are bit-identical for any `threads` value.
+//!
+//! `fan_out` also keeps the deadline contract: `ctx.deadline` is the
+//! fan-out's stop hook, so a morsel not started before it passes is never
+//! started, and any unstarted morsel turns the whole fan-out into
+//! [`RelError::Timeout`] after fan-in — no partial rows escape.
 //!
 //! The hash-join build runs as a parallel partitioned build: morsels first
 //! assign build rows to a fixed number of hash partitions, then partitions
@@ -30,18 +36,21 @@
 //! serial counter, whose sequence (and hence the injected-fault pattern)
 //! must not depend on worker interleaving.
 
+use crate::catalog::{TableDef, TableId};
 use crate::cost::{
     sort_cost, BTREE_DESCENT_COST, CPU_HASH_COST, CPU_PRED_COST, CPU_TUPLE_COST, PAGE_SIZE,
     RANDOM_PAGE_COST, SEQ_PAGE_COST,
 };
 use crate::db::Database;
 use crate::error::{RelError, RelResult, StructureKind};
-use crate::expr::Filter;
+use crate::expr::{Filter, FilterOp};
 use crate::fault::FaultPlane;
+use crate::index::{BuiltIndex, KeyRange};
 use crate::par;
 use crate::plan::{Access, BranchPlan, JoinAlgo, QueryPlan, ScanNode, ViewOutput};
 use crate::sql::Output;
 use crate::stats::TableStats;
+use crate::storage::{Column, ColumnData, TableHeap};
 use crate::types::{Row, Value};
 use rustc_hash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
@@ -116,7 +125,7 @@ pub struct SnapshotVisibility {
 impl SnapshotVisibility {
     /// Rows of `table` visible at this snapshot (0 for tables created after
     /// the snapshot was taken).
-    pub fn table_rows(&self, table: crate::catalog::TableId) -> usize {
+    pub fn table_rows(&self, table: TableId) -> usize {
         self.visible.get(table.index()).copied().unwrap_or(0)
     }
 }
@@ -157,7 +166,7 @@ pub struct StmtCtx<'a> {
     /// heap, as for every snapshot read), and a statement that carries any
     /// is planned without physical structures (see [`Database::run`]) —
     /// every access path but the sequential scan rejects it.
-    pub pending: &'a [(crate::catalog::TableId, Vec<Row>)],
+    pub pending: &'a [(TableId, Vec<Row>)],
 }
 
 impl StmtCtx<'_> {
@@ -185,7 +194,7 @@ impl StmtCtx<'_> {
 
     /// The scannable prefix of a `len`-row structure of `table` (`len`
     /// itself when executing outside any snapshot).
-    fn visible_rows(&self, table: crate::catalog::TableId, len: usize) -> usize {
+    fn visible_rows(&self, table: TableId, len: usize) -> usize {
         match self.snapshot {
             None => len,
             Some(v) => v.table_rows(table).min(len),
@@ -319,13 +328,6 @@ pub struct ExecProfile {
 }
 
 impl ExecProfile {
-    fn note_morsels(&mut self, ranges: &[Range<usize>]) {
-        self.morsels_dispatched += ranges.len() as u64;
-        for r in ranges {
-            self.rows_per_morsel.push(r.len() as u64);
-        }
-    }
-
     fn record_op(&mut self, name: &'static str, elapsed: Duration) {
         let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         match self.operators.iter_mut().find(|op| op.name == name) {
@@ -373,47 +375,82 @@ impl ExecProfile {
     }
 }
 
-/// Fixed-size morsel boundaries over `len` rows. A pure function of
-/// `(len, morsel_rows)` — independent of the thread count.
-fn morsel_ranges(len: usize, opts: &ExecOptions) -> Vec<Range<usize>> {
+/// Fixed-size morsel boundaries over `len` rows, noted in `profile` as
+/// dispatched. A pure function of `(len, morsel_rows)` — independent of the
+/// thread count.
+fn morsel_ranges(len: usize, opts: &ExecOptions, profile: &mut ExecProfile) -> Vec<Range<usize>> {
     let step = opts.morsel_rows.max(1);
     let mut out = Vec::with_capacity(len.div_ceil(step));
     let mut start = 0;
     while start < len {
         let end = (start + step).min(len);
         out.push(start..end);
+        profile.morsels_dispatched += 1;
+        profile.rows_per_morsel.push((end - start) as u64);
         start = end;
     }
     out
 }
 
-/// Morsel-boundary deadline poll for parallel workers. Returns `true` once
-/// the deadline has passed (recording the expiry in `hit`) or once another
-/// worker has already recorded it — so after one morsel observes expiry,
-/// every remaining morsel short-circuits to an empty piece and the fan-in
-/// raises [`RelError::Timeout`]. No partial rows escape: the whole
-/// statement aborts, which is what keeps results bit-identical across
-/// thread counts whenever a statement completes at all.
-fn deadline_hit(ctx: &StmtCtx, hit: &std::sync::atomic::AtomicBool) -> bool {
-    use std::sync::atomic::Ordering;
-    match ctx.deadline {
-        Some(at) if Instant::now() >= at => {
-            hit.store(true, Ordering::Relaxed);
-            true
-        }
-        Some(_) => hit.load(Ordering::Relaxed),
-        None => false,
-    }
+/// The executor's one fan-out: run `work` over `morsels` on
+/// `opts.threads` workers and return the results in morsel order.
+/// `ctx.deadline` is the stop hook — a morsel not started before it passes
+/// is never started — and any unstarted morsel fails the whole fan-out
+/// with [`RelError::Timeout`] at `site`, so no partial rows escape and a
+/// statement that completes at all is bit-identical across thread counts.
+fn fan_out<T: Sync, R: Send>(
+    morsels: &[T],
+    opts: &ExecOptions,
+    ctx: &StmtCtx,
+    site: &'static str,
+    work: impl Fn(&T) -> R + Sync,
+) -> RelResult<Vec<R>> {
+    let expired = || ctx.deadline.is_some_and(|at| Instant::now() >= at);
+    par::try_parallel_map(morsels, opts.threads, expired, || (), |_, _, m| work(m))
+        .into_iter()
+        .map(|slot| slot.ok_or(RelError::Timeout { site }))
+        .collect()
 }
 
-/// Fan-in check paired with [`deadline_hit`]: raise the typed timeout when
-/// any worker recorded expiry during the fan-out.
-fn bail_if_hit(hit: &std::sync::atomic::AtomicBool, site: &'static str) -> RelResult<()> {
-    if hit.load(std::sync::atomic::Ordering::Relaxed) {
-        Err(RelError::Timeout { site })
-    } else {
-        Ok(())
+/// Fan-in of a scan's `(rows, input rows)` morsel pieces: concatenate the
+/// rows and charge each morsel's input at `per_row_cpu`, in morsel order so
+/// the f64 accumulation order is fixed.
+fn reduce_scan(pieces: Vec<(Vec<Row>, u64)>, per_row_cpu: f64, stats: &mut ExecStats) -> Vec<Row> {
+    let mut out = Vec::with_capacity(pieces.iter().map(|(rows, _)| rows.len()).sum());
+    for (rows, scanned) in pieces {
+        out.extend(rows);
+        stats.cpu_cost += scanned as f64 * per_row_cpu;
+        stats.tuples_processed += scanned;
     }
+    out
+}
+
+/// The postings path shared by index seeks and index-nested-loop probes,
+/// first half: seek `key`, then — under a snapshot — drop postings past the
+/// table's watermark before any costing, so invisible rows read no leaf
+/// entries, fetch no heap pages and charge no budget.
+fn seek_postings(built: &BuiltIndex, key: &KeyRange, ctx: &StmtCtx, table: TableId) -> Vec<u32> {
+    let mut matched = built.seek(key);
+    if let Some(v) = ctx.snapshot {
+        let limit = v.table_rows(table);
+        matched.retain(|&i| (i as usize) < limit);
+    }
+    matched
+}
+
+/// Second half of the postings path: the heap row a posting points at, or
+/// a `Fault` for a dangling entry.
+fn fetch_posting<'h>(
+    heap: &'h TableHeap,
+    posting: u32,
+    table: &str,
+    index: &str,
+) -> RelResult<&'h Row> {
+    heap.row(posting as usize).ok_or_else(|| {
+        RelError::Fault(format!(
+            "dangling index entry {posting} in '{table}' via '{index}'"
+        ))
+    })
 }
 
 /// Build-side partition of a join key: a pure function of the value, shared
@@ -573,7 +610,7 @@ impl Layout {
 #[allow(clippy::too_many_arguments)]
 fn execute_pipeline(
     db: &Database,
-    tables: &[crate::catalog::TableId],
+    tables: &[TableId],
     driver: &ScanNode,
     joins: &[crate::plan::JoinNode],
     outputs: &[Output],
@@ -598,6 +635,7 @@ fn execute_pipeline(
     // surface as a typed error with zero charges — neither `ExecStats` cost
     // nor fault-plane page budget. (The hash-join arm used to charge its
     // build-side CPU before the join-key bounds check could fail.)
+    let mut inners = Vec::with_capacity(joins.len());
     for join in joins {
         let &inner_table = tables.get(join.inner.table_ref).ok_or_else(|| {
             RelError::InvalidQuery(format!(
@@ -616,21 +654,14 @@ fn execute_pipeline(
         if matches!(join.algo, JoinAlgo::IndexNestedLoop { .. }) {
             ctx.reject_pending("an index-nested-loop join")?;
         }
+        inners.push((inner_table, inner_def));
     }
 
     let (mut wide, driver_stats) = run_scan(db, driver_table, driver, opts, ctx, profile, ledger)?;
     stats.absorb(driver_stats);
 
-    for join in joins {
+    for (join, (inner_table, inner_def)) in joins.iter().zip(inners) {
         ctx.check_deadline("join")?;
-        let &inner_table = tables.get(join.inner.table_ref).ok_or_else(|| {
-            RelError::InvalidQuery(format!(
-                "plan join references table #{}",
-                join.inner.table_ref
-            ))
-        })?;
-        let inner_def = db.catalog().try_table(inner_table)?;
-        let inner_cols = inner_def.columns.len();
         let outer_slot = layout.slot(join.outer_ref, join.outer_col)?;
         let next: Vec<Row> = match &join.algo {
             JoinAlgo::Hash => {
@@ -647,75 +678,61 @@ fn execute_pipeline(
                 // their maps concurrently, visiting morsels in order, so each
                 // key's match list carries row indexes in heap order — the
                 // serial build's insertion order.
-                let hit = std::sync::atomic::AtomicBool::new(false);
-                let build_ranges = morsel_ranges(inner_rows.len(), opts);
-                profile.note_morsels(&build_ranges);
-                let partitioned: Vec<Vec<Vec<u32>>> =
-                    par::parallel_map(&build_ranges, opts.threads, |_, range| {
-                        if deadline_hit(ctx, &hit) {
-                            return vec![Vec::new(); HASH_PARTITIONS];
+                let build_ranges = morsel_ranges(inner_rows.len(), opts, profile);
+                let partitioned = fan_out(&build_ranges, opts, ctx, "build", |range| {
+                    let mut parts: Vec<Vec<u32>> = vec![Vec::new(); HASH_PARTITIONS];
+                    for i in range.clone() {
+                        let key = &inner_rows[i][join.inner_col];
+                        if !key.is_null() {
+                            parts[partition_of(key)].push(i as u32);
                         }
-                        let mut parts: Vec<Vec<u32>> = vec![Vec::new(); HASH_PARTITIONS];
-                        for i in range.clone() {
-                            let key = &inner_rows[i][join.inner_col];
-                            if !key.is_null() {
-                                parts[partition_of(key)].push(i as u32);
-                            }
-                        }
-                        parts
-                    });
-                bail_if_hit(&hit, "build")?;
+                    }
+                    parts
+                })?;
                 let part_ids: Vec<usize> = (0..HASH_PARTITIONS).collect();
-                let tables_by_part: Vec<FxHashMap<Value, Vec<u32>>> =
-                    par::parallel_map(&part_ids, opts.threads, |_, &p| {
-                        let mut map: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
-                        for morsel in &partitioned {
-                            for &i in &morsel[p] {
-                                map.entry(inner_rows[i as usize][join.inner_col].clone())
-                                    .or_default()
-                                    .push(i);
-                            }
+                let tables_by_part = fan_out(&part_ids, opts, ctx, "build", |&p| {
+                    let mut map: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
+                    for morsel in &partitioned {
+                        for &i in &morsel[p] {
+                            map.entry(inner_rows[i as usize][join.inner_col].clone())
+                                .or_default()
+                                .push(i);
                         }
-                        map
-                    });
+                    }
+                    map
+                })?;
 
                 // Probe in outer order, morselized; concatenating per-morsel
                 // output in morsel order reproduces the serial probe's row
                 // order exactly.
-                let probe_ranges = morsel_ranges(wide.len(), opts);
-                profile.note_morsels(&probe_ranges);
-                let pieces: Vec<Vec<Row>> =
-                    par::parallel_map(&probe_ranges, opts.threads, |_, range| {
-                        if deadline_hit(ctx, &hit) {
-                            return Vec::new();
+                let probe_ranges = morsel_ranges(wide.len(), opts, profile);
+                let pieces = fan_out(&probe_ranges, opts, ctx, "probe", |range| {
+                    // Pass 1: batch key extraction — hash every non-null
+                    // probe key and record its partition, keeping the
+                    // key-hashing loop tight over the morsel.
+                    let mut probes: Vec<(u32, u8)> = Vec::with_capacity(range.len());
+                    for (i, outer) in wide[range.clone()].iter().enumerate() {
+                        let key = &outer[outer_slot];
+                        if !key.is_null() {
+                            probes.push(((range.start + i) as u32, partition_of(key) as u8));
                         }
-                        // Pass 1: batch key extraction — hash every non-null
-                        // probe key and record its partition, keeping the
-                        // key-hashing loop tight over the morsel.
-                        let mut probes: Vec<(u32, u8)> = Vec::with_capacity(range.len());
-                        for (i, outer) in wide[range.start..range.end].iter().enumerate() {
-                            let key = &outer[outer_slot];
-                            if !key.is_null() {
-                                probes.push(((range.start + i) as u32, partition_of(key) as u8));
+                    }
+                    // Pass 2: probe in extraction order, so per-morsel
+                    // output order equals the row-at-a-time probe's.
+                    let mut out = Vec::new();
+                    for &(i, p) in &probes {
+                        let outer = &wide[i as usize];
+                        let key = &outer[outer_slot];
+                        if let Some(matches) = tables_by_part[p as usize].get(key) {
+                            for &m in matches {
+                                let mut row = outer.clone();
+                                row.extend(inner_rows[m as usize].iter().cloned());
+                                out.push(row);
                             }
                         }
-                        // Pass 2: probe in extraction order, so per-morsel
-                        // output order equals the row-at-a-time probe's.
-                        let mut out = Vec::new();
-                        for &(i, p) in &probes {
-                            let outer = &wide[i as usize];
-                            let key = &outer[outer_slot];
-                            if let Some(matches) = tables_by_part[p as usize].get(key) {
-                                for &m in matches {
-                                    let mut row = outer.clone();
-                                    row.extend(inner_rows[m as usize].iter().cloned());
-                                    out.push(row);
-                                }
-                            }
-                        }
-                        out
-                    });
-                bail_if_hit(&hit, "probe")?;
+                    }
+                    out
+                })?;
                 profile.record_op("join.hash", join_start.elapsed());
                 pieces.concat()
             }
@@ -753,13 +770,8 @@ fn execute_pipeline(
                     }
                     // Per-probe descent.
                     stats.io_cost += BTREE_DESCENT_COST * RANDOM_PAGE_COST;
-                    let mut matched = built.seek(&crate::index::KeyRange::eq(vec![key.clone()]));
-                    if let Some(v) = ctx.snapshot {
-                        // Drop postings past the snapshot's watermark before
-                        // costing, so invisible rows charge nothing.
-                        let limit = v.table_rows(inner_table);
-                        matched.retain(|&i| (i as usize) < limit);
-                    }
+                    let key = KeyRange::eq(vec![key.clone()]);
+                    let matched = seek_postings(built, &key, ctx, inner_table);
                     stats.io_cost +=
                         (matched.len() as f64 * entry_width / PAGE_SIZE as f64) * SEQ_PAGE_COST;
                     if !covering {
@@ -771,13 +783,8 @@ fn execute_pipeline(
                     }
                     stats.cpu_cost += matched.len() as f64 * CPU_TUPLE_COST;
                     stats.tuples_processed += matched.len() as u64;
-                    for &row_idx in &matched {
-                        let inner = heap.row(row_idx as usize).ok_or_else(|| {
-                            RelError::Fault(format!(
-                                "dangling index entry {row_idx} in '{}' via '{index}'",
-                                inner_def.name
-                            ))
-                        })?;
+                    for &posting in &matched {
+                        let inner = fetch_posting(heap, posting, &inner_def.name, index)?;
                         stats.cpu_cost += join.inner.filters.len() as f64 * CPU_PRED_COST;
                         if passes_quiet(inner, &join.inner.filters) {
                             let mut row = outer.clone();
@@ -791,7 +798,7 @@ fn execute_pipeline(
             }
         };
         stats.cpu_cost += next.len() as f64 * CPU_TUPLE_COST;
-        layout.add(join.inner.table_ref, inner_cols);
+        layout.add(join.inner.table_ref, inner_def.columns.len());
         wide = next;
     }
 
@@ -804,14 +811,9 @@ fn execute_pipeline(
         });
     }
     let project_start = Instant::now();
-    let hit = std::sync::atomic::AtomicBool::new(false);
-    let ranges = morsel_ranges(wide.len(), opts);
-    profile.note_morsels(&ranges);
-    let pieces: Vec<Vec<Row>> = par::parallel_map(&ranges, opts.threads, |_, range| {
-        if deadline_hit(ctx, &hit) {
-            return Vec::new();
-        }
-        wide[range.start..range.end]
+    let ranges = morsel_ranges(wide.len(), opts, profile);
+    let pieces = fan_out(&ranges, opts, ctx, "project", |range| {
+        wide[range.clone()]
             .iter()
             .map(|row| {
                 out_slots
@@ -820,11 +822,10 @@ fn execute_pipeline(
                         Some(i) => row[*i].clone(),
                         None => Value::Null,
                     })
-                    .collect()
+                    .collect::<Row>()
             })
-            .collect()
-    });
-    bail_if_hit(&hit, "project")?;
+            .collect::<Vec<Row>>()
+    })?;
     profile.record_op("project", project_start.elapsed());
     Ok((pieces.concat(), stats))
 }
@@ -832,7 +833,7 @@ fn execute_pipeline(
 /// Check every filter column against the table schema before row-at-a-time
 /// evaluation, so a malformed plan is a typed error instead of an indexing
 /// panic in the inner loop.
-fn validate_filters(filters: &[Filter], def: &crate::catalog::TableDef) -> RelResult<()> {
+fn validate_filters(filters: &[Filter], def: &TableDef) -> RelResult<()> {
     for f in filters {
         if f.column >= def.columns.len() {
             return Err(RelError::UnknownColumn {
@@ -847,7 +848,7 @@ fn validate_filters(filters: &[Filter], def: &crate::catalog::TableDef) -> RelRe
 /// One filter compiled against a columnar partition: a typed per-column
 /// comparison the vectorized kernel applies to a selection vector, avoiding
 /// the per-row `Value` construction and enum dispatch of [`passes_quiet`].
-/// Each variant reproduces [`crate::expr::FilterOp::eval`]'s verdict exactly
+/// Each variant reproduces [`FilterOp::eval`]'s verdict exactly
 /// — including SQL null semantics (comparisons never pass NULL) and the
 /// cross-type total order (numerics below strings).
 enum Vectorized {
@@ -856,11 +857,11 @@ enum Vectorized {
     /// `IS NOT NULL`.
     IsNotNull,
     /// Int column vs Int literal: native i64 compare.
-    IntCmp(i64, crate::expr::FilterOp),
+    IntCmp(i64, FilterOp),
     /// Numeric column vs numeric literal through the f64 total order.
-    F64Cmp(f64, crate::expr::FilterOp),
+    F64Cmp(f64, FilterOp),
     /// Str column vs Str literal.
-    StrCmp(std::sync::Arc<str>, crate::expr::FilterOp),
+    StrCmp(std::sync::Arc<str>, FilterOp),
     /// Every non-null value gets the same verdict: cross-type compares
     /// (numeric vs Str sits on a fixed side of the total order) and
     /// NULL-literal compares (always false).
@@ -868,8 +869,7 @@ enum Vectorized {
 }
 
 /// Does `ord` satisfy `op`? Mirrors the comparison arm of `FilterOp::eval`.
-fn ord_matches(op: crate::expr::FilterOp, ord: std::cmp::Ordering) -> bool {
-    use crate::expr::FilterOp;
+fn ord_matches(op: FilterOp, ord: std::cmp::Ordering) -> bool {
     use std::cmp::Ordering;
     match op {
         FilterOp::Eq => ord == Ordering::Equal,
@@ -884,9 +884,7 @@ fn ord_matches(op: crate::expr::FilterOp, ord: std::cmp::Ordering) -> bool {
 
 impl Vectorized {
     /// Compile one filter against the column it reads.
-    fn compile(filter: &Filter, column: &crate::storage::Column) -> Vectorized {
-        use crate::expr::FilterOp;
-        use crate::storage::ColumnData;
+    fn compile(filter: &Filter, column: &Column) -> Vectorized {
         match filter.op {
             FilterOp::IsNull => return Vectorized::IsNull,
             FilterOp::IsNotNull => return Vectorized::IsNotNull,
@@ -911,8 +909,7 @@ impl Vectorized {
     }
 
     /// Verdict for row `r` of `column`.
-    fn matches(&self, column: &crate::storage::Column, r: usize) -> bool {
-        use crate::storage::ColumnData;
+    fn matches(&self, column: &Column, r: usize) -> bool {
         match self {
             Vectorized::IsNull => return column.is_null(r),
             Vectorized::IsNotNull => return !column.is_null(r),
@@ -945,7 +942,7 @@ impl Vectorized {
 /// accounting.
 fn run_scan(
     db: &Database,
-    table: crate::catalog::TableId,
+    table: TableId,
     scan: &ScanNode,
     opts: &ExecOptions,
     ctx: &StmtCtx,
@@ -987,31 +984,18 @@ fn run_scan(
             let pending = ctx.pending.iter().filter(|(t, _)| *t == table);
             let mut morsels: Vec<&[Row]> = Vec::new();
             for source in std::iter::once(visible).chain(pending.map(|(_, rows)| rows.as_slice())) {
-                let ranges = morsel_ranges(source.len(), opts);
-                profile.note_morsels(&ranges);
+                let ranges = morsel_ranges(source.len(), opts, profile);
                 morsels.extend(ranges.into_iter().map(|range| &source[range]));
             }
-            let hit = std::sync::atomic::AtomicBool::new(false);
-            let pieces: Vec<(Vec<Row>, f64, u64)> =
-                par::parallel_map(&morsels, opts.threads, |_, morsel| {
-                    if deadline_hit(ctx, &hit) {
-                        return (Vec::new(), 0.0, 0);
-                    }
-                    let mut out = Vec::new();
-                    for row in *morsel {
-                        if passes_quiet(row, &scan.filters) {
-                            out.push(row.clone());
-                        }
-                    }
-                    (out, morsel.len() as f64 * per_row_cpu, morsel.len() as u64)
-                });
-            bail_if_hit(&hit, "scan")?;
-            let mut result = Vec::new();
-            for (piece, cpu, tuples) in pieces {
-                result.extend(piece);
-                stats.cpu_cost += cpu;
-                stats.tuples_processed += tuples;
-            }
+            let pieces = fan_out(&morsels, opts, ctx, "scan", |morsel| {
+                let out = morsel
+                    .iter()
+                    .filter(|row| passes_quiet(row, &scan.filters))
+                    .cloned()
+                    .collect();
+                (out, morsel.len() as u64)
+            })?;
+            let result = reduce_scan(pieces, per_row_cpu, &mut stats);
             profile.record_op("scan.seq", scan_start.elapsed());
             Ok((result, stats))
         }
@@ -1041,7 +1025,7 @@ fn run_scan(
                 })?;
             }
             stats.io_cost += heap.pages() as f64 * SEQ_PAGE_COST;
-            let kernels: Vec<(&crate::storage::Column, Vectorized)> = scan
+            let kernels: Vec<(&Column, Vectorized)> = scan
                 .filters
                 .iter()
                 .map(|f| {
@@ -1059,50 +1043,38 @@ fn run_scan(
             // The partition's row count is clamped to the snapshot's
             // watermark; like the live path's stale-partition semantics,
             // rows past the scanned prefix are simply not produced.
-            let ranges = morsel_ranges(ctx.visible_rows(table, col_heap.rows()), opts);
-            let hit = std::sync::atomic::AtomicBool::new(false);
-            profile.note_morsels(&ranges);
-            let pieces: Vec<(Vec<Row>, f64, u64)> =
-                par::parallel_map(&ranges, opts.threads, |_, range| {
-                    if deadline_hit(ctx, &hit) {
-                        return (Vec::new(), 0.0, 0);
-                    }
-                    // Filter to a selection vector: the first kernel scans
-                    // the range, the rest thin it in plan-filter order.
-                    let mut sel: Vec<u32> = Vec::new();
-                    match kernels.split_first() {
-                        None => sel.extend(range.clone().map(|r| r as u32)),
-                        Some(((column, kernel), rest)) => {
-                            for r in range.clone() {
-                                if kernel.matches(column, r) {
-                                    sel.push(r as u32);
-                                }
-                            }
-                            for (column, kernel) in rest {
-                                sel.retain(|&r| kernel.matches(column, r as usize));
+            let ranges = morsel_ranges(ctx.visible_rows(table, col_heap.rows()), opts, profile);
+            let pieces = fan_out(&ranges, opts, ctx, "scan", |range| {
+                // Filter to a selection vector: the first kernel scans the
+                // range, the rest thin it in plan-filter order.
+                let mut sel: Vec<u32> = Vec::new();
+                match kernels.split_first() {
+                    None => sel.extend(range.clone().map(|r| r as u32)),
+                    Some(((column, kernel), rest)) => {
+                        for r in range.clone() {
+                            if kernel.matches(column, r) {
+                                sel.push(r as u32);
                             }
                         }
-                    }
-                    // Late materialization: decode only the surviving rows,
-                    // and only the columns the plan reads — the rest stay
-                    // NULL, which downstream operators never touch.
-                    let mut out = Vec::with_capacity(sel.len());
-                    for &r in &sel {
-                        let mut row = vec![Value::Null; width];
-                        for &c in columns {
-                            row[c] = col_heap.value(c, r as usize);
+                        for (column, kernel) in rest {
+                            sel.retain(|&r| kernel.matches(column, r as usize));
                         }
-                        out.push(row);
                     }
-                    (out, range.len() as f64 * per_row_cpu, range.len() as u64)
-                });
-            bail_if_hit(&hit, "scan")?;
-            let mut result = Vec::new();
-            for (piece, cpu, tuples) in pieces {
-                result.extend(piece);
-                stats.cpu_cost += cpu;
-                stats.tuples_processed += tuples;
-            }
+                }
+                // Late materialization: decode only the surviving rows, and
+                // only the columns the plan reads — the rest stay NULL,
+                // which downstream operators never touch.
+                let mut out = Vec::with_capacity(sel.len());
+                for &r in &sel {
+                    let mut row = vec![Value::Null; width];
+                    for &c in columns {
+                        row[c] = col_heap.value(c, r as usize);
+                    }
+                    out.push(row);
+                }
+                (out, range.len() as u64)
+            })?;
+            let result = reduce_scan(pieces, per_row_cpu, &mut stats);
             // Recorded as `scan.seq`: the operator identity (and with it the
             // profile fingerprint) is part of the layout-invariance
             // contract.
@@ -1125,14 +1097,7 @@ fn run_scan(
                     built.verify_checksums(&table_def.name)
                 })?;
             }
-            let mut matched = built.seek(key);
-            if let Some(v) = ctx.snapshot {
-                // Filter postings to the snapshot's visible prefix before
-                // any costing: invisible rows read no leaf entries, fetch no
-                // heap pages, and charge no budget.
-                let limit = v.table_rows(table);
-                matched.retain(|&i| (i as usize) < limit);
-            }
+            let matched = seek_postings(built, key, ctx, table);
             let entry_width = built.def.entry_width(table_def, db.table_stats(table));
             stats.io_cost += BTREE_DESCENT_COST * RANDOM_PAGE_COST;
             // Zero matches read no leaf entries: descent cost only, matching
@@ -1161,32 +1126,19 @@ fn run_scan(
                 !covering,
                 ledger,
             )?;
-            let ranges = morsel_ranges(matched.len(), opts);
-            profile.note_morsels(&ranges);
-            let pieces: Vec<RelResult<(Vec<Row>, f64, u64)>> =
-                par::parallel_map(&ranges, opts.threads, |_, range| {
-                    ctx.check_deadline("scan")?;
-                    let mut out = Vec::new();
-                    for &i in &matched[range.start..range.end] {
-                        let row = heap.row(i as usize).ok_or_else(|| {
-                            RelError::Fault(format!(
-                                "dangling index entry {i} in '{}' via '{index}'",
-                                table_def.name
-                            ))
-                        })?;
-                        if passes_quiet(row, &scan.filters) {
-                            out.push(row.clone());
-                        }
-                    }
-                    Ok((out, range.len() as f64 * per_row_cpu, range.len() as u64))
-                });
-            let mut result = Vec::new();
-            for piece in pieces {
-                let (rows, cpu, tuples) = piece?;
-                result.extend(rows);
-                stats.cpu_cost += cpu;
-                stats.tuples_processed += tuples;
-            }
+            // Resolve the postings before the fan-out, so a dangling entry
+            // is a `Fault` even when the deadline stops the morsels.
+            let rows = matched
+                .iter()
+                .map(|&posting| fetch_posting(heap, posting, &table_def.name, index))
+                .collect::<RelResult<Vec<_>>>()?;
+            let ranges = morsel_ranges(rows.len(), opts, profile);
+            let pieces = fan_out(&ranges, opts, ctx, "scan", |range| {
+                let slice = &rows[range.clone()];
+                let out = slice.iter().filter(|r| passes_quiet(r, &scan.filters));
+                (out.map(|&r| r.clone()).collect(), range.len() as u64)
+            })?;
+            let result = reduce_scan(pieces, per_row_cpu, &mut stats);
             profile.record_op("scan.index", scan_start.elapsed());
             Ok((result, stats))
         }
@@ -1200,7 +1152,7 @@ fn run_scan(
 /// before any morsel fan-out.
 fn storage_access(
     plane: Option<&FaultPlane>,
-    heap: &crate::storage::TableHeap,
+    heap: &TableHeap,
     table: &str,
     pages: u64,
     reads_heap_rows: bool,
@@ -1222,7 +1174,7 @@ fn storage_access(
 fn execute_view_scan(
     db: &Database,
     view: &str,
-    filters: &[(usize, crate::expr::FilterOp, Value)],
+    filters: &[(usize, FilterOp, Value)],
     outputs: &[ViewOutput],
     opts: &ExecOptions,
     ctx: &StmtCtx,
@@ -1260,15 +1212,10 @@ fn execute_view_scan(
     let mut stats = ExecStats::default();
     stats.io_cost += built.pages() as f64 * SEQ_PAGE_COST;
     let per_row_cpu = CPU_TUPLE_COST + filters.len() as f64 * CPU_PRED_COST;
-    let ranges = morsel_ranges(built.rows.len(), opts);
-    let hit = std::sync::atomic::AtomicBool::new(false);
-    profile.note_morsels(&ranges);
-    let pieces: Vec<(Vec<Row>, f64, u64)> = par::parallel_map(&ranges, opts.threads, |_, range| {
-        if deadline_hit(ctx, &hit) {
-            return (Vec::new(), 0.0, 0);
-        }
+    let ranges = morsel_ranges(built.rows.len(), opts, profile);
+    let pieces = fan_out(&ranges, opts, ctx, "view", |range| {
         let mut out: Vec<Row> = Vec::new();
-        for row in &built.rows[range.start..range.end] {
+        for row in &built.rows[range.clone()] {
             if filters
                 .iter()
                 .all(|(col, op, value)| op.eval(&row[*col], value))
@@ -1284,15 +1231,9 @@ fn execute_view_scan(
                 );
             }
         }
-        (out, range.len() as f64 * per_row_cpu, range.len() as u64)
-    });
-    bail_if_hit(&hit, "view")?;
-    let mut result = Vec::new();
-    for (piece, cpu, tuples) in pieces {
-        result.extend(piece);
-        stats.cpu_cost += cpu;
-        stats.tuples_processed += tuples;
-    }
+        (out, range.len() as u64)
+    })?;
+    let result = reduce_scan(pieces, per_row_cpu, &mut stats);
     profile.record_op("view.scan", scan_start.elapsed());
     Ok((result, stats))
 }
@@ -1464,21 +1405,29 @@ mod tests {
     #[test]
     fn expired_deadline_cancels_with_typed_timeout() {
         let (db, t) = db_with_index(false);
-        let plan = db.estimate(&grp_query(t), db.built_config()).unwrap();
-        let opts = ExecOptions::default();
-        let err = execute(&db, &plan, &opts, &expired()).unwrap_err();
-        assert!(matches!(err, RelError::Timeout { .. }), "{err}");
-        assert!(err.is_transient());
-        // A generous deadline never fires, and the result matches the
-        // unbounded run bit-for-bit.
-        let bounded = StmtCtx {
-            deadline: Some(Instant::now() + Duration::from_secs(60)),
-            ..StmtCtx::default()
-        };
-        let (rows_b, stats_b, _) = execute(&db, &plan, &opts, &bounded).unwrap();
-        let (rows, stats, _) = execute(&db, &plan, &opts, &StmtCtx::default()).unwrap();
-        assert_eq!(rows_b, rows);
-        assert_eq!(stats_b, stats);
+        // `grp_query` seeks `ix`; `Ne` is not sargable, so `scan` plans a
+        // full sequential scan.
+        let mut scan = SelectQuery::single(t);
+        scan.filters = vec![Filter::new(0, 1, FilterOp::Ne, Value::Int(7))];
+        scan.outputs = vec![Output::col(0, 0)];
+        for q in [grp_query(t), SqlQuery::Select(scan)] {
+            let plan = db.estimate(&q, db.built_config()).unwrap();
+            for threads in [1usize, 4] {
+                let opts = ExecOptions::with_threads(threads);
+                let err = execute(&db, &plan, &opts, &expired()).unwrap_err();
+                assert!(matches!(err, RelError::Timeout { .. }), "{threads}: {err}");
+                assert!(err.is_transient());
+                // A generous deadline never fires, and the result matches
+                // the unbounded run bit-for-bit.
+                let bounded = StmtCtx {
+                    deadline: Some(Instant::now() + Duration::from_secs(60)),
+                    ..StmtCtx::default()
+                };
+                let (rows_b, stats_b, _) = execute(&db, &plan, &opts, &bounded).unwrap();
+                let (rows, stats, _) = execute(&db, &plan, &opts, &StmtCtx::default()).unwrap();
+                assert_eq!((rows_b, stats_b), (rows, stats), "threads={threads}");
+            }
+        }
     }
 
     /// Read-your-own-writes: the sequential scan reads the pending rows of
@@ -1563,35 +1512,40 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_fires_at_morsel_boundaries_in_parallel_scans() {
-        let (db, t) = db_with_index(false);
-        // `Ne` is not sargable, so this plans a full parallel scan.
-        let mut q = SelectQuery::single(t);
-        q.filters = vec![Filter::new(0, 1, crate::expr::FilterOp::Ne, Value::Int(7))];
-        q.outputs = vec![Output::col(0, 0)];
-        let plan = db
-            .estimate(&SqlQuery::Select(q), db.built_config())
-            .unwrap();
-        for threads in [1usize, 4] {
-            let opts = ExecOptions {
-                threads,
-                morsel_rows: 64,
-            };
-            let err = execute(&db, &plan, &opts, &expired()).unwrap_err();
-            assert!(matches!(err, RelError::Timeout { .. }), "threads={threads}");
-        }
-    }
-
-    #[test]
     fn morsel_ranges_partition_exactly() {
         let opts = ExecOptions {
             threads: 1,
             morsel_rows: 100,
         };
-        let ranges = morsel_ranges(250, &opts);
+        let mut profile = ExecProfile::default();
+        let ranges = morsel_ranges(250, &opts, &mut profile);
         assert_eq!(ranges, vec![0..100, 100..200, 200..250]);
-        assert!(morsel_ranges(0, &opts).is_empty());
-        assert_eq!(morsel_ranges(100, &opts), vec![0..100]);
+        assert!(morsel_ranges(0, &opts, &mut profile).is_empty());
+        assert_eq!(morsel_ranges(100, &opts, &mut profile), vec![0..100]);
+        // Every cut is noted as dispatched, in cut order.
+        assert_eq!(profile.morsels_dispatched, 4);
+        assert_eq!(profile.rows_per_morsel.first, vec![100, 100, 50, 100]);
+    }
+
+    /// The one fan-out: results in morsel order when the deadline is
+    /// absent, and the caller's site in a typed timeout — with no morsel
+    /// started — when it has already passed, for any thread count.
+    #[test]
+    fn fan_out_orders_results_and_times_out_at_its_site() {
+        let morsels: Vec<usize> = (0..37).collect();
+        let started = std::sync::atomic::AtomicUsize::new(0);
+        for threads in [1usize, 4] {
+            let opts = ExecOptions::with_threads(threads);
+            let out = fan_out(&morsels, &opts, &StmtCtx::default(), "test", |&m| m * 3).unwrap();
+            assert_eq!(out, morsels.iter().map(|m| m * 3).collect::<Vec<_>>());
+            let err = fan_out(&morsels, &opts, &expired(), "probe", |&m| {
+                started.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                m
+            })
+            .unwrap_err();
+            assert!(matches!(err, RelError::Timeout { site: "probe" }), "{err}");
+        }
+        assert_eq!(started.into_inner(), 0, "expired fan-out ran a morsel");
     }
 
     #[test]
@@ -1876,7 +1830,6 @@ mod tests {
     /// comparison through the f64 total order.
     #[test]
     fn columnar_kernels_match_row_semantics() {
-        use crate::expr::FilterOp;
         let mut db = Database::new();
         let t = db
             .create_table(TableDef::new(

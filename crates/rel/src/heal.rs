@@ -8,6 +8,7 @@
 //! [`crate::recovery::RecoveryReport`].
 
 use crate::error::{CorruptionEvent, RelResult, StructureKind};
+use crate::json::report_json;
 
 /// What one healing execution ([`crate::db::Database::execute_healing`])
 /// observed and repaired. Registered into metrics as deterministic `heal.*`
@@ -73,22 +74,7 @@ impl HealReport {
     /// Render as a stable JSON object: the counters in
     /// [`HealReport::metric_counters`] order plus the event list.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (name, value) in self.metric_counters() {
-            out.push_str(&format!("\"{name}\": {value}, "));
-        }
-        out.push_str("\"heal.events\": [");
-        for (i, event) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "\"{}:{}:{}:{}\"",
-                event.kind, event.table, event.structure, event.page
-            ));
-        }
-        out.push_str("]}");
-        out
+        report_json(&self.metric_counters(), Some(("heal.events", &self.events)))
     }
 }
 
@@ -142,22 +128,10 @@ impl ScrubReport {
     /// Render as a stable JSON object (counter order plus the corruption
     /// list), for CI artifacts.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (name, value) in self.metric_counters() {
-            out.push_str(&format!("\"{name}\": {value}, "));
-        }
-        out.push_str("\"scrub.sites\": [");
-        for (i, event) in self.corruptions.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "\"{}:{}:{}:{}\"",
-                event.kind, event.table, event.structure, event.page
-            ));
-        }
-        out.push_str("]}");
-        out
+        report_json(
+            &self.metric_counters(),
+            Some(("scrub.sites", &self.corruptions)),
+        )
     }
 }
 
@@ -239,5 +213,32 @@ mod tests {
         assert!(json.contains("\"scrub.corruptions\": 1"), "{json}");
         assert!(json.contains("\"columnar:w:w[c0]:3\""), "{json}");
         assert!(ScrubReport::default().is_clean());
+    }
+
+    /// Structure names are unrestricted, so a site must be escaped like
+    /// any other JSON string.
+    #[test]
+    fn report_json_escapes_structure_names() {
+        let event = CorruptionEvent {
+            kind: StructureKind::Index,
+            table: "t".into(),
+            structure: "ix\"q\\".into(),
+            page: 4,
+        };
+        let heal = HealReport {
+            events: vec![event.clone()],
+            ..HealReport::default()
+        };
+        let scrub = ScrubReport {
+            corruptions: vec![event],
+            ..ScrubReport::default()
+        };
+        let escaped = r#"["index:t:ix\"q\\:4"]"#;
+        assert!(heal
+            .to_json()
+            .ends_with(&format!("\"heal.events\": {escaped}}}")));
+        assert!(scrub
+            .to_json()
+            .ends_with(&format!("\"scrub.sites\": {escaped}}}")));
     }
 }

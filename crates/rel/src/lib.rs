@@ -40,6 +40,7 @@ pub mod expr;
 pub mod fault;
 pub mod heal;
 pub mod index;
+pub mod json;
 pub mod netfault;
 pub mod optimizer;
 pub mod par;

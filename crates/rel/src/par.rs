@@ -10,10 +10,10 @@
 //! the result.
 //!
 //! A cooperative `stop` predicate is polled before each item is claimed;
-//! items not started before it returns `true` come back as `None`. The
-//! advisor plugs its anytime `Deadline` poll in here; the executor uses
-//! [`parallel_map`], whose `stop` never fires and whose every slot is
-//! therefore `Some`.
+//! items not started before it returns `true` come back as `None`. It is
+//! the one cancellation hook of both callers: the executor passes its
+//! statement deadline (and turns an unstarted morsel into a typed timeout),
+//! the advisor its anytime `Deadline`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -98,38 +98,30 @@ where
     slots
 }
 
-/// The executor's total variant: no stop condition, so every slot is filled
-/// and the results come back unwrapped, in item order.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    try_parallel_map(
-        items,
-        threads,
-        || false,
-        || (),
-        |_, index, item| work(index, item),
-    )
-    .into_iter()
-    .map(|slot| slot.expect("no stop condition: every slot is filled"))
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `try_parallel_map` with a never-firing stop, every slot unwrapped.
+    fn total<T: Sync, R: Send>(
+        items: &[T],
+        threads: usize,
+        work: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        try_parallel_map(items, threads, || false, || (), |_, _, item| work(item))
+            .into_iter()
+            .map(|slot| slot.expect("no stop: every slot filled"))
+            .collect()
+    }
+
     #[test]
     fn results_in_item_order_for_any_thread_count() {
         let items: Vec<u64> = (0..257).collect();
-        let serial = parallel_map(&items, 1, |_, &x| x * x);
+        let serial = total(&items, 1, |&x| x * x);
         for threads in [2, 3, 4, 8] {
             assert_eq!(
                 serial,
-                parallel_map(&items, threads, |_, &x| x * x),
+                total(&items, threads, |&x| x * x),
                 "threads={threads}"
             );
         }
@@ -168,8 +160,8 @@ mod tests {
     #[test]
     fn empty_and_single_item() {
         let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(&empty, 8, |_, &x: &u32| x).is_empty());
-        assert_eq!(parallel_map(&[7u32], 8, |_, &x| x + 1), vec![8]);
+        assert!(total(&empty, 8, |&x: &u32| x).is_empty());
+        assert_eq!(total(&[7u32], 8, |&x| x + 1), vec![8]);
     }
 
     #[test]

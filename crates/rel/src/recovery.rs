@@ -107,15 +107,7 @@ impl RecoveryReport {
     /// Render as a stable JSON object (keys in [`RecoveryReport::metric_counters`]
     /// order), for CI artifacts.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.metric_counters().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {value}"));
-        }
-        out.push('}');
-        out
+        crate::json::report_json(&self.metric_counters(), None)
     }
 }
 

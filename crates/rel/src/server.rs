@@ -686,16 +686,7 @@ impl ServerStatsSnapshot {
 
     /// One JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.metric_counters().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let key = name.trim_start_matches("server.");
-            out.push_str(&format!("\"{key}\":{value}"));
-        }
-        out.push('}');
-        out
+        crate::json::counters_json(&self.metric_counters(), "server.")
     }
 }
 
@@ -731,14 +722,7 @@ impl DrainReport {
 
     /// One JSON object (stable key order).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"connections_at_shutdown\":{},\"drained_clean\":{},\"forced_closed\":{},\"txns_rolled_back\":{},\"wait_nanos\":{}}}",
-            self.connections_at_shutdown,
-            self.drained_clean,
-            self.forced_closed,
-            self.txns_rolled_back,
-            self.wait_nanos,
-        )
+        crate::json::counters_json(&self.metric_counters(), "server.drain.")
     }
 }
 
@@ -1916,6 +1900,23 @@ mod tests {
         assert!(!report.to_json().is_empty());
         drop(idle);
         drop(holdout);
+    }
+
+    /// The drain JSON is its counters with the `server.drain.` prefix
+    /// stripped, byte for byte.
+    #[test]
+    fn drain_report_json_strips_the_counter_prefix() {
+        let report = DrainReport {
+            connections_at_shutdown: 2,
+            drained_clean: 1,
+            forced_closed: 1,
+            txns_rolled_back: 1,
+            wait_nanos: 9,
+        };
+        assert_eq!(
+            report.to_json(),
+            r#"{"connections_at_shutdown":2,"drained_clean":1,"forced_closed":1,"txns_rolled_back":1,"wait_nanos":9}"#
+        );
     }
 
     #[test]

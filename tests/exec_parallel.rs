@@ -24,8 +24,10 @@ use xmlshred::data::workload::{
 use xmlshred::data::Dataset;
 use xmlshred::prelude::*;
 use xmlshred::rel::fault::FaultConfig;
+use xmlshred::rel::plan::{Access, BranchPlan, JoinAlgo, JoinNode, QueryPlan, ScanNode};
 use xmlshred::rel::sql::SqlQuery;
 use xmlshred::rel::ExecOptions;
+use xmlshred::rel::{Filter, FilterOp, Output, Value};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -119,35 +121,134 @@ fn deterministic_view(
     )
 }
 
-#[test]
-fn results_stats_and_profiles_identical_across_exec_threads() {
-    for (name, mut db, queries) in fixtures() {
-        for (i, sql) in queries.iter().enumerate() {
-            let mut baseline = None;
-            for threads in THREADS {
-                db.set_exec_options(ExecOptions {
-                    threads,
-                    morsel_rows: MORSEL_ROWS,
-                });
-                let outcome = db.execute(sql).expect("query executes");
-                let view = deterministic_view(&outcome);
-                match &baseline {
-                    None => {
-                        // The fixtures must actually exercise fan-out.
-                        assert!(
-                            outcome.profile.morsels_dispatched > 1,
-                            "{name} q{i}: single morsel, sweep is vacuous"
-                        );
-                        baseline = Some(view);
-                    }
-                    Some(expected) => assert_eq!(
-                        &view, expected,
-                        "{name} q{i}: execution diverged at {threads} thread(s)"
-                    ),
+/// A hand-built index-nested-loop plan (the tuned designs never choose
+/// one): the first ID-range of the first indexed table, self-joined on the
+/// index's key column through that index.
+fn inlj_plan(db: &Database) -> QueryPlan {
+    let index = &db.built_config().indexes[0];
+    let key = index.key_columns[0];
+    let scan = |table_ref, filters| ScanNode {
+        table_ref,
+        access: Access::SeqScan,
+        filters,
+        est_rows: 0.0,
+        est_cost: 0.0,
+    };
+    QueryPlan {
+        branches: vec![BranchPlan::Pipeline {
+            tables: vec![index.table, index.table],
+            driver: scan(0, vec![Filter::new(0, 0, FilterOp::Lt, Value::Int(256))]),
+            joins: vec![JoinNode {
+                inner: scan(1, vec![]),
+                algo: JoinAlgo::IndexNestedLoop {
+                    index: index.name.clone(),
+                    covering: false,
+                },
+                outer_ref: 0,
+                outer_col: key,
+                inner_col: key,
+                est_rows: 0.0,
+                est_cost: 0.0,
+            }],
+            outputs: vec![Output::col(0, 0), Output::col(1, 0)],
+            est_rows: 0.0,
+            est_cost: 0.0,
+        }],
+        order_by: vec![],
+        est_cost: 0.0,
+        epoch: 0,
+    }
+}
+
+/// The operator sites one execution exercised: its profile's operator
+/// names, with `scan.seq` split by the layout the plan read (a columnar
+/// scan profiles as `scan.seq` by the layout-invariance contract).
+fn sites(outcome: &xmlshred::rel::db::QueryOutcome) -> Vec<String> {
+    let mut sites: Vec<String> = outcome
+        .profile
+        .operators
+        .iter()
+        .map(|op| op.name.to_string())
+        .collect();
+    for branch in &outcome.plan.branches {
+        if let BranchPlan::Pipeline { driver, joins, .. } = branch {
+            // An index-nested-loop inner is probed, never scanned.
+            let scanned_inners = joins
+                .iter()
+                .filter(|j| !matches!(j.algo, JoinAlgo::IndexNestedLoop { .. }))
+                .map(|j| &j.inner);
+            for scan in std::iter::once(driver).chain(scanned_inners) {
+                match scan.access {
+                    Access::SeqScan => sites.push("scan.seq/row".into()),
+                    Access::ColumnarScan { .. } => sites.push("scan.seq/columnar".into()),
+                    Access::IndexSeek { .. } => {}
                 }
             }
         }
     }
+    sites
+}
+
+/// Every executor fan-out site the sweep below must reach.
+const FAN_OUT_SITES: [&str; 7] = [
+    "scan.seq/row",
+    "scan.seq/columnar",
+    "scan.index",
+    "view.scan",
+    "join.hash",
+    "join.inlj",
+    "project",
+];
+
+#[test]
+fn results_stats_and_profiles_identical_across_exec_threads() {
+    let mut hit = std::collections::BTreeSet::new();
+    for (name, mut db, queries) in fixtures() {
+        for layout in ["row", "columnar"] {
+            if layout == "columnar" {
+                columnarize(&mut db);
+            }
+            let mut plans: Vec<QueryPlan> = queries
+                .iter()
+                .map(|sql| db.plan(sql).expect("query plans"))
+                .collect();
+            plans.push(inlj_plan(&db));
+            for (i, plan) in plans.iter().enumerate() {
+                let mut baseline = None;
+                for threads in THREADS {
+                    db.set_exec_options(ExecOptions {
+                        threads,
+                        morsel_rows: MORSEL_ROWS,
+                    });
+                    let outcome = db.execute_plan(plan.clone()).expect("plan executes");
+                    let view = deterministic_view(&outcome);
+                    match &baseline {
+                        None => {
+                            // The fixtures must actually exercise fan-out.
+                            assert!(
+                                outcome.profile.morsels_dispatched > 1,
+                                "{name}/{layout} q{i}: single morsel, sweep is vacuous"
+                            );
+                            hit.extend(sites(&outcome));
+                            baseline = Some(view);
+                        }
+                        Some(expected) => assert_eq!(
+                            &view, expected,
+                            "{name}/{layout} q{i}: execution diverged at {threads} thread(s)"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+    let missed: Vec<_> = FAN_OUT_SITES
+        .iter()
+        .filter(|site| !hit.contains(**site))
+        .collect();
+    assert!(
+        missed.is_empty(),
+        "sweep never reached {missed:?}; hit {hit:?}"
+    );
 }
 
 #[test]
