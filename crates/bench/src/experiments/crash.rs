@@ -18,8 +18,8 @@
 
 use crate::experiments::{list_cells, RunOptions};
 use crate::harness::{
-    fold, fold_answer, matrix_fixture, mix, render_table, run_queries, space_budget, BenchScale,
-    MatrixDir,
+    check_answers, fold, fold_answer, matrix_fixture, mix, render_table, run_queries, space_budget,
+    BenchScale, MatrixDir,
 };
 use std::path::Path;
 use xmlshred_core::metrics::record_recovery;
@@ -203,25 +203,7 @@ fn run_cell(
     }
 
     let answers = run_queries(&db, &oracle.queries).map_err(|e| fail("post-recovery", &e))?;
-    for (i, (got, want)) in answers.iter().zip(&oracle.answers).enumerate() {
-        if got.0 != want.0 {
-            return Err(fail(
-                "divergence",
-                &format!("query {i}: rows differ from oracle"),
-            ));
-        }
-        let (g, w) = (&got.1, &want.1);
-        if g.io_cost.to_bits() != w.io_cost.to_bits()
-            || g.cpu_cost.to_bits() != w.cpu_cost.to_bits()
-            || g.rows_out != w.rows_out
-            || g.tuples_processed != w.tuples_processed
-        {
-            return Err(fail(
-                "divergence",
-                &format!("query {i}: ExecStats differ from oracle ({g:?} vs {w:?})"),
-            ));
-        }
-    }
+    check_answers(&answers, &oracle.answers).map_err(|e| fail("divergence", &e))?;
 
     Ok(CellResult {
         report,

@@ -22,7 +22,8 @@
 
 use crate::experiments::{list_cells, RunOptions};
 use crate::harness::{
-    fold, fold_answer, matrix_fixture, mix, render_table, run_queries, BenchScale, MatrixDir,
+    check_answers, fold, fold_answer, matrix_fixture, mix, render_table, run_queries, BenchScale,
+    MatrixDir,
 };
 use std::path::Path;
 use xmlshred_core::metrics::record_heal;
@@ -358,7 +359,7 @@ fn run_cell(
     db.set_exec_options(exec);
 
     // Replay the fixture into the durable store, checkpointing mid-load so
-    // heap repair has to stitch a snapshot image with a WAL suffix.
+    // heap repair has to read a snapshot's records and a WAL suffix.
     let mut ids = Vec::with_capacity(oracle.defs.len());
     for def in &oracle.defs {
         ids.push(db.create_table(def.clone()).map_err(|e| fail("ddl", &e))?);
@@ -424,25 +425,7 @@ fn run_cell(
     // charges must all be bit-identical to the uncorrupted oracle.
     db.set_fault_config(verify_plane(cell_seed));
     let answers = run_queries(&db, &oracle.queries).map_err(|e| fail("post-heal", &e))?;
-    for (i, (got, want)) in answers.iter().zip(&kind_oracle.answers).enumerate() {
-        if got.0 != want.0 {
-            return Err(fail(
-                "divergence",
-                &format!("query {i}: post-heal rows differ from oracle"),
-            ));
-        }
-        let (g, w) = (&got.1, &want.1);
-        if g.io_cost.to_bits() != w.io_cost.to_bits()
-            || g.cpu_cost.to_bits() != w.cpu_cost.to_bits()
-            || g.rows_out != w.rows_out
-            || g.tuples_processed != w.tuples_processed
-        {
-            return Err(fail(
-                "divergence",
-                &format!("query {i}: post-heal ExecStats differ from oracle ({g:?} vs {w:?})"),
-            ));
-        }
-    }
+    check_answers(&answers, &kind_oracle.answers).map_err(|e| fail("post-heal divergence", &e))?;
     let charges = db
         .fault_plane()
         .ok_or_else(|| fail("post-heal", &"fault plane missing"))?

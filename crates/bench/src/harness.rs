@@ -303,6 +303,30 @@ pub fn run_queries(
         .collect()
 }
 
+/// Diff a matrix's query answers against its oracle's: rows equal and
+/// [`ExecStats`] bit-equal, query by query. The error names the first
+/// divergent query; the caller adds its stage prefix.
+pub fn check_answers(
+    got: &[(Vec<Row>, ExecStats)],
+    want: &[(Vec<Row>, ExecStats)],
+) -> Result<(), String> {
+    for (i, ((got_rows, g), (want_rows, w))) in got.iter().zip(want).enumerate() {
+        if got_rows != want_rows {
+            return Err(format!("query {i}: rows differ from oracle"));
+        }
+        if g.io_cost.to_bits() != w.io_cost.to_bits()
+            || g.cpu_cost.to_bits() != w.cpu_cost.to_bits()
+            || g.rows_out != w.rows_out
+            || g.tuples_processed != w.tuples_processed
+        {
+            return Err(format!(
+                "query {i}: ExecStats differ from oracle ({g:?} vs {w:?})"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Where a matrix keeps its per-cell durable databases: under `--data-dir`
 /// (kept, together with a reports artifact) or under a per-process temp
 /// directory (removed as the cells finish).

@@ -23,6 +23,7 @@
 //! wait for open transactions.
 
 use std::time::Duration;
+use xmlshred_rel::snapshot::{SNAPSHOT_FILE, WAL_FILE};
 use xmlshred_rel::{Database, Server, ServerOptions, SessionDb};
 
 fn main() {
@@ -68,9 +69,8 @@ fn main() {
     let db = match &data_dir {
         None => Database::new(),
         Some(dir) => {
-            if std::path::Path::new(dir).join("wal.log").exists()
-                || std::path::Path::new(dir).join("snapshot.img").exists()
-            {
+            let dir_path = std::path::Path::new(dir);
+            if dir_path.join(WAL_FILE).exists() || dir_path.join(SNAPSHOT_FILE).exists() {
                 match Database::open_durable(dir) {
                     Ok((db, report)) => {
                         eprintln!(

@@ -11,11 +11,11 @@ use crate::index::BuiltIndex;
 use crate::optimizer::{self, PhysicalConfig as OptimizerConfig};
 use crate::plan::QueryPlan;
 use crate::recovery::{self, RecoveryReport};
-use crate::snapshot::{self, SnapshotImage, SnapshotTable, SNAPSHOT_FILE, WAL_FILE};
+use crate::snapshot::{self, SNAPSHOT_FILE, WAL_FILE};
 use crate::sql::SqlQuery;
 use crate::stats::{ColumnStats, TableStats, TableStatsAccumulator};
 use crate::storage::{self, ColumnarHeap, TableHeap};
-use crate::types::Row;
+use crate::types::{Row, Value};
 use crate::view::BuiltView;
 use crate::wal::{WalRecord, WalStats, WalWriter};
 use std::borrow::Cow;
@@ -24,6 +24,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use crate::optimizer::PhysicalConfig;
+
+/// Rows per `InsertRows` record in a checkpoint snapshot.
+const SNAPSHOT_BATCH_ROWS: usize = 4096;
 
 /// The durable half of a database: where it lives on disk, the open log
 /// writer, and the LSN counter (monotonic across checkpoints).
@@ -100,7 +103,7 @@ impl Database {
     /// Create a fresh durable database rooted at `dir` (created if
     /// missing). Any previous snapshot/log in the directory is discarded.
     /// Every mutation is write-ahead logged; [`Database::checkpoint`]
-    /// compacts the log into a snapshot image.
+    /// compacts the log into a snapshot.
     pub fn create_durable(dir: impl AsRef<Path>) -> RelResult<Database> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(RelError::io)?;
@@ -178,12 +181,13 @@ impl Database {
         Ok(())
     }
 
-    /// Checkpoint: write the full state (catalog, heaps, statistics,
-    /// physical config) as a snapshot image, then truncate the log to a
+    /// Checkpoint: write the full state as a snapshot — the log records
+    /// that rebuild it ([`crate::snapshot`]) — then truncate the log to a
     /// single checkpoint marker. Crash-safe at every step — the snapshot
     /// swap is tmp-file + rename, and the old log stays in place until the
     /// new one (whose frames the snapshot supersedes by LSN) is complete.
-    /// Errors on a non-durable database.
+    /// Errors on a non-durable database; with a fault plane active, a heap
+    /// failing its checksums is `Corrupted` and nothing on disk changes.
     pub fn checkpoint(&mut self) -> RelResult<()> {
         let Some(d) = self.durability.as_mut() else {
             return Err(RelError::InvalidQuery(
@@ -195,20 +199,39 @@ impl Database {
                 "checkpoint on a crashed database; reopen through recovery".into(),
             ));
         }
-        let image = SnapshotImage {
-            next_lsn: d.next_lsn,
-            tables: self
-                .catalog
-                .iter()
-                .map(|(id, def)| SnapshotTable {
-                    def: def.clone(),
-                    rows: self.heaps[id.index()].rows().to_vec(),
-                    stats: self.stats[id.index()].clone(),
-                })
-                .collect(),
-            config: self.built.config().clone(),
-        };
-        snapshot::write_snapshot(&d.dir, &image)?;
+        // As in `validate_config`: never persist a corrupted page into a
+        // snapshot that vouches for it once the repairing log is truncated.
+        if self.fault.is_some() {
+            for (id, def) in self.catalog.iter() {
+                heap_of(&self.heaps, id)?.verify_checksums(&def.name)?;
+            }
+        }
+        // Produced lazily, so only one row batch is cloned at a time.
+        let config = self.built.config();
+        let records = self
+            .catalog
+            .iter()
+            .flat_map(|(id, def)| {
+                let batches = self.heaps[id.index()]
+                    .rows()
+                    .chunks(SNAPSHOT_BATCH_ROWS)
+                    .map(move |rows| WalRecord::InsertRows {
+                        table: id,
+                        rows: rows.to_vec(),
+                    });
+                std::iter::once(WalRecord::CreateTable(def.clone())).chain(batches)
+            })
+            .chain([WalRecord::StatsMode {
+                incremental: self.incremental_stats,
+            }])
+            .chain(self.catalog.iter().map(|(id, _)| WalRecord::SetTableStats {
+                table: id,
+                stats: self.stats[id.index()].clone(),
+            }))
+            .chain(
+                (*config != PhysicalConfig::none()).then(|| WalRecord::ApplyConfig(config.clone())),
+            );
+        snapshot::write_snapshot(&d.dir, d.next_lsn, records)?;
         // Fresh log: one checkpoint marker, then swap it over the old file.
         let tmp = d.dir.join("wal.tmp");
         let mut fresh = WalWriter::create(&tmp)?;
@@ -462,19 +485,7 @@ impl Database {
         else {
             return;
         };
-        let columns = (0..def.columns.len())
-            .map(|c| {
-                ColumnStats::build(
-                    heap.rows()
-                        .iter()
-                        .map(|row| row.get(c).cloned().unwrap_or(crate::types::Value::Null)),
-                )
-            })
-            .collect();
-        let fresh = TableStats {
-            rows: heap.len() as u64,
-            columns,
-        };
+        let fresh = table_stats_of(def, heap.rows());
         if let Some(slot) = self.stats.get_mut(table.index()) {
             *slot = fresh;
         }
@@ -495,17 +506,7 @@ impl Database {
                     return TableStats::default();
                 };
                 let visible = vis.table_rows(id).min(heap.len());
-                let rows = &heap.rows()[..visible];
-                TableStats {
-                    rows: visible as u64,
-                    columns: (0..def.columns.len())
-                        .map(|c| {
-                            ColumnStats::build(rows.iter().map(|row| {
-                                row.get(c).cloned().unwrap_or(crate::types::Value::Null)
-                            }))
-                        })
-                        .collect(),
-                }
+                table_stats_of(def, &heap.rows()[..visible])
             })
             .collect()
     }
@@ -1001,6 +1002,22 @@ impl Database {
         self.built
             .verify_each(&self.catalog, |kind, result| report.note(kind, result));
         report
+    }
+}
+
+/// Full statistics of `rows` under `def` (a short row reads as `Null`
+/// past its end): the one builder behind every analyze path.
+fn table_stats_of(def: &TableDef, rows: &[Row]) -> TableStats {
+    TableStats {
+        rows: rows.len() as u64,
+        columns: (0..def.columns.len())
+            .map(|c| {
+                ColumnStats::build(
+                    rows.iter()
+                        .map(|row| row.get(c).cloned().unwrap_or(Value::Null)),
+                )
+            })
+            .collect(),
     }
 }
 

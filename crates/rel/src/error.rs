@@ -131,8 +131,8 @@ pub enum RelError {
     /// further durable mutation fails until the database is reopened
     /// through recovery.
     Crashed(String),
-    /// The snapshot image failed validation (bad magic, unsupported
-    /// version, or checksum mismatch). Not recoverable by replay: the
+    /// The snapshot failed validation (a damaged or torn frame, or no
+    /// closing checkpoint marker). Not recoverable by replay: the
     /// checkpointed base state itself is damaged.
     InvalidSnapshot(String),
     /// First-committer-wins serialization failure: another transaction

@@ -1,11 +1,12 @@
-//! Crash recovery: turn a durable directory (snapshot image + write-ahead
-//! log) back into a live [`Database`], deterministically.
+//! Crash recovery: turn a durable directory (snapshot + write-ahead log)
+//! back into a live [`Database`], deterministically.
 //!
 //! Recovery is a pure function of the on-disk bytes:
 //!
-//! 1. Validate and load the snapshot, if any ([`crate::snapshot`]); a
-//!    checksum-failing snapshot is fatal, a missing one means "replay from
-//!    an empty database".
+//! 1. Validate the snapshot, if any ([`crate::snapshot`]), and replay its
+//!    records — a compacted log ending in a checkpoint marker — through
+//!    the same `apply_record` as the WAL; a damaged snapshot is fatal, a
+//!    missing one means "replay from an empty database".
 //! 2. Scan the WAL, accepting frames up to the first incomplete or
 //!    CRC-failing one; the remainder is a torn tail from an interrupted
 //!    final write and is discarded (counted, not errored). A trailing
@@ -24,8 +25,8 @@
 //! database and the same report — the property the crash-matrix harness
 //! and CI assert.
 
-use crate::catalog::TableId;
-use crate::db::{Database, PhysicalConfig};
+use crate::catalog::{TableDef, TableId};
+use crate::db::Database;
 use crate::error::{RelError, RelResult};
 use crate::snapshot::{self, WAL_FILE};
 use crate::storage::TableHeap;
@@ -37,10 +38,10 @@ use std::path::Path;
 /// [`RecoveryReport::metric_counters`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Whether a snapshot image was found and loaded.
+    /// Whether a snapshot was found and replayed.
     pub snapshot_loaded: bool,
-    /// The snapshot's `next_lsn` (0 without a snapshot): frames below this
-    /// are already absorbed.
+    /// The snapshot's checkpoint-marker LSN (0 without a snapshot): WAL
+    /// frames below this are already absorbed.
     pub snapshot_lsn: u64,
     /// WAL frames replayed against the restored state.
     pub frames_replayed: u64,
@@ -72,8 +73,8 @@ pub struct RecoveryReport {
     pub wal_valid_bytes: u64,
     /// Heap pages whose checksums were verified after restore.
     pub pages_verified: u64,
-    /// Index structures built during recovery (snapshot config + replayed
-    /// `ApplyConfig` records).
+    /// Index structures built during recovery (the snapshot's and the
+    /// log's replayed `ApplyConfig` records).
     pub indexes_rebuilt: u64,
     /// View materializations built during recovery.
     pub views_rebuilt: u64,
@@ -202,25 +203,12 @@ pub fn recover(dir: &Path) -> RelResult<(Database, RecoveryReport)> {
     let mut db = Database::new();
     let mut report = RecoveryReport::default();
 
-    if let Some(image) = snapshot::read_snapshot(dir)? {
+    if let Some((lsn, records)) = snapshot::read_snapshot(dir)? {
         report.snapshot_loaded = true;
-        report.snapshot_lsn = image.next_lsn;
-        report.next_lsn = image.next_lsn;
-        for table in &image.tables {
-            let id = db.create_table(table.def.clone())?;
-            let heap = db
-                .heap_mut(id)
-                .ok_or_else(|| RelError::UnknownTable(table.def.name.clone()))?;
-            for row in &table.rows {
-                // Rows were validated when originally inserted and the
-                // image is CRC-guarded; re-inserting re-derives the page
-                // checksums.
-                heap.insert_unchecked(&table.def, row.clone());
-            }
-            db.set_table_stats(id, table.stats.clone())?;
-        }
-        if image.config != PhysicalConfig::none() {
-            apply_record(&mut db, WalRecord::ApplyConfig(image.config), &mut report)?;
+        report.snapshot_lsn = lsn;
+        report.next_lsn = lsn;
+        for record in records {
+            apply_record(&mut db, record, &mut report)?;
         }
     }
 
@@ -273,48 +261,34 @@ pub fn recover(dir: &Path) -> RelResult<(Database, RecoveryReport)> {
 }
 
 /// Rebuild one table's row heap from the durable directory alone: the
-/// snapshot image (if any) plus the committed WAL suffix. This is targeted
-/// repair for in-memory heap-page corruption — the on-disk bytes are the
-/// authority, so the returned heap is exactly the heap a full
-/// [`recover`] would produce for that table.
+/// snapshot's records (if any) followed by the committed WAL suffix, read
+/// as one log. This is targeted repair for in-memory heap-page corruption
+/// — the on-disk bytes are the authority, so the returned heap is exactly
+/// the heap a full [`recover`] would produce for that table.
 ///
 /// Pure function of the directory bytes and the table name; the caller
 /// swaps the heap into the live database. Table ids are assigned the way
-/// [`recover`] assigns them: snapshot tables in image order get ids
-/// `0..n`, then each replayed `CreateTable` frame takes the next id — so
-/// `InsertRows` frames can be matched to the target table without a live
-/// catalog.
+/// [`recover`] assigns them — each replayed `CreateTable` takes the next
+/// id — so `InsertRows` records can be matched to the target table
+/// without a live catalog.
 ///
 /// The rebuilt heap is checksum-verified before it is returned; an
 /// unknown table name is an error.
 pub fn repair_table(dir: &Path, table: &str) -> RelResult<TableHeap> {
     let mut heap = TableHeap::new();
-    let mut def = None;
-    let mut target: Option<TableId> = None;
+    let mut target: Option<(TableId, TableDef)> = None;
     let mut next_id: u32 = 0;
-    let mut snapshot_lsn = 0u64;
 
-    if let Some(image) = snapshot::read_snapshot(dir)? {
-        snapshot_lsn = image.next_lsn;
-        for snap_table in image.tables {
-            let id = TableId(next_id);
-            next_id += 1;
-            if snap_table.def.name == table {
-                for row in snap_table.rows {
-                    heap.insert_unchecked(&snap_table.def, row);
-                }
-                target = Some(id);
-                def = Some(snap_table.def);
-            }
-        }
-    }
-
-    let outcome = wal::read_wal(&dir.join(WAL_FILE))?;
+    let (snapshot_lsn, snapshot_records) = snapshot::read_snapshot(dir)?.unwrap_or_default();
     // Same committed-prefix rule as `recover`: an uncommitted trailing
     // transaction contributes nothing to the repaired heap.
-    let committed = committed_log(outcome);
-    for (lsn, record) in committed.frames {
-        if matches!(record, WalRecord::Checkpoint) || lsn < snapshot_lsn {
+    let committed = committed_log(wal::read_wal(&dir.join(WAL_FILE))?);
+    let log = snapshot_records
+        .into_iter()
+        .map(|record| (snapshot_lsn, record))
+        .chain(committed.frames);
+    for (lsn, record) in log {
+        if lsn < snapshot_lsn {
             continue;
         }
         match record {
@@ -322,16 +296,14 @@ pub fn repair_table(dir: &Path, table: &str) -> RelResult<TableHeap> {
                 let id = TableId(next_id);
                 next_id += 1;
                 if created.name == table {
-                    target = Some(id);
-                    def = Some(created);
+                    target = Some((id, created));
                 }
             }
-            WalRecord::InsertRows { table: id, rows } if Some(id) == target => {
-                let table_def = def
-                    .as_ref()
-                    .ok_or_else(|| RelError::UnknownTable(table.to_string()))?;
-                for row in rows {
-                    heap.insert_unchecked(table_def, row);
+            WalRecord::InsertRows { table: id, rows } => {
+                if let Some((_, def)) = target.as_ref().filter(|(t, _)| *t == id) {
+                    for row in rows {
+                        heap.insert_unchecked(def, row);
+                    }
                 }
             }
             _ => {}

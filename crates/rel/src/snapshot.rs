@@ -1,27 +1,22 @@
-//! Checkpoint snapshots: a versioned on-disk image of the full database
-//! state (catalog, heap rows, statistics, physical configuration).
+//! Checkpoint snapshots: the database state as a compacted log.
 //!
-//! File layout:
+//! `snapshot.img` holds the records that rebuild the checkpointed state on
+//! an empty database, in the WAL's own frame format ([`crate::wal`]): one
+//! `CreateTable` per table, its rows as `InsertRows` batches, the
+//! statistics mode, one `SetTableStats` per table, the physical design as
+//! one `ApplyConfig` (when one is built), and a closing `Checkpoint`
+//! marker. Every frame carries the checkpoint's LSN — the database's
+//! `next_lsn` at checkpoint time — so recovery replays the records through
+//! the same `apply_record` as the log, then skips WAL frames below it.
 //!
-//! ```text
-//! [magic: 8 bytes "XSHREDSN"] [version: u32 LE] [crc32: u32 LE] [payload]
-//! ```
-//!
-//! The CRC covers the whole payload, so a snapshot is either valid in full
-//! or rejected in full ([`RelError::InvalidSnapshot`]) — unlike the WAL,
-//! whose tail may legitimately be torn, a snapshot is written through a
-//! temp-file + `rename` sequence and must never be partially visible. The
-//! payload records `next_lsn` at checkpoint time; recovery uses it to skip
-//! WAL frames the snapshot already absorbed.
+//! Unlike the WAL, whose tail may legitimately be torn, a snapshot is
+//! written through a temp-file + `rename` sequence and must never be
+//! partially visible: a damaged or torn frame, or a last frame that is not
+//! the marker, rejects the whole file ([`RelError::InvalidSnapshot`]).
 
-use crate::catalog::TableDef;
 use crate::error::{RelError, RelResult};
-use crate::optimizer::PhysicalConfig;
-use crate::stats::TableStats;
-use crate::types::Row;
-use crate::wal::{self, crc32, Dec, Enc};
+use crate::wal::{self, WalRecord, WalWriter};
 use std::fs;
-use std::io::{Read, Write};
 use std::path::Path;
 
 /// Snapshot file name inside a durable database directory.
@@ -29,143 +24,63 @@ pub const SNAPSHOT_FILE: &str = "snapshot.img";
 /// Log file name inside a durable database directory.
 pub const WAL_FILE: &str = "wal.log";
 
-const MAGIC: &[u8; 8] = b"XSHREDSN";
-const VERSION: u32 = 1;
-
-/// One table's checkpointed state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotTable {
-    /// Table definition (catalog entry).
-    pub def: TableDef,
-    /// Heap rows in storage order. Page checksums are not stored: the
-    /// recovery loader re-derives them by re-inserting the rows, and the
-    /// file-level CRC already guards the serialized bytes.
-    pub rows: Vec<Row>,
-    /// Table statistics as of the checkpoint.
-    pub stats: TableStats,
-}
-
-/// A decoded snapshot image.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotImage {
-    /// The database's LSN counter at checkpoint time: every logged mutation
-    /// with `lsn < next_lsn` is already reflected in this image.
-    pub next_lsn: u64,
-    /// Tables in catalog (table-id) order.
-    pub tables: Vec<SnapshotTable>,
-    /// The physical configuration that was materialized, rebuilt (not
-    /// stored) on recovery.
-    pub config: PhysicalConfig,
-}
-
-fn encode_image(image: &SnapshotImage) -> Vec<u8> {
-    let mut e = Enc::default();
-    e.u64(image.next_lsn);
-    e.u32(image.tables.len() as u32);
-    for table in &image.tables {
-        wal::enc_table_def(&mut e, &table.def);
-        e.u32(table.rows.len() as u32);
-        for row in &table.rows {
-            wal::enc_row(&mut e, row);
-        }
-        wal::enc_table_stats(&mut e, &table.stats);
-    }
-    wal::enc_config(&mut e, &image.config);
-    e.0
-}
-
-fn decode_image(payload: &[u8]) -> Result<SnapshotImage, wal::DecodeError> {
-    let mut d = Dec::new(payload);
-    let next_lsn = d.u64()?;
-    let n_tables = d.u32()? as usize;
-    let mut tables = Vec::with_capacity(n_tables.min(1024));
-    for _ in 0..n_tables {
-        let def = wal::dec_table_def(&mut d)?;
-        let n_rows = d.u32()? as usize;
-        let mut rows = Vec::new();
-        for _ in 0..n_rows {
-            rows.push(wal::dec_row(&mut d)?);
-        }
-        let stats = wal::dec_table_stats(&mut d)?;
-        tables.push(SnapshotTable { def, rows, stats });
-    }
-    let config = wal::dec_config(&mut d)?;
-    if !d.is_done() {
-        return Err(wal::DecodeError::TrailingBytes {
-            context: "snapshot payload",
-        });
-    }
-    Ok(SnapshotImage {
-        next_lsn,
-        tables,
-        config,
-    })
-}
-
-/// Write `image` to `dir/snapshot.img` atomically: serialize to
-/// `snapshot.tmp`, sync, then rename over the live file. A crash at any
-/// point leaves either the old snapshot or the new one — never a torn mix.
-pub fn write_snapshot(dir: &Path, image: &SnapshotImage) -> RelResult<()> {
-    let payload = encode_image(image);
+/// Write `records` plus the closing checkpoint marker, every frame at
+/// `lsn`, to `dir/snapshot.img` atomically: append to `snapshot.tmp`,
+/// sync, then rename over the live file. A crash at any point leaves
+/// either the old snapshot or the new one — never a torn mix. The writer
+/// is private to the file, so no crash point or WAL counter sees it.
+pub(crate) fn write_snapshot(
+    dir: &Path,
+    lsn: u64,
+    records: impl IntoIterator<Item = WalRecord>,
+) -> RelResult<()> {
     let tmp = dir.join("snapshot.tmp");
-    {
-        let mut file = fs::File::create(&tmp).map_err(RelError::io)?;
-        file.write_all(MAGIC).map_err(RelError::io)?;
-        file.write_all(&VERSION.to_le_bytes())
-            .map_err(RelError::io)?;
-        file.write_all(&crc32(&payload).to_le_bytes())
-            .map_err(RelError::io)?;
-        file.write_all(&payload).map_err(RelError::io)?;
-        file.sync_all().map_err(RelError::io)?;
+    let mut writer = WalWriter::create(&tmp)?;
+    for record in records.into_iter().chain([WalRecord::Checkpoint]) {
+        writer.append(lsn, &record)?;
     }
+    writer.sync()?;
     fs::rename(&tmp, dir.join(SNAPSHOT_FILE)).map_err(RelError::io)
 }
 
-/// Read and validate `dir/snapshot.img`. A missing file is `None` (fresh
-/// database or never checkpointed); any validation failure — bad magic,
-/// unsupported version, checksum mismatch, or undecodable payload — is
-/// [`RelError::InvalidSnapshot`], which is fatal: the WAL alone cannot
-/// reconstruct state the truncated log no longer carries.
-pub fn read_snapshot(dir: &Path) -> RelResult<Option<SnapshotImage>> {
+/// Read and validate `dir/snapshot.img`: the checkpoint marker's LSN and
+/// the records before it. A missing file is `None` (fresh database or
+/// never checkpointed); a damaged or torn frame, or a missing closing
+/// marker, is [`RelError::InvalidSnapshot`], which is fatal: the WAL alone
+/// cannot reconstruct state the truncated log no longer carries.
+pub fn read_snapshot(dir: &Path) -> RelResult<Option<(u64, Vec<WalRecord>)>> {
     let path = dir.join(SNAPSHOT_FILE);
-    let mut bytes = Vec::new();
-    match fs::File::open(&path) {
-        Ok(mut file) => {
-            file.read_to_end(&mut bytes).map_err(RelError::io)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(RelError::io(e)),
+    if !path.exists() {
+        return Ok(None);
     }
-    if bytes.len() < 16 || &bytes[..8] != MAGIC {
+    let outcome = wal::read_wal(&path)?;
+    if outcome.bytes_discarded > 0 {
         return Err(RelError::InvalidSnapshot(format!(
-            "bad magic or truncated header in {}",
+            "damaged frame at byte {} of {}",
+            outcome.valid_bytes,
             path.display()
         )));
     }
-    let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if version != VERSION {
-        return Err(RelError::InvalidSnapshot(format!(
-            "unsupported snapshot version {version} (expected {VERSION})"
-        )));
-    }
-    let crc = u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]);
-    let payload = &bytes[16..];
-    if crc32(payload) != crc {
-        return Err(RelError::InvalidSnapshot(format!(
-            "checksum mismatch in {}",
+    let mut frames = outcome.frames;
+    match frames.pop() {
+        Some((lsn, WalRecord::Checkpoint)) => Ok(Some((
+            lsn,
+            frames.into_iter().map(|(_, record)| record).collect(),
+        ))),
+        _ => Err(RelError::InvalidSnapshot(format!(
+            "no closing checkpoint marker in {}",
             path.display()
-        )));
+        ))),
     }
-    decode_image(payload)
-        .map(Some)
-        .map_err(|msg| RelError::InvalidSnapshot(format!("undecodable payload: {msg}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::ColumnDef;
+    use crate::catalog::{ColumnDef, TableDef, TableId};
     use crate::index::IndexDef;
+    use crate::optimizer::PhysicalConfig;
+    use crate::stats::TableStats;
     use crate::types::{DataType, Value};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -178,7 +93,7 @@ mod tests {
         dir
     }
 
-    fn sample_image() -> SnapshotImage {
+    fn sample_records() -> Vec<WalRecord> {
         let def = TableDef::new(
             "t",
             vec![
@@ -186,39 +101,37 @@ mod tests {
                 ColumnDef::new("name", DataType::Str).nullable(),
             ],
         );
-        SnapshotImage {
-            next_lsn: 17,
-            tables: vec![SnapshotTable {
-                def,
+        vec![
+            WalRecord::CreateTable(def),
+            WalRecord::InsertRows {
+                table: TableId(0),
                 rows: vec![
                     vec![Value::Int(1), Value::str("a")],
                     vec![Value::Int(2), Value::Null],
                 ],
+            },
+            WalRecord::StatsMode { incremental: true },
+            WalRecord::SetTableStats {
+                table: TableId(0),
                 stats: TableStats {
                     rows: 2,
                     columns: vec![],
                 },
-            }],
-            config: PhysicalConfig {
-                indexes: vec![IndexDef::new(
-                    "ix",
-                    crate::catalog::TableId(0),
-                    vec![0],
-                    vec![],
-                )],
-                views: vec![],
-                columnar: vec![crate::catalog::TableId(0)],
             },
-        }
+            WalRecord::ApplyConfig(PhysicalConfig {
+                indexes: vec![IndexDef::new("ix", TableId(0), vec![0], vec![])],
+                views: vec![],
+                columnar: vec![TableId(0)],
+            }),
+        ]
     }
 
     #[test]
     fn snapshot_round_trips() {
         let dir = temp_dir("roundtrip");
-        let image = sample_image();
-        write_snapshot(&dir, &image).unwrap();
-        let back = read_snapshot(&dir).unwrap().unwrap();
-        assert_eq!(back, image);
+        write_snapshot(&dir, 17, sample_records()).unwrap();
+        assert_eq!(read_snapshot(&dir).unwrap(), Some((17, sample_records())));
+        assert!(!dir.join("snapshot.tmp").exists());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -230,34 +143,30 @@ mod tests {
     }
 
     #[test]
-    fn corrupted_snapshot_is_fatal() {
-        let dir = temp_dir("corrupt");
-        write_snapshot(&dir, &sample_image()).unwrap();
+    fn damaged_snapshots_are_fatal() {
+        let dir = temp_dir("damaged");
+        write_snapshot(&dir, 3, sample_records()).unwrap();
         let path = dir.join(SNAPSHOT_FILE);
-        let mut bytes = fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x40;
-        fs::write(&path, &bytes).unwrap();
-        let err = read_snapshot(&dir).unwrap_err();
-        assert!(matches!(err, RelError::InvalidSnapshot(_)), "{err:?}");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bad_magic_and_version_rejected() {
-        let dir = temp_dir("magic");
-        fs::write(dir.join(SNAPSHOT_FILE), b"NOTASNAPSHOT....").unwrap();
-        assert!(matches!(
-            read_snapshot(&dir).unwrap_err(),
-            RelError::InvalidSnapshot(_)
-        ));
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&99u32.to_le_bytes());
-        bytes.extend_from_slice(&[0u8; 4]);
-        fs::write(dir.join(SNAPSHOT_FILE), &bytes).unwrap();
-        let err = read_snapshot(&dir).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        let good = fs::read(&path).unwrap();
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x40;
+        let marker = wal::encode_frame(3, &WalRecord::Checkpoint).len();
+        let cases: [(&str, &[u8]); 5] = [
+            ("flipped byte", &flipped),
+            ("truncated", &good[..good.len() - 3]),
+            ("no closing marker", &good[..good.len() - marker]),
+            ("empty", b""),
+            // Starts like the retired hand-versioned image format.
+            ("garbage", b"XSHREDSN\x01\0\0\0garbage."),
+        ];
+        for (case, bytes) in cases {
+            fs::write(&path, bytes).unwrap();
+            let err = read_snapshot(&dir).unwrap_err();
+            assert!(
+                matches!(err, RelError::InvalidSnapshot(_)),
+                "{case}: {err:?}"
+            );
+        }
         fs::remove_dir_all(&dir).ok();
     }
 }

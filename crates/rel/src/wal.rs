@@ -13,8 +13,9 @@
 //! statistics updates, physical-design builds, and checkpoint markers — so
 //! replay is a deterministic fold over the frame sequence. LSNs are
 //! assigned by the database from a counter that survives checkpoints,
-//! which is what lets recovery skip frames already absorbed into a
-//! snapshot (`lsn < snapshot.next_lsn`).
+//! which is what lets recovery skip frames a snapshot already absorbed
+//! (those below its checkpoint LSN). A snapshot is itself a file of these
+//! frames ([`crate::snapshot`]).
 //!
 //! The reader applies standard first-bad-frame-ends-log semantics: the log
 //! is valid up to the first incomplete, oversized, or CRC-failing frame;
@@ -82,14 +83,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // ------------------------------------------------------------------ codec --
 //
 // A hand-rolled binary codec (fixed-width little-endian integers, floats
-// via `to_bits`, length-prefixed strings) shared by the WAL and the
-// snapshot image. Decoding returns a typed [`DecodeError`] on any
-// truncation or bad tag; WAL callers treat that as a torn frame, snapshot
-// callers as a fatal `InvalidSnapshot`.
+// via `to_bits`, length-prefixed strings) for log records — the frames of
+// both the WAL and the snapshot — and the wire protocol. Decoding returns
+// a typed [`DecodeError`] on any truncation or bad tag, which the frame
+// reader treats as a torn frame.
 
-/// A typed decode failure from the WAL/snapshot binary codec. The WAL
-/// reader treats any of these as the start of a torn tail; the snapshot
-/// reader surfaces them as [`RelError::InvalidSnapshot`].
+/// A typed decode failure from the binary codec. The WAL reader treats
+/// any of these as the start of a torn tail; a snapshot with one is
+/// [`RelError::InvalidSnapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// Input ended before a fixed-width field: `need` more bytes at
@@ -427,7 +428,7 @@ fn dec_view_def(d: &mut Dec<'_>) -> DecResult<ViewDef> {
     })
 }
 
-pub(crate) fn enc_config(e: &mut Enc, config: &PhysicalConfig) {
+fn enc_config(e: &mut Enc, config: &PhysicalConfig) {
     e.u32(config.indexes.len() as u32);
     for def in &config.indexes {
         enc_index_def(e, def);
@@ -437,10 +438,9 @@ pub(crate) fn enc_config(e: &mut Enc, config: &PhysicalConfig) {
         enc_view_def(e, def);
     }
     // The columnar section is written only when non-empty: the config is
-    // the trailing field of both the ApplyConfig record and the snapshot
-    // image, so its absence is unambiguous, and configs without partitions
-    // keep the pre-columnar byte layout (logs and snapshots from before
-    // the section existed still decode, and byte-level WAL accounting
+    // the trailing field of the ApplyConfig record, so its absence is
+    // unambiguous, and configs without partitions keep the pre-columnar
+    // byte layout (older logs still decode, and byte-level WAL accounting
     // like `wal.valid_bytes` is unchanged for them).
     if !config.columnar.is_empty() {
         e.u32(config.columnar.len() as u32);
@@ -450,7 +450,7 @@ pub(crate) fn enc_config(e: &mut Enc, config: &PhysicalConfig) {
     }
 }
 
-pub(crate) fn dec_config(d: &mut Dec<'_>) -> DecResult<PhysicalConfig> {
+fn dec_config(d: &mut Dec<'_>) -> DecResult<PhysicalConfig> {
     let ni = d.len()?;
     let mut indexes = Vec::with_capacity(ni);
     for _ in 0..ni {
@@ -542,7 +542,7 @@ fn dec_column_stats(d: &mut Dec<'_>) -> DecResult<ColumnStats> {
     })
 }
 
-pub(crate) fn enc_table_stats(e: &mut Enc, s: &TableStats) {
+fn enc_table_stats(e: &mut Enc, s: &TableStats) {
     e.u64(s.rows);
     e.u32(s.columns.len() as u32);
     for c in &s.columns {
@@ -550,7 +550,7 @@ pub(crate) fn enc_table_stats(e: &mut Enc, s: &TableStats) {
     }
 }
 
-pub(crate) fn dec_table_stats(d: &mut Dec<'_>) -> DecResult<TableStats> {
+fn dec_table_stats(d: &mut Dec<'_>) -> DecResult<TableStats> {
     let rows = d.u64()?;
     let n = d.len()?;
     let mut columns = Vec::with_capacity(n);
@@ -594,9 +594,10 @@ pub enum WalRecord {
     ApplyConfig(PhysicalConfig),
     /// All physical structures were dropped.
     ClearConfig,
-    /// Checkpoint marker: the first frame of a freshly truncated log,
-    /// recording that a snapshot holds everything below its LSN. Carries no
-    /// mutation and is never replayed.
+    /// Checkpoint marker: the first frame of a freshly truncated log and
+    /// the last frame of a snapshot, recording that the snapshot holds
+    /// everything below its LSN. Carries no mutation and is never
+    /// replayed.
     Checkpoint,
     /// Transaction start marker: every mutation frame between this and the
     /// matching [`WalRecord::TxnCommit`] belongs to transaction `txn` and

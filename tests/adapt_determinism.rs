@@ -194,11 +194,17 @@ fn incremental_stats_mode_survives_recovery() {
     let t = db.create_table(table_def()).expect("create table");
     db.set_incremental_stats(true).expect("enable");
     db.insert_rows(t, (0..80).map(make_row)).expect("insert");
+    // A checkpoint between the batches: the snapshot must carry the mode,
+    // or the suffix replays with maintenance off and the stats go stale.
+    db.checkpoint().expect("checkpoint");
+    db.insert_rows(t, (80..120).map(make_row)).expect("insert");
+    let live = db.all_stats().to_vec();
     drop(db);
     let (mut db, _) = Database::open_durable(&dir).expect("recover");
-    assert!(db.incremental_stats(), "StatsMode record not replayed");
+    assert!(db.incremental_stats(), "stats mode lost across recovery");
+    assert_eq!(db.all_stats(), live, "recovered stats differ from live");
     // The recovered accumulators keep absorbing deltas exactly.
-    db.insert_rows(t, (80..160).map(make_row)).expect("insert");
+    db.insert_rows(t, (120..160).map(make_row)).expect("insert");
     let incremental = db.all_stats().to_vec();
     db.analyze().expect("full analyze");
     assert_eq!(

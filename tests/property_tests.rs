@@ -415,6 +415,7 @@ use xmlshred::rel::{CrashKind, CrashPoint, RelError};
 enum DurOp {
     Insert(Vec<Row>),
     Analyze,
+    StatsMode(bool),
     Checkpoint,
 }
 
@@ -455,7 +456,7 @@ fn arb_durability_case() -> impl Strategy<Value = (TableDef, Vec<DurOp>, u64, Cr
     (
         proptest::collection::vec((0u8..3, proptest::bool::ANY), 1..4),
         proptest::collection::vec(
-            (0u8..5, proptest::collection::vec(0u64..u64::MAX, 1..6)),
+            (0u8..6, proptest::collection::vec(0u64..u64::MAX, 1..6)),
             1..10,
         ),
         0u64..u64::MAX,
@@ -494,6 +495,8 @@ fn arb_durability_case() -> impl Strategy<Value = (TableDef, Vec<DurOp>, u64, Cr
                 .map(|(sel, row_seeds)| {
                     if sel == 4 {
                         DurOp::Analyze
+                    } else if sel == 5 {
+                        DurOp::StatsMode(row_seeds[0].is_multiple_of(2))
                     } else {
                         let rows = row_seeds
                             .into_iter()
@@ -738,6 +741,7 @@ proptest! {
                     oracle.insert_rows(table, rows.iter().cloned()).expect("oracle insert");
                 }
                 DurOp::Analyze => oracle.analyze().expect("oracle analyze"),
+                DurOp::StatsMode(on) => oracle.set_incremental_stats(*on).expect("oracle mode"),
                 DurOp::Checkpoint => {}
             }
         }
@@ -762,6 +766,7 @@ proptest! {
                 match op {
                     DurOp::Insert(rows) => db.insert_rows(table, rows.iter().cloned()).map(|_| ()),
                     DurOp::Analyze => db.analyze(),
+                    DurOp::StatsMode(on) => db.set_incremental_stats(*on),
                     DurOp::Checkpoint => db.checkpoint(),
                 }
             };
@@ -802,12 +807,19 @@ proptest! {
                     }
                     lsn_idx += 1;
                 }
+                DurOp::StatsMode(on) => {
+                    if lsn_idx >= committed {
+                        db.set_incremental_stats(*on).expect("resume stats mode");
+                    }
+                    lsn_idx += 1;
+                }
             }
         }
 
         // The recovered-and-resumed database equals the uncrashed oracle.
         prop_assert_eq!(db.heap(table).rows(), oracle.heap(table).rows());
         prop_assert_eq!(db.table_stats(table), oracle.table_stats(table));
+        prop_assert_eq!(db.incremental_stats(), oracle.incremental_stats());
 
         // And that state is itself durable: a clean reopen replays to the
         // same place with nothing to discard.
@@ -816,6 +828,7 @@ proptest! {
         prop_assert_eq!(report.frames_discarded, 0);
         prop_assert_eq!(db.heap(table).rows(), oracle.heap(table).rows());
         prop_assert_eq!(db.table_stats(table), oracle.table_stats(table));
+        prop_assert_eq!(db.incremental_stats(), oracle.incremental_stats());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -16,6 +16,7 @@ use xmlshred::rel::catalog::{ColumnDef, TableDef, TableId};
 use xmlshred::rel::db::Database;
 use xmlshred::rel::expr::{Filter, FilterOp};
 use xmlshred::rel::index::IndexDef;
+use xmlshred::rel::snapshot::{SNAPSHOT_FILE, WAL_FILE};
 use xmlshred::rel::sql::{JoinCond, Output, SelectQuery, SqlQuery, UnionAllQuery};
 use xmlshred::rel::types::{DataType, Value};
 use xmlshred::rel::view::{ViewDef, ViewSide};
@@ -379,6 +380,48 @@ fn durable_heap_corruption_is_repaired_from_snapshot_and_wal() {
     // The repair is genuine: a fresh statement sees the clean heap.
     let after = db.execute(&query).unwrap();
     assert_eq!(after.rows, expected.rows);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn checkpoint_refuses_to_persist_a_corrupted_heap() {
+    let dir = std::env::temp_dir().join(format!("xmlshred-heal-ckpt-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut db = Database::create_durable(&dir).unwrap();
+    let t = db
+        .create_table(TableDef::new(
+            "t",
+            vec![
+                ColumnDef::new("a", DataType::Int),
+                ColumnDef::new("b", DataType::Int),
+            ],
+        ))
+        .unwrap();
+    db.insert_rows(t, (0..10).map(|i| vec![Value::Int(i), Value::Int(i)]))
+        .unwrap();
+    let snapshot = dir.join(SNAPSHOT_FILE);
+    let log_before = std::fs::read(dir.join(WAL_FILE)).unwrap();
+
+    arm_verification(&mut db, 0);
+    db.heap_mut(t).unwrap().corrupt_row(3);
+    let err = db.checkpoint().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            RelError::Corrupted {
+                kind: StructureKind::Heap,
+                ..
+            }
+        ),
+        "got {err:?}"
+    );
+    // Nothing on disk moved: no snapshot, and the log that can still
+    // repair the heap is intact.
+    assert!(!snapshot.exists());
+    assert_eq!(std::fs::read(dir.join(WAL_FILE)).unwrap(), log_before);
+    drop(db);
+    let (db, _) = Database::open_durable(&dir).unwrap();
+    assert_eq!(db.heap(t).row(3), Some(&vec![Value::Int(3), Value::Int(3)]));
     std::fs::remove_dir_all(&dir).ok();
 }
 
