@@ -22,9 +22,6 @@
 //! verifies by sweeping thread counts and comparing output hashes.
 //! `profile` emits the three-tier metrics report; `--metrics-out PATH`
 //! writes it as JSON.
-//! For `exec`, `--layout {row,columnar}` picks the storage layout the sweep
-//! scans (columnar builds a partition over every workload table; results
-//! and measured costs are bit-identical to row layout).
 //! `serve` benchmarks the multi-session TCP server: N concurrent clients
 //! (sweep 1/4/8; `--serve-clients N` extends it) run a deterministic mixed
 //! read/write workload, reporting p50/p99 latency and throughput; the
@@ -71,7 +68,7 @@
 //! Self-healing knobs (`heal` experiment): `--seed S` seeds the
 //! deterministic corruption sites (default 9) and `--points N` sets the
 //! number of corruption seeds per (fixture, kind) cell (default 3, for
-//! a 2x4x3 = 24-cell matrix over index/view/columnar/heap corruption).
+//! a 2x3x3 = 18-cell matrix over index/view/heap corruption).
 //! `--data-dir PATH` keeps the durable databases and writes a
 //! `heal-reports.json` artifact there. Both `crash` and `heal` accept
 //! `--list-cells` to print their deterministic cell matrix (fixture, kind,
@@ -79,25 +76,38 @@
 //!
 //! `--seed`, `--points` and `--ops` are one flag each across experiments:
 //! every seeded experiment reads the same three and keeps its own default.
+//!
+//! A flag whose value is missing or does not parse, and any argument after
+//! the experiment name that is not a known flag, is an error naming it.
 
 // Robustness gate: library code must propagate typed errors, not unwrap.
 // Tests are exempt (unwrap there is an assertion).
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use std::time::Instant;
-use xmlshred_bench::experiments::{Layout, RunOptions};
+use xmlshred_bench::experiments::RunOptions;
 use xmlshred_bench::harness::BenchScale;
 use xmlshred_core::SearchOptions;
 
-fn take_value<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str) -> Option<T> {
+const UNSIGNED: &str = "an unsigned integer";
+const NUMBER: &str = "a number";
+const PATH: &str = "a path";
+
+/// Remove `flag` and its value from `args` and parse the value, or `None`
+/// when the flag is absent. A missing or unparsable value is fatal.
+fn take_value<T: std::str::FromStr>(
+    args: &mut Vec<String>,
+    flag: &str,
+    expected: &str,
+) -> Option<T> {
     let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 < args.len() {
-        let parsed = args[pos + 1].parse::<T>().ok();
-        args.drain(pos..=pos + 1);
-        parsed
-    } else {
-        args.remove(pos);
-        None
+    let Some(raw) = args.get(pos + 1).cloned() else {
+        fail(&format!("{flag}: expected {expected}, got nothing"));
+    };
+    args.drain(pos..=pos + 1);
+    match raw.parse() {
+        Ok(value) => Some(value),
+        Err(_) => fail(&format!("{flag}: expected {expected}, got '{raw}'")),
     }
 }
 
@@ -109,11 +119,11 @@ fn fail(message: &str) -> ! {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = BenchScale::from_env().unwrap_or_else(|m| fail(&m));
-    if let Some(s) = take_value::<f64>(&mut args, "--scale") {
+    if let Some(s) = take_value::<f64>(&mut args, "--scale", NUMBER) {
         scale = BenchScale::try_new(s).unwrap_or_else(|m| fail(&format!("--scale: {m}")));
     }
     let mut search = SearchOptions::default();
-    if let Some(n) = take_value::<usize>(&mut args, "--threads") {
+    if let Some(n) = take_value::<usize>(&mut args, "--threads", UNSIGNED) {
         search.threads = n;
     }
     if let Some(pos) = args.iter().position(|a| a == "--no-plan-cache") {
@@ -121,24 +131,26 @@ fn main() {
         args.remove(pos);
     }
     let mut exec = xmlshred_rel::ExecOptions::default();
-    if let Some(n) = take_value::<usize>(&mut args, "--exec-threads") {
+    if let Some(n) = take_value::<usize>(&mut args, "--exec-threads", UNSIGNED) {
         exec.threads = n;
     }
-    let fault_p = take_value::<f64>(&mut args, "--fault-p");
-    let deadline_ms = take_value::<u64>(&mut args, "--deadline-ms");
-    let seed = take_value::<u64>(&mut args, "--seed");
-    let points = take_value::<usize>(&mut args, "--points");
-    let ops = take_value::<usize>(&mut args, "--ops");
-    let metrics_out = take_value::<String>(&mut args, "--metrics-out");
+    let fault_p = take_value::<f64>(&mut args, "--fault-p", NUMBER);
+    let deadline_ms = take_value::<u64>(&mut args, "--deadline-ms", UNSIGNED);
+    let seed = take_value::<u64>(&mut args, "--seed", UNSIGNED);
+    let points = take_value::<usize>(&mut args, "--points", UNSIGNED);
+    let ops = take_value::<usize>(&mut args, "--ops", UNSIGNED);
+    let metrics_out = take_value::<String>(&mut args, "--metrics-out", PATH);
     let mut list_cells = false;
     if let Some(pos) = args.iter().position(|a| a == "--list-cells") {
         list_cells = true;
         args.remove(pos);
     }
-    let data_dir = take_value::<String>(&mut args, "--data-dir");
-    let layout = take_value::<Layout>(&mut args, "--layout").unwrap_or_default();
-    let serve_clients = take_value::<usize>(&mut args, "--serve-clients");
-    let adapt_window = take_value::<usize>(&mut args, "--adapt-window").unwrap_or(64);
+    let data_dir = take_value::<String>(&mut args, "--data-dir", PATH);
+    let serve_clients = take_value::<usize>(&mut args, "--serve-clients", UNSIGNED);
+    let adapt_window = take_value::<usize>(&mut args, "--adapt-window", UNSIGNED).unwrap_or(64);
+    if let Some(extra) = args.get(1) {
+        fail(&format!("unknown argument '{extra}'"));
+    }
     let experiment = args.first().map(String::as_str).unwrap_or("all");
 
     println!(
@@ -167,7 +179,6 @@ fn main() {
         metrics_out,
         data_dir,
         list_cells,
-        layout,
         serve_clients,
         adapt_window,
     };

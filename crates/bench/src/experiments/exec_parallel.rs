@@ -9,8 +9,8 @@
 //! all deterministic outputs — two invocations with different
 //! `--exec-threads` must print the same hash, which CI checks.
 
-use crate::experiments::{Layout, RunOptions};
-use crate::harness::{fmt_duration, render_table, space_budget, wide_scan_fixture, BenchScale};
+use crate::experiments::RunOptions;
+use crate::harness::{fmt_duration, render_table, space_budget, BenchScale};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
@@ -51,13 +51,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         dblp_config.years,
         dblp_config.n_conferences,
     )?;
-    let dblp_hash = sweep_dataset(
-        &dblp,
-        &dblp_workload,
-        &threads,
-        opts.exec.morsel_rows,
-        opts.layout,
-    )?;
+    let dblp_hash = sweep_dataset(&dblp, &dblp_workload, &threads, opts.exec.morsel_rows)?;
 
     let movie = sweep_scale.movie()?;
     let movie_config = sweep_scale.movie_config();
@@ -71,85 +65,13 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         movie_config.years,
         movie_config.n_genres,
     )?;
-    let movie_hash = sweep_dataset(
-        &movie,
-        &movie_workload,
-        &threads,
-        opts.exec.morsel_rows,
-        opts.layout,
-    )?;
+    let movie_hash = sweep_dataset(&movie, &movie_workload, &threads, opts.exec.morsel_rows)?;
 
     let mut h = DefaultHasher::new();
     dblp_hash.hash(&mut h);
     movie_hash.hash(&mut h);
     let sweep_hash = h.finish();
-    // The hash covers rows, stats, and profiles but *not* the layout: two
-    // invocations differing only in `--layout` must print the same hash,
-    // which CI diffs (the layout-invariance contract, end to end).
     println!("exec sweep hash: {sweep_hash:016x}");
-
-    scan_microbench(opts.exec.morsel_rows)
-}
-
-/// Time the wide-scan fixture — one serial (threads=1) scan-heavy query —
-/// in both layouts (best of five runs after a warmup), asserting the
-/// layout-invariance contract on rows and measured stats along the way.
-/// This is the criterion `columnar_scan_*` benchmark's quick in-harness
-/// counterpart.
-fn scan_microbench(morsel_rows: usize) -> Result<(), String> {
-    const TABLE_ROWS: usize = 20_000;
-    let mut walls = [0u64; 2];
-    let mut baseline: Option<(usize, u64)> = None;
-    for (slot, layout) in [Layout::Row, Layout::Columnar].into_iter().enumerate() {
-        let (mut db, query) =
-            wide_scan_fixture(TABLE_ROWS).map_err(|e| format!("fixture load failed: {e}"))?;
-        if layout == Layout::Columnar {
-            let tables = db.catalog().iter().map(|(id, _)| id).collect();
-            db.apply_config(&xmlshred_rel::PhysicalConfig {
-                indexes: vec![],
-                views: vec![],
-                columnar: tables,
-            })
-            .map_err(|e| format!("columnar config failed: {e}"))?;
-        }
-        db.set_exec_options(ExecOptions {
-            threads: 1,
-            morsel_rows,
-        });
-        let mut best = u64::MAX;
-        let mut outcome = None;
-        for _ in 0..6 {
-            let started = Instant::now();
-            let run = db
-                .execute(&query)
-                .map_err(|e| format!("wide scan failed ({}): {e}", layout.name()))?;
-            let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            // First run is the warmup; keep the best of the rest.
-            if outcome.is_some() {
-                best = best.min(wall);
-            }
-            outcome = Some(run);
-        }
-        let outcome = outcome.ok_or("wide scan never ran")?;
-        let signature = (outcome.rows.len(), outcome.exec.measured_cost().to_bits());
-        match &baseline {
-            None => baseline = Some(signature),
-            Some(expected) => {
-                if signature != *expected {
-                    return Err(format!(
-                        "wide scan diverged across layouts: {signature:?} != {expected:?}"
-                    ));
-                }
-            }
-        }
-        walls[slot] = best;
-    }
-    println!(
-        "wide-scan microbench ({TABLE_ROWS} rows, threads=1): row {} vs columnar {} ({:.2}x)",
-        fmt_duration(Duration::from_nanos(walls[0])),
-        fmt_duration(Duration::from_nanos(walls[1])),
-        walls[0] as f64 / walls[1].max(1) as f64,
-    );
     Ok(())
 }
 
@@ -174,15 +96,10 @@ fn sweep_dataset(
     workload: &Workload,
     threads: &[usize],
     morsel_rows: usize,
-    layout: Layout,
 ) -> Result<u64, String> {
     println!(
-        "\n=== Exec thread sweep on {} ({}, threads {:?}, morsel {} rows, {} layout) ===",
-        dataset.name,
-        workload.name,
-        threads,
-        morsel_rows,
-        layout.name()
+        "\n=== Exec thread sweep on {} ({}, threads {:?}, morsel {} rows) ===",
+        dataset.name, workload.name, threads, morsel_rows
     );
     let mapping = Mapping::hybrid(&dataset.tree);
     let schema = derive_schema(&dataset.tree, &mapping);
@@ -210,26 +127,8 @@ fn sweep_dataset(
         &query_refs,
         space_budget(dataset),
     );
-    let mut config = tuned.config.clone();
-    if layout == Layout::Columnar {
-        // Columnar layout: partition every table. The planner re-prices
-        // (never re-shapes) scans over these tables; results stay
-        // bit-identical to row layout.
-        config.columnar = db.catalog().iter().map(|(id, _)| id).collect();
-    }
-    db.apply_config(&config)
+    db.apply_config(&tuned.config)
         .map_err(|e| format!("apply_config failed: {e}"))?;
-    // Plan visibility: how many workload plans actually scan a columnar
-    // partition (a hash-identical sweep would otherwise be vacuous).
-    let columnar_plans = queries
-        .iter()
-        .filter_map(|(sql, _)| db.estimate(sql, db.built_config()).ok())
-        .filter(|plan| plan.explain().contains("ColumnarScan"))
-        .count();
-    println!(
-        "plans scanning a columnar partition: {columnar_plans}/{}",
-        queries.len()
-    );
 
     let mut rows_table = Vec::new();
     let mut operators: Vec<OperatorTiming> = Vec::new();

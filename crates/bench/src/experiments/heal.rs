@@ -5,8 +5,8 @@
 //! phases split by a checkpoint, analyze, then a physical design that
 //! guarantees the targeted structure sits on the preferred access path),
 //! corrupts one seeded site inside one structure kind — B-tree index,
-//! materialized view, columnar partition, or row-heap page — and then runs
-//! the workload through [`Database::execute_healing`]. The corrupted
+//! materialized view, or row-heap page — and then runs the workload
+//! through [`Database::execute_healing`]. The corrupted
 //! structure must never fail a SELECT: the statement completes against
 //! degraded access paths while the structure is quarantined and rebuilt
 //! (derived structures) or repaired from snapshot + committed WAL suffix
@@ -76,9 +76,9 @@ fn fold_charges(mut hash: u64, charges: &FaultStats) -> u64 {
 }
 
 /// The corruption targets mined from the workload: the table behind the
-/// fixture's single-table scan branch (heap and columnar cells), plus a
-/// covering index and a materialized join view constructed so the planner's
-/// preferred path runs through them.
+/// fixture's single-table scan branch (heap cells), plus a covering index
+/// and a materialized join view constructed so the planner's preferred path
+/// runs through them.
 struct Targets {
     scan_table: TableId,
     index: IndexDef,
@@ -233,7 +233,6 @@ fn build_oracle(dataset: &Dataset, scale: BenchScale, opts: &RunOptions) -> Resu
             PhysicalConfig {
                 indexes: vec![targets.index.clone()],
                 views: vec![],
-                columnar: vec![],
             },
         ),
         (
@@ -241,15 +240,6 @@ fn build_oracle(dataset: &Dataset, scale: BenchScale, opts: &RunOptions) -> Resu
             PhysicalConfig {
                 indexes: vec![],
                 views: vec![targets.view.clone()],
-                columnar: vec![],
-            },
-        ),
-        (
-            StructureKind::Columnar,
-            PhysicalConfig {
-                indexes: vec![],
-                views: vec![],
-                columnar: vec![targets.scan_table],
             },
         ),
         (StructureKind::Heap, PhysicalConfig::none()),
@@ -326,16 +316,6 @@ fn corrupt_site(
                 .ok_or_else(|| "view target missing".to_string())?;
             let rows = view.rows.len();
             view.corrupt_row(n(rows))
-        }
-        StructureKind::Columnar => {
-            let columnar = db
-                .built_columnar(targets.scan_table)
-                .map_err(|e| format!("columnar target missing: {e}"))?;
-            let (width, rows) = (columnar.width(), columnar.rows());
-            db.built_mut()
-                .columnar_mut(targets.scan_table)
-                .ok_or_else(|| "columnar target missing".to_string())?
-                .corrupt_value(n(width), ((site >> 32) as usize) % rows.max(1))
         }
     };
     if hit {
@@ -454,7 +434,6 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     let kind_order = [
         StructureKind::Index,
         StructureKind::View,
-        StructureKind::Columnar,
         StructureKind::Heap,
     ];
     let (base_seed, seeds) = opts.matrix_seeds(DEFAULT_SEED, 3);
@@ -488,7 +467,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     for dataset in [heal_scale.dblp()?, heal_scale.movie()?] {
         let oracle = build_oracle(&dataset, heal_scale, opts)?;
         println!(
-            "--- {}: {} tables, {} queries, targets: {} / {} / columnar+heap on table {} ---",
+            "--- {}: {} tables, {} queries, targets: {} / {} / heap on table {} ---",
             oracle.fixture,
             oracle.defs.len(),
             oracle.queries.len(),

@@ -18,41 +18,6 @@ use crate::harness::BenchScale;
 use xmlshred_core::{Deadline, FaultConfig, SearchOptions};
 use xmlshred_rel::ExecOptions;
 
-/// Storage layout the `exec` experiment scans (`--layout`): the row heaps
-/// as loaded, or columnar partitions built over every table. Rows, measured
-/// costs, and deterministic profiles are bit-identical across layouts (the
-/// engine's layout-invariance contract); only wall-clock changes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Layout {
-    /// Row heaps (the default).
-    #[default]
-    Row,
-    /// Columnar partitions over every workload table.
-    Columnar,
-}
-
-impl Layout {
-    /// CLI spelling, also used in bench-JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Layout::Row => "row",
-            Layout::Columnar => "columnar",
-        }
-    }
-}
-
-impl std::str::FromStr for Layout {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "row" => Ok(Layout::Row),
-            "columnar" => Ok(Layout::Columnar),
-            other => Err(format!("unknown layout '{other}' (row|columnar)")),
-        }
-    }
-}
-
 /// CLI-level knobs for one `reproduce` invocation: the base search options
 /// plus the robustness sweep parameters (`--fault-p`, `--deadline-ms`) and
 /// the three knobs every seeded experiment shares (`--seed`, `--points`,
@@ -99,8 +64,6 @@ pub struct RunOptions {
     /// Print the deterministic cell matrix of the `crash`/`heal`
     /// experiments without running any cell (`--list-cells`).
     pub list_cells: bool,
-    /// Storage layout for the `exec` experiment (`--layout`, default row).
-    pub layout: Layout,
     /// Extra client count for the `serve` sweep (`--serve-clients`):
     /// appended to the built-in 1/4/8 sweep when not already covered.
     pub serve_clients: Option<usize>,

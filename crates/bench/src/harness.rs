@@ -196,55 +196,6 @@ pub fn run_algorithms(
         .collect()
 }
 
-/// A scan-heavy fixture for the columnar-layout microbenchmarks: one wide
-/// table (an Int key, eight 40-char Str payload columns, an Int and a Float
-/// measure), a non-sargable selective filter, and a two-column projection —
-/// the shape where late-materializing columnar scans win and a row scan
-/// pays for every payload column it never returns. Returns the loaded
-/// database (row layout; apply a columnar config to switch) plus the query.
-/// Errors propagate as [`xmlshred_rel::RelResult`] — the fixture used to
-/// `expect` its way through setup, which turned any engine regression into
-/// a harness panic instead of a reportable failure.
-pub fn wide_scan_fixture(
-    rows: usize,
-) -> xmlshred_rel::RelResult<(xmlshred_rel::Database, xmlshred_rel::SqlQuery)> {
-    use xmlshred_rel::{
-        ColumnDef, DataType, Database, Filter, FilterOp, Output, SelectQuery, SqlQuery, TableDef,
-        Value,
-    };
-    let mut db = Database::new();
-    let mut columns = vec![ColumnDef::new("id", DataType::Int)];
-    for c in 0..8 {
-        columns.push(ColumnDef::new(format!("pay{c}"), DataType::Str));
-    }
-    columns.push(ColumnDef::new("x", DataType::Int));
-    columns.push(ColumnDef::new("y", DataType::Float).nullable());
-    let t = db.create_table(TableDef::new("wide", columns))?;
-    let batch: Vec<Vec<Value>> = (0..rows as i64)
-        .map(|i| {
-            let mut row = vec![Value::Int(i)];
-            for c in 0..8i64 {
-                row.push(Value::str(format!("{:0>40}", i * 31 + c)));
-            }
-            row.push(Value::Int(i % 199));
-            row.push(if i % 11 == 0 {
-                Value::Null
-            } else {
-                Value::Float(i as f64 / 3.0)
-            });
-            row
-        })
-        .collect();
-    db.insert_rows(t, batch)?;
-    db.analyze()?;
-    // No index exists, so `x = 7` runs as a full scan in every layout;
-    // roughly 1/199 of the rows survive the filter.
-    let mut q = SelectQuery::single(t);
-    q.filters = vec![Filter::new(0, 9, FilterOp::Eq, Value::Int(7))];
-    q.outputs = vec![Output::col(0, 0), Output::col(0, 10)];
-    Ok((db, SqlQuery::Select(q)))
-}
-
 // ------------------------------------------------------ matrix scaffolding --
 
 /// The shared prologue of the crash and heal matrices: the fixture loaded

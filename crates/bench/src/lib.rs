@@ -3,9 +3,8 @@
 //! per-experiment index and EXPERIMENTS.md for recorded paper-vs-measured
 //! results.
 //!
-//! The `reproduce` binary drives the [`experiments`]; the Criterion benches
-//! under `benches/` exercise the hot components (translation, planning,
-//! tuning, execution, search) in isolation.
+//! The `reproduce` binary drives the [`experiments`]. Timed measurements
+//! live in the separate `perf/` package.
 
 // Robustness gate: library code must propagate typed errors, not panic —
 // neither `unwrap` nor `expect` (a fixture `expect` once turned engine

@@ -18,6 +18,7 @@
 //! equality, which the test suite exercises continuously.
 
 use rustc_hash::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -37,6 +38,11 @@ type SelectEntry = (f64, f64);
 
 /// Cached outcome of planning one whole query: `(cost, used objects)`.
 type QueryEntry = (f64, Vec<String>);
+
+/// What one what-if computation spent on faults: `(retries, failures)`.
+/// Counted by the call that installs the entry, so two workers racing on
+/// one uncached key count it once, like a serial run.
+type Tally = (u64, u64);
 
 /// Shard count: bounds lock contention under parallel fan-out while keeping
 /// the structure trivially small for serial runs.
@@ -181,6 +187,17 @@ impl CostOracle {
         self.enabled || self.fault.is_some()
     }
 
+    /// Add one computation's [`Tally`] to the what-if counters. A zero
+    /// tally (every fault-free call) touches no shared counter.
+    fn count(&self, (retries, failures): Tally) {
+        if retries > 0 {
+            self.whatif_retries.fetch_add(retries, Ordering::Relaxed);
+        }
+        if failures > 0 {
+            self.whatif_failures.fetch_add(failures, Ordering::Relaxed);
+        }
+    }
+
     /// One select-block planner invocation, through the fault plane when
     /// one is armed: transient faults are retried up to
     /// [`MAX_WHATIF_RETRIES`] times with deterministic backoff, and an
@@ -192,18 +209,14 @@ impl CostOracle {
         stats: &[TableStats],
         config: &PhysicalConfig,
         branch: &SelectQuery,
-    ) -> SelectEntry {
+    ) -> (SelectEntry, Tally) {
         let Some(plane) = &self.fault else {
-            return plan_select_raw(catalog, stats, config, branch);
+            return (plan_select_raw(catalog, stats, config, branch), (0, 0));
         };
         let token = whatif_token(key, SELECT_SITE);
         for attempt in 0..=MAX_WHATIF_RETRIES {
             match plan_select_faulty(catalog, stats, config, branch, plane, token, attempt) {
-                Ok(plan) => {
-                    self.whatif_retries
-                        .fetch_add(attempt as u64, Ordering::Relaxed);
-                    return (plan.est_cost(), plan.est_rows());
-                }
+                Ok(plan) => return ((plan.est_cost(), plan.est_rows()), (u64::from(attempt), 0)),
                 Err(err) if err.is_transient() => {
                     if attempt < MAX_WHATIF_RETRIES {
                         std::thread::sleep(Duration::from_micros(50u64 << attempt));
@@ -211,13 +224,10 @@ impl CostOracle {
                 }
                 // A genuine planning error: same infinite-cost contract as
                 // the fault-free path, not a counted injection failure.
-                Err(_) => return (f64::INFINITY, 0.0),
+                Err(_) => return ((f64::INFINITY, 0.0), (0, 0)),
             }
         }
-        self.whatif_retries
-            .fetch_add(MAX_WHATIF_RETRIES as u64, Ordering::Relaxed);
-        self.whatif_failures.fetch_add(1, Ordering::Relaxed);
-        (f64::INFINITY, 0.0)
+        ((f64::INFINITY, 0.0), (u64::from(MAX_WHATIF_RETRIES), 1))
     }
 
     /// Whole-query twin of [`CostOracle::compute_select`].
@@ -228,30 +238,31 @@ impl CostOracle {
         stats: &[TableStats],
         config: &PhysicalConfig,
         query: &SqlQuery,
-    ) -> QueryEntry {
+    ) -> (QueryEntry, Tally) {
         let Some(plane) = &self.fault else {
-            return plan_query_raw(catalog, stats, config, query);
+            return (plan_query_raw(catalog, stats, config, query), (0, 0));
         };
         let token = whatif_token(key, QUERY_SITE);
         for attempt in 0..=MAX_WHATIF_RETRIES {
             match plan_query_faulty(catalog, stats, config, query, plane, token, attempt) {
                 Ok(plan) => {
-                    self.whatif_retries
-                        .fetch_add(attempt as u64, Ordering::Relaxed);
-                    return (plan.est_cost, plan.used_objects());
+                    return (
+                        (plan.est_cost, plan.used_objects()),
+                        (u64::from(attempt), 0),
+                    )
                 }
                 Err(err) if err.is_transient() => {
                     if attempt < MAX_WHATIF_RETRIES {
                         std::thread::sleep(Duration::from_micros(50u64 << attempt));
                     }
                 }
-                Err(_) => return (f64::INFINITY, Vec::new()),
+                Err(_) => return ((f64::INFINITY, Vec::new()), (0, 0)),
             }
         }
-        self.whatif_retries
-            .fetch_add(MAX_WHATIF_RETRIES as u64, Ordering::Relaxed);
-        self.whatif_failures.fetch_add(1, Ordering::Relaxed);
-        (f64::INFINITY, Vec::new())
+        (
+            (f64::INFINITY, Vec::new()),
+            (u64::from(MAX_WHATIF_RETRIES), 1),
+        )
     }
 
     /// Cost and cardinality of one select block under `config`; `fresh` in
@@ -266,7 +277,8 @@ impl CostOracle {
         branch: &SelectQuery,
     ) -> (f64, f64, bool) {
         if !self.enabled {
-            let (cost, rows) = self.compute_select(key, catalog, stats, config, branch);
+            let ((cost, rows), tally) = self.compute_select(key, catalog, stats, config, branch);
+            self.count(tally);
             return (cost, rows, true);
         }
         self.lookups.fetch_add(1, Ordering::Relaxed);
@@ -289,9 +301,10 @@ impl CostOracle {
             return (cost, rows, false);
         }
         // Plan outside the lock; concurrent duplicate work for the same key
-        // is benign (identical value inserted twice — fault tokens derive
-        // from the key, so both racers see the same injection outcome).
-        let (cost, rows) = self.compute_select(key, catalog, stats, config, branch);
+        // is benign (fault tokens derive from the key, so both racers
+        // compute the same value and tally). Only the racer that installs
+        // the entry counts the tally.
+        let ((cost, rows), tally) = self.compute_select(key, catalog, stats, config, branch);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut guard = lock_shard(shard);
         if guard.len() >= SHARD_CAPACITY {
@@ -299,7 +312,10 @@ impl CostOracle {
                 .fetch_add(guard.len() as u64, Ordering::Relaxed);
             guard.clear();
         }
-        guard.insert(key, (cost, rows));
+        if let Entry::Vacant(slot) = guard.entry(key) {
+            slot.insert((cost, rows));
+            self.count(tally);
+        }
         (cost, rows, true)
     }
 
@@ -315,7 +331,8 @@ impl CostOracle {
         query: &SqlQuery,
     ) -> (f64, Vec<String>, bool) {
         if !self.enabled {
-            let (cost, used) = self.compute_query(key, catalog, stats, config, query);
+            let ((cost, used), tally) = self.compute_query(key, catalog, stats, config, query);
+            self.count(tally);
             return (cost, used, true);
         }
         self.lookups.fetch_add(1, Ordering::Relaxed);
@@ -335,7 +352,7 @@ impl CostOracle {
             }
             return (cost, used, false);
         }
-        let (cost, used) = self.compute_query(key, catalog, stats, config, query);
+        let ((cost, used), tally) = self.compute_query(key, catalog, stats, config, query);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut guard = lock_shard(shard);
         if guard.len() >= SHARD_CAPACITY {
@@ -343,7 +360,10 @@ impl CostOracle {
                 .fetch_add(guard.len() as u64, Ordering::Relaxed);
             guard.clear();
         }
-        guard.insert(key, (cost, used.clone()));
+        if let Entry::Vacant(slot) = guard.entry(key) {
+            slot.insert((cost, used.clone()));
+            self.count(tally);
+        }
         (cost, used, true)
     }
 
@@ -434,7 +454,6 @@ mod tests {
         for n in 0..1000u64 {
             assert!(shard_of((n, n.wrapping_mul(31), !n)) < SHARDS);
         }
-        let _ = empty_key(0);
     }
 
     #[test]
@@ -496,6 +515,52 @@ mod tests {
         broken.register_into(&metrics, "oracle");
         let violations = metrics.snapshot().self_check();
         assert_eq!(violations.len(), 1, "{violations:?}");
+    }
+
+    /// Two workers that miss the same key at once both run the faulty
+    /// what-if call, but its retries and failures count once: the counters
+    /// equal a serial oracle's over the same keys.
+    #[test]
+    fn racing_misses_count_whatif_faults_once() {
+        use xmlshred_rel::catalog::{ColumnDef, TableDef};
+        use xmlshred_rel::sql::Output;
+        use xmlshred_rel::types::DataType;
+
+        let mut catalog = Catalog::new();
+        let def = TableDef::new("t", vec![ColumnDef::new("a", DataType::Int)]);
+        let table = catalog.add_table(def).expect("table");
+        let mut branch = SelectQuery::single(table);
+        branch.outputs = vec![Output::col(0, 0)];
+        let config = PhysicalConfig::none();
+        let fault = FaultConfig {
+            seed: 3,
+            p_plan: 0.8,
+            ..FaultConfig::default()
+        };
+        let keys: Vec<CacheKey> = (0..500).map(empty_key).collect();
+
+        let serial = CostOracle::with_fault(true, Some(fault));
+        for &key in &keys {
+            serial.select_cost(key, &catalog, &[], &config, &branch);
+        }
+        let racing = CostOracle::with_fault(true, Some(fault));
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for &key in &keys {
+                        barrier.wait();
+                        racing.select_cost(key, &catalog, &[], &config, &branch);
+                    }
+                });
+            }
+        });
+        let (serial, racing) = (serial.snapshot(), racing.snapshot());
+        assert!(serial.whatif_retries > 0 && serial.whatif_failures > 0);
+        assert_eq!(
+            (racing.whatif_retries, racing.whatif_failures),
+            (serial.whatif_retries, serial.whatif_failures)
+        );
     }
 
     #[test]

@@ -47,11 +47,11 @@ pub struct OnlineSwapReport {
     /// Rows appended during the catch-up under the write lock (rows that
     /// committed between the snapshot and the swap).
     pub delta_rows: usize,
-    /// Structures rebuilt from the live heaps during catch-up (views and
-    /// columnar partitions whose base tables grew past the snapshot).
+    /// Structures rebuilt from the live heaps during catch-up (views whose
+    /// base tables grew past the snapshot).
     pub rebuilt: usize,
-    /// Structure counts installed: `(indexes, views, columnar)`.
-    pub installed: (usize, usize, usize),
+    /// Structure counts installed: `(indexes, views)`.
+    pub installed: (usize, usize),
     /// Configuration epoch after the swap (one-based).
     pub epoch: u64,
 }
@@ -61,9 +61,9 @@ impl SessionDb {
     /// then catch up and swap atomically under the write lock. See the
     /// module docs for the protocol and its crash-safety argument.
     pub fn apply_config_online(&self, config: &PhysicalConfig) -> RelResult<OnlineSwapReport> {
-        // Phase 1 (read lock): validate, then clone the catalog and the
-        // visible row prefix of every backing table.
-        let (snapshot_lsn, catalog, prefix) = {
+        // Phase 1 (read lock): validate, then clone the visible row prefix
+        // of every backing table.
+        let (snapshot_lsn, prefix) = {
             let engine = self.read_engine();
             engine.db.validate_config(config)?;
             let vis = engine.visibility();
@@ -73,11 +73,11 @@ impl SessionDb {
                 let visible = vis.table_rows(table).min(rows.len());
                 prefix.insert(table, rows[..visible].to_vec());
             }
-            (vis.lsn, engine.db.catalog().clone(), prefix)
+            (vis.lsn, prefix)
         };
 
         // Phase 2 (no lock): build everything from the prefix.
-        let mut built = BuiltSet::build(config, &catalog, &|table| {
+        let mut built = BuiltSet::build(config, &|table| {
             let rows = prefix.get(&table).map(Vec::as_slice);
             rows.ok_or_else(|| RelError::UnknownTable(format!("#{}", table.0)))
         })?;
@@ -88,20 +88,15 @@ impl SessionDb {
         // install, exactly as the blocking path does.
         let mut engine = self.write_engine();
         engine.db.validate_config(config)?;
-        let (delta_rows, rebuilt) =
-            built.catch_up(engine.db.catalog(), &engine.db.rows_of(), &|table| {
-                prefix.get(&table).map_or(0, Vec::len)
-            })?;
+        let (delta_rows, rebuilt) = built.catch_up(&engine.db.rows_of(), &|table| {
+            prefix.get(&table).map_or(0, Vec::len)
+        })?;
         engine.db.apply_built(built)?;
         Ok(OnlineSwapReport {
             snapshot_lsn,
             delta_rows,
             rebuilt,
-            installed: (
-                config.indexes.len(),
-                config.views.len(),
-                config.columnar.len(),
-            ),
+            installed: (config.indexes.len(), config.views.len()),
             epoch: engine.db.config_epoch(),
         })
     }
@@ -143,7 +138,6 @@ mod tests {
         PhysicalConfig {
             indexes: vec![IndexDef::new("ix_v", t, vec![1], vec![])],
             views: vec![],
-            columnar: vec![],
         }
     }
 
@@ -151,7 +145,7 @@ mod tests {
     fn online_swap_matches_blocking_apply() {
         let (sdb, t) = session_with_rows(200);
         let report = sdb.apply_config_online(&index_config(t)).unwrap();
-        assert_eq!(report.installed, (1, 0, 0));
+        assert_eq!(report.installed, (1, 0));
         assert_eq!(report.delta_rows, 0);
 
         // A blocking apply on an identical database builds the same

@@ -14,7 +14,6 @@ use crate::catalog::{Catalog, TableId};
 use crate::error::{RelError, RelResult, StructureKind};
 use crate::index::{BuiltIndex, IndexDef};
 use crate::optimizer::PhysicalConfig;
-use crate::storage::ColumnarHeap;
 use crate::types::Row;
 use crate::view::{BuiltView, ViewDef};
 use std::borrow::Cow;
@@ -28,7 +27,6 @@ pub struct BuiltSet {
     config: PhysicalConfig,
     indexes: Vec<BuiltIndex>,
     views: Vec<BuiltView>,
-    columnar: Vec<(TableId, ColumnarHeap)>,
 }
 
 /// Where a build reads a table's rows from: the full heap, a snapshot
@@ -44,33 +42,17 @@ fn view_from(def: &ViewDef, rows_of: RowsOf) -> RelResult<BuiltView> {
     Ok(BuiltView::build(def.clone(), left, right))
 }
 
-fn columnar_from(
-    table: TableId,
-    catalog: &Catalog,
-    rows_of: RowsOf,
-) -> RelResult<(TableId, ColumnarHeap)> {
-    let built = ColumnarHeap::build(catalog.try_table(table)?, rows_of(table)?)?;
-    Ok((table, built))
-}
-
 impl BuiltSet {
     /// Materialize `config` from the rows `rows_of` hands out for each
     /// backing table. The configuration must already be validated against
-    /// `catalog` (see `Database::validate_config`).
-    pub fn build(
-        config: &PhysicalConfig,
-        catalog: &Catalog,
-        rows_of: RowsOf,
-    ) -> RelResult<BuiltSet> {
+    /// the catalog (see `Database::validate_config`).
+    pub fn build(config: &PhysicalConfig, rows_of: RowsOf) -> RelResult<BuiltSet> {
         let index = |def: &IndexDef| index_from(def, rows_of);
         let view = |def: &ViewDef| view_from(def, rows_of);
-        let columnar = |table: &TableId| columnar_from(*table, catalog, rows_of);
-        let (indexes, views, tables) = (&config.indexes, &config.views, &config.columnar);
         Ok(BuiltSet {
             config: config.clone(),
-            indexes: indexes.iter().map(index).collect::<RelResult<_>>()?,
-            views: views.iter().map(view).collect::<RelResult<_>>()?,
-            columnar: tables.iter().map(columnar).collect::<RelResult<_>>()?,
+            indexes: config.indexes.iter().map(index).collect::<RelResult<_>>()?,
+            views: config.views.iter().map(view).collect::<RelResult<_>>()?,
         })
     }
 
@@ -78,12 +60,11 @@ impl BuiltSet {
     /// out now, where `built_from(table)` is the prefix length the set was
     /// built over. Heaps are insert-only, so the delta is exactly the rows
     /// past each watermark: indexes append them in heap order
-    /// (bit-identical to a full build); views and columnar partitions
-    /// rebuild iff a base table grew. Returns `(delta_rows, rebuilt)`:
-    /// rows appended to indexes and structures rebuilt.
+    /// (bit-identical to a full build); views rebuild iff a base table
+    /// grew. Returns `(delta_rows, rebuilt)`: rows appended to indexes and
+    /// structures rebuilt.
     pub fn catch_up(
         &mut self,
-        catalog: &Catalog,
         rows_of: RowsOf,
         built_from: &dyn Fn(TableId) -> usize,
     ) -> RelResult<(usize, usize)> {
@@ -102,23 +83,15 @@ impl BuiltSet {
                 *built = view_from(&built.def, rows_of)?;
             }
         }
-        for built in &mut self.columnar {
-            if grew(built.0)? {
-                rebuilt += 1;
-                *built = columnar_from(built.0, catalog, rows_of)?;
-            }
-        }
         Ok((delta_rows, rebuilt))
     }
 
     /// Re-derive one structure in place (the repair half of quarantine).
-    /// Columnar partitions are named by their table. Heaps are repaired
-    /// from the log, never rebuilt.
+    /// Heaps are repaired from the log, never rebuilt.
     pub fn rebuild_one(
         &mut self,
         kind: StructureKind,
         name: &str,
-        catalog: &Catalog,
         rows_of: RowsOf,
     ) -> RelResult<()> {
         let unknown = || RelError::UnknownIndex(name.to_string());
@@ -130,11 +103,6 @@ impl BuiltSet {
             StructureKind::View => {
                 let built = self.view_mut(name).ok_or_else(unknown)?;
                 *built = view_from(&built.def, rows_of)?;
-            }
-            StructureKind::Columnar => {
-                let table = catalog.table_id(name)?;
-                let built = self.columnar.iter_mut().find(|built| built.0 == table);
-                *built.ok_or_else(unknown)? = columnar_from(table, catalog, rows_of)?;
             }
             StructureKind::Heap => return Err(RelError::UnknownTable(name.to_string())),
         }
@@ -157,20 +125,14 @@ impl BuiltSet {
             let result = built.verify_checksums(name(built.def.left));
             note(StructureKind::View, result);
         }
-        for (table, built) in &self.columnar {
-            let result = built.verify_checksums(name(*table));
-            note(StructureKind::Columnar, result);
-        }
     }
 
     /// The configuration the planner may use: the built one minus
-    /// `quarantined` structures (columnar partitions are keyed by table
-    /// name) and — under an MVCC snapshot, where a view cannot be clamped
-    /// to the visible prefix — minus views. Borrowed when nothing is
-    /// filtered.
+    /// `quarantined` structures and — under an MVCC snapshot, where a view
+    /// cannot be clamped to the visible prefix — minus views. Borrowed when
+    /// nothing is filtered.
     pub fn planning_config(
         &self,
-        catalog: &Catalog,
         quarantined: &BTreeSet<(StructureKind, String)>,
         under_snapshot: bool,
     ) -> Cow<'_, PhysicalConfig> {
@@ -186,10 +148,6 @@ impl BuiltSet {
             config
                 .views
                 .retain(|def| usable(StructureKind::View, &def.name));
-            config.columnar.retain(|&table| {
-                let def = catalog.try_table(table);
-                def.map_or(true, |def| usable(StructureKind::Columnar, &def.name))
-            });
         }
         if under_snapshot && !config.views.is_empty() {
             config.to_mut().views.clear();
@@ -198,8 +156,7 @@ impl BuiltSet {
     }
 
     /// Measured bytes of the built indexes and views (what a space budget
-    /// is enforced against; columnar partitions re-encode the heap and are
-    /// not budgeted).
+    /// is enforced against).
     pub fn bytes(&self) -> usize {
         let index_bytes: usize = self.indexes.iter().map(BuiltIndex::byte_size).sum();
         let view_bytes: usize = self.views.iter().map(|view| view.byte_size).sum();
@@ -221,12 +178,6 @@ impl BuiltSet {
         self.views.iter().find(|built| built.def.name == name)
     }
 
-    /// A table's columnar partition.
-    pub fn columnar(&self, table: TableId) -> Option<&ColumnarHeap> {
-        let built = self.columnar.iter().find(|built| built.0 == table);
-        built.map(|(_, heap)| heap)
-    }
-
     /// Mutable index access, for corruption tests.
     pub fn index_mut(&mut self, name: &str) -> Option<&mut BuiltIndex> {
         self.indexes.iter_mut().find(|built| built.def.name == name)
@@ -235,11 +186,5 @@ impl BuiltSet {
     /// Mutable view access, for corruption tests.
     pub fn view_mut(&mut self, name: &str) -> Option<&mut BuiltView> {
         self.views.iter_mut().find(|built| built.def.name == name)
-    }
-
-    /// Mutable columnar partition access, for corruption tests.
-    pub fn columnar_mut(&mut self, table: TableId) -> Option<&mut ColumnarHeap> {
-        let built = self.columnar.iter_mut().find(|built| built.0 == table);
-        built.map(|(_, heap)| heap)
     }
 }

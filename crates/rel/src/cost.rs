@@ -45,22 +45,6 @@ pub fn index_seek_cost(leaf_pages: f64, matching_rows: f64, fetch_pages: f64) ->
         + matching_rows * CPU_TUPLE_COST
 }
 
-/// Cost of a columnar scan with late materialization: `scanned_pages`
-/// (filter columns, read end to end) plus `fetched_pages` (remaining
-/// referenced columns, touched only where the selection vector survives —
-/// Cardenas/Yao over *column* pages, computed by the caller), plus the same
-/// per-tuple CPU the row formula charges. Column pages are sequential
-/// within a column, so both terms price at [`SEQ_PAGE_COST`].
-pub fn columnar_scan_cost(
-    scanned_pages: f64,
-    fetched_pages: f64,
-    rows: f64,
-    predicates: usize,
-) -> f64 {
-    (scanned_pages + fetched_pages) * SEQ_PAGE_COST
-        + rows * (CPU_TUPLE_COST + predicates as f64 * CPU_PRED_COST)
-}
-
 /// Cost of a hash join between materialized inputs.
 pub fn hash_join_cost(build_rows: f64, probe_rows: f64, output_rows: f64) -> f64 {
     build_rows * CPU_HASH_COST + probe_rows * CPU_HASH_COST + output_rows * CPU_TUPLE_COST
@@ -114,18 +98,6 @@ mod tests {
         assert_eq!(sort_cost(0.0), 0.0);
         assert_eq!(sort_cost(1.0), 0.0);
         assert!(sort_cost(1000.0) > 0.0);
-    }
-
-    #[test]
-    fn columnar_scan_cheaper_when_few_columns_touched() {
-        // A 10-column table, 1000 row pages; the query touches 2 columns
-        // (~100 column pages each). Same CPU term, far fewer pages.
-        let row = seq_scan_cost(1000.0, 100_000.0, 1);
-        let columnar = columnar_scan_cost(100.0, 100.0, 100_000.0, 1);
-        assert!(columnar < row);
-        // All columns touched: the gap collapses to the row-header savings.
-        let all = columnar_scan_cost(500.0, 500.0, 100_000.0, 1);
-        assert!(all <= row);
     }
 
     #[test]

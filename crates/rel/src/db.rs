@@ -14,7 +14,7 @@ use crate::recovery::{self, RecoveryReport};
 use crate::snapshot::{self, SNAPSHOT_FILE, WAL_FILE};
 use crate::sql::SqlQuery;
 use crate::stats::{ColumnStats, TableStats, TableStatsAccumulator};
-use crate::storage::{self, ColumnarHeap, TableHeap};
+use crate::storage::{self, TableHeap};
 use crate::types::{Row, Value};
 use crate::view::BuiltView;
 use crate::wal::{WalRecord, WalStats, WalWriter};
@@ -63,8 +63,8 @@ pub struct Database {
     /// [`Database::install`].
     built: BuiltSet,
     /// Derived structures currently marked unusable after a checksum
-    /// failure: `(kind, name)` where the name is the index/view name or the
-    /// columnar partition's table name. Planning transparently avoids
+    /// failure: `(kind, name)` where the name is the index/view name.
+    /// Planning transparently avoids
     /// quarantined structures; [`Database::execute_healing`] repopulates
     /// them after the statement completes. A `BTreeSet` so every walk is
     /// deterministic. Volatile by design: crash recovery rebuilds all
@@ -544,22 +544,9 @@ impl Database {
             .ok_or_else(|| RelError::UnknownIndex(name.to_string()))
     }
 
-    /// The built columnar partition of a table, if the current
-    /// configuration designates one.
-    pub fn built_columnar(&self, table: TableId) -> RelResult<&ColumnarHeap> {
-        self.built.columnar(table).ok_or_else(|| {
-            let name = self
-                .catalog
-                .try_table(table)
-                .map(|def| def.name.clone())
-                .unwrap_or_else(|_| format!("#{}", table.0));
-            RelError::UnknownTable(format!("columnar partition of '{name}'"))
-        })
-    }
-
     /// Mutable access to the built design, used by corruption tests to
     /// damage stored entries (see [`BuiltIndex::corrupt_entry`],
-    /// [`BuiltView::corrupt_row`], [`ColumnarHeap::corrupt_value`]).
+    /// [`BuiltView::corrupt_row`]).
     pub fn built_mut(&mut self) -> &mut BuiltSet {
         &mut self.built
     }
@@ -578,7 +565,7 @@ impl Database {
     /// reaches the WAL.
     pub fn apply_config(&mut self, config: &OptimizerConfig) -> RelResult<()> {
         self.validate_config(config)?;
-        let built = BuiltSet::build(config, &self.catalog, &self.rows_of())?;
+        let built = BuiltSet::build(config, &self.rows_of())?;
         self.apply_built(built)
     }
 
@@ -674,15 +661,6 @@ impl Database {
                 }
             }
         }
-        let mut columnar_seen: Vec<TableId> = Vec::new();
-        for &table in &config.columnar {
-            if columnar_seen.contains(&table) {
-                let name = self.catalog.try_table(table)?.name.clone();
-                return Err(RelError::Duplicate(format!("columnar '{name}'")));
-            }
-            columnar_seen.push(table);
-            self.catalog.try_table(table)?;
-        }
         // With a fault plane active, verify the page checksums of every
         // heap the configuration reads — each backing table exactly once,
         // however many structures reference it — so a corrupted page is
@@ -775,7 +753,7 @@ impl Database {
     fn plan_stmt(&self, query: &SqlQuery, ctx: &StmtCtx) -> RelResult<QueryPlan> {
         let config = if ctx.pending.is_empty() {
             self.built
-                .planning_config(&self.catalog, &self.quarantined, ctx.snapshot.is_some())
+                .planning_config(&self.quarantined, ctx.snapshot.is_some())
         } else {
             Cow::Owned(OptimizerConfig::none())
         };
@@ -872,18 +850,6 @@ impl Database {
         self.quarantined.iter().cloned().collect()
     }
 
-    /// The quarantine key for a corruption event: index and view names
-    /// identify themselves; a columnar partition is quarantined whole, by
-    /// its table's name (the event's `structure` carries the damaged
-    /// column, which is finer than the planner's choice granularity).
-    fn quarantine_key(event: &CorruptionEvent) -> (StructureKind, String) {
-        let name = match event.kind {
-            StructureKind::Columnar => event.table.clone(),
-            _ => event.structure.clone(),
-        };
-        (event.kind, name)
-    }
-
     /// Execute a statement, healing any corruption it trips over instead of
     /// failing it:
     ///
@@ -891,10 +857,10 @@ impl Database {
     ///    surfaces as a typed [`CorruptionEvent`]; the failed attempt's
     ///    fault-plane charges and tokens are rolled back
     ///    ([`FaultPlane::restore`]) so healing is charge-neutral.
-    /// 2. **Quarantine & retry** — a corrupted *derived* structure (index,
-    ///    view, columnar partition) is quarantined and the statement is
-    ///    replanned against the remaining access paths, after recording a
-    ///    bounded deterministic backoff ([`backoff_nanos`]; simulated, never
+    /// 2. **Quarantine & retry** — a corrupted *derived* structure (index
+    ///    or view) is quarantined and the statement is replanned against
+    ///    the remaining access paths, after recording a bounded
+    ///    deterministic backoff ([`backoff_nanos`]; simulated, never
     ///    slept). A corrupted *row heap* on a durable database is repaired
     ///    in place from the snapshot + committed WAL suffix
     ///    ([`crate::recovery::repair_table`]); without a durable copy heap
@@ -928,7 +894,8 @@ impl Database {
                     report.backoff_nanos += backoff_nanos(seed, attempt);
                     report.events.push(event.clone());
                     if event.kind.is_derived() {
-                        self.quarantined.insert(Self::quarantine_key(&event));
+                        self.quarantined
+                            .insert((event.kind, event.structure.clone()));
                         report.quarantined += 1;
                     } else if self.is_durable() {
                         self.repair_heap_from_log(&event.table)?;
@@ -979,7 +946,7 @@ impl Database {
             Ok::<_, RelError>(heap.rows())
         };
         for (kind, name) in self.quarantined.clone() {
-            match self.built.rebuild_one(kind, &name, catalog, &verified_rows) {
+            match self.built.rebuild_one(kind, &name, &verified_rows) {
                 Ok(()) => {
                     self.quarantined.remove(&(kind, name));
                     report.rebuilt += 1;
@@ -1156,7 +1123,6 @@ mod tests {
                 IndexDef::new("ix_pid", author, vec![1], vec![0, 2]),
             ],
             views: vec![],
-            columnar: vec![],
         };
         db.apply_config(&config).unwrap();
         let indexed = db.execute(&query).unwrap();
@@ -1180,7 +1146,6 @@ mod tests {
                 IndexDef::new("ix_pid", author, vec![1], vec![0, 2]),
             ],
             views: vec![],
-            columnar: vec![],
         };
         let with = db.estimate(&query, &config).unwrap();
         assert!(with.est_cost < none.est_cost);
@@ -1206,7 +1171,6 @@ mod tests {
         db.apply_config(&PhysicalConfig {
             indexes: vec![],
             views: vec![view],
-            columnar: vec![],
         })
         .unwrap();
         let viewed = db.execute(&query).unwrap();
@@ -1228,7 +1192,6 @@ mod tests {
         db.apply_config(&PhysicalConfig {
             indexes: vec![IndexDef::new("ix", inproc, vec![3], vec![])],
             views: vec![],
-            columnar: vec![],
         })
         .unwrap();
         assert!(db.built_index("ix").is_ok());
@@ -1245,7 +1208,6 @@ mod tests {
                 IndexDef::new("ix", inproc, vec![4], vec![]),
             ],
             views: vec![],
-            columnar: vec![],
         };
         assert!(db.apply_config(&config).is_err());
     }
@@ -1268,7 +1230,6 @@ mod tests {
         db.apply_config(&PhysicalConfig {
             indexes: vec![IndexDef::new("wide", inproc, vec![4], vec![2, 3])],
             views: vec![],
-            columnar: vec![],
         })
         .unwrap();
         let actual = db.built_bytes();
@@ -1283,7 +1244,6 @@ mod tests {
         db.apply_config(&PhysicalConfig {
             indexes: vec![IndexDef::new("narrow", inproc, vec![4], vec![])],
             views: vec![],
-            columnar: vec![],
         })
         .unwrap();
         assert!((db.config_bytes(db.built_config()) as usize) < estimated / 2);
@@ -1299,7 +1259,6 @@ mod tests {
             .apply_config(&PhysicalConfig {
                 indexes: vec![IndexDef::new("ix", bogus, vec![0], vec![])],
                 views: vec![],
-                columnar: vec![],
             })
             .is_err());
         db.analyze_table(bogus).unwrap(); // no-op, no panic
@@ -1397,7 +1356,6 @@ mod tests {
             db.apply_config(&PhysicalConfig {
                 indexes: vec![IndexDef::new("ix_id", t, vec![0], vec![])],
                 views: vec![],
-                columnar: vec![],
             })
             .unwrap();
             t
@@ -1646,7 +1604,6 @@ mod tests {
                 right_col: 1,
                 outputs: vec![(ViewSide::Left, 2), (ViewSide::Right, 2)],
             }],
-            columnar: vec![],
         };
         // Without a fault plane the walk is skipped (performance posture
         // matches the executor's).
@@ -1673,7 +1630,6 @@ mod tests {
         let config = PhysicalConfig {
             indexes: vec![IndexDef::new("ix_year", inproc, vec![4], vec![])],
             views: vec![],
-            columnar: vec![],
         };
         db.apply_config(&config).unwrap();
         let query = paper_query(inproc, author);
@@ -1749,7 +1705,6 @@ mod tests {
                 right_col: 1,
                 outputs: vec![(ViewSide::Right, 99)],
             }],
-            columnar: vec![],
         };
         let err = db.apply_config(&config).unwrap_err();
         assert!(matches!(err, RelError::UnknownColumn { .. }), "got {err:?}");

@@ -6,8 +6,8 @@ use std::fmt;
 pub type RelResult<T> = Result<T, RelError>;
 
 /// Which physical structure a corruption diagnosis refers to. The row heap
-/// is the durable source of truth; indexes, materialized views, and
-/// columnar partitions are derived from it and therefore rebuildable.
+/// is the durable source of truth; indexes and materialized views are
+/// derived from it and therefore rebuildable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StructureKind {
     /// A base table's row heap.
@@ -16,8 +16,6 @@ pub enum StructureKind {
     Index,
     /// A materialized join view.
     View,
-    /// A derived columnar partition of a base table.
-    Columnar,
 }
 
 impl StructureKind {
@@ -33,7 +31,6 @@ impl StructureKind {
             StructureKind::Heap => "heap",
             StructureKind::Index => "index",
             StructureKind::View => "view",
-            StructureKind::Columnar => "columnar",
         }
     }
 }
@@ -53,8 +50,8 @@ pub struct CorruptionEvent {
     pub kind: StructureKind,
     /// Owning base table.
     pub table: String,
-    /// Name of the damaged structure: the table name for heaps, the
-    /// index/view name, or `"table[cN]"` for a columnar column partition.
+    /// Name of the damaged structure: the table name for heaps, else the
+    /// index/view name.
     pub structure: String,
     /// Zero-based page number of the first mismatch.
     pub page: usize,
@@ -110,9 +107,9 @@ pub enum RelError {
     /// that gave up, a dangling index entry. Retrying may succeed.
     Fault(String),
     /// A page whose checksum no longer matches its contents. Not transient:
-    /// the stored data itself is damaged. Derived structures (index, view,
-    /// columnar) are rebuildable from the row heap; heap corruption needs
-    /// snapshot + WAL repair.
+    /// the stored data itself is damaged. Derived structures (index, view)
+    /// are rebuildable from the row heap; heap corruption needs snapshot +
+    /// WAL repair.
     Corrupted {
         /// What kind of structure failed verification.
         kind: StructureKind,
@@ -260,10 +257,6 @@ impl fmt::Display for RelError {
                     )
                 }
                 StructureKind::View => write!(f, "corrupted page {page} in view '{structure}'"),
-                StructureKind::Columnar => write!(
-                    f,
-                    "corrupted page {page} in columnar partition '{structure}' of table '{table}'"
-                ),
             },
             RelError::ResourceExhausted(msg) => write!(f, "resource exhausted: {msg}"),
             RelError::Io(msg) => write!(f, "i/o error: {msg}"),
@@ -337,17 +330,15 @@ mod tests {
         assert!(msg.contains("index 'ix'") && msg.contains("'t'") && msg.contains("7"));
         let msg = RelError::corrupted(StructureKind::View, "t", "v", 0).to_string();
         assert!(msg.contains("view 'v'"));
-        let msg = RelError::corrupted(StructureKind::Columnar, "t", "t[c2]", 1).to_string();
-        assert!(msg.contains("columnar partition 't[c2]'"));
     }
 
     #[test]
     fn corruption_event_round_trips() {
-        let err = RelError::corrupted(StructureKind::Columnar, "t", "t[c0]", 9);
+        let err = RelError::corrupted(StructureKind::View, "t", "v", 9);
         let event = CorruptionEvent::from_error(&err).expect("corruption event");
-        assert_eq!(event.kind, StructureKind::Columnar);
+        assert_eq!(event.kind, StructureKind::View);
         assert_eq!(event.table, "t");
-        assert_eq!(event.structure, "t[c0]");
+        assert_eq!(event.structure, "v");
         assert_eq!(event.page, 9);
         assert_eq!(event.into_error(), err);
         assert!(CorruptionEvent::from_error(&RelError::Fault("x".into())).is_none());
@@ -377,11 +368,7 @@ mod tests {
     #[test]
     fn structure_kinds_classify_repairability() {
         assert!(!StructureKind::Heap.is_derived());
-        for kind in [
-            StructureKind::Index,
-            StructureKind::View,
-            StructureKind::Columnar,
-        ] {
+        for kind in [StructureKind::Index, StructureKind::View] {
             assert!(kind.is_derived());
         }
         assert_eq!(StructureKind::Heap.to_string(), "heap");

@@ -50,7 +50,7 @@ use crate::par;
 use crate::plan::{Access, BranchPlan, JoinAlgo, QueryPlan, ScanNode, ViewOutput};
 use crate::sql::Output;
 use crate::stats::TableStats;
-use crate::storage::{Column, ColumnData, TableHeap};
+use crate::storage::TableHeap;
 use crate::types::{Row, Value};
 use rustc_hash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
@@ -141,8 +141,7 @@ pub struct StmtCtx<'a> {
     /// the snapshot's visible row prefix, and the statement is planned
     /// without materialized views (a view row carries no provenance back
     /// to a base-heap position, so it cannot be filtered to a prefix;
-    /// index seeks and columnar scans filter by base-row position and stay
-    /// available).
+    /// index seeks filter by base-row position and stay available).
     pub snapshot: Option<&'a SnapshotVisibility>,
     /// Plan with these statistics (table-id order) instead of the engine's
     /// live ones. Sessions pass snapshot-clamped statistics here (see
@@ -180,9 +179,9 @@ impl StmtCtx<'_> {
     }
 
     /// Planner-contract guard of every access path that cannot read the
-    /// pending tail: indexes, columnar partitions and views hold committed
-    /// rows only, so answering a statement with pending rows through one
-    /// would silently drop the transaction's own writes.
+    /// pending tail: indexes and views hold committed rows only, so
+    /// answering a statement with pending rows through one would silently
+    /// drop the transaction's own writes.
     fn reject_pending(&self, access: &str) -> RelResult<()> {
         if self.pending.is_empty() {
             return Ok(());
@@ -845,99 +844,6 @@ fn validate_filters(filters: &[Filter], def: &TableDef) -> RelResult<()> {
     Ok(())
 }
 
-/// One filter compiled against a columnar partition: a typed per-column
-/// comparison the vectorized kernel applies to a selection vector, avoiding
-/// the per-row `Value` construction and enum dispatch of [`passes_quiet`].
-/// Each variant reproduces [`FilterOp::eval`]'s verdict exactly
-/// — including SQL null semantics (comparisons never pass NULL) and the
-/// cross-type total order (numerics below strings).
-enum Vectorized {
-    /// `IS NULL`.
-    IsNull,
-    /// `IS NOT NULL`.
-    IsNotNull,
-    /// Int column vs Int literal: native i64 compare.
-    IntCmp(i64, FilterOp),
-    /// Numeric column vs numeric literal through the f64 total order.
-    F64Cmp(f64, FilterOp),
-    /// Str column vs Str literal.
-    StrCmp(std::sync::Arc<str>, FilterOp),
-    /// Every non-null value gets the same verdict: cross-type compares
-    /// (numeric vs Str sits on a fixed side of the total order) and
-    /// NULL-literal compares (always false).
-    ConstNonNull(bool),
-}
-
-/// Does `ord` satisfy `op`? Mirrors the comparison arm of `FilterOp::eval`.
-fn ord_matches(op: FilterOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering;
-    match op {
-        FilterOp::Eq => ord == Ordering::Equal,
-        FilterOp::Ne => ord != Ordering::Equal,
-        FilterOp::Lt => ord == Ordering::Less,
-        FilterOp::Le => ord != Ordering::Greater,
-        FilterOp::Gt => ord == Ordering::Greater,
-        FilterOp::Ge => ord != Ordering::Less,
-        FilterOp::IsNull | FilterOp::IsNotNull => unreachable!("null tests are not comparisons"),
-    }
-}
-
-impl Vectorized {
-    /// Compile one filter against the column it reads.
-    fn compile(filter: &Filter, column: &Column) -> Vectorized {
-        match filter.op {
-            FilterOp::IsNull => return Vectorized::IsNull,
-            FilterOp::IsNotNull => return Vectorized::IsNotNull,
-            _ => {}
-        }
-        let op = filter.op;
-        match (column.data(), &filter.value) {
-            (_, Value::Null) => Vectorized::ConstNonNull(false),
-            (ColumnData::Int(_), Value::Int(lit)) => Vectorized::IntCmp(*lit, op),
-            (ColumnData::Int(_), Value::Float(lit)) => Vectorized::F64Cmp(*lit, op),
-            (ColumnData::Float(_), Value::Int(lit)) => Vectorized::F64Cmp(*lit as f64, op),
-            (ColumnData::Float(_), Value::Float(lit)) => Vectorized::F64Cmp(*lit, op),
-            (ColumnData::Str { .. }, Value::Str(lit)) => Vectorized::StrCmp(lit.clone(), op),
-            // Numerics sort below strings in the cross-type total order.
-            (ColumnData::Int(_) | ColumnData::Float(_), Value::Str(_)) => {
-                Vectorized::ConstNonNull(ord_matches(op, std::cmp::Ordering::Less))
-            }
-            (ColumnData::Str { .. }, Value::Int(_) | Value::Float(_)) => {
-                Vectorized::ConstNonNull(ord_matches(op, std::cmp::Ordering::Greater))
-            }
-        }
-    }
-
-    /// Verdict for row `r` of `column`.
-    fn matches(&self, column: &Column, r: usize) -> bool {
-        match self {
-            Vectorized::IsNull => return column.is_null(r),
-            Vectorized::IsNotNull => return !column.is_null(r),
-            _ => {}
-        }
-        if column.is_null(r) {
-            return false; // comparisons never pass NULL
-        }
-        match (self, column.data()) {
-            (Vectorized::IntCmp(lit, op), ColumnData::Int(vals)) => {
-                ord_matches(*op, vals[r].cmp(lit))
-            }
-            (Vectorized::F64Cmp(lit, op), ColumnData::Int(vals)) => {
-                ord_matches(*op, (vals[r] as f64).total_cmp(lit))
-            }
-            (Vectorized::F64Cmp(lit, op), ColumnData::Float(vals)) => {
-                ord_matches(*op, vals[r].total_cmp(lit))
-            }
-            (Vectorized::StrCmp(lit, op), ColumnData::Str { .. }) => {
-                ord_matches(*op, column.data().str_at(r).cmp(lit.as_ref()))
-            }
-            (Vectorized::ConstNonNull(verdict), _) => *verdict,
-            // `compile` pairs each kernel with its column's data variant.
-            _ => false,
-        }
-    }
-}
-
 /// Run one table access, returning full-width filtered rows and the access's
 /// accounting.
 fn run_scan(
@@ -996,88 +902,6 @@ fn run_scan(
                 (out, morsel.len() as u64)
             })?;
             let result = reduce_scan(pieces, per_row_cpu, &mut stats);
-            profile.record_op("scan.seq", scan_start.elapsed());
-            Ok((result, stats))
-        }
-        Access::ColumnarScan { columns } => {
-            ctx.reject_pending("a columnar partition")?;
-            let scan_start = Instant::now();
-            let col_heap = db.built_columnar(table)?;
-            if let Some(&bad) = columns.iter().find(|&&c| c >= col_heap.width()) {
-                return Err(RelError::UnknownColumn {
-                    table: table_def.name.clone(),
-                    column: format!("#{bad}"),
-                });
-            }
-            // Measured accounting is layout-invariant by contract (see
-            // DESIGN.md): charge exactly what the SeqScan arm charges — the
-            // *row* heap's pages against the budget, one fault token, the
-            // same io/cpu formulas over the same morsel boundaries — so
-            // rows, ExecStats, the profile fingerprint, and the injected
-            // fault sequence are bit-identical across layouts. Only the
-            // checksum walk differs: the pages actually read are the
-            // columnar partition's, so those are the ones verified
-            // (verification consumes neither budget nor fault tokens).
-            if let Some(plane) = plane {
-                plane.storage_gate(&table_def.name, heap.pages() as u64)?;
-                ledger.verify_once(plane, StructureKind::Columnar, &table_def.name, || {
-                    col_heap.verify_checksums(&table_def.name)
-                })?;
-            }
-            stats.io_cost += heap.pages() as f64 * SEQ_PAGE_COST;
-            let kernels: Vec<(&Column, Vectorized)> = scan
-                .filters
-                .iter()
-                .map(|f| {
-                    let column =
-                        col_heap
-                            .column(f.column)
-                            .ok_or_else(|| RelError::UnknownColumn {
-                                table: table_def.name.clone(),
-                                column: format!("#{}", f.column),
-                            })?;
-                    Ok((column, Vectorized::compile(f, column)))
-                })
-                .collect::<RelResult<_>>()?;
-            let width = table_def.columns.len();
-            // The partition's row count is clamped to the snapshot's
-            // watermark; like the live path's stale-partition semantics,
-            // rows past the scanned prefix are simply not produced.
-            let ranges = morsel_ranges(ctx.visible_rows(table, col_heap.rows()), opts, profile);
-            let pieces = fan_out(&ranges, opts, ctx, "scan", |range| {
-                // Filter to a selection vector: the first kernel scans the
-                // range, the rest thin it in plan-filter order.
-                let mut sel: Vec<u32> = Vec::new();
-                match kernels.split_first() {
-                    None => sel.extend(range.clone().map(|r| r as u32)),
-                    Some(((column, kernel), rest)) => {
-                        for r in range.clone() {
-                            if kernel.matches(column, r) {
-                                sel.push(r as u32);
-                            }
-                        }
-                        for (column, kernel) in rest {
-                            sel.retain(|&r| kernel.matches(column, r as usize));
-                        }
-                    }
-                }
-                // Late materialization: decode only the surviving rows, and
-                // only the columns the plan reads — the rest stay NULL,
-                // which downstream operators never touch.
-                let mut out = Vec::with_capacity(sel.len());
-                for &r in &sel {
-                    let mut row = vec![Value::Null; width];
-                    for &c in columns {
-                        row[c] = col_heap.value(c, r as usize);
-                    }
-                    out.push(row);
-                }
-                (out, range.len() as u64)
-            })?;
-            let result = reduce_scan(pieces, per_row_cpu, &mut stats);
-            // Recorded as `scan.seq`: the operator identity (and with it the
-            // profile fingerprint) is part of the layout-invariance
-            // contract.
             profile.record_op("scan.seq", scan_start.elapsed());
             Ok((result, stats))
         }
@@ -1282,7 +1106,6 @@ mod tests {
         db.apply_config(&PhysicalConfig {
             indexes: vec![IndexDef::new("ix", t, vec![1], includes)],
             views: vec![],
-            columnar: vec![],
         })
         .unwrap();
         (db, t)
@@ -1381,7 +1204,6 @@ mod tests {
                 IndexDef::new("ix_pid", child, vec![1], vec![0]),
             ],
             views: vec![],
-            columnar: vec![],
         })
         .unwrap();
         let indexed = db.execute(&query).unwrap();
@@ -1486,7 +1308,6 @@ mod tests {
         };
         let branches = [
             pipeline(scan(0, seek), vec![]),
-            pipeline(scan(0, Access::ColumnarScan { columns: vec![0] }), vec![]),
             pipeline(scan(0, Access::SeqScan), vec![inlj]),
             BranchPlan::ViewScan {
                 view: "v".into(),
@@ -1765,141 +1586,6 @@ mod tests {
             }
             left.merge(&right);
             assert_eq!(left, all, "split={split}");
-        }
-    }
-
-    /// The layout-invariance contract: executing the same query over a
-    /// columnar partition returns bit-identical rows, stats, and profile
-    /// fingerprint — the layout changes wall-clock, never results.
-    #[test]
-    fn columnar_scan_matches_row_scan_bit_for_bit() {
-        let (mut db, t) = db_with_index(false);
-        // `Ne` is not sargable, so both configs plan a full scan.
-        let mut q = SelectQuery::single(t);
-        q.filters = vec![Filter::new(0, 1, crate::expr::FilterOp::Ne, Value::Int(7))];
-        q.outputs = vec![Output::col(0, 0), Output::col(0, 2)];
-        let query = SqlQuery::Select(q);
-        let opts = ExecOptions {
-            threads: 1,
-            morsel_rows: 128,
-        };
-        let row_plan = db.estimate(&query, db.built_config()).unwrap();
-        let (row_rows, row_stats, row_profile) =
-            execute(&db, &row_plan, &opts, &StmtCtx::default()).unwrap();
-        db.apply_config(&PhysicalConfig {
-            indexes: vec![],
-            views: vec![],
-            columnar: vec![t],
-        })
-        .unwrap();
-        let col_plan = db.estimate(&query, db.built_config()).unwrap();
-        assert!(
-            matches!(
-                &col_plan.branches[0],
-                BranchPlan::Pipeline {
-                    driver: ScanNode {
-                        access: Access::ColumnarScan { .. },
-                        ..
-                    },
-                    ..
-                }
-            ),
-            "columnar config must re-price the scan: {}",
-            col_plan.explain()
-        );
-        for threads in [1usize, 4] {
-            let opts = ExecOptions {
-                threads,
-                morsel_rows: 128,
-            };
-            let (rows, stats, profile) =
-                execute(&db, &col_plan, &opts, &StmtCtx::default()).unwrap();
-            assert_eq!(rows, row_rows, "threads={threads}");
-            assert_eq!(stats, row_stats, "threads={threads}");
-            assert_eq!(
-                profile.deterministic_fingerprint(),
-                row_profile.deterministic_fingerprint(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    /// The vectorized kernels must reproduce `FilterOp::eval` exactly:
-    /// SQL null semantics (comparisons never pass NULL, `IS NULL` does),
-    /// cross-type ordering (numerics below strings), and Int-vs-Float
-    /// comparison through the f64 total order.
-    #[test]
-    fn columnar_kernels_match_row_semantics() {
-        let mut db = Database::new();
-        let t = db
-            .create_table(TableDef::new(
-                "k",
-                vec![
-                    ColumnDef::new("i", DataType::Int).nullable(),
-                    ColumnDef::new("f", DataType::Float).nullable(),
-                    ColumnDef::new("s", DataType::Str).nullable(),
-                ],
-            ))
-            .unwrap();
-        for n in 0..100i64 {
-            db.insert(
-                t,
-                vec![
-                    if n % 3 == 0 {
-                        Value::Null
-                    } else {
-                        Value::Int(n)
-                    },
-                    if n % 5 == 0 {
-                        Value::Null
-                    } else {
-                        Value::Float(n as f64 / 2.0)
-                    },
-                    if n % 7 == 0 {
-                        Value::Null
-                    } else {
-                        Value::str(format!("s{n:03}"))
-                    },
-                ],
-            )
-            .unwrap();
-        }
-        db.analyze().unwrap();
-        let cases: Vec<Vec<Filter>> = vec![
-            vec![Filter::new(0, 0, FilterOp::IsNull, Value::Null)],
-            vec![Filter::new(0, 0, FilterOp::IsNotNull, Value::Null)],
-            vec![Filter::new(0, 0, FilterOp::Ne, Value::Int(10))],
-            vec![Filter::new(0, 1, FilterOp::Ge, Value::Int(20))],
-            vec![Filter::new(0, 0, FilterOp::Lt, Value::str("x"))],
-            vec![Filter::new(0, 2, FilterOp::Gt, Value::Int(5))],
-            vec![Filter::new(0, 2, FilterOp::Le, Value::str("s050"))],
-            vec![Filter::new(0, 0, FilterOp::Eq, Value::Null)],
-            vec![Filter::new(0, 0, FilterOp::Eq, Value::Float(12.0))],
-            vec![
-                Filter::new(0, 0, FilterOp::Ne, Value::Int(10)),
-                Filter::new(0, 2, FilterOp::IsNotNull, Value::Null),
-            ],
-        ];
-        let query = |filters: &[Filter]| {
-            let mut q = SelectQuery::single(t);
-            q.filters = filters.to_vec();
-            q.outputs = vec![Output::col(0, 0), Output::col(0, 1), Output::col(0, 2)];
-            SqlQuery::Select(q)
-        };
-        let row_outcomes: Vec<_> = cases
-            .iter()
-            .map(|filters| db.execute(&query(filters)).unwrap())
-            .collect();
-        db.apply_config(&PhysicalConfig {
-            indexes: vec![],
-            views: vec![],
-            columnar: vec![t],
-        })
-        .unwrap();
-        for (i, (filters, expected)) in cases.iter().zip(&row_outcomes).enumerate() {
-            let outcome = db.execute(&query(filters)).unwrap();
-            assert_eq!(outcome.rows, expected.rows, "case {i}");
-            assert_eq!(outcome.exec, expected.exec, "case {i}");
         }
     }
 

@@ -88,8 +88,6 @@ pub struct ScrubReport {
     pub indexes_checked: u64,
     /// Materialized views verified.
     pub views_checked: u64,
-    /// Columnar partitions verified.
-    pub columnar_checked: u64,
     /// Checksum mismatches, in catalog/configuration order.
     pub corruptions: Vec<CorruptionEvent>,
 }
@@ -102,7 +100,6 @@ impl ScrubReport {
             StructureKind::Heap => &mut self.heaps_checked,
             StructureKind::Index => &mut self.indexes_checked,
             StructureKind::View => &mut self.views_checked,
-            StructureKind::Columnar => &mut self.columnar_checked,
         } += 1;
         if let Some(event) = result.err().as_ref().and_then(CorruptionEvent::from_error) {
             self.corruptions.push(event);
@@ -115,12 +112,11 @@ impl ScrubReport {
     }
 
     /// The report as `(metric name, value)` pairs under the `scrub.` prefix.
-    pub fn metric_counters(&self) -> [(&'static str, u64); 5] {
+    pub fn metric_counters(&self) -> [(&'static str, u64); 4] {
         [
             ("scrub.heaps_checked", self.heaps_checked),
             ("scrub.indexes_checked", self.indexes_checked),
             ("scrub.views_checked", self.views_checked),
-            ("scrub.columnar_checked", self.columnar_checked),
             ("scrub.corruptions", self.corruptions.len() as u64),
         ]
     }
@@ -200,18 +196,17 @@ mod tests {
             heaps_checked: 2,
             indexes_checked: 1,
             views_checked: 1,
-            columnar_checked: 1,
             corruptions: vec![CorruptionEvent {
-                kind: StructureKind::Columnar,
+                kind: StructureKind::View,
                 table: "w".into(),
-                structure: "w[c0]".into(),
+                structure: "v_w".into(),
                 page: 3,
             }],
         };
         assert!(!report.is_clean());
         let json = report.to_json();
         assert!(json.contains("\"scrub.corruptions\": 1"), "{json}");
-        assert!(json.contains("\"columnar:w:w[c0]:3\""), "{json}");
+        assert!(json.contains("\"view:w:v_w:3\""), "{json}");
         assert!(ScrubReport::default().is_clean());
     }
 

@@ -607,7 +607,6 @@ mod clustered_tests {
                 IndexDef::new("c2", t, vec![1], vec![]).clustered(),
             ],
             views: vec![],
-            columnar: vec![],
         };
         assert!(db.apply_config(&config).is_err());
     }

@@ -79,7 +79,6 @@ pub use server::{
 pub use session::{SessionDb, Transaction};
 pub use sql::{Output, SelectQuery, SqlQuery, UnionAllQuery};
 pub use stats::{ColumnStats, TableStats};
-pub use storage::{Column, ColumnData, ColumnarHeap};
 pub use types::{DataType, Row, Value};
 pub use view::BuiltView;
 pub use view::ViewDef;

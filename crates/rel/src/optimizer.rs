@@ -14,8 +14,8 @@
 
 use crate::catalog::{Catalog, TableId};
 use crate::cost::{
-    columnar_scan_cost, hash_join_cost, index_seek_cost, pages_fetched, seq_scan_cost, sort_cost,
-    BTREE_DESCENT_COST, CPU_PRED_COST, CPU_TUPLE_COST, PAGE_SIZE, RANDOM_PAGE_COST, SEQ_PAGE_COST,
+    hash_join_cost, index_seek_cost, seq_scan_cost, sort_cost, BTREE_DESCENT_COST, CPU_PRED_COST,
+    CPU_TUPLE_COST, PAGE_SIZE, RANDOM_PAGE_COST, SEQ_PAGE_COST,
 };
 use crate::error::{RelError, RelResult};
 use crate::expr::{Filter, FilterOp};
@@ -33,11 +33,6 @@ pub struct PhysicalConfig {
     pub indexes: Vec<IndexDef>,
     /// Available materialized views.
     pub views: Vec<ViewDef>,
-    /// Tables stored as columnar partitions. A listed table keeps its row
-    /// heap as the durable source of truth; a derived [`crate::storage::ColumnarHeap`]
-    /// is built alongside, and sequential scans over the table become
-    /// vectorized [`Access::ColumnarScan`]s.
-    pub columnar: Vec<TableId>,
 }
 
 impl PhysicalConfig {
@@ -52,13 +47,12 @@ impl PhysicalConfig {
     }
 
     /// Every table a structure of this configuration is built from, each
-    /// once, in first-reference order (indexes, then views, then columnar
-    /// partitions).
+    /// once, in first-reference order (indexes, then views).
     pub fn backing_tables(&self) -> Vec<TableId> {
         let indexed = self.indexes.iter().map(|def| def.table);
         let joined = self.views.iter().flat_map(|def| [def.left, def.right]);
         let mut tables: Vec<TableId> = Vec::new();
-        for table in indexed.chain(joined).chain(self.columnar.iter().copied()) {
+        for table in indexed.chain(joined) {
             if !tables.contains(&table) {
                 tables.push(table);
             }
@@ -78,11 +72,6 @@ impl PhysicalConfig {
                 self.views.push(view.clone());
             }
         }
-        for &table in &other.columnar {
-            if !self.columnar.contains(&table) {
-                self.columnar.push(table);
-            }
-        }
     }
 }
 
@@ -91,7 +80,6 @@ impl PhysicalConfig {
 struct ConfigIndex<'a> {
     by_table: rustc_hash::FxHashMap<TableId, Vec<&'a IndexDef>>,
     views: &'a [ViewDef],
-    columnar: rustc_hash::FxHashSet<TableId>,
 }
 
 impl<'a> ConfigIndex<'a> {
@@ -104,16 +92,11 @@ impl<'a> ConfigIndex<'a> {
         ConfigIndex {
             by_table,
             views: &config.views,
-            columnar: config.columnar.iter().copied().collect(),
         }
     }
 
     fn on(&self, table: TableId) -> &[&'a IndexDef] {
         self.by_table.get(&table).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    fn is_columnar(&self, table: TableId) -> bool {
-        self.columnar.contains(&table)
     }
 }
 
@@ -184,8 +167,7 @@ pub fn plan_query_profiled(
         profile.join_orders_considered += if n <= 4 { (1..=n as u64).product() } else { 1 };
         for &table in &select.tables {
             let indexes = config.indexes.iter().filter(|i| i.table == table).count() as u64;
-            let columnar = u64::from(config.columnar.contains(&table));
-            profile.access_paths_considered += 1 + indexes + columnar;
+            profile.access_paths_considered += 1 + indexes;
         }
         if n == 2 && select.joins.len() == 1 {
             profile.views_considered += config.views.len() as u64;
@@ -246,12 +228,9 @@ fn plan_select_indexed(
     index: &ConfigIndex<'_>,
     query: &SelectQuery,
 ) -> RelResult<BranchPlan> {
-    // View-vs-pipeline arbitration runs at the pipeline's row-equivalent
-    // (arbitration) price so the winner is layout-invariant; see
-    // `AccessChoice::arb_cost`.
-    let (pipeline, pipeline_arb) = plan_pipeline(catalog, stats, index, query)?;
+    let pipeline = plan_pipeline(catalog, stats, index, query)?;
     match plan_view_scan(catalog, stats, index, query) {
-        Some(view_plan) if view_plan.est_cost() < pipeline_arb => Ok(view_plan),
+        Some(view_plan) if view_plan.est_cost() < pipeline.est_cost() => Ok(view_plan),
         _ => Ok(pipeline),
     }
 }
@@ -331,14 +310,8 @@ pub fn view_fingerprint(def: &ViewDef) -> u64 {
     fx_hash(&(2u8, def))
 }
 
-/// Fingerprint of one columnar-partition designation.
-pub fn columnar_fingerprint(table: TableId) -> u64 {
-    fx_hash(&(3u8, table))
-}
-
 /// Fingerprint of a whole configuration: the chain of its indexes, then its
-/// views, then its columnar tables. Two configs holding the same structures
-/// in the same order agree.
+/// views. Two configs holding the same structures in the same order agree.
 pub fn config_fingerprint(config: &PhysicalConfig) -> u64 {
     let mut fp = EMPTY_CONFIG_FINGERPRINT;
     for idx in &config.indexes {
@@ -346,9 +319,6 @@ pub fn config_fingerprint(config: &PhysicalConfig) -> u64 {
     }
     for view in &config.views {
         fp = extend_fingerprint(fp, view_fingerprint(view));
-    }
-    for &table in &config.columnar {
-        fp = extend_fingerprint(fp, columnar_fingerprint(table));
     }
     fp
 }
@@ -405,16 +375,7 @@ pub fn context_fingerprint(catalog: &Catalog, stats: &[TableStats]) -> u64 {
 struct AccessChoice {
     access: Access,
     est_rows: f64,
-    /// Reported estimate: what this access is predicted to cost on the
-    /// layout it will actually execute (columnar scans price column pages).
     est_cost: f64,
-    /// Arbitration cost: the row-equivalent price used for every
-    /// scan-vs-seek, hash-vs-INLJ, join-order, and view-vs-pipeline
-    /// comparison. Identical whether or not the table is columnar, so plan
-    /// *shapes* are layout-invariant by construction — which is what lets
-    /// the executor promise bit-identical rows/stats/profiles across
-    /// layouts. Equal to `est_cost` for every non-columnar access.
-    arb_cost: f64,
 }
 
 /// Selectivity of a filter set on one table. Columns without statistics
@@ -462,12 +423,10 @@ fn best_access(
     let sel_all = filters_selectivity(table_stats, filters);
     let est_rows = rows * sel_all;
 
-    let seq_cost = seq_scan_cost(pages, rows, filters.len());
     let mut best = AccessChoice {
         access: Access::SeqScan,
         est_rows,
-        est_cost: seq_cost,
-        arb_cost: seq_cost,
+        est_cost: seq_scan_cost(pages, rows, filters.len()),
     };
 
     for idx in config.on(table) {
@@ -559,7 +518,7 @@ fn best_access(
                 + matched_rows * residual_count as f64 * CPU_PRED_COST
         };
 
-        if cost < best.arb_cost {
+        if cost < best.est_cost {
             best = AccessChoice {
                 access: Access::IndexSeek {
                     index: idx.name.clone(),
@@ -568,57 +527,10 @@ fn best_access(
                 },
                 est_rows,
                 est_cost: cost,
-                arb_cost: cost,
             };
         }
     }
 
-    // Columnar swap: arbitration above ran at row-equivalent prices in both
-    // layouts, so the *shape* of the winner is layout-invariant. Only now,
-    // if a sequential scan won and the table is a columnar partition, does
-    // the scan become vectorized — re-priced at per-column page counts for
-    // the what-if oracle while `arb_cost` keeps the row-equivalent price.
-    if matches!(best.access, Access::SeqScan) && config.is_columnar(table) {
-        // Touched columns: outputs + join keys + filters. `needed` (from
-        // `referenced_columns`) already includes the filter columns.
-        let columns: Vec<usize> = needed.to_vec();
-        let filter_cols: Vec<usize> = {
-            let mut cols: Vec<usize> = filters.iter().map(|f| f.column).collect();
-            cols.sort_unstable();
-            cols.dedup();
-            cols
-        };
-        let col_pages = |c: usize| -> f64 {
-            if table_stats.rows == 0 {
-                return 0.0;
-            }
-            let width = table_stats
-                .columns
-                .get(c)
-                .map(|s| {
-                    let fill = s.fill_fraction();
-                    fill * s.avg_width.max(1.0) + (1.0 - fill)
-                })
-                .unwrap_or(8.0);
-            (rows * width / PAGE_SIZE as f64).max(1.0)
-        };
-        // Filter columns are scanned end to end; the remaining touched
-        // columns are fetched only where the selection vector survives
-        // (Cardenas/Yao over that column's pages).
-        let scanned: f64 = filter_cols.iter().map(|&c| col_pages(c)).sum();
-        let fetched: f64 = columns
-            .iter()
-            .filter(|c| !filter_cols.contains(c))
-            .map(|&c| pages_fetched(est_rows, col_pages(c)))
-            .sum();
-        let cost = columnar_scan_cost(scanned, fetched, rows, filters.len());
-        best = AccessChoice {
-            access: Access::ColumnarScan { columns },
-            est_rows,
-            est_cost: cost.min(best.est_cost),
-            arb_cost: best.arb_cost,
-        };
-    }
     best
 }
 
@@ -626,16 +538,13 @@ fn best_access(
 // Join pipelines
 // ---------------------------------------------------------------------------
 
-/// Plan the best left-deep pipeline. Returns the plan plus its total
-/// *arbitration* cost (row-equivalent; equal to the reported estimate when
-/// no columnar partition participates) — every comparison inside uses
-/// arbitration prices so the chosen shape is layout-invariant.
+/// Plan the best left-deep pipeline.
 fn plan_pipeline(
     catalog: &Catalog,
     stats: &[TableStats],
     config: &ConfigIndex<'_>,
     query: &SelectQuery,
-) -> RelResult<(BranchPlan, f64)> {
+) -> RelResult<BranchPlan> {
     let n = query.tables.len();
     let per_table_filters: Vec<Vec<&Filter>> = (0..n)
         .map(|t| query.filters.iter().filter(|f| f.table_ref == t).collect())
@@ -648,8 +557,8 @@ fn plan_pipeline(
         vec![(0..n).collect()]
     };
 
-    // Candidate plan plus (arbitration cost, estimated cost, rows).
-    let mut best: Option<(f64, f64, ScanNode, Vec<JoinNode>, f64)> = None;
+    // Candidate plan plus (estimated cost, rows).
+    let mut best: Option<(f64, ScanNode, Vec<JoinNode>, f64)> = None;
     'order: for order in &orders {
         let driver_ref = order[0];
         let driver_choice = best_access(
@@ -671,7 +580,6 @@ fn plan_pipeline(
             est_cost: driver_choice.est_cost,
         };
         let mut cost = driver.est_cost;
-        let mut arb = driver_choice.arb_cost;
         let mut rows = driver.est_rows;
         let mut joined = vec![driver_ref];
         let mut joins = Vec::new();
@@ -713,9 +621,8 @@ fn plan_pipeline(
                 &per_table_filters[occ],
                 &needed[occ],
             );
-            let join_term = hash_join_cost(inner_access.est_rows, rows, out_rows);
-            let hash_cost = inner_access.est_cost + join_term;
-            let hash_arb = inner_access.arb_cost + join_term;
+            let hash_cost =
+                inner_access.est_cost + hash_join_cost(inner_access.est_rows, rows, out_rows);
 
             // INLJ option: an index whose first key column is the join column.
             let mut inlj: Option<(f64, String, bool)> = None;
@@ -749,18 +656,13 @@ fn plan_pipeline(
                 est_rows: inner_access.est_rows,
                 est_cost: inner_access.est_cost,
             };
-            let (algo, step_cost, step_arb) = match inlj {
-                // Algorithm choice compares arbitration prices (INLJ never
-                // reads a columnar partition, so its two prices coincide).
-                Some((inlj_cost, index, covering)) if inlj_cost < hash_arb => (
-                    JoinAlgo::IndexNestedLoop { index, covering },
-                    inlj_cost,
-                    inlj_cost,
-                ),
-                _ => (JoinAlgo::Hash, hash_cost, hash_arb),
+            let (algo, step_cost) = match inlj {
+                Some((inlj_cost, index, covering)) if inlj_cost < hash_cost => {
+                    (JoinAlgo::IndexNestedLoop { index, covering }, inlj_cost)
+                }
+                _ => (JoinAlgo::Hash, hash_cost),
             };
             cost += step_cost;
-            arb += step_arb;
             rows = out_rows;
             joins.push(JoinNode {
                 inner: inner_scan,
@@ -777,26 +679,22 @@ fn plan_pipeline(
         if joined.len() != n {
             continue; // disconnected query under this order
         }
-        // Order selection also runs at arbitration prices.
-        if best.as_ref().map(|(a, ..)| arb < *a).unwrap_or(true) {
-            best = Some((arb, cost, driver, joins, rows));
+        if best.as_ref().map(|(c, ..)| cost < *c).unwrap_or(true) {
+            best = Some((cost, driver, joins, rows));
         }
     }
 
-    let (arb, cost, driver, joins, rows) = best.ok_or_else(|| {
+    let (cost, driver, joins, rows) = best.ok_or_else(|| {
         RelError::InvalidQuery("no connected join order found (cross joins unsupported)".into())
     })?;
-    Ok((
-        BranchPlan::Pipeline {
-            tables: query.tables.clone(),
-            driver,
-            joins,
-            outputs: query.outputs.clone(),
-            est_rows: rows,
-            est_cost: cost + rows * CPU_TUPLE_COST,
-        },
-        arb + rows * CPU_TUPLE_COST,
-    ))
+    Ok(BranchPlan::Pipeline {
+        tables: query.tables.clone(),
+        driver,
+        joins,
+        outputs: query.outputs.clone(),
+        est_rows: rows,
+        est_cost: cost + rows * CPU_TUPLE_COST,
+    })
 }
 
 fn permutations(n: usize) -> Vec<Vec<usize>> {
@@ -1025,7 +923,6 @@ mod tests {
         let config = PhysicalConfig {
             indexes: vec![IndexDef::new("ix_grp", parent, vec![1], vec![])],
             views: vec![],
-            columnar: vec![],
         };
         let plan = plan_select(&catalog, &stats, &config, &selective_query(parent)).unwrap();
         let BranchPlan::Pipeline { driver, .. } = &plan else {
@@ -1040,12 +937,10 @@ mod tests {
         let noncovering = PhysicalConfig {
             indexes: vec![IndexDef::new("ix", parent, vec![1], vec![])],
             views: vec![],
-            columnar: vec![],
         };
         let covering = PhysicalConfig {
             indexes: vec![IndexDef::new("ix", parent, vec![1], vec![0, 2])],
             views: vec![],
-            columnar: vec![],
         };
         let q = selective_query(parent);
         let p1 = plan_select(&catalog, &stats, &noncovering, &q).unwrap();
@@ -1059,7 +954,6 @@ mod tests {
         let config = PhysicalConfig {
             indexes: vec![IndexDef::new("ix_year", parent, vec![2], vec![])],
             views: vec![],
-            columnar: vec![],
         };
         let mut q = SelectQuery::single(parent);
         // year >= 1961 matches ~98% of rows.
@@ -1140,7 +1034,6 @@ mod tests {
                 IndexDef::new("ix_pid", child, vec![1], vec![]),
             ],
             views: vec![],
-            columnar: vec![],
         };
         let plan = plan_select(&catalog, &stats, &config, &join_query(parent, child)).unwrap();
         let BranchPlan::Pipeline { driver, joins, .. } = &plan else {
@@ -1168,7 +1061,6 @@ mod tests {
         let config = PhysicalConfig {
             indexes: vec![],
             views: vec![view],
-            columnar: vec![],
         };
         let plan = plan_select(&catalog, &stats, &config, &join_query(parent, child)).unwrap();
         // Without any indexes, the view scan should beat scan+hash join.
@@ -1189,7 +1081,6 @@ mod tests {
         let config = PhysicalConfig {
             indexes: vec![],
             views: vec![view],
-            columnar: vec![],
         };
         let plan = plan_select(&catalog, &stats, &config, &join_query(parent, child)).unwrap();
         assert!(matches!(plan, BranchPlan::Pipeline { .. }));
@@ -1201,7 +1092,6 @@ mod tests {
         let config = PhysicalConfig {
             indexes: vec![IndexDef::new("ix_year", parent, vec![2], vec![0])],
             views: vec![],
-            columnar: vec![],
         };
         let mut q = SelectQuery::single(parent);
         q.filters = vec![Filter::new(0, 2, FilterOp::Eq, Value::Int(1999))];
@@ -1219,114 +1109,6 @@ mod tests {
     fn permutations_complete() {
         assert_eq!(permutations(3).len(), 6);
         assert_eq!(permutations(1), vec![vec![0]]);
-    }
-
-    #[test]
-    fn columnar_scan_replaces_seq_scan_with_cheaper_estimate() {
-        let (catalog, stats, parent, _) = setup();
-        let row_plan = plan_select(
-            &catalog,
-            &stats,
-            &PhysicalConfig::none(),
-            &selective_query(parent),
-        )
-        .unwrap();
-        let config = PhysicalConfig {
-            indexes: vec![],
-            views: vec![],
-            columnar: vec![parent],
-        };
-        let col_plan = plan_select(&catalog, &stats, &config, &selective_query(parent)).unwrap();
-        let BranchPlan::Pipeline { driver, .. } = &col_plan else {
-            panic!()
-        };
-        // The query touches ID, grp, year — all three columns — but drops
-        // the 8-byte row headers and fetches non-filter columns only where
-        // the predicate survives, so the estimate still shrinks.
-        let Access::ColumnarScan { columns } = &driver.access else {
-            panic!("expected ColumnarScan, got {:?}", driver.access)
-        };
-        assert_eq!(columns, &vec![0, 1, 2]);
-        assert!(col_plan.est_cost() < row_plan.est_cost());
-    }
-
-    #[test]
-    fn columnar_never_changes_the_plan_shape() {
-        // Layout invariance: for any configuration, adding columnar
-        // designations may re-price sequential scans but must not flip a
-        // single arbitration (access path, join algorithm, join order, or
-        // view substitution).
-        let (catalog, stats, parent, child) = setup();
-        // Both scan flavors collapse to "scan": the swap is the one
-        // permitted difference.
-        let access_label = |a: &Access| match a {
-            Access::SeqScan | Access::ColumnarScan { .. } => "scan".to_string(),
-            Access::IndexSeek { index, .. } => format!("seek:{index}"),
-        };
-        let shape = |plan: &BranchPlan| match plan {
-            BranchPlan::Pipeline { driver, joins, .. } => format!(
-                "{}:{} {:?}",
-                driver.table_ref,
-                access_label(&driver.access),
-                joins
-                    .iter()
-                    .map(|j| {
-                        let algo = match &j.algo {
-                            JoinAlgo::Hash => format!("hash:{}", access_label(&j.inner.access)),
-                            JoinAlgo::IndexNestedLoop { index, .. } => format!("inlj:{index}"),
-                        };
-                        (j.inner.table_ref, algo)
-                    })
-                    .collect::<Vec<_>>()
-            ),
-            BranchPlan::ViewScan { view, .. } => format!("view:{view}"),
-        };
-        let configs = [
-            PhysicalConfig::none(),
-            PhysicalConfig {
-                indexes: vec![
-                    IndexDef::new("ix_grp", parent, vec![1], vec![]),
-                    IndexDef::new("ix_pid", child, vec![1], vec![]),
-                ],
-                views: vec![],
-                columnar: vec![],
-            },
-        ];
-        let queries = [
-            SqlQuery::Select(selective_query(parent)),
-            SqlQuery::Select(join_query(parent, child)),
-        ];
-        for base in &configs {
-            let mut columnar = base.clone();
-            columnar.columnar = vec![parent, child];
-            for query in &queries {
-                let row = plan_query(&catalog, &stats, base, query).unwrap();
-                let col = plan_query(&catalog, &stats, &columnar, query).unwrap();
-                assert_eq!(row.branches.len(), col.branches.len());
-                for (r, c) in row.branches.iter().zip(&col.branches) {
-                    assert_eq!(shape(r), shape(c), "plan shape diverged across layouts");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_counts_in_profile_and_fingerprint() {
-        let (catalog, stats, parent, child) = setup();
-        let query = SqlQuery::Select(join_query(parent, child));
-        let base = PhysicalConfig::none();
-        let mut columnar = base.clone();
-        columnar.columnar = vec![parent];
-        let (_, p0) = plan_query_profiled(&catalog, &stats, &base, &query).unwrap();
-        let (_, p1) = plan_query_profiled(&catalog, &stats, &columnar, &query).unwrap();
-        assert_eq!(p1.access_paths_considered, p0.access_paths_considered + 1);
-        // Fingerprints must distinguish the two configs (what-if cache
-        // keys) and be order-stable.
-        assert_ne!(config_fingerprint(&base), config_fingerprint(&columnar));
-        assert_eq!(
-            config_fingerprint(&columnar),
-            extend_fingerprint(config_fingerprint(&base), columnar_fingerprint(parent))
-        );
     }
 
     #[test]

@@ -25,20 +25,13 @@ pub enum Access {
         /// is never touched.
         covering: bool,
     },
-    /// Vectorized scan over a columnar partition: only the listed columns
-    /// are decoded (late materialization).
-    ColumnarScan {
-        /// Columns the branch touches (outputs + filters + join keys),
-        /// sorted and deduplicated.
-        columns: Vec<usize>,
-    },
 }
 
 impl Access {
     /// Name of the index used, if any.
     pub fn index_name(&self) -> Option<&str> {
         match self {
-            Access::SeqScan | Access::ColumnarScan { .. } => None,
+            Access::SeqScan => None,
             Access::IndexSeek { index, .. } => Some(index),
         }
     }
@@ -232,14 +225,6 @@ impl QueryPlan {
                                 "IndexSeek(t{}, {index}{})",
                                 driver.table_ref,
                                 if *covering { ", covering" } else { "" }
-                            );
-                        }
-                        Access::ColumnarScan { columns } => {
-                            let _ = write!(
-                                out,
-                                "ColumnarScan(t{}, {} cols)",
-                                driver.table_ref,
-                                columns.len()
                             );
                         }
                     }

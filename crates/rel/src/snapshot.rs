@@ -121,7 +121,6 @@ mod tests {
             WalRecord::ApplyConfig(PhysicalConfig {
                 indexes: vec![IndexDef::new("ix", TableId(0), vec![0], vec![])],
                 views: vec![],
-                columnar: vec![TableId(0)],
             }),
         ]
     }

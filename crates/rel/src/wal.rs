@@ -437,17 +437,6 @@ fn enc_config(e: &mut Enc, config: &PhysicalConfig) {
     for def in &config.views {
         enc_view_def(e, def);
     }
-    // The columnar section is written only when non-empty: the config is
-    // the trailing field of the ApplyConfig record, so its absence is
-    // unambiguous, and configs without partitions keep the pre-columnar
-    // byte layout (older logs still decode, and byte-level WAL accounting
-    // like `wal.valid_bytes` is unchanged for them).
-    if !config.columnar.is_empty() {
-        e.u32(config.columnar.len() as u32);
-        for table in &config.columnar {
-            e.u32(table.0);
-        }
-    }
 }
 
 fn dec_config(d: &mut Dec<'_>) -> DecResult<PhysicalConfig> {
@@ -461,19 +450,7 @@ fn dec_config(d: &mut Dec<'_>) -> DecResult<PhysicalConfig> {
     for _ in 0..nv {
         views.push(dec_view_def(d)?);
     }
-    let mut columnar = Vec::new();
-    if !d.is_done() {
-        let nc = d.len()?;
-        columnar.reserve(nc);
-        for _ in 0..nc {
-            columnar.push(TableId(d.u32()?));
-        }
-    }
-    Ok(PhysicalConfig {
-        indexes,
-        views,
-        columnar,
-    })
+    Ok(PhysicalConfig { indexes, views })
 }
 
 fn enc_opt_value(e: &mut Enc, v: &Option<Value>) {
@@ -1016,7 +993,6 @@ mod tests {
                     right_col: 1,
                     outputs: vec![(ViewSide::Left, 0), (ViewSide::Right, 2)],
                 }],
-                columnar: vec![TableId(0), TableId(1)],
             }),
             WalRecord::ClearConfig,
             WalRecord::Checkpoint,
@@ -1255,6 +1231,24 @@ mod tests {
         // On-disk tags are load-bearing (old logs must keep decoding).
         assert_eq!(encode_frame(0, &begin)[16], TAG_TXN_BEGIN);
         assert_eq!(encode_frame(0, &commit)[16], TAG_TXN_COMMIT);
+    }
+
+    /// A config once carried an optional third section listing columnar
+    /// partitions. The record now ends after the views, so a payload with
+    /// that section reads like any damaged frame.
+    #[test]
+    fn apply_config_with_old_columnar_section_is_trailing_bytes() {
+        let mut e = Enc::default();
+        e.u8(TAG_APPLY_CONFIG);
+        enc_config(&mut e, &PhysicalConfig::none());
+        e.u32(1);
+        e.u32(0);
+        assert_eq!(
+            WalRecord::decode(&mut Dec::new(&e.0)),
+            Err(DecodeError::TrailingBytes {
+                context: "record payload"
+            })
+        );
     }
 
     #[test]

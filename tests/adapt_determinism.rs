@@ -132,7 +132,6 @@ fn online_swap_survives_crash_and_recovery() {
     let config = |t: TableId| PhysicalConfig {
         indexes: vec![IndexDef::new("ix_a", t, vec![1], vec![])],
         views: vec![],
-        columnar: vec![],
     };
 
     // Completed swap: recovery rebuilds the new design.
@@ -142,7 +141,7 @@ fn online_swap_survives_crash_and_recovery() {
     db.analyze().expect("analyze");
     let sdb = SessionDb::new(db);
     let report = sdb.apply_config_online(&config(t)).expect("online swap");
-    assert_eq!(report.installed, (1, 0, 0));
+    assert_eq!(report.installed, (1, 0));
     drop(sdb);
     let (db, recovery) = Database::open_durable(&dir).expect("recover");
     assert_eq!(recovery.indexes_rebuilt, 1);
@@ -169,7 +168,6 @@ fn online_swap_survives_crash_and_recovery() {
             IndexDef::new("ix_b", t, vec![2], vec![]),
         ],
         views: vec![],
-        columnar: vec![],
     };
     let err = sdb.apply_config_online(&bigger).expect_err("swap crashes");
     assert!(

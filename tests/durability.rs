@@ -12,10 +12,10 @@ use xmlshred::core::metrics::record_recovery;
 use xmlshred::core::MetricsRegistry;
 use xmlshred::rel::catalog::{ColumnDef, TableDef};
 use xmlshred::rel::db::Database;
-use xmlshred::rel::index::{IndexDef, KeyRange};
+use xmlshred::rel::index::IndexDef;
 use xmlshred::rel::types::{DataType, Value};
 use xmlshred::rel::view::{ViewDef, ViewSide};
-use xmlshred::rel::{CrashKind, CrashPoint, PhysicalConfig, RelError};
+use xmlshred::rel::{CrashKind, CrashPoint, PhysicalConfig};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir =
@@ -80,7 +80,6 @@ fn config_for(parent: xmlshred::rel::TableId, child: xmlshred::rel::TableId) -> 
                 (ViewSide::Right, 1),
             ],
         }],
-        columnar: vec![child],
     }
 }
 
@@ -160,101 +159,6 @@ fn checkpoint_snapshot_carries_physical_config_through_recovery() {
     assert_eq!(report.views_rebuilt, 1);
     assert!(report.pages_verified > 0);
     assert_eq!(db.heap(child).len(), 130);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A columnar partition is a derived structure: recovery rebuilds it from
-/// the recovered row heap (snapshot config replay), cell for cell and
-/// checksum-clean — it is never serialized itself.
-#[test]
-fn columnar_partition_rebuilds_through_recovery() {
-    let dir = temp_dir("columnar-recovery");
-    let mut db = Database::create_durable(&dir).expect("create durable");
-    let (parent, child) = build_durable(&mut db);
-    db.apply_config(&config_for(parent, child)).expect("config");
-    db.checkpoint().expect("checkpoint");
-    db.insert_rows(child, (120..130).map(child_row))
-        .expect("post-checkpoint insert");
-    drop(db);
-
-    let (mut db, report) = Database::open_durable(&dir).expect("recover");
-    assert!(report.snapshot_loaded);
-    // Rebuilt from the *fully recovered* heap: snapshot rows plus the
-    // replayed post-checkpoint insert... except the partition materializes
-    // at config-apply time, which recovery replays before the trailing
-    // insert frames. Re-applying the config refreshes it; either way every
-    // cell must round-trip the current heap.
-    db.apply_config(&config_for(parent, child))
-        .expect("reapply");
-    let col = db.built_columnar(child).expect("columnar rebuilt");
-    assert_eq!(col.rows(), 130);
-    col.verify_checksums("child").expect("checksum-clean");
-    for (r, row) in db.heap(child).rows().iter().enumerate() {
-        for (c, cell) in row.iter().enumerate() {
-            assert_eq!(&col.value(c, r), cell, "cell ({c},{r})");
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A design whose build fails must leave the previous design intact and
-/// must not reach the WAL: build comes before log, log before install.
-/// The failure is a type-damaged heap cell (an all-NULL row whose first,
-/// `Str`, cell is overwritten with an `Int`) that only the columnar build
-/// trips over; no fault plane is armed, so no checksum walk catches it
-/// earlier.
-#[test]
-fn failed_build_leaves_previous_design_intact_and_unlogged() {
-    let dir = temp_dir("failed-build");
-    let mut db = Database::create_durable(&dir).expect("create durable");
-    let notes = db
-        .create_table(TableDef::new(
-            "notes",
-            vec![
-                ColumnDef::new("text", DataType::Str).nullable(),
-                ColumnDef::new("stars", DataType::Int).nullable(),
-            ],
-        ))
-        .expect("create notes");
-    let note = |i: i64| match i {
-        7 => vec![Value::Null, Value::Null],
-        _ => vec![Value::str(format!("n{}", i % 5)), Value::Int(i)],
-    };
-    db.insert_rows(notes, (0..20).map(note)).expect("load");
-    db.analyze().expect("analyze");
-    let index_only = PhysicalConfig {
-        indexes: vec![IndexDef::new("ix_text", notes, vec![0], vec![])],
-        ..PhysicalConfig::none()
-    };
-    db.apply_config(&index_only).expect("index design");
-    let key = KeyRange::eq(vec![Value::str("n3")]);
-    let answers = db.built_index("ix_text").expect("built").seek(&key);
-    assert_eq!(answers, vec![3, 8, 13, 18]);
-    let lsn = db.wal_next_lsn();
-
-    assert!(db.heap_mut(notes).expect("heap").corrupt_row(7));
-    let with_columnar = PhysicalConfig {
-        columnar: vec![notes],
-        ..index_only.clone()
-    };
-    let err = db.apply_config(&with_columnar).unwrap_err();
-    assert!(matches!(err, RelError::SchemaMismatch(_)), "got {err:?}");
-
-    assert_eq!(db.built_config(), &index_only);
-    assert_eq!(db.built_index("ix_text").expect("kept").seek(&key), answers);
-    assert!(db.built_columnar(notes).is_err());
-    assert_eq!(db.wal_next_lsn(), lsn);
-    drop(db);
-
-    // The directory still replays: the failed design never became a frame.
-    let (db, report) = Database::open_durable(&dir).expect("reopen");
-    assert_eq!(report.frames_discarded, 0);
-    assert_eq!(db.built_config(), &index_only);
-    assert_eq!(
-        db.built_index("ix_text").expect("rebuilt").seek(&key),
-        answers
-    );
-    assert_eq!(db.wal_next_lsn(), lsn);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -2,7 +2,7 @@
 //! random conjunctive select-project-join queries, the optimizer+executor
 //! must return exactly what a brute-force nested-loop evaluation returns —
 //! under every physical configuration (no indexes, narrow indexes, covering
-//! indexes, join views, columnar partitions). And the engine's one
+//! indexes, join views). And the engine's one
 //! statement path must not care who calls it: over both fixtures' workload
 //! queries, the library context and a full-visibility snapshot (what a
 //! session passes) return the same bits.
@@ -134,7 +134,6 @@ fn configs(parent: TableId, child: TableId) -> Vec<(&'static str, PhysicalConfig
                     IndexDef::new("ix_pid", child, vec![1], vec![]),
                 ],
                 views: vec![],
-                columnar: vec![],
             },
         ),
         (
@@ -145,15 +144,6 @@ fn configs(parent: TableId, child: TableId) -> Vec<(&'static str, PhysicalConfig
                     IndexDef::new("ix_pid_c", child, vec![1], vec![0, 2]),
                 ],
                 views: vec![],
-                columnar: vec![],
-            },
-        ),
-        (
-            "columnar",
-            PhysicalConfig {
-                indexes: vec![],
-                views: vec![],
-                columnar: vec![parent, child],
             },
         ),
         (
@@ -173,7 +163,6 @@ fn configs(parent: TableId, child: TableId) -> Vec<(&'static str, PhysicalConfig
                         (ViewSide::Right, 2),
                     ],
                 }],
-                columnar: vec![],
             },
         ),
     ]
@@ -391,26 +380,20 @@ fn library_context_and_full_snapshot_return_the_same_bits() {
             views: vec![],
             ..design.clone()
         };
-        let columnar = PhysicalConfig {
-            columnar: db.catalog().iter().map(|(id, _)| id).collect(),
-            ..view_free.clone()
-        };
-        for (layout, config) in [("row", &view_free), ("columnar", &columnar)] {
-            db.apply_config(config).unwrap();
-            for threads in [1, 4] {
-                db.set_exec_options(ExecOptions {
-                    threads,
-                    morsel_rows: 128,
-                });
-                for (i, query) in queries.iter().enumerate() {
-                    let library = db.run(query, &StmtCtx::default()).unwrap();
-                    let snapshot = db.run(query, &session).unwrap();
-                    assert_eq!(
-                        bits(&library),
-                        bits(&snapshot),
-                        "{name} q{i} {layout} threads={threads}"
-                    );
-                }
+        db.apply_config(&view_free).unwrap();
+        for threads in [1, 4] {
+            db.set_exec_options(ExecOptions {
+                threads,
+                morsel_rows: 128,
+            });
+            for (i, query) in queries.iter().enumerate() {
+                let library = db.run(query, &StmtCtx::default()).unwrap();
+                let snapshot = db.run(query, &session).unwrap();
+                assert_eq!(
+                    bits(&library),
+                    bits(&snapshot),
+                    "{name} q{i} threads={threads}"
+                );
             }
         }
         // A design with views: the snapshot statement differs from the

@@ -12,9 +12,6 @@
 //!   ratio of the optimizer's estimate for every workload query, on both
 //!   fixtures, so cost-model drift between the estimator and the executor
 //!   is caught here rather than in skewed figures.
-//! * **Layout invariance** — rebuilding every table as a columnar partition
-//!   changes which scan kernels run, but not one bit of the results, the
-//!   measured stats, the deterministic profile, or the parity ratios.
 
 use xmlshred::data::dblp::{generate_dblp, DblpConfig};
 use xmlshred::data::movie::{generate_movie, MovieConfig};
@@ -160,39 +157,9 @@ fn inlj_plan(db: &Database) -> QueryPlan {
     }
 }
 
-/// The operator sites one execution exercised: its profile's operator
-/// names, with `scan.seq` split by the layout the plan read (a columnar
-/// scan profiles as `scan.seq` by the layout-invariance contract).
-fn sites(outcome: &xmlshred::rel::db::QueryOutcome) -> Vec<String> {
-    let mut sites: Vec<String> = outcome
-        .profile
-        .operators
-        .iter()
-        .map(|op| op.name.to_string())
-        .collect();
-    for branch in &outcome.plan.branches {
-        if let BranchPlan::Pipeline { driver, joins, .. } = branch {
-            // An index-nested-loop inner is probed, never scanned.
-            let scanned_inners = joins
-                .iter()
-                .filter(|j| !matches!(j.algo, JoinAlgo::IndexNestedLoop { .. }))
-                .map(|j| &j.inner);
-            for scan in std::iter::once(driver).chain(scanned_inners) {
-                match scan.access {
-                    Access::SeqScan => sites.push("scan.seq/row".into()),
-                    Access::ColumnarScan { .. } => sites.push("scan.seq/columnar".into()),
-                    Access::IndexSeek { .. } => {}
-                }
-            }
-        }
-    }
-    sites
-}
-
 /// Every executor fan-out site the sweep below must reach.
-const FAN_OUT_SITES: [&str; 7] = [
-    "scan.seq/row",
-    "scan.seq/columnar",
+const FAN_OUT_SITES: [&str; 6] = [
+    "scan.seq",
     "scan.index",
     "view.scan",
     "join.hash",
@@ -204,39 +171,40 @@ const FAN_OUT_SITES: [&str; 7] = [
 fn results_stats_and_profiles_identical_across_exec_threads() {
     let mut hit = std::collections::BTreeSet::new();
     for (name, mut db, queries) in fixtures() {
-        for layout in ["row", "columnar"] {
-            if layout == "columnar" {
-                columnarize(&mut db);
-            }
-            let mut plans: Vec<QueryPlan> = queries
-                .iter()
-                .map(|sql| db.plan(sql).expect("query plans"))
-                .collect();
-            plans.push(inlj_plan(&db));
-            for (i, plan) in plans.iter().enumerate() {
-                let mut baseline = None;
-                for threads in THREADS {
-                    db.set_exec_options(ExecOptions {
-                        threads,
-                        morsel_rows: MORSEL_ROWS,
-                    });
-                    let outcome = db.execute_plan(plan.clone()).expect("plan executes");
-                    let view = deterministic_view(&outcome);
-                    match &baseline {
-                        None => {
-                            // The fixtures must actually exercise fan-out.
-                            assert!(
-                                outcome.profile.morsels_dispatched > 1,
-                                "{name}/{layout} q{i}: single morsel, sweep is vacuous"
-                            );
-                            hit.extend(sites(&outcome));
-                            baseline = Some(view);
-                        }
-                        Some(expected) => assert_eq!(
-                            &view, expected,
-                            "{name}/{layout} q{i}: execution diverged at {threads} thread(s)"
-                        ),
+        let mut plans: Vec<QueryPlan> = queries
+            .iter()
+            .map(|sql| db.plan(sql).expect("query plans"))
+            .collect();
+        plans.push(inlj_plan(&db));
+        for (i, plan) in plans.iter().enumerate() {
+            let mut baseline = None;
+            for threads in THREADS {
+                db.set_exec_options(ExecOptions {
+                    threads,
+                    morsel_rows: MORSEL_ROWS,
+                });
+                let outcome = db.execute_plan(plan.clone()).expect("plan executes");
+                let view = deterministic_view(&outcome);
+                match &baseline {
+                    None => {
+                        // The fixtures must actually exercise fan-out.
+                        assert!(
+                            outcome.profile.morsels_dispatched > 1,
+                            "{name} q{i}: single morsel, sweep is vacuous"
+                        );
+                        hit.extend(
+                            outcome
+                                .profile
+                                .operators
+                                .iter()
+                                .map(|op| op.name.to_string()),
+                        );
+                        baseline = Some(view);
                     }
+                    Some(expected) => assert_eq!(
+                        &view, expected,
+                        "{name} q{i}: execution diverged at {threads} thread(s)"
+                    ),
                 }
             }
         }
@@ -298,100 +266,35 @@ fn fault_plane_budget_charge_is_thread_invariant() {
     }
 }
 
-/// Run the accounting-parity sweep over one prepared database. Shared by
-/// the row-layout and columnar-layout parity tests below.
-fn assert_cost_parity(name: &str, db: &mut Database, queries: &[SqlQuery]) {
-    db.set_exec_options(ExecOptions {
-        threads: 2,
-        morsel_rows: MORSEL_ROWS,
-    });
-    for (i, sql) in queries.iter().enumerate() {
-        let outcome = db.execute(sql).expect("query executes");
-        let estimated = outcome.plan.est_cost;
-        let measured = outcome.exec.measured_cost();
-        assert!(
-            estimated.is_finite() && estimated > 0.0,
-            "{name} q{i}: bad estimate {estimated}"
-        );
-        assert!(
-            measured.is_finite() && measured > 0.0,
-            "{name} q{i}: bad measurement {measured}"
-        );
-        let ratio = measured / estimated;
-        // Estimates use histogram selectivities, the executor counts
-        // actual pages and tuples; they agree on the cost constants, so
-        // divergence beyond an order of magnitude means the two models
-        // drifted apart (the class of bug this suite exists to catch).
-        assert!(
-            (0.1..=10.0).contains(&ratio),
-            "{name} q{i}: measured {measured:.2} vs estimated {estimated:.2} \
-             (ratio {ratio:.3}) outside [0.1, 10]"
-        );
-    }
-}
-
 #[test]
 fn measured_cost_stays_within_bounded_ratio_of_estimate() {
     for (name, mut db, queries) in fixtures() {
-        assert_cost_parity(name, &mut db, &queries);
-    }
-}
-
-/// Rebuild the tuned config with every table additionally stored as a
-/// columnar partition, keeping the tuned indexes and views.
-fn columnarize(db: &mut Database) {
-    let mut config = db.built_config().clone();
-    config.columnar = db.catalog().iter().map(|(id, _)| id).collect();
-    db.apply_config(&config).expect("columnar config builds");
-}
-
-#[test]
-fn columnar_layout_preserves_cost_parity() {
-    for (name, mut db, queries) in fixtures() {
-        columnarize(&mut db);
-        assert_cost_parity(name, &mut db, &queries);
-    }
-}
-
-#[test]
-fn columnar_layout_is_bit_identical_to_row_layout() {
-    let mut columnar_plans = 0usize;
-    for (name, mut db, queries) in fixtures() {
-        // Row-layout baseline, per query, at one thread count.
         db.set_exec_options(ExecOptions {
-            threads: 1,
+            threads: 2,
             morsel_rows: MORSEL_ROWS,
         });
-        let row_views: Vec<_> = queries
-            .iter()
-            .map(|sql| deterministic_view(&db.execute(sql).expect("row query executes")))
-            .collect();
-
-        // Same queries over columnar partitions, at 1 and 4 threads: every
-        // deterministic observable must match the row baseline exactly.
-        columnarize(&mut db);
-        for threads in [1, 4] {
-            db.set_exec_options(ExecOptions {
-                threads,
-                morsel_rows: MORSEL_ROWS,
-            });
-            for (i, sql) in queries.iter().enumerate() {
-                let outcome = db.execute(sql).expect("columnar query executes");
-                if outcome.plan.explain().contains("ColumnarScan") {
-                    columnar_plans += 1;
-                }
-                assert_eq!(
-                    deterministic_view(&outcome),
-                    row_views[i],
-                    "{name} q{i}: columnar layout diverged from row at {threads} thread(s)"
-                );
-            }
+        for (i, sql) in queries.iter().enumerate() {
+            let outcome = db.execute(sql).expect("query executes");
+            let estimated = outcome.plan.est_cost;
+            let measured = outcome.exec.measured_cost();
+            assert!(
+                estimated.is_finite() && estimated > 0.0,
+                "{name} q{i}: bad estimate {estimated}"
+            );
+            assert!(
+                measured.is_finite() && measured > 0.0,
+                "{name} q{i}: bad measurement {measured}"
+            );
+            let ratio = measured / estimated;
+            // Estimates use histogram selectivities, the executor counts
+            // actual pages and tuples; they agree on the cost constants, so
+            // divergence beyond an order of magnitude means the two models
+            // drifted apart (the class of bug this suite exists to catch).
+            assert!(
+                (0.1..=10.0).contains(&ratio),
+                "{name} q{i}: measured {measured:.2} vs estimated {estimated:.2} \
+                 (ratio {ratio:.3}) outside [0.1, 10]"
+            );
         }
     }
-    // The invariance must not hold vacuously: at least one workload query
-    // has to actually plan a columnar scan.
-    assert!(
-        columnar_plans > 0,
-        "no workload query planned a ColumnarScan; the layout sweep is vacuous"
-    );
 }

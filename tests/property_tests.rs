@@ -14,13 +14,9 @@
 //!   checkpoint position, and seeded crash point (clean, torn-tail, or
 //!   bit-flip), recovering and resuming from the recovered LSN yields a
 //!   database equal to an uncrashed run, and the result is itself durable;
-//! * columnar layout invariance: for an arbitrary table, row set, and
-//!   filter conjunction, scanning a columnar partition returns the same
-//!   rows, [`ExecStats`] bits, deterministic profile, and fault-plane
-//!   charges (budget and injected faults alike) as scanning the row heap;
 //! * self-healing restores the oracle: for an arbitrary durable database
-//!   and an arbitrary single-structure corruption (row heap, index, view,
-//!   or columnar partition), `execute_healing` completes the statement
+//!   and an arbitrary single-structure corruption (row heap, index, or
+//!   view), `execute_healing` completes the statement
 //!   with the uncorrupted oracle's rows, and afterwards rows, stats, and
 //!   fault-plane charges are bit-identical to the oracle at executor
 //!   thread counts 1 and 4, with a thread-invariant heal report;
@@ -525,7 +521,7 @@ fn arb_durability_case() -> impl Strategy<Value = (TableDef, Vec<DurOp>, u64, Cr
         })
 }
 
-// ------------------------------------------------ row vs columnar layout --
+// ------------------------------------------------- single-table scans --
 
 use xmlshred::rel::expr::Filter;
 use xmlshred::rel::fault::FaultConfig;
@@ -533,22 +529,11 @@ use xmlshred::rel::optimizer::PhysicalConfig;
 use xmlshred::rel::sql::{Output, SelectQuery, SqlQuery};
 use xmlshred::rel::ExecOptions;
 
-/// An arbitrary single-table scan case: column types/nullability, per-row
-/// value seeds, and a filter conjunction (column selector, operator
-/// selector, literal type selector, literal seed). Reuses the durability
-/// section's `dur_value` mixer so rows are plain data, no dependent
-/// strategies.
-#[allow(clippy::type_complexity)]
-fn arb_columnar_case() -> impl Strategy<Value = (Vec<(u8, bool)>, Vec<u64>, Vec<(u8, u8, u8, u64)>)>
-{
-    (
-        proptest::collection::vec((0u8..3, proptest::bool::ANY), 1..4),
-        proptest::collection::vec(0u64..u64::MAX, 0..200),
-        proptest::collection::vec((0u8..8, 0u8..8, 0u8..3, 0u64..u64::MAX), 0..4),
-    )
-}
-
-fn columnar_case_to_query(
+/// A single-table scan over all of `types`' columns under a filter
+/// conjunction decoded from `(column selector, operator selector, literal
+/// type selector, literal seed)` tuples. Literals come from the durability
+/// section's `dur_value` mixer, so the filters are plain data.
+fn scan_query(
     table: xmlshred::rel::catalog::TableId,
     types: &[(DataType, bool)],
     raw_filters: &[(u8, u8, u8, u64)],
@@ -580,9 +565,9 @@ fn columnar_case_to_query(
     SqlQuery::Select(q)
 }
 
-/// Everything about an execution that must not depend on the storage
-/// layout (mirrors `tests/exec_parallel.rs::deterministic_view`).
-fn layout_view(
+/// Everything about an execution a test compares bit for bit (mirrors
+/// `tests/exec_parallel.rs::deterministic_view`).
+fn deterministic_view(
     outcome: &xmlshred::rel::db::QueryOutcome,
 ) -> (Vec<Row>, u64, u64, usize, u64, String) {
     (
@@ -593,127 +578,6 @@ fn layout_view(
         outcome.exec.tuples_processed,
         outcome.profile.deterministic_fingerprint(),
     )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Scanning a columnar partition is observationally identical to
-    /// scanning the row heap: same rows, same measured stats, same
-    /// deterministic profile, same fault-plane budget charge, and — with
-    /// probabilistic storage faults armed at a fixed seed — the same
-    /// injected-fault outcome and plane counters.
-    #[test]
-    fn columnar_scan_is_indistinguishable_from_row_scan(case in arb_columnar_case()) {
-        let (cols, row_seeds, raw_filters) = case;
-        let types: Vec<(DataType, bool)> = cols
-            .iter()
-            .map(|&(t, nullable)| {
-                let ty = match t {
-                    0 => DataType::Int,
-                    1 => DataType::Float,
-                    _ => DataType::Str,
-                };
-                (ty, nullable)
-            })
-            .collect();
-        let def = TableDef::new(
-            "t",
-            types
-                .iter()
-                .enumerate()
-                .map(|(i, &(ty, nullable))| {
-                    let column = ColumnDef::new(format!("c{i}"), ty);
-                    if nullable { column.nullable() } else { column }
-                })
-                .collect(),
-        );
-        let mut db = Database::new();
-        let table = db.create_table(def).expect("create");
-        let rows: Vec<Row> = row_seeds
-            .iter()
-            .map(|&seed| {
-                types
-                    .iter()
-                    .enumerate()
-                    .map(|(c, &(ty, nullable))| dur_value(ty, nullable, seed, c as u64))
-                    .collect::<Row>()
-            })
-            .collect();
-        db.insert_rows(table, rows.iter().cloned()).expect("insert");
-        db.analyze().expect("analyze");
-        let query = columnar_case_to_query(table, &types, &raw_filters);
-        // Small morsels so even modest tables fan out to several morsels.
-        db.set_exec_options(ExecOptions { threads: 1, morsel_rows: 32 });
-
-        // Row-layout baseline: plain run, budget-gated run, faulty run.
-        let row_view = layout_view(&db.execute(&query).expect("row scan"));
-        db.set_fault_config(FaultConfig {
-            seed: 7,
-            budget_pages: Some(u64::MAX),
-            ..FaultConfig::default()
-        });
-        db.execute(&query).expect("row scan under budget");
-        let row_charged = db.fault_plane().expect("armed").snapshot().pages_charged;
-        db.clear_fault_config();
-        db.set_fault_config(FaultConfig {
-            seed: 7,
-            p_storage: 0.5,
-            ..FaultConfig::default()
-        });
-        let row_faulty = db.execute(&query).map(|o| layout_view(&o)).map_err(|e| e.to_string());
-        let row_fault_stats = db.fault_plane().expect("armed").snapshot();
-        db.clear_fault_config();
-
-        // Columnar layout: same database, partition built over the table.
-        db.apply_config(&PhysicalConfig {
-            indexes: vec![],
-            views: vec![],
-            columnar: vec![table],
-        })
-        .expect("columnar config builds");
-        let outcome = db.execute(&query).expect("columnar scan");
-        prop_assert!(
-            outcome.plan.explain().contains("ColumnarScan"),
-            "plan did not pick the columnar partition:\n{}",
-            outcome.plan.explain()
-        );
-        prop_assert_eq!(layout_view(&outcome), row_view.clone(), "plain run diverged");
-        // Thread fan-out over the partition must not change anything.
-        db.set_exec_options(ExecOptions { threads: 3, morsel_rows: 32 });
-        prop_assert_eq!(
-            layout_view(&db.execute(&query).expect("columnar scan @3")),
-            row_view,
-            "threaded columnar run diverged"
-        );
-        db.set_exec_options(ExecOptions { threads: 1, morsel_rows: 32 });
-
-        // Identical budget charge: the columnar arm gates the same row-heap
-        // page count through the same plane.
-        db.set_fault_config(FaultConfig {
-            seed: 7,
-            budget_pages: Some(u64::MAX),
-            ..FaultConfig::default()
-        });
-        db.execute(&query).expect("columnar scan under budget");
-        let col_charged = db.fault_plane().expect("armed").snapshot().pages_charged;
-        db.clear_fault_config();
-        prop_assert_eq!(col_charged, row_charged, "budget charge diverged");
-
-        // Identical injected-fault behaviour: same seed, same gate token
-        // sequence, so the same runs fail with the same error and the
-        // plane's counters agree.
-        db.set_fault_config(FaultConfig {
-            seed: 7,
-            p_storage: 0.5,
-            ..FaultConfig::default()
-        });
-        let col_faulty = db.execute(&query).map(|o| layout_view(&o)).map_err(|e| e.to_string());
-        let col_fault_stats = db.fault_plane().expect("armed").snapshot();
-        db.clear_fault_config();
-        prop_assert_eq!(col_faulty, row_faulty, "injected-fault outcome diverged");
-        prop_assert_eq!(col_fault_stats, row_fault_stats, "fault counters diverged");
-    }
 }
 
 proptest! {
@@ -842,15 +706,15 @@ use xmlshred::rel::sql::{JoinCond, UnionAllQuery};
 use xmlshred::rel::view::{ViewDef, ViewSide};
 use xmlshred::rel::{BuiltSet, StructureKind};
 
-/// An arbitrary healing case: parent-table shape and rows (reusing the
-/// columnar case's encoding), a structure kind to corrupt, and a
-/// corruption-site seed.
+/// An arbitrary healing case: parent-table shape (type selector and
+/// nullability per column), per-row value seeds, a structure kind to
+/// corrupt, and a corruption-site seed.
 #[allow(clippy::type_complexity)]
 fn arb_heal_case() -> impl Strategy<Value = (Vec<(u8, bool)>, Vec<u64>, u8, u64)> {
     (
         proptest::collection::vec((0u8..3, proptest::bool::ANY), 1..4),
         proptest::collection::vec(0u64..u64::MAX, 1..80),
-        0u8..4,
+        0u8..3,
         0u64..u64::MAX,
     )
 }
@@ -941,7 +805,6 @@ fn heal_config(parent: TableId, child: TableId) -> PhysicalConfig {
             right_col: 0,
             outputs: vec![(ViewSide::Left, 0), (ViewSide::Right, 1)],
         }],
-        columnar: vec![parent],
     }
 }
 
@@ -979,8 +842,8 @@ fn build_heal_db(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Corrupt one arbitrary structure (row heap, index, view, or columnar
-    /// partition) of an arbitrary durable database: `execute_healing`
+    /// Corrupt one arbitrary structure (row heap, index, or view) of an
+    /// arbitrary durable database: `execute_healing`
     /// completes the statement with the oracle's rows, and afterwards the
     /// database is observationally identical to one that was never
     /// corrupted — same rows, same `ExecStats` bits, same fault-plane
@@ -993,8 +856,7 @@ proptest! {
         let kind = match kind_sel {
             0 => StructureKind::Heap,
             1 => StructureKind::Index,
-            2 => StructureKind::View,
-            _ => StructureKind::Columnar,
+            _ => StructureKind::View,
         };
 
         // The never-corrupted oracle (in memory; durability is irrelevant
@@ -1007,7 +869,7 @@ proptest! {
             ..FaultConfig::default()
         });
         let expected = oracle.execute(&oracle_query).expect("oracle run");
-        let expected_view = layout_view(&expected);
+        let expected_view = deterministic_view(&expected);
         let expected_charges = oracle.fault_plane().expect("armed").snapshot();
 
         static DIRS: AtomicU64 = AtomicU64::new(0);
@@ -1034,10 +896,6 @@ proptest! {
                 }
                 StructureKind::View => {
                     db.built_mut().view_mut("v0").expect("view").corrupt_row(site as usize % row_seeds.len());
-                }
-                StructureKind::Columnar => {
-                    db.built_mut().columnar_mut(parent).expect("columnar")
-                        .corrupt_value(site as usize % types.len(), site as usize % row_seeds.len());
                 }
             }
 
@@ -1072,7 +930,7 @@ proptest! {
                 ..FaultConfig::default()
             });
             let healed = db.execute(&query).expect("post-heal run");
-            prop_assert_eq!(layout_view(&healed), expected_view.clone(), "post-heal view diverged");
+            prop_assert_eq!(deterministic_view(&healed), expected_view.clone(), "post-heal view diverged");
             prop_assert_eq!(
                 db.fault_plane().expect("armed").snapshot(),
                 expected_charges,
@@ -1118,8 +976,8 @@ proptest! {
     /// structure kind: building from an arbitrary per-table prefix and
     /// catching up to the full heaps is bit-identical to building from the
     /// full heaps — same entries, rows, page checksums and bytes, and the
-    /// same rows + `ExecStats` from an index seek, a view scan and a
-    /// columnar scan at executor thread counts 1 and 4. Likewise
+    /// same rows + `ExecStats` from an index seek and a view scan at
+    /// executor thread counts 1 and 4. Likewise
     /// `rebuild_one` after damaging any one structure restores the
     /// never-damaged set.
     #[test]
@@ -1141,26 +999,23 @@ proptest! {
         let cut = |table: TableId| cut_at(if table == parent { parent_cut } else { child_cut });
         let full_rows = &|table: TableId| Ok(db.heap(table).rows());
 
-        let full = BuiltSet::build(&config, db.catalog(), full_rows).expect("full build");
-        let mut caught_up = BuiltSet::build(&config, db.catalog(), &|table| {
+        let full = BuiltSet::build(&config, full_rows).expect("full build");
+        let mut caught_up = BuiltSet::build(&config, &|table| {
             Ok(&db.heap(table).rows()[..cut(table)])
         })
         .expect("prefix build");
         let (delta_rows, rebuilt) = caught_up
-            .catch_up(db.catalog(), full_rows, &cut)
+            .catch_up(full_rows, &cut)
             .expect("catch up");
         prop_assert_eq!(delta_rows, n - cut(parent));
-        prop_assert_eq!(
-            rebuilt,
-            usize::from(cut(parent) < n || cut(child) < n) + usize::from(cut(parent) < n)
-        );
+        prop_assert_eq!(rebuilt, usize::from(cut(parent) < n || cut(child) < n));
         prop_assert_eq!(&caught_up, &full);
         prop_assert_eq!(caught_up.bytes(), full.bytes());
         let mut verified = 0;
         caught_up.verify_each(db.catalog(), |_, result| {
             verified += usize::from(result.is_ok());
         });
-        prop_assert_eq!(verified, 3);
+        prop_assert_eq!(verified, 2);
 
         // Damage each structure in turn; `rebuild_one` restores the set.
         let mut damaged = full.clone();
@@ -1171,18 +1026,8 @@ proptest! {
         if damaged.view_mut("v0").expect("view").corrupt_row(site) {
             prop_assert!(damaged != full);
         }
-        damaged
-            .columnar_mut(parent)
-            .expect("columnar")
-            .corrupt_value(site % types.len(), site);
-        for (kind, name) in [
-            (StructureKind::Index, "ix0"),
-            (StructureKind::View, "v0"),
-            (StructureKind::Columnar, "t0"),
-        ] {
-            damaged
-                .rebuild_one(kind, name, db.catalog(), full_rows)
-                .expect("rebuild");
+        for (kind, name) in [(StructureKind::Index, "ix0"), (StructureKind::View, "v0")] {
+            damaged.rebuild_one(kind, name, full_rows).expect("rebuild");
         }
         prop_assert_eq!(&damaged, &full);
 
@@ -1193,7 +1038,6 @@ proptest! {
                 key: KeyRange::eq(vec![]),
                 covering: false,
             }),
-            parent_scan_plan(parent, Access::ColumnarScan { columns: vec![0] }),
             QueryPlan {
                 branches: vec![BranchPlan::ViewScan {
                     view: "v0".into(),
@@ -1214,7 +1058,7 @@ proptest! {
                 db.set_exec_options(ExecOptions { threads, ..ExecOptions::default() });
                 for plan in &plans {
                     let outcome = db.execute_plan(plan.clone()).expect("execute");
-                    views.push(layout_view(&outcome));
+                    views.push(deterministic_view(&outcome));
                 }
             }
         }
@@ -1300,7 +1144,7 @@ proptest! {
     /// Read-your-own-writes is the snapshot prefix followed by the pending
     /// batches in statement order, whatever else the engine holds: a design
     /// on the written tables (the statement must be planned bare — an index
-    /// or a columnar partition would drop the pending rows), rows another
+    /// would drop the pending rows), rows another
     /// session committed after `begin`, a table created after `begin`, and
     /// a table written twice. Three independent answers agree: the
     /// transaction's, a brute-force evaluation over the modelled rows, and
@@ -1348,7 +1192,6 @@ proptest! {
                     IndexDef::new("ix1", child, vec![0], vec![1]),
                 ],
                 views: vec![],
-                columnar: vec![parent, child],
             })
             .expect("apply config");
             // Small morsels, so prefix and pending batches both span several.
@@ -1406,7 +1249,7 @@ proptest! {
             }
             loaded.analyze().expect("analyze");
 
-            let filtered = columnar_case_to_query(parent, &types, &raw_filters);
+            let filtered = scan_query(parent, &types, &raw_filters);
             let SqlQuery::Select(filter_block) = &filtered else { unreachable!() };
             let mut join = select(parent, 1);
             join.tables.push(child);
@@ -1461,7 +1304,7 @@ proptest! {
                 let reloaded = loaded.execute(&query).expect("load-then-read");
                 prop_assert_eq!(&own_rows, &canon(reloaded.rows), "query {} vs load-then-read", i);
                 prop_assert_eq!(own.exec.tuples_processed, tuples, "query {} tuples", i);
-                views.push(layout_view(&own));
+                views.push(deterministic_view(&own));
             }
         }
         let (serial, parallel) = views.split_at(views.len() / 2);

@@ -2,7 +2,7 @@
 //! online repair (DESIGN.md §12).
 //!
 //! The contract under test: for seeded corruption of any *derived*
-//! structure (index, materialized view, columnar partition), a SELECT
+//! structure (index or materialized view), a SELECT
 //! never fails — the statement completes against the degraded
 //! configuration, the damaged structure is rebuilt afterwards, and every
 //! post-heal query is bit-identical (rows, [`ExecStats`], fault-plane
@@ -123,7 +123,7 @@ fn pub_row(id: i64, conf: &str) -> Vec<Value> {
     ]
 }
 
-/// A configuration exercising all three derived structure kinds.
+/// A configuration exercising both derived structure kinds.
 fn full_config(inproc: TableId, author: TableId) -> PhysicalConfig {
     PhysicalConfig {
         indexes: vec![
@@ -142,7 +142,6 @@ fn full_config(inproc: TableId, author: TableId) -> PhysicalConfig {
                 (ViewSide::Right, 2),
             ],
         }],
-        columnar: vec![inproc],
     }
 }
 
@@ -185,16 +184,12 @@ fn config_for(kind: StructureKind, inproc: TableId, author: TableId) -> Physical
             views: full.views,
             ..PhysicalConfig::none()
         },
-        StructureKind::Columnar => PhysicalConfig {
-            columnar: full.columnar,
-            ..PhysicalConfig::none()
-        },
         StructureKind::Heap => unreachable!("derived kinds only"),
     }
 }
 
 /// Corrupt one derived structure of the given kind in-place.
-fn corrupt_structure(db: &mut Database, kind: StructureKind, inproc: TableId) {
+fn corrupt_structure(db: &mut Database, kind: StructureKind) {
     match kind {
         StructureKind::Index => {
             assert!(db
@@ -206,24 +201,13 @@ fn corrupt_structure(db: &mut Database, kind: StructureKind, inproc: TableId) {
         StructureKind::View => {
             assert!(db.built_mut().view_mut("v_ia").unwrap().corrupt_row(11));
         }
-        StructureKind::Columnar => {
-            assert!(db
-                .built_mut()
-                .columnar_mut(inproc)
-                .unwrap()
-                .corrupt_value(3, 7));
-        }
         StructureKind::Heap => unreachable!("derived kinds only"),
     }
 }
 
 #[test]
 fn corrupted_derived_structures_never_fail_a_select() {
-    for kind in [
-        StructureKind::Index,
-        StructureKind::View,
-        StructureKind::Columnar,
-    ] {
+    for kind in [StructureKind::Index, StructureKind::View] {
         // Oracle: identical database, never corrupted, same fault config.
         let (mut oracle, o_inproc, o_author) = build_db(600);
         oracle
@@ -234,7 +218,7 @@ fn corrupted_derived_structures_never_fail_a_select() {
 
         let (mut db, inproc, author) = build_db(600);
         db.apply_config(&config_for(kind, inproc, author)).unwrap();
-        corrupt_structure(&mut db, kind, inproc);
+        corrupt_structure(&mut db, kind);
         arm_verification(&mut db, 42);
         let query = paper_query(inproc, author);
 
@@ -460,26 +444,19 @@ fn scrub_reports_every_corruption_site_typed() {
         .unwrap()
         .corrupt_entry(2));
     assert!(db.built_mut().view_mut("v_ia").unwrap().corrupt_row(3));
-    assert!(db
-        .built_mut()
-        .columnar_mut(inproc)
-        .unwrap()
-        .corrupt_value(0, 0));
 
     let report = db.scrub();
     assert!(!report.is_clean());
     assert_eq!(report.heaps_checked, 2);
     assert_eq!(report.indexes_checked, 2);
     assert_eq!(report.views_checked, 1);
-    assert_eq!(report.columnar_checked, 1);
     let kinds: Vec<StructureKind> = report.corruptions.iter().map(|e| e.kind).collect();
     assert_eq!(
         kinds,
         vec![
             StructureKind::Heap,
             StructureKind::Index,
-            StructureKind::View,
-            StructureKind::Columnar,
+            StructureKind::View
         ]
     );
     // Scrub is read-only and deterministic.
@@ -489,7 +466,7 @@ fn scrub_reports_every_corruption_site_typed() {
     record_scrub(&registry, &report);
     assert_eq!(
         registry.snapshot().deterministic.get("scrub.corruptions"),
-        Some(&4)
+        Some(&3)
     );
 }
 
@@ -563,7 +540,7 @@ fn failed_attempts_leave_no_trace_on_the_fault_plane() {
     // index drew a planner token and verified the heap before failing. A
     // twin that never saw the corruption — planned without the index from
     // the start — must end in the same plane state.
-    corrupt_structure(&mut db, kind, inproc);
+    corrupt_structure(&mut db, kind);
     arm_verification(&mut db, 42);
     let (outcome, report) = db.execute_healing(&query).unwrap();
     assert_eq!(report.retries, 1);
@@ -650,7 +627,7 @@ fn each_structure_is_verified_at_most_once_per_statement() {
         2 * first_charges.pages_charged
     );
 
-    // Index, view, and columnar paths individually: drive each access
+    // Index and view paths individually: drive each access
     // path with a dedicated statement and confirm the dedup holds there.
     let mut by_view = SelectQuery::single(inproc);
     by_view.tables.push(author);
