@@ -1,81 +1,33 @@
-//! Regenerate the paper's tables and figures.
+//! Regenerate the paper's tables and figures, and run the engine's
+//! determinism matrices.
 //!
 //! ```sh
 //! cargo run --release -p xmlshred-bench --bin reproduce -- all
-//! cargo run --release -p xmlshred-bench --bin reproduce -- fig4
 //! cargo run --release -p xmlshred-bench --bin reproduce -- fig5 --threads 4
 //! XMLSHRED_SCALE=0.2 cargo run --release -p xmlshred-bench --bin reproduce -- fig7
 //! cargo run --release -p xmlshred-bench --bin reproduce -- chaos --fault-p 0.1 --deadline-ms 250
+//! cargo run --release -p xmlshred-bench --bin reproduce -- faults --seed 3 --points 1
 //! ```
 //!
 //! Experiments: `table1`, `motivating`, `fig4`/`fig5`/`fig6` (one shared
 //! evaluation run), `fig7`, `fig8`, `fig9`, `updates`, `chaos`, `crash`,
-//! `heal`, `profile`, `exec`, `serve`, `soak`, `adapt`, `all`. The `XMLSHRED_SCALE` environment
-//! variable (or `--scale X`)
-//! scales the dataset sizes; normalized figures are scale-stable.
-//! `--threads N` sets the advisor worker-thread count (0 = all cores, the
-//! default) and `--no-plan-cache` disables the what-if plan cache; neither
-//! changes any recommendation, only running time and the cache counters.
-//! `--exec-threads N` sets the query executor's morsel worker-thread count
-//! (default 1; 0 = all cores) — rows, measured costs, and deterministic
-//! metrics are bit-identical for any value, which the `exec` experiment
-//! verifies by sweeping thread counts and comparing output hashes.
-//! `profile` emits the three-tier metrics report; `--metrics-out PATH`
-//! writes it as JSON.
-//! `serve` benchmarks the multi-session TCP server: N concurrent clients
-//! (sweep 1/4/8; `--serve-clients N` extends it) run a deterministic mixed
-//! read/write workload, reporting p50/p99 latency and throughput; the
-//! single-client run is asserted bit-identical to a library-path replay.
-//! `soak` runs the seeded network-chaos soak matrix: 16 cells (client
-//! count x wire-fault kind x overload on/off), each driving a durable
-//! multi-session server through torn frames, disconnects, delays, and
-//! admission-control shedding while every client operation is retried to
-//! exactly-once completion; each cell must converge bit-identically —
-//! live state == recovered state == a serial oracle replaying the
-//! committed WAL prefix in commit-LSN order (rows and ExecStats) — and
-//! the printed `soak hash` is a pure function of `(scale, ops)`,
-//! bit-identical across `--exec-threads` values, which CI verifies.
-//! `--seed S` seeds the fault scripts and backoff schedules (default 13),
-//! `--ops N` sets the operations per client (default scale-derived), and
-//! `--data-dir PATH` keeps the per-cell databases and writes a
-//! `soak-reports.json` artifact (per-cell server counters and drain
-//! reports). `--list-cells` prints the matrix without running it.
-//! `adapt` runs the online self-tuning scenario: a seeded statement
-//! schedule shifts character at its midpoint, the adaptive advisor
-//! detects the drift and installs new designs via non-blocking online
-//! swaps, and the shifted workload's measured cost must not rise.
-//! `--seed S` seeds the schedule and drift jitter (default 5), `--ops N`
-//! sets the statement count (default scale-derived), and
-//! `--adapt-window N` sets the statements-per-drift-check window (default
-//! 64). The printed `adapt hash` is a pure function of those knobs —
-//! bit-identical across `--exec-threads` values, which CI verifies.
+//! `heal`, `faults`, `profile`, `exec`, `serve`, `soak`, `adapt`, `all`;
+//! the README's Quickstart says what each one checks. `--scale X`
+//! (or `XMLSHRED_SCALE`) scales the datasets; normalized figures are
+//! scale-stable. `--threads N` and `--no-plan-cache` shape the advisor
+//! search and `--exec-threads N` the executor; none changes a
+//! recommendation, an answer or a measured cost, and every closing hash
+//! line (`crash`/`heal`/`faults` matrix, `soak`, `serve`, `adapt`, `exec`
+//! sweep) is identical across them. `--fault-p X`, `--deadline-ms N` and
+//! `--seed S` arm the what-if fault plane and anytime deadlines (`chaos`
+//! and the evaluation runs). `--seed`, `--points` and `--ops` are one flag
+//! each across the seeded experiments, each with the experiment's own
+//! default; `--data-dir PATH` keeps a matrix's per-cell databases and
+//! reports, `--list-cells` lists its cells without running them, and
+//! `--metrics-out`, `--serve-clients` and `--adapt-window` belong to
+//! `profile`, `serve` and `adapt` ([`RunOptions`] documents every knob).
 //! Timings here are for reading, not for gating: the repo's one benchmark
 //! is `perf/` (see `perf/README.md`).
-//!
-//! Robustness knobs: `--fault-p X` injects what-if planner faults with
-//! probability X, `--deadline-ms N` gives each strategy an anytime budget
-//! of N milliseconds, and `--seed S` seeds the deterministic fault plane
-//! (default 42). For `chaos` these override the built-in sweep grid;
-//! for the evaluation experiments they apply directly to the search runs.
-//!
-//! Crash-recovery knobs (`crash` experiment): `--seed S` seeds the
-//! deterministic crash positions (default 7), `--points N` sets the
-//! number of crash seeds per (fixture, kind) cell (default 4, for a
-//! 2x3x4 = 24-cell matrix), and `--data-dir PATH` keeps the durable
-//! databases on disk and writes a `recovery-reports.json` artifact there
-//! (without it, a temporary directory is used and removed).
-//!
-//! Self-healing knobs (`heal` experiment): `--seed S` seeds the
-//! deterministic corruption sites (default 9) and `--points N` sets the
-//! number of corruption seeds per (fixture, kind) cell (default 3, for
-//! a 2x3x3 = 18-cell matrix over index/view/heap corruption).
-//! `--data-dir PATH` keeps the durable databases and writes a
-//! `heal-reports.json` artifact there. Both `crash` and `heal` accept
-//! `--list-cells` to print their deterministic cell matrix (fixture, kind,
-//! seed, site) without running any cell.
-//!
-//! `--seed`, `--points` and `--ops` are one flag each across experiments:
-//! every seeded experiment reads the same three and keeps its own default.
 //!
 //! A flag whose value is missing or does not parse, and any argument after
 //! the experiment name that is not a known flag, is an error naming it.

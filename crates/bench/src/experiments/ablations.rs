@@ -10,17 +10,18 @@
 //! * Fig. 9 — cost derivation: 4-10x faster with at most a few percent of
 //!   quality loss.
 
-use crate::harness::{fmt_duration, hybrid_baseline, render_table, space_budget, BenchScale};
+use crate::harness::{
+    fmt_duration, hybrid_baseline, render_table, space_budget, workload_spec, BenchScale,
+};
 use std::time::Duration;
 use xmlshred_core::quality::measure_quality;
 use xmlshred_core::{greedy_search, EvalContext, GreedyOptions, MergeStrategy};
-use xmlshred_data::workload::{dblp_workload, Projections, Selectivity, Workload, WorkloadSpec};
+use xmlshred_data::workload::{Projections, Selectivity, Workload};
 use xmlshred_data::Dataset;
 use xmlshred_shred::source_stats::SourceStats;
 
 /// The paper's Fig. 7-9 input: the four 20-query DBLP workloads.
 fn dblp_20q(scale: BenchScale) -> Result<(Dataset, Vec<Workload>), String> {
-    let config = scale.dblp_config();
     let dataset = scale.dblp()?;
     let workloads = [
         (Projections::Low, Selectivity::Low),
@@ -30,18 +31,10 @@ fn dblp_20q(scale: BenchScale) -> Result<(Dataset, Vec<Workload>), String> {
     ]
     .iter()
     .map(|&(projections, selectivity)| {
-        dblp_workload(
-            &WorkloadSpec {
-                projections,
-                selectivity,
-                n_queries: 20,
-                seed: 900
-                    + matches!(projections, Projections::High) as u64 * 2
-                    + matches!(selectivity, Selectivity::High) as u64,
-            },
-            config.years,
-            config.n_conferences,
-        )
+        let seed = 900
+            + matches!(projections, Projections::High) as u64 * 2
+            + matches!(selectivity, Selectivity::High) as u64;
+        scale.workload("dblp", &workload_spec(projections, selectivity, 20, seed))
     })
     .collect::<Result<_, _>>()?;
     Ok((dataset, workloads))

@@ -10,19 +10,16 @@
 //!   budgets) surface as typed errors during execution, never as panics.
 
 use crate::experiments::RunOptions;
-use crate::harness::{render_table, space_budget, BenchScale};
+use crate::harness::{load_hybrid, render_table, space_budget, workload_spec, BenchScale};
 use xmlshred_core::{
     greedy_search, naive_greedy_search_with, quality, tune_with, two_step_search_with, CostOracle,
     Deadline, EvalContext, FaultConfig, GreedyOptions, SearchOptions, TuneOptions,
 };
-use xmlshred_data::workload::{Projections, Selectivity, WorkloadSpec};
+use xmlshred_data::workload::{Projections, Selectivity};
 use xmlshred_data::Dataset;
-use xmlshred_rel::db::Database;
+use xmlshred_rel::sql::SqlQuery;
 use xmlshred_shred::mapping::Mapping;
-use xmlshred_shred::schema::derive_schema;
-use xmlshred_shred::shredder::load_database;
 use xmlshred_shred::source_stats::SourceStats;
-use xmlshred_translate::translate::translate;
 
 /// One strategy's observable result, for validity and determinism checks.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,32 +51,13 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         "\n=== Chaos: fault/deadline sweep (p in {ps:?}, deadline in {deadlines:?}, seed {seed}) ===",
     );
 
+    let spec = |seed| workload_spec(Projections::Low, Selectivity::Low, 4, seed);
     let dblp = chaos_scale.dblp()?;
-    let dblp_config = chaos_scale.dblp_config();
-    let dblp_workload = xmlshred_data::workload::dblp_workload(
-        &WorkloadSpec {
-            projections: Projections::Low,
-            selectivity: Selectivity::Low,
-            n_queries: 4,
-            seed: 31,
-        },
-        dblp_config.years,
-        dblp_config.n_conferences,
-    )?;
+    let dblp_workload = chaos_scale.workload("dblp", &spec(31))?;
     sweep_dataset(&dblp, &dblp_workload.queries, &ps, &deadlines, seed)?;
 
     let movie = chaos_scale.movie()?;
-    let movie_config = chaos_scale.movie_config();
-    let movie_workload = xmlshred_data::workload::movie_workload(
-        &WorkloadSpec {
-            projections: Projections::Low,
-            selectivity: Selectivity::Low,
-            n_queries: 4,
-            seed: 32,
-        },
-        movie_config.years,
-        movie_config.n_genres,
-    )?;
+    let movie_workload = chaos_scale.workload("movie", &spec(32))?;
     sweep_dataset(&movie, &movie_workload.queries, &ps, &deadlines, seed)?;
 
     storage_fault_section(&movie, &movie_workload.queries, seed)?;
@@ -242,19 +220,8 @@ fn storage_fault_section(
     seed: u64,
 ) -> Result<(), String> {
     println!("\n--- Storage-fault execution on {} ---", dataset.name);
-    let mapping = Mapping::hybrid(&dataset.tree);
-    let schema = derive_schema(&dataset.tree, &mapping);
-    let mut db: Database = load_database(&dataset.tree, &mapping, &schema, &[&dataset.document])
-        .map_err(|e| format!("load failed: {e}"))?;
-
-    let queries: Vec<xmlshred_rel::sql::SqlQuery> = workload
-        .iter()
-        .filter_map(|(path, _)| translate(&dataset.tree, &mapping, &schema, path).ok())
-        .map(|t| t.sql)
-        .collect();
-    if queries.is_empty() {
-        return Err("storage chaos: no translatable queries".into());
-    }
+    let (mut db, queries) = load_hybrid(dataset, workload)?;
+    let queries: Vec<SqlQuery> = queries.into_iter().map(|(sql, _)| sql).collect();
 
     let mut rows = Vec::new();
     for p in [0.0, 0.01, 0.1, 0.5] {
@@ -318,7 +285,7 @@ fn storage_fault_section(
         &dataset.tree,
         &dataset.document,
         workload,
-        &mapping,
+        &Mapping::hybrid(&dataset.tree),
         &xmlshred_rel::optimizer::PhysicalConfig::none(),
     );
     println!(

@@ -18,26 +18,27 @@ use crate::harness::{
     BenchScale, EvalRun,
 };
 use xmlshred_core::SearchOptions;
-use xmlshred_data::workload::{dblp_workload, movie_workload, Workload, WorkloadSpec};
+use xmlshred_data::workload::{Workload, WorkloadSpec};
 use xmlshred_data::Dataset;
 use xmlshred_rel::ExecOptions;
 use xmlshred_shred::source_stats::SourceStats;
 
+/// The evaluated algorithms, in column order.
+const ALGORITHMS: [&str; 3] = ["Greedy", "Naive-Greedy", "Two-Step"];
+
 /// Run the experiment for both datasets.
 pub fn run(scale: BenchScale, search: &SearchOptions, exec: ExecOptions) -> Result<(), String> {
     let dblp = scale.dblp()?;
-    let dblp_config = scale.dblp_config();
     let dblp_workloads: Vec<Workload> = WorkloadSpec::dblp_suite()
         .iter()
-        .map(|spec| dblp_workload(spec, dblp_config.years, dblp_config.n_conferences))
+        .map(|spec| scale.workload("dblp", spec))
         .collect::<Result<_, _>>()?;
     evaluate_dataset(&dblp, &dblp_workloads, true, search, exec)?;
 
     let movie = scale.movie()?;
-    let movie_config = scale.movie_config();
     let movie_workloads: Vec<Workload> = WorkloadSpec::movie_suite()
         .iter()
-        .map(|spec| movie_workload(spec, movie_config.years, movie_config.n_genres))
+        .map(|spec| scale.workload("movie", spec))
         .collect::<Result<_, _>>()?;
     evaluate_dataset(&movie, &movie_workloads, false, search, exec)?;
     Ok(())
@@ -72,126 +73,65 @@ fn evaluate_dataset(
         let baseline = hybrid_baseline_exec(dataset, workload, budget, exec);
         let runs = run_algorithms(dataset, &source, workload, budget, &algos, search, exec);
 
-        let cell = |name: &str, f: &dyn Fn(&EvalRun) -> String| -> String {
-            runs.iter()
-                .find(|r| r.algorithm == name)
-                .map(f)
-                .unwrap_or_else(|| "n/a*".into())
-        };
         let twostep_time = runs
             .iter()
             .find(|r| r.algorithm == "Two-Step")
             .map(|r| r.outcome.stats.elapsed.as_secs_f64())
             .unwrap_or(1.0)
             .max(1e-9);
-
-        fig4.push(vec![
-            workload.name.clone(),
-            cell("Greedy", &|r| {
-                format!("{:.2}", r.quality.measured_cost / baseline.measured_cost)
-            }),
-            cell("Naive-Greedy", &|r| {
-                format!("{:.2}", r.quality.measured_cost / baseline.measured_cost)
-            }),
-            cell("Two-Step", &|r| {
-                format!("{:.2}", r.quality.measured_cost / baseline.measured_cost)
-            }),
-        ]);
-        fig5.push(vec![
-            workload.name.clone(),
-            cell("Greedy", &|r| {
-                format!(
-                    "{:.1}x ({})",
-                    r.outcome.stats.elapsed.as_secs_f64() / twostep_time,
-                    fmt_duration(r.outcome.stats.elapsed)
-                )
-            }),
-            cell("Naive-Greedy", &|r| {
-                format!(
-                    "{:.1}x ({})",
-                    r.outcome.stats.elapsed.as_secs_f64() / twostep_time,
-                    fmt_duration(r.outcome.stats.elapsed)
-                )
-            }),
-            cell("Two-Step", &|r| {
-                format!("1.0x ({})", fmt_duration(r.outcome.stats.elapsed))
-            }),
-        ]);
-        fig5_cache.push(vec![
-            workload.name.clone(),
-            cell("Greedy", &|r| {
-                format!(
-                    "{}/{} ({:.0}%)",
-                    r.outcome.stats.cache_hits,
-                    r.outcome.stats.cache_hits + r.outcome.stats.cache_misses,
-                    100.0 * r.outcome.stats.cache_hit_rate()
-                )
-            }),
-            cell("Naive-Greedy", &|r| {
-                format!(
-                    "{}/{} ({:.0}%)",
-                    r.outcome.stats.cache_hits,
-                    r.outcome.stats.cache_hits + r.outcome.stats.cache_misses,
-                    100.0 * r.outcome.stats.cache_hit_rate()
-                )
-            }),
-            cell("Two-Step", &|r| {
-                format!(
-                    "{}/{} ({:.0}%)",
-                    r.outcome.stats.cache_hits,
-                    r.outcome.stats.cache_hits + r.outcome.stats.cache_misses,
-                    100.0 * r.outcome.stats.cache_hit_rate()
-                )
-            }),
-        ]);
-        fig6.push(vec![
-            workload.name.clone(),
-            cell("Greedy", &|r| {
-                r.outcome.stats.transformations_searched.to_string()
-            }),
-            cell("Naive-Greedy", &|r| {
-                r.outcome.stats.transformations_searched.to_string()
-            }),
-        ]);
+        // One table row: the workload, then `f` of each named algorithm's
+        // run, "n/a*" where it was skipped.
+        let row = |names: &[&str], f: &dyn Fn(&EvalRun) -> String| -> Vec<String> {
+            let cell = |name: &&str| runs.iter().find(|r| r.algorithm == *name).map(f);
+            let cells = names
+                .iter()
+                .map(|name| cell(name).unwrap_or_else(|| "n/a*".into()));
+            std::iter::once(workload.name.clone())
+                .chain(cells)
+                .collect()
+        };
+        let cost = |r: &EvalRun| format!("{:.2}", r.quality.measured_cost / baseline.measured_cost);
+        fig4.push(row(&ALGORITHMS, &cost));
+        fig5.push(row(&ALGORITHMS, &|r| {
+            let elapsed = r.outcome.stats.elapsed;
+            let ratio = match r.algorithm {
+                "Two-Step" => 1.0,
+                _ => elapsed.as_secs_f64() / twostep_time,
+            };
+            format!("{ratio:.1}x ({})", fmt_duration(elapsed))
+        }));
+        fig5_cache.push(row(&ALGORITHMS, &|r| {
+            let (hits, stats) = (r.outcome.stats.cache_hits, &r.outcome.stats);
+            let rate = 100.0 * stats.cache_hit_rate();
+            format!("{hits}/{} ({rate:.0}%)", hits + stats.cache_misses)
+        }));
+        let searched = |r: &EvalRun| r.outcome.stats.transformations_searched.to_string();
+        fig6.push(row(&ALGORITHMS[..2], &searched));
     }
 
     println!(
         "\n--- Fig. 4 ({}): workload cost normalized to tuned hybrid inlining (lower = better) ---",
         dataset.name
     );
-    println!(
-        "{}",
-        render_table(&["workload", "Greedy", "Naive-Greedy", "Two-Step"], &fig4)
-    );
+    let header = ["workload", "Greedy", "Naive-Greedy", "Two-Step"];
+    println!("{}", render_table(&header, &fig4));
     println!(
         "--- Fig. 5 ({}): advisor running time, normalized to Two-Step ---",
         dataset.name
     );
-    println!(
-        "{}",
-        render_table(&["workload", "Greedy", "Naive-Greedy", "Two-Step"], &fig5)
-    );
+    println!("{}", render_table(&header, &fig5));
     println!(
         "--- Fig. 5 supplement ({}): what-if plan-cache hits/lookups (threads={}, cache {}) ---",
         dataset.name,
         search.threads,
         if search.plan_cache { "on" } else { "off" }
     );
-    println!(
-        "{}",
-        render_table(
-            &["workload", "Greedy", "Naive-Greedy", "Two-Step"],
-            &fig5_cache
-        )
-    );
+    println!("{}", render_table(&header, &fig5_cache));
     println!(
         "--- Fig. 6 ({}): transformations searched ---",
         dataset.name
     );
-    println!(
-        "{}",
-        render_table(&["workload", "Greedy", "Naive-Greedy"], &fig6)
-    );
+    println!("{}", render_table(&header[..3], &fig6));
     if skip_naive_on_20 {
         println!("* Naive-Greedy skipped on 20-query DBLP workloads, as in the paper (it ran for days).\n");
     }

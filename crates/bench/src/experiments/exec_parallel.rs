@@ -10,20 +10,17 @@
 //! `--exec-threads` must print the same hash, which CI checks.
 
 use crate::experiments::RunOptions;
-use crate::harness::{fmt_duration, render_table, space_budget, BenchScale};
+use crate::harness::{
+    fmt_duration, load_hybrid, render_table, space_budget, workload_spec, BenchScale,
+};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 use xmlshred_core::physical::tune;
-use xmlshred_data::workload::{dblp_workload, movie_workload, Workload, WorkloadSpec};
+use xmlshred_data::workload::{Projections, Selectivity, Workload};
 use xmlshred_data::Dataset;
-use xmlshred_rel::db::Database;
 use xmlshred_rel::sql::SqlQuery;
 use xmlshred_rel::{ExecOptions, ExecStats, OperatorTiming};
-use xmlshred_shred::mapping::Mapping;
-use xmlshred_shred::schema::derive_schema;
-use xmlshred_shred::shredder::load_database;
-use xmlshred_translate::translate::translate;
 
 /// Thread counts swept. `opts.exec.threads` is appended when it is not
 /// already covered, so `--exec-threads N` extends the sweep.
@@ -40,31 +37,13 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     }
 
     let dblp = sweep_scale.dblp()?;
-    let dblp_config = sweep_scale.dblp_config();
-    let dblp_workload = dblp_workload(
-        &WorkloadSpec {
-            projections: xmlshred_data::workload::Projections::High,
-            selectivity: xmlshred_data::workload::Selectivity::Low,
-            n_queries: 6,
-            seed: 11,
-        },
-        dblp_config.years,
-        dblp_config.n_conferences,
-    )?;
+    let spec = workload_spec(Projections::High, Selectivity::Low, 6, 11);
+    let dblp_workload = sweep_scale.workload("dblp", &spec)?;
     let dblp_hash = sweep_dataset(&dblp, &dblp_workload, &threads, opts.exec.morsel_rows)?;
 
     let movie = sweep_scale.movie()?;
-    let movie_config = sweep_scale.movie_config();
-    let movie_workload = movie_workload(
-        &WorkloadSpec {
-            projections: xmlshred_data::workload::Projections::Low,
-            selectivity: xmlshred_data::workload::Selectivity::High,
-            n_queries: 6,
-            seed: 12,
-        },
-        movie_config.years,
-        movie_config.n_genres,
-    )?;
+    let spec = workload_spec(Projections::Low, Selectivity::High, 6, 12);
+    let movie_workload = sweep_scale.workload("movie", &spec)?;
     let movie_hash = sweep_dataset(&movie, &movie_workload, &threads, opts.exec.morsel_rows)?;
 
     let mut h = DefaultHasher::new();
@@ -101,25 +80,9 @@ fn sweep_dataset(
         "\n=== Exec thread sweep on {} ({}, threads {:?}, morsel {} rows) ===",
         dataset.name, workload.name, threads, morsel_rows
     );
-    let mapping = Mapping::hybrid(&dataset.tree);
-    let schema = derive_schema(&dataset.tree, &mapping);
-    let mut db: Database = load_database(&dataset.tree, &mapping, &schema, &[&dataset.document])
-        .map_err(|e| format!("load failed: {e}"))?;
-
     // Tune so the sweep exercises index seeks and covering scans, not just
     // sequential heap scans.
-    let queries: Vec<(SqlQuery, f64)> = workload
-        .queries
-        .iter()
-        .filter_map(|(path, w)| {
-            translate(&dataset.tree, &mapping, &schema, path)
-                .ok()
-                .map(|t| (t.sql, *w))
-        })
-        .collect();
-    if queries.is_empty() {
-        return Err("no workload query translated".into());
-    }
+    let (mut db, queries) = load_hybrid(dataset, &workload.queries)?;
     let query_refs: Vec<(&SqlQuery, f64)> = queries.iter().map(|(q, w)| (q, *w)).collect();
     let tuned = tune(
         db.catalog(),

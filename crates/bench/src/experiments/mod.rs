@@ -3,10 +3,9 @@
 pub mod ablations;
 pub mod adapt;
 pub mod chaos;
-pub mod crash;
 pub mod evaluation;
 pub mod exec_parallel;
-pub mod heal;
+pub mod faults;
 pub mod motivating;
 pub mod profile;
 pub mod serve;
@@ -38,12 +37,16 @@ pub struct RunOptions {
     pub deadline_ms: Option<u64>,
     /// The running experiment's seed (`--seed`). Defaults: fault plane of
     /// `chaos` and the evaluation runs 42; `crash` positions 7; `heal`
-    /// corruption sites 9; `soak` wire-fault scripts and backoff schedules
-    /// 13 (the `soak hash` does *not* depend on it — chaos must cancel
-    /// out); `adapt` statement schedule and drift jitter 5.
+    /// corruption sites 9; `faults` schedules 1 (a cell's schedule depends
+    /// only on its fixture and its seed, so `--seed S --points 1` reruns
+    /// the cells of seed `S`); `soak` wire-fault scripts and backoff
+    /// schedules 13 (the `soak hash` does *not* depend on it — chaos must
+    /// cancel out); `adapt` statement schedule and drift jitter 5.
     pub seed: Option<u64>,
-    /// Seeds per (fixture, kind) cell in the `crash` / `heal` matrices
-    /// (`--points`; defaults 4 / 3; 0 is treated as 1).
+    /// Consecutive seeds from `seed` per (fixture, kind) in the `crash` /
+    /// `heal` matrices and per fixture in `faults` (`--points`; defaults
+    /// 4 / 3 / 10, the last sized to about a second of release run; 0 is
+    /// treated as 1).
     pub points: Option<usize>,
     /// Operations per client in `soak`, statements in `adapt` (`--ops`;
     /// default derived from the scale). The `adapt` workload shifts at the
@@ -56,13 +59,17 @@ pub struct RunOptions {
     /// Where the `profile` experiment writes its JSON metrics report
     /// (`--metrics-out`); `None` prints the summary table only.
     pub metrics_out: Option<String>,
-    /// Directory for the `crash`/`heal` matrices' durable databases and
-    /// their `recovery-reports.json`/`heal-reports.json` artifacts
-    /// (`--data-dir`); `None` uses a temporary directory and cleans up
-    /// afterwards.
+    /// Directory for the `crash`/`heal`/`faults`/`soak` matrices' per-cell
+    /// durable databases and their `recovery-reports.json` /
+    /// `heal-reports.json` / `faults-reports.json` / `soak-reports.json`
+    /// artifacts (`--data-dir`); `None` uses a temporary directory, removed
+    /// when the matrix ends, failed or not.
     pub data_dir: Option<String>,
-    /// Print the deterministic cell matrix of the `crash`/`heal`
-    /// experiments without running any cell (`--list-cells`).
+    /// Print the cell matrix of `crash`, `heal`, `faults` or `soak`
+    /// without running any cell (`--list-cells`). Each row comes from the
+    /// function the run uses: `crash` lists each cell's crash frame,
+    /// `heal` its corruption site, `faults` its schedule, one letter per
+    /// event.
     pub list_cells: bool,
     /// Extra client count for the `serve` sweep (`--serve-clients`):
     /// appended to the built-in 1/4/8 sweep when not already covered.
@@ -80,7 +87,8 @@ impl RunOptions {
     }
 
     /// The base seed and the per-cell seeds of a seeded matrix (`crash`,
-    /// `heal`): `--seed` / `--points` over the matrix's own defaults.
+    /// `heal`, `faults`): `--seed` / `--points` over the matrix's own
+    /// defaults.
     pub(crate) fn matrix_seeds(&self, seed: u64, points: usize) -> (u64, Vec<u64>) {
         let base = self.seed.unwrap_or(seed);
         let points = self.points.unwrap_or(points).max(1) as u64;
@@ -105,40 +113,10 @@ impl RunOptions {
     }
 }
 
-/// Print the deterministic cell matrix for a seeded sweep experiment
-/// without running it: one row per `(fixture, kind, seed)` cell, with a
-/// per-cell `site` label supplied by the caller. Shared by the `crash` and
-/// `heal` matrices for `--list-cells`.
-pub(crate) fn list_cells(
-    experiment: &str,
-    kinds: &[String],
-    seeds: &[u64],
-    site: &dyn Fn(&str, usize, u64) -> String,
-) {
-    let mut rows = Vec::new();
-    for fixture in ["dblp", "movie"] {
-        for kind in kinds {
-            for (idx, &seed) in seeds.iter().enumerate() {
-                rows.push(vec![
-                    fixture.to_string(),
-                    kind.clone(),
-                    seed.to_string(),
-                    site(kind, idx, seed),
-                ]);
-            }
-        }
-    }
-    println!(
-        "{}",
-        crate::harness::render_table(&["fixture", "kind", "seed", "site"], &rows)
-    );
-    println!("{experiment}: {} cells", rows.len());
-}
-
 /// Run an experiment by id. Known ids: `table1`, `motivating`, `fig4`,
 /// `fig5`, `fig6` (the three share one evaluation run, so each prints all
 /// three), `fig7`, `fig8`, `fig9`, `updates`, `chaos`, `crash`, `heal`,
-/// `profile`, `exec`, `serve`, `soak`, `adapt`, `all`.
+/// `faults`, `profile`, `exec`, `serve`, `soak`, `adapt`, `all`.
 pub fn run(id: &str, scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     match id {
         "table1" => table1::run(scale),
@@ -151,8 +129,9 @@ pub fn run(id: &str, scale: BenchScale, opts: &RunOptions) -> Result<(), String>
         "fig8" => ablations::fig8(scale),
         "fig9" => ablations::fig9(scale),
         "chaos" => chaos::run(scale, opts),
-        "crash" => crash::run(scale, opts),
-        "heal" => heal::run(scale, opts),
+        "crash" => faults::crash(scale, opts),
+        "heal" => faults::heal(scale, opts),
+        "faults" => faults::mixed(scale, opts),
         "profile" => profile::run(scale, opts),
         "exec" => exec_parallel::run(scale, opts),
         "serve" => serve::run(scale, opts),
@@ -167,14 +146,15 @@ pub fn run(id: &str, scale: BenchScale, opts: &RunOptions) -> Result<(), String>
             ablations::fig9(scale)?;
             updates::run(scale)?;
             chaos::run(scale, opts)?;
-            crash::run(scale, opts)?;
-            heal::run(scale, opts)?;
+            faults::crash(scale, opts)?;
+            faults::heal(scale, opts)?;
+            faults::mixed(scale, opts)?;
             profile::run(scale, opts)?;
             exec_parallel::run(scale, opts)?;
             Ok(())
         }
         other => Err(format!(
-            "unknown experiment '{other}'; known: table1 motivating fig4 fig5 fig6 fig7 fig8 fig9 updates chaos crash heal profile exec serve soak adapt all"
+            "unknown experiment '{other}'; known: table1 motivating fig4 fig5 fig6 fig7 fig8 fig9 updates chaos crash heal faults profile exec serve soak adapt all"
         )),
     }
 }

@@ -14,9 +14,9 @@
 //! nonzero exits instead of silently skewed figures.
 
 use crate::experiments::RunOptions;
-use crate::harness::{render_table, space_budget, BenchScale};
+use crate::harness::{render_table, space_budget, workload_spec, BenchScale};
 use xmlshred_core::{greedy_search, EvalContext, GreedyOptions, MetricsRegistry};
-use xmlshred_data::workload::{Projections, Selectivity, WorkloadSpec};
+use xmlshred_data::workload::{Projections, Selectivity};
 use xmlshred_rel::db::Database;
 use xmlshred_rel::optimizer::plan_query_profiled;
 use xmlshred_shred::schema::derive_schema;
@@ -31,17 +31,8 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     // (same scaling as the chaos harness).
     let profile_scale = BenchScale(scale.0 * 0.02);
     let dataset = profile_scale.movie()?;
-    let movie_config = profile_scale.movie_config();
-    let workload = xmlshred_data::workload::movie_workload(
-        &WorkloadSpec {
-            projections: Projections::Low,
-            selectivity: Selectivity::Low,
-            n_queries: 4,
-            seed: 7,
-        },
-        movie_config.years,
-        movie_config.n_genres,
-    )?;
+    let spec = workload_spec(Projections::Low, Selectivity::Low, 4, 7);
+    let workload = profile_scale.workload("movie", &spec)?;
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
     let budget = space_budget(&dataset);
     let ctx = EvalContext {

@@ -47,9 +47,10 @@ struct CellResult {
     ops_per_sec: f64,
 }
 
-fn table_def() -> TableDef {
+/// The key-value table the server benchmarks write: key, client, payload.
+pub(crate) fn kv_table(name: &str) -> TableDef {
     TableDef::new(
-        "serve_kv",
+        name,
         vec![
             ColumnDef::new("k", DataType::Int),
             ColumnDef::new("client", DataType::Int),
@@ -58,8 +59,8 @@ fn table_def() -> TableDef {
     )
 }
 
-/// Full-table scan, used for the final-state fingerprint.
-fn scan_query(table: TableId) -> SqlQuery {
+/// Full-table scan over the three columns of a [`kv_table`].
+pub(crate) fn scan_query(table: TableId) -> SqlQuery {
     let mut q = SelectQuery::single(table);
     q.outputs = (0..3).map(|c| Output::col(0, c)).collect();
     SqlQuery::Select(q)
@@ -105,7 +106,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 fn run_cell(clients: usize, ops: usize) -> Result<(CellResult, u64), String> {
     let sdb = SessionDb::new(Database::new());
     let table = sdb
-        .create_table(table_def())
+        .create_table(kv_table("serve_kv"))
         .map_err(|e| format!("create_table failed: {e}"))?;
     let server =
         Server::spawn(sdb, "127.0.0.1:0").map_err(|e| format!("server spawn failed: {e}"))?;
@@ -195,7 +196,7 @@ fn run_cell(clients: usize, ops: usize) -> Result<(CellResult, u64), String> {
 fn library_replay(ops: usize) -> Result<u64, String> {
     let mut db = Database::new();
     let table = db
-        .create_table(table_def())
+        .create_table(kv_table("serve_kv"))
         .map_err(|e| format!("replay create_table failed: {e}"))?;
     let mut queries = DefaultHasher::new();
     for op in client_ops(0, ops, table) {
@@ -233,7 +234,7 @@ fn overload_cell() -> Result<(), String> {
 
     let sdb = SessionDb::new(Database::new());
     let table = sdb
-        .create_table(table_def())
+        .create_table(kv_table("serve_kv"))
         .map_err(|e| format!("overload create_table failed: {e}"))?;
     let server = Server::spawn_with(
         sdb,

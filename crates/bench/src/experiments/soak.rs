@@ -31,16 +31,16 @@
 //! `soak-reports.json` artifact (per-cell server counters and drain
 //! reports).
 
+use crate::experiments::serve::{kv_table, scan_query};
 use crate::experiments::RunOptions;
-use crate::harness::{fold, fold_answer, mix, render_table, BenchScale, MatrixDir};
+use crate::harness::{fold, fold_answer, mix, BenchScale, CellOut, Matrix, MatrixSpec};
 use std::path::Path;
 use std::time::Duration;
 use xmlshred_core::metrics::{record_drain, record_server};
-use xmlshred_core::MetricsRegistry;
 use xmlshred_rel::{
-    recovery, snapshot, wal, Client, ClientOptions, ColumnDef, DataType, Database, DrainReport,
-    Filter, FilterOp, NetFaultConfig, Output, RelError, Row, SelectQuery, Server, ServerOptions,
-    ServerStatsSnapshot, SessionDb, SqlQuery, TableDef, TableId, Value, WalRecord,
+    recovery, snapshot, wal, Client, ClientOptions, Database, DrainReport, Filter, FilterOp,
+    NetFaultConfig, Output, RelError, Row, SelectQuery, Server, ServerOptions, ServerStatsSnapshot,
+    SessionDb, SqlQuery, TableId, Value, WalRecord,
 };
 
 /// Client counts swept (one dimension of the matrix).
@@ -114,24 +114,6 @@ const KINDS: [FaultKind; 4] = [
     FaultKind::Delay,
 ];
 
-fn table_def() -> TableDef {
-    TableDef::new(
-        "soak_kv",
-        vec![
-            ColumnDef::new("k", DataType::Int),
-            ColumnDef::new("client", DataType::Int),
-            ColumnDef::new("payload", DataType::Str),
-        ],
-    )
-}
-
-/// Full-table scan over all three columns.
-fn scan_query(table: TableId) -> SqlQuery {
-    let mut q = SelectQuery::single(table);
-    q.outputs = (0..3).map(|c| Output::col(0, c)).collect();
-    SqlQuery::Select(q)
-}
-
 /// Point lookup on the unique key, used for ambiguity read-back.
 fn key_query(table: TableId, key: i64) -> SqlQuery {
     let mut q = SelectQuery::single(table);
@@ -160,18 +142,12 @@ fn row_of(client: usize, seq: usize) -> Row {
 /// Every row the cell must end with: all clients' non-probe ops, exactly
 /// once, in ascending key order.
 fn expected_rows(clients: usize, ops: usize) -> Vec<Row> {
-    let mut rows: Vec<Row> = (0..clients)
-        .flat_map(|c| {
-            (0..ops)
-                .filter(|&seq| !is_probe(seq))
-                .map(move |seq| row_of(c, seq))
-        })
-        .collect();
-    rows.sort_by_key(|row| match row.first() {
-        Some(Value::Int(k)) => *k,
-        _ => i64::MAX,
-    });
-    rows
+    let ops = move |c| {
+        (0..ops)
+            .filter(|&seq| !is_probe(seq))
+            .map(move |seq| row_of(c, seq))
+    };
+    sorted_by_key((0..clients).flat_map(ops).collect())
 }
 
 fn sorted_by_key(mut rows: Vec<Row>) -> Vec<Row> {
@@ -370,7 +346,7 @@ fn run_cell(
     let db = Database::create_durable(dir).map_err(|e| format!("create durable: {e}"))?;
     let sdb = SessionDb::new(db);
     let table = sdb
-        .create_table(table_def())
+        .create_table(kv_table("soak_kv"))
         .map_err(|e| format!("create table: {e}"))?;
     let live = sdb.clone();
     let server_opts = ServerOptions {
@@ -466,7 +442,7 @@ fn run_cell(
         ..xmlshred_rel::ExecOptions::default()
     });
     let ct = canonical
-        .create_table(table_def())
+        .create_table(kv_table("soak_kv"))
         .map_err(|e| format!("canonical create: {e}"))?;
     canonical
         .insert_rows(ct, expected)
@@ -491,46 +467,29 @@ fn run_cell(
     })
 }
 
+const SOAK: MatrixSpec = MatrixSpec {
+    name: "soak",
+    tag: "soak",
+    hash_seed: 0xcbf2_9ce4_8422_2325,
+    key_columns: 3,
+    list_columns: "clients, faults, overload, work",
+    columns: "clients, faults, overload, committed, retries, reconnects, shed, timeouts, \
+              wire faults, drained",
+    artifact: "soak-reports.json",
+    metric: ("server.connections_accepted", "soak"),
+};
+
 /// Run the 16-cell soak matrix and print the CI-checked `soak hash`.
 pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     let ops = opts.ops.unwrap_or(((scale.0 * 10.0) as usize).max(10));
     let seed = opts.seed.unwrap_or(13);
-    if opts.list_cells {
-        let mut rows = Vec::new();
-        for &clients in &CLIENT_SWEEP {
-            for kind in KINDS {
-                for overload in [false, true] {
-                    rows.push(vec![
-                        clients.to_string(),
-                        kind.name().to_string(),
-                        overload.to_string(),
-                        format!("{} ops/client", ops),
-                    ]);
-                }
-            }
-        }
-        println!(
-            "{}",
-            render_table(&["clients", "faults", "overload", "work"], &rows)
-        );
-        println!("soak: {} cells", rows.len());
-        return Ok(());
-    }
-    println!(
-        "\n=== Network-chaos soak: {} clients x {} fault kinds x overload on/off \
-         ({ops} ops/client, seed {seed}) ===",
+    let header = format!(
+        "Network-chaos soak: {} clients x {} fault kinds x overload on/off \
+         ({ops} ops/client, seed {seed})",
         CLIENT_SWEEP.len(),
         KINDS.len()
     );
-
-    let matrix_dir = MatrixDir::create(opts.data_dir.as_deref(), "soak")?;
-
-    let registry = MetricsRegistry::new();
-    let mut soak_hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut rows = Vec::new();
-    let mut reports = Vec::new();
-    let mut total_committed = 0usize;
-
+    let mut matrix = Matrix::start(&SOAK, &header, opts.list_cells, opts.data_dir.as_deref())?;
     for &clients in &CLIENT_SWEEP {
         for kind in KINDS {
             for overload in [false, true] {
@@ -539,80 +498,48 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
                     kind.name(),
                     if overload { "overload" } else { "calm" }
                 );
-                let dir = matrix_dir.cell_dir(&cell);
-                let outcome =
-                    run_cell(&dir, clients, kind, overload, ops, seed, opts.exec.threads)?;
-                record_server(&registry, &outcome.stats);
-                record_drain(&registry, &outcome.drain);
-                total_committed += outcome.committed;
-                soak_hash = fold(soak_hash, outcome.cell_hash);
-                reports.push(format!(
-                    "{{\"cell\": \"{cell}\", \"committed\": {}, \"retries\": {}, \
-                     \"reconnects\": {}, \"timeouts\": {}, \"client_faults\": {}, \
-                     \"server\": {}, \"drain\": {}}}",
-                    outcome.committed,
-                    outcome.retries,
-                    outcome.reconnects,
-                    outcome.timeouts,
-                    outcome.client_faults,
-                    outcome.stats.to_json(),
-                    outcome.drain.to_json()
-                ));
-                rows.push(vec![
+                let listing = vec![
                     clients.to_string(),
                     kind.name().to_string(),
                     overload.to_string(),
-                    outcome.committed.to_string(),
-                    outcome.retries.to_string(),
-                    outcome.reconnects.to_string(),
-                    outcome.stats.statements_rejected.to_string(),
-                    outcome.timeouts.to_string(),
-                    (outcome.stats.net_faults_injected + outcome.client_faults).to_string(),
-                    format!(
-                        "{}/{}",
-                        outcome.drain.drained_clean, outcome.drain.connections_at_shutdown
-                    ),
-                ]);
-                matrix_dir.release(&dir);
+                    format!("{ops} ops/client"),
+                ];
+                matrix.cell(&cell, listing, |dir, registry, hash| {
+                    let outcome =
+                        run_cell(dir, clients, kind, overload, ops, seed, opts.exec.threads)?;
+                    record_server(registry, &outcome.stats);
+                    record_drain(registry, &outcome.drain);
+                    *hash = fold(*hash, outcome.cell_hash);
+                    Ok(CellOut {
+                        row: vec![
+                            outcome.committed.to_string(),
+                            outcome.retries.to_string(),
+                            outcome.reconnects.to_string(),
+                            outcome.stats.statements_rejected.to_string(),
+                            outcome.timeouts.to_string(),
+                            (outcome.stats.net_faults_injected + outcome.client_faults).to_string(),
+                            format!(
+                                "{}/{}",
+                                outcome.drain.drained_clean, outcome.drain.connections_at_shutdown
+                            ),
+                        ],
+                        report: format!(
+                            "\"committed\": {}, \"retries\": {}, \"reconnects\": {}, \
+                             \"timeouts\": {}, \"client_faults\": {}, \"server\": {}, \
+                             \"drain\": {}",
+                            outcome.committed,
+                            outcome.retries,
+                            outcome.reconnects,
+                            outcome.timeouts,
+                            outcome.client_faults,
+                            outcome.stats.to_json(),
+                            outcome.drain.to_json()
+                        ),
+                        tally: outcome.stats.connections_accepted,
+                    })
+                })?;
             }
         }
     }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "clients",
-                "faults",
-                "overload",
-                "committed",
-                "retries",
-                "reconnects",
-                "shed",
-                "timeouts",
-                "wire faults",
-                "drained",
-            ],
-            &rows,
-        )
-    );
-    println!(
-        "all {} cells converged (live == recovered == serial oracle, rows+ExecStats); \
-         {total_committed} transactions committed exactly once.",
-        rows.len()
-    );
-
-    // The schedule-classed metrics layer must have ingested every cell.
-    let report = registry.snapshot();
-    let accepted = report
-        .schedule
-        .get("server.connections_accepted")
-        .copied()
-        .unwrap_or(0);
-    if accepted == 0 {
-        return Err("metrics ingested no server counters".into());
-    }
-
-    matrix_dir.finish("soak-reports.json", &reports)?;
-    println!("soak hash: {soak_hash:016x}");
-    Ok(())
+    matrix.finish()
 }

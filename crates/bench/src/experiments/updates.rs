@@ -3,10 +3,10 @@
 //! tables and shows how the tuning tool trades indexes for update cost —
 //! heavy writers get fewer and narrower structures.
 
-use crate::harness::{render_table, space_budget, BenchScale};
+use crate::harness::{render_table, space_budget, workload_spec, BenchScale};
 use xmlshred_core::context::EvalContext;
 use xmlshred_core::physical::{tune_with_updates, UpdateLoad};
-use xmlshred_data::workload::{dblp_workload, Projections, Selectivity, WorkloadSpec};
+use xmlshred_data::workload::{Projections, Selectivity};
 use xmlshred_shred::mapping::Mapping;
 use xmlshred_shred::source_stats::SourceStats;
 
@@ -14,18 +14,9 @@ use xmlshred_shred::source_stats::SourceStats;
 pub fn run(scale: BenchScale) -> Result<(), String> {
     println!("\n=== Extension: update-aware physical design (not in the paper; its Section 7 future work) ===\n");
     let dataset = scale.dblp()?;
-    let config = scale.dblp_config();
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
-    let workload = dblp_workload(
-        &WorkloadSpec {
-            projections: Projections::Low,
-            selectivity: Selectivity::Low,
-            n_queries: 10,
-            seed: 77,
-        },
-        config.years,
-        config.n_conferences,
-    )?;
+    let spec = workload_spec(Projections::Low, Selectivity::Low, 10, 77);
+    let workload = scale.workload("dblp", &spec)?;
     let budget = space_budget(&dataset);
     let ctx = EvalContext {
         tree: &dataset.tree,

@@ -8,7 +8,7 @@ use xmlshred_core::quality::{
 };
 use xmlshred_core::{
     greedy_search, naive_greedy_search_with, two_step_search_with, AdvisorOutcome, EvalContext,
-    GreedyOptions, SearchOptions,
+    GreedyOptions, MetricsRegistry, SearchOptions,
 };
 use xmlshred_data::dblp::{generate_dblp, DblpConfig};
 use xmlshred_data::movie::{generate_movie, MovieConfig};
@@ -22,6 +22,7 @@ use xmlshred_shred::schema::derive_schema;
 use xmlshred_shred::shredder::load_database;
 use xmlshred_shred::source_stats::SourceStats;
 use xmlshred_translate::translate::translate;
+use xmlshred_xpath::Path as XPath;
 
 /// Scale factor for dataset sizes (1.0 = the default bench scale, roughly a
 /// third of the paper's 100 MB; the figures report ratios, which are scale
@@ -89,6 +90,35 @@ impl BenchScale {
     /// Generate the Movie dataset.
     pub fn movie(&self) -> Result<Dataset, String> {
         generate_movie(&self.movie_config())
+    }
+
+    /// Generate a workload over the `dblp` or `movie` dataset at this scale.
+    pub fn workload(&self, dataset: &str, spec: &WorkloadSpec) -> Result<Workload, String> {
+        match dataset {
+            "dblp" => {
+                let config = self.dblp_config();
+                dblp_workload(spec, config.years, config.n_conferences)
+            }
+            _ => {
+                let config = self.movie_config();
+                movie_workload(spec, config.years, config.n_genres)
+            }
+        }
+    }
+}
+
+/// A workload's projection and selectivity bands, query count and seed.
+pub fn workload_spec(
+    projections: Projections,
+    selectivity: Selectivity,
+    n_queries: usize,
+    seed: u64,
+) -> WorkloadSpec {
+    WorkloadSpec {
+        projections,
+        selectivity,
+        n_queries,
+        seed,
     }
 }
 
@@ -198,40 +228,22 @@ pub fn run_algorithms(
 
 // ------------------------------------------------------ matrix scaffolding --
 
-/// The shared prologue of the crash and heal matrices: the fixture loaded
-/// under the hybrid mapping with `exec` installed, plus its four-query
-/// low-selectivity workload translated to SQL.
-pub fn matrix_fixture(
+/// `dataset` loaded under the hybrid mapping, plus `paths` translated to
+/// SQL with their weights; paths that do not translate are skipped, and
+/// none translating is an error.
+pub fn load_hybrid(
     dataset: &Dataset,
-    scale: BenchScale,
-    projections: Projections,
-    exec: ExecOptions,
-) -> Result<(Database, Vec<SqlQuery>), String> {
+    paths: &[(XPath, f64)],
+) -> Result<(Database, Vec<(SqlQuery, f64)>), String> {
     let mapping = Mapping::hybrid(&dataset.tree);
     let schema = derive_schema(&dataset.tree, &mapping);
-    let mut db = load_database(&dataset.tree, &mapping, &schema, &[&dataset.document])
+    let db = load_database(&dataset.tree, &mapping, &schema, &[&dataset.document])
         .map_err(|e| format!("load failed: {e}"))?;
-    db.set_exec_options(exec);
-
-    let spec = |seed| WorkloadSpec {
-        projections,
-        selectivity: Selectivity::Low,
-        n_queries: 4,
-        seed,
+    let translated = |(path, weight): &(XPath, f64)| {
+        let sql = translate(&dataset.tree, &mapping, &schema, path).ok()?.sql;
+        Some((sql, *weight))
     };
-    let workload = if dataset.name == "dblp" {
-        let config = scale.dblp_config();
-        dblp_workload(&spec(31), config.years, config.n_conferences)?
-    } else {
-        let config = scale.movie_config();
-        movie_workload(&spec(32), config.years, config.n_genres)?
-    };
-    let queries: Vec<SqlQuery> = workload
-        .queries
-        .iter()
-        .filter_map(|(path, _)| translate(&dataset.tree, &mapping, &schema, path).ok())
-        .map(|t| t.sql)
-        .collect();
+    let queries: Vec<(SqlQuery, f64)> = paths.iter().filter_map(translated).collect();
     if queries.is_empty() {
         return Err(format!("no translatable {} queries", dataset.name));
     }
@@ -254,13 +266,17 @@ pub fn run_queries(
         .collect()
 }
 
-/// Diff a matrix's query answers against its oracle's: rows equal and
-/// [`ExecStats`] bit-equal, query by query. The error names the first
-/// divergent query; the caller adds its stage prefix.
+/// Diff a matrix's query answers against its oracle's: as many answers,
+/// rows equal and [`ExecStats`] bit-equal, query by query. The error names
+/// the first divergent query; the caller adds its stage prefix.
 pub fn check_answers(
     got: &[(Vec<Row>, ExecStats)],
     want: &[(Vec<Row>, ExecStats)],
 ) -> Result<(), String> {
+    let (n, expected) = (got.len(), want.len());
+    if n != expected {
+        return Err(format!("{n} answers for the oracle's {expected}"));
+    }
     for (i, ((got_rows, g), (want_rows, w))) in got.iter().zip(want).enumerate() {
         if got_rows != want_rows {
             return Err(format!("query {i}: rows differ from oracle"));
@@ -279,8 +295,8 @@ pub fn check_answers(
 }
 
 /// Where a matrix keeps its per-cell durable databases: under `--data-dir`
-/// (kept, together with a reports artifact) or under a per-process temp
-/// directory (removed as the cells finish).
+/// (kept, with the reports artifact) or under a per-process temp directory,
+/// removed when the `MatrixDir` drops, also when a cell fails.
 pub struct MatrixDir {
     base: PathBuf,
     keep: bool,
@@ -292,38 +308,154 @@ impl MatrixDir {
     pub fn create(data_dir: Option<&str>, tag: &str) -> Result<MatrixDir, String> {
         let (base, keep) = match data_dir {
             Some(dir) => (PathBuf::from(dir), true),
-            None => (
-                std::env::temp_dir().join(format!("xmlshred-{tag}-{}", std::process::id())),
-                false,
-            ),
+            None => {
+                let name = format!("xmlshred-{tag}-{}", std::process::id());
+                (std::env::temp_dir().join(name), false)
+            }
         };
         std::fs::create_dir_all(&base).map_err(|e| format!("data dir: {e}"))?;
         Ok(MatrixDir { base, keep })
     }
+}
 
-    /// The directory of one cell.
-    pub fn cell_dir(&self, cell: &str) -> PathBuf {
-        self.base.join(format!("cell-{cell}"))
-    }
-
-    /// A cell is done with its directory: removed now unless kept.
-    pub fn release(&self, cell_dir: &Path) {
+impl Drop for MatrixDir {
+    fn drop(&mut self) {
         if !self.keep {
-            std::fs::remove_dir_all(cell_dir).ok();
-        }
-    }
-
-    /// Write the per-cell JSON reports as one array under `artifact_name`
-    /// when the directory is kept; remove the directory otherwise.
-    pub fn finish(self, artifact_name: &str, reports: &[String]) -> Result<(), String> {
-        if self.keep {
-            let path = self.base.join(artifact_name);
-            std::fs::write(&path, format!("[{}]", reports.join(", ")))
-                .map_err(|e| format!("artifact write: {e}"))?;
-            println!("reports written to {}", path.display());
-        } else {
             std::fs::remove_dir_all(&self.base).ok();
         }
+    }
+}
+
+/// The fixed shape of one seeded matrix: its `name` (in the `<name>: N
+/// cells` and closing `<name> hash:` lines), temp directory `tag`, starting
+/// hash, comma-separated listing and result columns (a result row starts
+/// with its listing's first `key_columns`), reports artifact, and the
+/// counter the cells record that must total their tallies, with the label
+/// of the line printing it.
+pub struct MatrixSpec {
+    pub name: &'static str,
+    pub tag: &'static str,
+    pub hash_seed: u64,
+    pub key_columns: usize,
+    pub list_columns: &'static str,
+    pub columns: &'static str,
+    pub artifact: &'static str,
+    pub metric: (&'static str, &'static str),
+}
+
+/// What one cell hands back to [`Matrix::cell`]: its result row after the
+/// key columns, its fields in the reports artifact (after its `"cell"`
+/// name), and its share of [`MatrixSpec::metric`].
+pub struct CellOut {
+    pub row: Vec<String>,
+    pub report: String,
+    pub tally: u64,
+}
+
+/// The one driver of the seeded matrices: header, data directory, the
+/// per-cell step, the results table, the reports artifact, the metrics
+/// agreement check and the closing hash line. Under `--list-cells` it
+/// collects each cell's listing row and runs nothing.
+pub struct Matrix {
+    spec: &'static MatrixSpec,
+    dir: Option<MatrixDir>,
+    registry: MetricsRegistry,
+    hash: u64,
+    rows: Vec<Vec<String>>,
+    reports: Vec<String>,
+    tally: u64,
+}
+
+impl Matrix {
+    /// Start a matrix: list only, or print `header` and create the data
+    /// directory.
+    pub fn start(
+        spec: &'static MatrixSpec,
+        header: &str,
+        list: bool,
+        data_dir: Option<&str>,
+    ) -> Result<Matrix, String> {
+        if !list {
+            println!("\n=== {header} ===");
+        }
+        Ok(Matrix {
+            spec,
+            dir: (!list)
+                .then(|| MatrixDir::create(data_dir, spec.tag))
+                .transpose()?,
+            registry: MetricsRegistry::new(),
+            hash: spec.hash_seed,
+            rows: Vec::new(),
+            reports: Vec::new(),
+            tally: 0,
+        })
+    }
+
+    /// Print a line above the results table (not when listing).
+    pub fn note(&self, line: &str) {
+        if self.dir.is_some() {
+            println!("{line}");
+        }
+    }
+
+    /// One cell: list its `listing` row, or run it in a fresh directory,
+    /// removed afterwards unless kept. `run` records into the registry,
+    /// folds its digest into the matrix hash and returns its [`CellOut`].
+    pub fn cell(
+        &mut self,
+        name: &str,
+        listing: Vec<String>,
+        run: impl FnOnce(&Path, &MetricsRegistry, &mut u64) -> Result<CellOut, String>,
+    ) -> Result<(), String> {
+        let Some(matrix_dir) = &self.dir else {
+            self.rows.push(listing);
+            return Ok(());
+        };
+        let dir = matrix_dir.base.join(format!("cell-{name}"));
+        std::fs::remove_dir_all(&dir).ok();
+        let out =
+            run(&dir, &self.registry, &mut self.hash).map_err(|e| format!("cell {name}: {e}"))?;
+        if !matrix_dir.keep {
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        let key = listing.into_iter().take(self.spec.key_columns);
+        self.rows.push(key.chain(out.row).collect());
+        self.reports
+            .push(format!("{{\"cell\": \"{name}\", {}}}", out.report));
+        self.tally += out.tally;
+        Ok(())
+    }
+
+    /// Print the listing, or the results table, the metrics agreement line,
+    /// the kept artifact and the closing hash line.
+    pub fn finish(self) -> Result<(), String> {
+        let (spec, cells, tally) = (self.spec, self.rows.len(), self.tally);
+        let columns = if self.dir.is_some() {
+            spec.columns
+        } else {
+            spec.list_columns
+        };
+        let columns: Vec<&str> = columns.split(", ").collect();
+        println!("{}", render_table(&columns, &self.rows));
+        let Some(matrix_dir) = &self.dir else {
+            println!("{}: {cells} cells", spec.name);
+            return Ok(());
+        };
+        let ((metric, label), report) = (spec.metric, self.registry.snapshot());
+        let total = (report.deterministic.get(metric))
+            .or(report.schedule.get(metric))
+            .map_or(0, |v| *v);
+        if total != tally {
+            return Err(format!("metrics disagree: {metric} {total} != {tally}"));
+        }
+        println!("{label} metrics: {metric} {total}, {label} cells {cells}");
+        if matrix_dir.keep {
+            let path = matrix_dir.base.join(spec.artifact);
+            std::fs::write(&path, format!("[{}]", self.reports.join(", ")))
+                .map_err(|e| format!("artifact write: {e}"))?;
+            println!("reports written to {}", path.display());
+        }
+        println!("{} hash: {:016x}", spec.name, self.hash);
         Ok(())
     }
 }
@@ -331,8 +463,8 @@ impl MatrixDir {
 // ------------------------------------------------------- matrix digests --
 
 /// splitmix64: the same deterministic mixer the rel fault plane uses, local
-/// to the harness so crash and heal matrix cell positions are reproducible
-/// from the CLI seeds.
+/// to the harness so the matrices' cell positions are reproducible from the
+/// CLI seeds.
 pub fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -343,6 +475,13 @@ pub fn mix(mut x: u64) -> u64 {
 /// Order-sensitive fold of `value` into a running digest.
 pub fn fold(hash: u64, value: u64) -> u64 {
     mix(hash ^ value.wrapping_mul(0x2545_f491_4f6c_dd1d))
+}
+
+/// Fold a report's counters in their `metric_counters()` order.
+pub fn fold_counters<'a>(hash: u64, counters: impl IntoIterator<Item = (&'a str, u64)>) -> u64 {
+    counters
+        .into_iter()
+        .fold(hash, |h, (_, value)| fold(h, value))
 }
 
 /// Fold one SQL value, tagged by type so `Null` and `Int(0)` digest apart.
@@ -479,21 +618,61 @@ mod tests {
     }
 
     #[test]
+    fn short_answer_list_fails_the_oracle_diff() {
+        // Regression: the diff zipped the two lists, so a run that lost a
+        // trailing answer passed.
+        let answer = (vec![vec![Value::Int(1)]], ExecStats::default());
+        let want = vec![answer.clone(), answer];
+        assert!(check_answers(&want, &want).is_ok());
+        let err = check_answers(&want[..1], &want).unwrap_err();
+        assert!(err.contains("1 answers for the oracle's 2"), "{err}");
+        assert!(check_answers(&[], &want).is_err());
+    }
+
+    static TEST_SPEC: MatrixSpec = MatrixSpec {
+        name: "test matrix",
+        tag: "harness-test",
+        hash_seed: 0,
+        key_columns: 0,
+        list_columns: "cell",
+        columns: "cell",
+        artifact: "test-reports.json",
+        metric: ("test.counter", "test"),
+    };
+
+    #[test]
+    fn failed_cell_leaves_no_temp_dir() {
+        // Regression: only a finished matrix removed its temp directory,
+        // and a failing cell returns before it finishes.
+        let mut matrix = Matrix::start(&TEST_SPEC, "test", false, None).unwrap();
+        let mut cell_dir = PathBuf::new();
+        let err = matrix.cell("a", vec![], |dir, _, _| {
+            std::fs::create_dir_all(dir).unwrap();
+            cell_dir = dir.to_path_buf();
+            Err("boom".into())
+        });
+        assert_eq!(err.unwrap_err(), "cell a: boom");
+        assert!(cell_dir.exists());
+        drop(matrix);
+        assert!(cell_dir.parent().is_some_and(|base| !base.exists()));
+    }
+
+    #[test]
+    fn kept_matrix_dir_survives_drop() {
+        let base = std::env::temp_dir().join(format!("xmlshred-kept-{}", std::process::id()));
+        std::fs::create_dir_all(base.join("cell-a")).unwrap();
+        drop(MatrixDir::create(base.to_str(), "unused").unwrap());
+        assert!(base.join("cell-a").exists());
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
     fn tiny_end_to_end_run() {
         let scale = BenchScale(0.01);
         let dataset = scale.movie().unwrap();
         let source = SourceStats::collect(&dataset.tree, &dataset.document);
-        let workload = xmlshred_data::workload::movie_workload(
-            &xmlshred_data::workload::WorkloadSpec {
-                projections: xmlshred_data::workload::Projections::Low,
-                selectivity: xmlshred_data::workload::Selectivity::Low,
-                n_queries: 3,
-                seed: 1,
-            },
-            (1950, 2004),
-            25,
-        )
-        .expect("workload generates");
+        let spec = workload_spec(Projections::Low, Selectivity::Low, 3, 1);
+        let workload = scale.workload("movie", &spec).expect("workload generates");
         let budget = space_budget(&dataset);
         let runs = run_algorithms(
             &dataset,
