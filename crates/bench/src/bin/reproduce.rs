@@ -5,27 +5,26 @@
 //! cargo run --release -p xmlshred-bench --bin reproduce -- all
 //! cargo run --release -p xmlshred-bench --bin reproduce -- fig5 --threads 4
 //! XMLSHRED_SCALE=0.2 cargo run --release -p xmlshred-bench --bin reproduce -- fig7
-//! cargo run --release -p xmlshred-bench --bin reproduce -- chaos --fault-p 0.1 --deadline-ms 250
+//! cargo run --release -p xmlshred-bench --bin reproduce -- figures --threads 1
 //! cargo run --release -p xmlshred-bench --bin reproduce -- faults --seed 3 --points 1
 //! ```
 //!
 //! Experiments: `table1`, `motivating`, `fig4`/`fig5`/`fig6` (one shared
-//! evaluation run), `fig7`, `fig8`, `fig9`, `updates`, `chaos`, `crash`,
-//! `heal`, `faults`, `profile`, `exec`, `serve`, `soak`, `adapt`, `all`;
-//! the README's Quickstart says what each one checks. `--scale X`
-//! (or `XMLSHRED_SCALE`) scales the datasets; normalized figures are
-//! scale-stable. `--threads N` and `--no-plan-cache` shape the advisor
-//! search and `--exec-threads N` the executor; none changes a
+//! evaluation run), `fig7`, `fig8`, `fig9`, `updates`, `figures` (all of
+//! those), `crash`, `heal`, `faults`, `profile`, `exec`, `serve`, `soak`,
+//! `adapt`, `all`; the README's Quickstart says what each one checks.
+//! `--scale X` (or `XMLSHRED_SCALE`) scales the datasets; normalized
+//! figures are scale-stable. `--threads N` and `--no-plan-cache` shape the
+//! advisor search and `--exec-threads N` the executor; none changes a
 //! recommendation, an answer or a measured cost, and every closing hash
-//! line (`crash`/`heal`/`faults` matrix, `soak`, `serve`, `adapt`, `exec`
-//! sweep) is identical across them. `--fault-p X`, `--deadline-ms N` and
-//! `--seed S` arm the what-if fault plane and anytime deadlines (`chaos`
-//! and the evaluation runs). `--seed`, `--points` and `--ops` are one flag
-//! each across the seeded experiments, each with the experiment's own
-//! default; `--data-dir PATH` keeps a matrix's per-cell databases and
-//! reports, `--list-cells` lists its cells without running them, and
-//! `--metrics-out`, `--serve-clients` and `--adapt-window` belong to
-//! `profile`, `serve` and `adapt` ([`RunOptions`] documents every knob).
+//! line (`figures`, `crash`/`heal`/`faults` matrix, `soak`, `serve`,
+//! `adapt`, `exec` sweep) is identical across them. `--deadline-ms N` arms
+//! an anytime deadline on the evaluation runs. `--seed`, `--points` and
+//! `--ops` are one flag each across the seeded experiments, each with the
+//! experiment's own default; `--data-dir PATH` keeps a matrix's per-cell
+//! databases and reports, `--list-cells` lists its cells without running
+//! them, and `--metrics-out`, `--serve-clients` and `--adapt-window` belong
+//! to `profile`, `serve` and `adapt` ([`RunOptions`] documents every knob).
 //! Timings here are for reading, not for gating: the repo's one benchmark
 //! is `perf/` (see `perf/README.md`).
 //!
@@ -86,7 +85,6 @@ fn main() {
     if let Some(n) = take_value::<usize>(&mut args, "--exec-threads", UNSIGNED) {
         exec.threads = n;
     }
-    let fault_p = take_value::<f64>(&mut args, "--fault-p", NUMBER);
     let deadline_ms = take_value::<u64>(&mut args, "--deadline-ms", UNSIGNED);
     let seed = take_value::<u64>(&mut args, "--seed", UNSIGNED);
     let points = take_value::<usize>(&mut args, "--points", UNSIGNED);
@@ -122,7 +120,6 @@ fn main() {
     );
     let opts = RunOptions {
         search,
-        fault_p,
         deadline_ms,
         seed,
         points,
@@ -134,13 +131,8 @@ fn main() {
         serve_clients,
         adapt_window,
     };
-    if fault_p.is_some() || deadline_ms.is_some() {
-        println!(
-            "robustness: fault-p {}, deadline {}, fault seed {}",
-            fault_p.map_or("off".to_string(), |p| p.to_string()),
-            deadline_ms.map_or("none".to_string(), |ms| format!("{ms}ms")),
-            opts.fault_seed(),
-        );
+    if let Some(ms) = deadline_ms {
+        println!("anytime deadline: {ms}ms per search");
     }
     let start = Instant::now();
     match xmlshred_bench::experiments::run(experiment, scale, &opts) {

@@ -11,7 +11,7 @@
 //!   quality loss.
 
 use crate::harness::{
-    fmt_duration, hybrid_baseline, render_table, space_budget, workload_spec, BenchScale,
+    fmt_duration, fold, hybrid_baseline, render_table, space_budget, workload_spec, BenchScale,
 };
 use std::time::Duration;
 use xmlshred_core::quality::measure_quality;
@@ -70,14 +70,15 @@ fn run_variant(
 /// (subsumed) transformation and are slow by construction — exactly the
 /// inefficiency the paper measures. Their greedy descent is capped at two
 /// rounds, so the reported speed-ups are *lower bounds* (the full Greedy
-/// runs uncapped).
-pub fn fig7(scale: BenchScale) -> Result<(), String> {
+/// runs uncapped). Returns the digest of the full Greedy's measured
+/// costs; the speed-ups are wall-clock and stay out.
+pub fn fig7(scale: BenchScale) -> Result<u64, String> {
     println!("\n=== Fig. 7: speed-up due to candidate selection (DBLP, 20-query workloads) ===\n");
     let (dataset, workloads) = dblp_20q(scale)?;
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
     let budget = space_budget(&dataset);
 
-    let mut rows = Vec::new();
+    let (mut rows, mut digest) = (Vec::new(), 0);
     for workload in &workloads {
         // Baseline: no subsumption pruning, no candidate selection.
         let none = GreedyOptions {
@@ -97,6 +98,7 @@ pub fn fig7(scale: BenchScale) -> Result<(), String> {
         let (t_none, _) = run_variant(&dataset, &source, workload, budget, &none);
         let (t_pruned, _) = run_variant(&dataset, &source, workload, budget, &pruned);
         let (t_full, q_full) = run_variant(&dataset, &source, workload, budget, &full);
+        digest = fold(digest, q_full.to_bits());
         rows.push(vec![
             workload.name.clone(),
             format!(
@@ -130,19 +132,20 @@ pub fn fig7(scale: BenchScale) -> Result<(), String> {
     println!(
         "(unpruned variants capped at two greedy rounds: reported speed-ups are lower bounds.)\n"
     );
-    Ok(())
+    Ok(digest)
 }
 
-/// Fig. 8: merging strategies.
-pub fn fig8(scale: BenchScale) -> Result<(), String> {
+/// Fig. 8: merging strategies. Returns the digest of the measured costs.
+pub fn fig8(scale: BenchScale) -> Result<u64, String> {
     println!("\n=== Fig. 8: candidate merging strategies (DBLP, 20-query workloads) ===\n");
     let (dataset, workloads) = dblp_20q(scale)?;
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
     let budget = space_budget(&dataset);
 
-    let mut rows = Vec::new();
+    let (mut rows, mut digest) = (Vec::new(), 0);
     for workload in &workloads {
         let baseline = hybrid_baseline(&dataset, workload, budget);
+        digest = fold(digest, baseline.measured_cost.to_bits());
         let mut cells = vec![workload.name.clone()];
         let mut none_time = 1e-9f64;
         for (label, strategy) in [
@@ -155,6 +158,7 @@ pub fn fig8(scale: BenchScale) -> Result<(), String> {
                 ..GreedyOptions::default()
             };
             let (t, q) = run_variant(&dataset, &source, workload, budget, &options);
+            digest = fold(digest, q.to_bits());
             if label == "none" {
                 none_time = t.as_secs_f64().max(1e-9);
             }
@@ -182,17 +186,17 @@ pub fn fig8(scale: BenchScale) -> Result<(), String> {
     println!(
         "paper: greedy ~= exhaustive quality at 2-10x less time; no merging ~2x worse cost.\n"
     );
-    Ok(())
+    Ok(digest)
 }
 
-/// Fig. 9: cost derivation.
-pub fn fig9(scale: BenchScale) -> Result<(), String> {
+/// Fig. 9: cost derivation. Returns the digest of the measured costs.
+pub fn fig9(scale: BenchScale) -> Result<u64, String> {
     println!("\n=== Fig. 9: cost derivation (DBLP, 20-query workloads) ===\n");
     let (dataset, workloads) = dblp_20q(scale)?;
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
     let budget = space_budget(&dataset);
 
-    let mut rows = Vec::new();
+    let (mut rows, mut digest) = (Vec::new(), 0);
     for workload in &workloads {
         let baseline = hybrid_baseline(&dataset, workload, budget);
         let with = GreedyOptions::default();
@@ -202,6 +206,9 @@ pub fn fig9(scale: BenchScale) -> Result<(), String> {
         };
         let (t_with, q_with) = run_variant(&dataset, &source, workload, budget, &with);
         let (t_without, q_without) = run_variant(&dataset, &source, workload, budget, &without);
+        for cost in [baseline.measured_cost, q_with, q_without] {
+            digest = fold(digest, cost.to_bits());
+        }
         rows.push(vec![
             workload.name.clone(),
             format!("{:.2}", q_with / baseline.measured_cost),
@@ -229,5 +236,5 @@ pub fn fig9(scale: BenchScale) -> Result<(), String> {
         )
     );
     println!("paper: 4-10x speedup, at most ~3% quality drop.\n");
-    Ok(())
+    Ok(digest)
 }

@@ -14,7 +14,7 @@
 //! workloads ("it did not stop after running for five days").
 
 use crate::harness::{
-    fmt_duration, hybrid_baseline_exec, render_table, run_algorithms, space_budget, Algo,
+    fmt_duration, fold, hybrid_baseline_exec, render_table, run_algorithms, space_budget, Algo,
     BenchScale, EvalRun,
 };
 use xmlshred_core::SearchOptions;
@@ -26,22 +26,25 @@ use xmlshred_shred::source_stats::SourceStats;
 /// The evaluated algorithms, in column order.
 const ALGORITHMS: [&str; 3] = ["Greedy", "Naive-Greedy", "Two-Step"];
 
-/// Run the experiment for both datasets.
-pub fn run(scale: BenchScale, search: &SearchOptions, exec: ExecOptions) -> Result<(), String> {
+/// Run the experiment for both datasets; returns the digest of Figs. 4
+/// and 6: every measured cost and search count, no running time.
+pub fn run(scale: BenchScale, search: &SearchOptions, exec: ExecOptions) -> Result<u64, String> {
     let dblp = scale.dblp()?;
     let dblp_workloads: Vec<Workload> = WorkloadSpec::dblp_suite()
         .iter()
         .map(|spec| scale.workload("dblp", spec))
         .collect::<Result<_, _>>()?;
-    evaluate_dataset(&dblp, &dblp_workloads, true, search, exec)?;
+    let digest = evaluate_dataset(&dblp, &dblp_workloads, true, search, exec)?;
 
     let movie = scale.movie()?;
     let movie_workloads: Vec<Workload> = WorkloadSpec::movie_suite()
         .iter()
         .map(|spec| scale.workload("movie", spec))
         .collect::<Result<_, _>>()?;
-    evaluate_dataset(&movie, &movie_workloads, false, search, exec)?;
-    Ok(())
+    Ok(fold(
+        digest,
+        evaluate_dataset(&movie, &movie_workloads, false, search, exec)?,
+    ))
 }
 
 fn evaluate_dataset(
@@ -50,7 +53,7 @@ fn evaluate_dataset(
     skip_naive_on_20: bool,
     search: &SearchOptions,
     exec: ExecOptions,
-) -> Result<(), String> {
+) -> Result<u64, String> {
     println!(
         "\n=== Figs. 4/5/6 on {} ({} elements) ===",
         dataset.name,
@@ -63,6 +66,7 @@ fn evaluate_dataset(
     let mut fig5 = Vec::new();
     let mut fig5_cache = Vec::new();
     let mut fig6 = Vec::new();
+    let mut digest = 0;
     for workload in workloads {
         let naive_skipped = skip_naive_on_20 && workload.queries.len() >= 20;
         let algos: Vec<Algo> = if naive_skipped {
@@ -72,6 +76,11 @@ fn evaluate_dataset(
         };
         let baseline = hybrid_baseline_exec(dataset, workload, budget, exec);
         let runs = run_algorithms(dataset, &source, workload, budget, &algos, search, exec);
+        digest = fold(digest, baseline.measured_cost.to_bits());
+        for run in &runs {
+            digest = fold(digest, run.quality.measured_cost.to_bits());
+            digest = fold(digest, run.outcome.stats.transformations_searched);
+        }
 
         let twostep_time = runs
             .iter()
@@ -135,5 +144,5 @@ fn evaluate_dataset(
     if skip_naive_on_20 {
         println!("* Naive-Greedy skipped on 20-query DBLP workloads, as in the paper (it ran for days).\n");
     }
-    Ok(())
+    Ok(digest)
 }

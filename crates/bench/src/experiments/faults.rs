@@ -8,8 +8,9 @@
 //! emit schedules over both fixtures: `crash` (one seeded crash during the
 //! load and the design build), `heal` (one seeded corruption, healed
 //! through the workload) and `faults` (a seeded draw over the whole
-//! alphabet). Each matrix is a pure function of `(--seed, --points,
-//! scale)`, closed by a hash line CI compares across `--exec-threads`.
+//! alphabet, storage faults on single statements included). Each matrix is
+//! a pure function of `(--seed, --points, scale)`, closed by a hash line CI
+//! compares across `--exec-threads`.
 
 use crate::experiments::RunOptions;
 use crate::harness::{
@@ -42,8 +43,18 @@ const VIEW_NAME: &str = "heal_view";
 
 const CRASH_KINDS: [CrashKind; 3] = [CrashKind::Clean, CrashKind::TornTail, CrashKind::BitFlip];
 
+/// A storage fault armed for one workload statement.
+#[derive(Clone, Copy, Debug)]
+enum StorageFault {
+    /// `p_storage = 1.0`: the statement's first page read fails.
+    Roll,
+    /// A page budget of zero: the statement's first charged page fails.
+    Budget,
+}
+
 /// One step of a fault schedule. Every logged mutation but `Checkpoint`
-/// consumes one LSN; `Crash`, `Corrupt`, `Heal` and `Restart` are unlogged.
+/// consumes one LSN; `Crash`, `Corrupt`, `Heal`, `Restart` and `Storage`
+/// are unlogged.
 #[derive(Clone)]
 enum Event {
     Create(TableDef),
@@ -60,6 +71,8 @@ enum Event {
     Heal,
     /// Close the database and reopen it through recovery.
     Restart,
+    /// Run the seeded workload statement under a storage fault.
+    Storage(StorageFault, u64),
 }
 
 impl Event {
@@ -80,7 +93,11 @@ impl Event {
             Event::StatsMode(on) => db.set_incremental_stats(*on),
             Event::Apply(config) => db.apply_config(config),
             Event::Checkpoint => db.checkpoint(),
-            Event::Crash(..) | Event::Corrupt(..) | Event::Heal | Event::Restart => Ok(()),
+            Event::Crash(..)
+            | Event::Corrupt(..)
+            | Event::Heal
+            | Event::Restart
+            | Event::Storage(..) => Ok(()),
         }
     }
 
@@ -98,6 +115,8 @@ impl Event {
             Event::Corrupt(..) => 'Z',
             Event::Heal => 'H',
             Event::Restart => 'R',
+            Event::Storage(StorageFault::Roll, _) => 'F',
+            Event::Storage(StorageFault::Budget, _) => 'B',
         }
     }
 }
@@ -236,9 +255,62 @@ fn verify_plane(seed: u64) -> FaultConfig {
     FaultConfig {
         seed,
         p_storage: 0.0,
-        p_plan: 0.0,
         budget_pages: Some(u64::MAX),
         verify_checksums: true,
+    }
+}
+
+/// Run `query` under a plane armed with `fault`, then give the database
+/// back its plane as it was: config, charges and token sequence. A roll
+/// fails every page read, so the statement must fail with `Fault`; a zero
+/// budget must fail it with `ResourceExhausted` exactly when it charged a
+/// page, and otherwise it answers with the oracle's rows.
+fn storage_fault(
+    db: &mut Database,
+    oracle: &Database,
+    fault: StorageFault,
+    query: &SqlQuery,
+    seed: u64,
+) -> Result<(), String> {
+    let saved = db.fault_plane().map(|plane| (plane.config(), plane.save()));
+    db.set_fault_config(match fault {
+        StorageFault::Roll => FaultConfig {
+            seed,
+            p_storage: 1.0,
+            ..FaultConfig::default()
+        },
+        StorageFault::Budget => FaultConfig {
+            seed,
+            budget_pages: Some(0),
+            ..FaultConfig::default()
+        },
+    });
+    let result = db.execute(query);
+    let charged = db
+        .fault_plane()
+        .map_or(0, |plane| plane.snapshot().pages_charged);
+    match saved {
+        Some((config, state)) => {
+            db.set_fault_config(config);
+            if let Some(plane) = db.fault_plane() {
+                plane.restore(state);
+            }
+        }
+        None => db.clear_fault_config(),
+    }
+    match (fault, result) {
+        (StorageFault::Roll, Err(RelError::Fault(_))) => Ok(()),
+        (StorageFault::Budget, Err(RelError::ResourceExhausted(_))) if charged > 0 => Ok(()),
+        (StorageFault::Budget, Ok(outcome)) if charged == 0 => {
+            match outcome.rows == oracle.execute(query).map_err(|e| e.to_string())?.rows {
+                true => Ok(()),
+                false => Err("rows under an unspent zero budget differ from oracle".into()),
+            }
+        }
+        (_, result) => Err(format!(
+            "{fault:?} storage fault ({charged} pages charged) returned {:?}",
+            result.map(|outcome| outcome.rows.len())
+        )),
     }
 }
 
@@ -327,6 +399,8 @@ fn advance(
 ///   nothing else, and leave the quarantine empty and a scrub clean.
 /// - A `Checkpoint` over a live heap corruption must fail with `Corrupted`
 ///   and leave the directory untouched.
+/// - A `Storage` event must fail its statement with the fault's typed
+///   error (see [`storage_fault`]) and leave the plane as it found it.
 /// - At the end, both sides on a fresh plane: rows and [`ExecStats`] per
 ///   query, statistics, quarantine, scrub and fault-plane charges.
 ///
@@ -387,6 +461,12 @@ fn run_schedule(fx: &Fixture, schedule: &[Event], seed: u64, dir: &Path) -> Resu
                 None
             }
             Event::Restart => Some(i + 1),
+            Event::Storage(fault, pick) => {
+                advance(schedule, &mut oracle, &mut seen, i)?;
+                let query = &fx.queries[*pick as usize % fx.queries.len()];
+                storage_fault(&mut db, &oracle, *fault, query, seed).map_err(|e| at(&e))?;
+                None
+            }
             Event::Checkpoint if live.contains(&StructureKind::Heap) => {
                 let before = dir_bytes(dir).map_err(|e| at(&e))?;
                 let result = db.checkpoint();
@@ -633,7 +713,10 @@ pub fn heal(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
                     let (report, charges) = (&trace.heal, &trace.charges);
                     record_heal(registry, report);
                     *hash = fold(fold_counters(*hash, report.metric_counters()), site);
-                    for charge in [charges.plan_faults, charges.storage_faults] {
+                    // The 0 sits where the planner's fault count, always 0
+                    // under the verify plane, was folded, so the pinned hash
+                    // holds.
+                    for charge in [0, charges.storage_faults] {
                         *hash = fold(*hash, charge);
                     }
                     *hash = fold(fold(*hash, charges.budget_denials), charges.pages_charged);
@@ -689,7 +772,7 @@ fn mixed_schedule(db: &Database, targets: &Targets, seed: u64) -> Vec<Event> {
     let (mut crash, mut armed, mut heap_rows, mut tail) = (None, false, 0, 24);
     while !load.is_empty() || tail > 0 {
         let heap_live = live == Some(StructureKind::Heap);
-        let event = match draw(20) {
+        let event = match draw(22) {
             0..=9 => match load.pop_front() {
                 Some(insert) => insert,
                 None => continue,
@@ -697,8 +780,10 @@ fn mixed_schedule(db: &Database, targets: &Targets, seed: u64) -> Vec<Event> {
             10 | 11 => Event::Checkpoint,
             12 if !heap_live => Event::Analyze,
             13 if !heap_live => Event::StatsMode(!incremental),
-            // Every Insert precedes the first Apply: an index built before
-            // an insert misses its rows (ROADMAP item 1(a)).
+            // Every Insert precedes the first Apply: inserts do not yet
+            // maintain built structures, so an index built before an insert
+            // misses that insert's rows, while a checkpoint or heal rebuild
+            // does not.
             14 if load.is_empty() && live.is_none() => {
                 design = draw(3) as usize;
                 Event::Apply(designs[design].1.clone())
@@ -709,6 +794,10 @@ fn mixed_schedule(db: &Database, targets: &Targets, seed: u64) -> Vec<Event> {
             }
             18 => Event::Heal,
             19 if crash.is_none() => Event::Restart,
+            20 | 21 if live.is_none() => {
+                let fault = [StorageFault::Roll, StorageFault::Budget][draw(2) as usize];
+                Event::Storage(fault, draw(u64::MAX))
+            }
             _ => continue,
         };
         tail -= usize::from(load.is_empty());

@@ -2,7 +2,6 @@
 
 pub mod ablations;
 pub mod adapt;
-pub mod chaos;
 pub mod evaluation;
 pub mod exec_parallel;
 pub mod faults;
@@ -13,14 +12,14 @@ pub mod soak;
 pub mod table1;
 pub mod updates;
 
-use crate::harness::BenchScale;
-use xmlshred_core::{Deadline, FaultConfig, SearchOptions};
+use crate::harness::{fold, BenchScale};
+use xmlshred_core::{Deadline, SearchOptions};
 use xmlshred_rel::ExecOptions;
 
 /// CLI-level knobs for one `reproduce` invocation: the base search options
-/// plus the robustness sweep parameters (`--fault-p`, `--deadline-ms`) and
-/// the three knobs every seeded experiment shares (`--seed`, `--points`,
-/// `--ops`), each `None` for the running experiment's own default.
+/// plus the anytime deadline (`--deadline-ms`) and the three knobs every
+/// seeded experiment shares (`--seed`, `--points`, `--ops`), each `None`
+/// for the running experiment's own default.
 ///
 /// The deadline is intentionally stored as a duration, not a
 /// [`Deadline`]: a `Deadline` pins a wall-clock instant, so each strategy
@@ -28,20 +27,18 @@ use xmlshred_rel::ExecOptions;
 /// get the full budget.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Threads / plan-cache knobs; its `deadline` and `fault` fields stay
-    /// inert here and are filled in per run.
+    /// Threads / plan-cache knobs; its `deadline` field stays inert here
+    /// and is filled in per run.
     pub search: SearchOptions,
-    /// Fault-injection probability for what-if planner calls.
-    pub fault_p: Option<f64>,
     /// Anytime budget per strategy run, in milliseconds.
     pub deadline_ms: Option<u64>,
-    /// The running experiment's seed (`--seed`). Defaults: fault plane of
-    /// `chaos` and the evaluation runs 42; `crash` positions 7; `heal`
-    /// corruption sites 9; `faults` schedules 1 (a cell's schedule depends
-    /// only on its fixture and its seed, so `--seed S --points 1` reruns
-    /// the cells of seed `S`); `soak` wire-fault scripts and backoff
-    /// schedules 13 (the `soak hash` does *not* depend on it — chaos must
-    /// cancel out); `adapt` statement schedule and drift jitter 5.
+    /// The running experiment's seed (`--seed`). Defaults: `crash`
+    /// positions 7; `heal` corruption sites 9; `faults` schedules 1 (a
+    /// cell's schedule depends only on its fixture and its seed, so
+    /// `--seed S --points 1` reruns the cells of seed `S`); `soak`
+    /// wire-fault scripts and backoff schedules 13 (the `soak hash` does
+    /// *not* depend on it — chaos must cancel out); `adapt` statement
+    /// schedule and drift jitter 5.
     pub seed: Option<u64>,
     /// Consecutive seeds from `seed` per (fixture, kind) in the `crash` /
     /// `heal` matrices and per fixture in `faults` (`--points`; defaults
@@ -81,11 +78,6 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Seed of the what-if fault plane (`chaos` and the evaluation runs).
-    pub fn fault_seed(&self) -> u64 {
-        self.seed.unwrap_or(42)
-    }
-
     /// The base seed and the per-cell seeds of a seeded matrix (`crash`,
     /// `heal`, `faults`): `--seed` / `--points` over the matrix's own
     /// defaults.
@@ -95,40 +87,53 @@ impl RunOptions {
         (base, (0..points).map(|i| base.wrapping_add(i)).collect())
     }
 
-    /// Search options for one strategy run, with a freshly started deadline
-    /// and the fault plane armed from the CLI parameters.
+    /// Search options for one strategy run, with a freshly started deadline.
     pub fn search_for_run(&self) -> SearchOptions {
         let mut search = self.search.clone();
         if let Some(ms) = self.deadline_ms {
             search.deadline = Deadline::from_millis(ms);
         }
-        if let Some(p) = self.fault_p {
-            search.fault = Some(FaultConfig {
-                seed: self.fault_seed(),
-                p_plan: p,
-                ..FaultConfig::default()
-            });
-        }
         search
     }
 }
 
+/// The paper's figures: Table 1, §1.1, Figs. 4-9 and `updates`, closed by
+/// a `figures hash` over their deterministic columns (every measured cost,
+/// count and design; no wall-clock column, so Fig. 5 and the speed-ups of
+/// Figs. 7-9 stay out). It is identical across `--threads`,
+/// `--no-plan-cache` and `--exec-threads`.
+fn figures(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
+    let digests = [
+        table1::run(scale)?,
+        motivating::run(scale)?,
+        evaluation::run(scale, &opts.search_for_run(), opts.exec)?,
+        ablations::fig7(scale)?,
+        ablations::fig8(scale)?,
+        ablations::fig9(scale)?,
+        updates::run(scale)?,
+    ];
+    let hash = digests.into_iter().fold(0xf16a_7e5d, fold);
+    println!("\nfigures hash: {hash:016x}");
+    Ok(())
+}
+
 /// Run an experiment by id. Known ids: `table1`, `motivating`, `fig4`,
 /// `fig5`, `fig6` (the three share one evaluation run, so each prints all
-/// three), `fig7`, `fig8`, `fig9`, `updates`, `chaos`, `crash`, `heal`,
-/// `faults`, `profile`, `exec`, `serve`, `soak`, `adapt`, `all`.
+/// three), `fig7`, `fig8`, `fig9`, `updates`, `figures` (all of those),
+/// `crash`, `heal`, `faults`, `profile`, `exec`, `serve`, `soak`, `adapt`,
+/// `all` (`figures`, then the matrices).
 pub fn run(id: &str, scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     match id {
-        "table1" => table1::run(scale),
-        "motivating" => motivating::run(scale),
+        "table1" => table1::run(scale).map(drop),
+        "motivating" => motivating::run(scale).map(drop),
         "fig4" | "fig5" | "fig6" | "eval" => {
-            evaluation::run(scale, &opts.search_for_run(), opts.exec)
+            evaluation::run(scale, &opts.search_for_run(), opts.exec).map(drop)
         }
-        "fig7" => ablations::fig7(scale),
-        "updates" => updates::run(scale),
-        "fig8" => ablations::fig8(scale),
-        "fig9" => ablations::fig9(scale),
-        "chaos" => chaos::run(scale, opts),
+        "fig7" => ablations::fig7(scale).map(drop),
+        "updates" => updates::run(scale).map(drop),
+        "fig8" => ablations::fig8(scale).map(drop),
+        "fig9" => ablations::fig9(scale).map(drop),
+        "figures" => figures(scale, opts),
         "crash" => faults::crash(scale, opts),
         "heal" => faults::heal(scale, opts),
         "faults" => faults::mixed(scale, opts),
@@ -138,14 +143,7 @@ pub fn run(id: &str, scale: BenchScale, opts: &RunOptions) -> Result<(), String>
         "soak" => soak::run(scale, opts),
         "adapt" => adapt::run(scale, opts),
         "all" => {
-            table1::run(scale)?;
-            motivating::run(scale)?;
-            evaluation::run(scale, &opts.search_for_run(), opts.exec)?;
-            ablations::fig7(scale)?;
-            ablations::fig8(scale)?;
-            ablations::fig9(scale)?;
-            updates::run(scale)?;
-            chaos::run(scale, opts)?;
+            figures(scale, opts)?;
             faults::crash(scale, opts)?;
             faults::heal(scale, opts)?;
             faults::mixed(scale, opts)?;
@@ -154,7 +152,7 @@ pub fn run(id: &str, scale: BenchScale, opts: &RunOptions) -> Result<(), String>
             Ok(())
         }
         other => Err(format!(
-            "unknown experiment '{other}'; known: table1 motivating fig4 fig5 fig6 fig7 fig8 fig9 updates chaos crash heal faults profile exec serve soak adapt all"
+            "unknown experiment '{other}'; known: table1 motivating fig4 fig5 fig6 fig7 fig8 fig9 updates figures crash heal faults profile exec serve soak adapt all"
         )),
     }
 }

@@ -13,7 +13,7 @@
 //! that Mapping 2 wins by a large factor with physical design and loses
 //! that advantage without it.
 
-use crate::harness::{render_table, space_budget, BenchScale};
+use crate::harness::{fold, render_table, space_budget, BenchScale};
 use xmlshred_core::quality::{measure_quality, measure_quality_with_tuning};
 use xmlshred_rel::optimizer::PhysicalConfig;
 use xmlshred_shred::mapping::Mapping;
@@ -22,8 +22,9 @@ use xmlshred_shred::transform::Transformation;
 use xmlshred_xml::tree::NodeKind;
 use xmlshred_xpath::parser::parse_path;
 
-/// Run the experiment.
-pub fn run(scale: BenchScale) -> Result<(), String> {
+/// Run the experiment; returns the digest of the split count and the four
+/// measured costs.
+pub fn run(scale: BenchScale) -> Result<u64, String> {
     println!("\n=== Section 1.1 motivating experiment ===\n");
     let dataset = scale.dblp()?;
     let tree = &dataset.tree;
@@ -95,5 +96,6 @@ pub fn run(scale: BenchScale) -> Result<(), String> {
         "untuned win factor (M1/M2): {:.2}x   (paper: 0.78x — Mapping 2 loses)",
         m1_plain.measured_cost / m2_plain.measured_cost
     );
-    Ok(())
+    let costs = [m1_tuned, m2_tuned, m1_plain, m2_plain].map(|r| r.measured_cost.to_bits());
+    Ok(costs.into_iter().fold(k as u64, fold))
 }

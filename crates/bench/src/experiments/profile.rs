@@ -28,7 +28,7 @@ use xmlshred_translate::translate::translate;
 /// `opts.metrics_out` when set.
 pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     // The profile runs a full search plus execution; keep the fixture tiny
-    // (same scaling as the chaos harness).
+    // (same scaling as the fault-schedule matrices).
     let profile_scale = BenchScale(scale.0 * 0.02);
     let dataset = profile_scale.movie()?;
     let spec = workload_spec(Projections::Low, Selectivity::Low, 4, 7);
@@ -56,7 +56,6 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
             threads: search.threads,
             plan_cache: search.plan_cache,
             deadline: search.deadline.clone(),
-            fault: search.fault,
             metrics: Some(metrics.clone()),
             ..GreedyOptions::default()
         },

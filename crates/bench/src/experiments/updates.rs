@@ -3,15 +3,16 @@
 //! tables and shows how the tuning tool trades indexes for update cost —
 //! heavy writers get fewer and narrower structures.
 
-use crate::harness::{render_table, space_budget, workload_spec, BenchScale};
+use crate::harness::{fold, render_table, space_budget, workload_spec, BenchScale};
 use xmlshred_core::context::EvalContext;
 use xmlshred_core::physical::{tune_with_updates, UpdateLoad};
 use xmlshred_data::workload::{Projections, Selectivity};
 use xmlshred_shred::mapping::Mapping;
 use xmlshred_shred::source_stats::SourceStats;
 
-/// Run the experiment.
-pub fn run(scale: BenchScale) -> Result<(), String> {
+/// Run the experiment; returns the digest of every design's structure
+/// counts and cost.
+pub fn run(scale: BenchScale) -> Result<u64, String> {
     println!("\n=== Extension: update-aware physical design (not in the paper; its Section 7 future work) ===\n");
     let dataset = scale.dblp()?;
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
@@ -32,7 +33,7 @@ pub fn run(scale: BenchScale) -> Result<(), String> {
     // Updates land on every table, proportional to its size (a steady
     // document-ingest workload).
     let total_rows: u64 = prepared.stats.iter().map(|s| s.rows).sum();
-    let mut rows = Vec::new();
+    let (mut rows, mut digest) = (Vec::new(), 0);
     for &factor in &[0.0, 0.001, 0.01, 0.1, 1.0] {
         let updates: Vec<UpdateLoad> = prepared
             .schema
@@ -51,6 +52,11 @@ pub fn run(scale: BenchScale) -> Result<(), String> {
             &updates,
             budget,
         );
+        let config = &result.config;
+        for value in [config.indexes.len(), config.views.len()] {
+            digest = fold(digest, value as u64);
+        }
+        digest = fold(digest, result.total_cost.to_bits());
         rows.push(vec![
             format!("{:.1}%", factor * 100.0),
             result.config.indexes.len().to_string(),
@@ -74,5 +80,5 @@ pub fn run(scale: BenchScale) -> Result<(), String> {
         "({} base rows; query-only cost degrades as structures are priced out by maintenance.)\n",
         total_rows
     );
-    Ok(())
+    Ok(digest)
 }

@@ -200,7 +200,6 @@ pub fn run_algorithms(
                             threads: search.threads,
                             plan_cache: search.plan_cache,
                             deadline: search.deadline.clone(),
-                            fault: search.fault,
                             metrics: search.metrics.clone(),
                             ..GreedyOptions::default()
                         },
@@ -490,8 +489,13 @@ pub fn fold_value(hash: u64, value: &Value) -> u64 {
         Value::Null => fold(hash, 0),
         Value::Int(v) => fold(fold(hash, 1), *v as u64),
         Value::Float(v) => fold(fold(hash, 2), v.to_bits()),
-        Value::Str(s) => s.bytes().fold(fold(hash, 3), |h, b| fold(h, u64::from(b))),
+        Value::Str(s) => fold_str(fold(hash, 3), s),
     }
+}
+
+/// Fold a string's bytes.
+pub fn fold_str(hash: u64, s: &str) -> u64 {
+    s.bytes().fold(hash, |h, b| fold(h, u64::from(b)))
 }
 
 /// Fold a query answer: every row value plus the thread-invariant

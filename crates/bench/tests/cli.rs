@@ -41,6 +41,24 @@ fn removed_layout_flag_is_rejected() {
     assert_rejected(&["exec", "--layout", "columnar"], "'--layout'");
 }
 
+/// `--fault-p` once armed what-if planner faults; the planner has no
+/// transient failure to model, so a script that still passes it must fail
+/// rather than run unfaulted.
+#[test]
+fn removed_fault_p_flag_is_rejected() {
+    assert_rejected(
+        &["fig4", "--scale", "0.01", "--fault-p", "0.1"],
+        "'--fault-p'",
+    );
+}
+
+/// `chaos` once swept planner-fault probabilities; its storage half is now
+/// an event of the `faults` schedules.
+#[test]
+fn removed_chaos_experiment_is_unknown() {
+    assert_rejected(&["chaos", "--scale", "0.01"], "unknown experiment 'chaos'");
+}
+
 #[test]
 fn heal_matrix_lists_its_cells() {
     let out = reproduce(&["heal", "--list-cells"]);

@@ -27,7 +27,6 @@ use crate::physical::{tune_with, PerQueryInfo, TuneOptions, TuneResult};
 use crate::search::{AdvisorOutcome, Deadline, SearchStats};
 use std::sync::Arc;
 use std::time::Instant;
-use xmlshred_rel::fault::FaultConfig;
 use xmlshred_rel::optimizer::PhysicalConfig;
 use xmlshred_shred::mapping::Mapping;
 use xmlshred_shred::transform::{enumerate_transformations, Transformation};
@@ -62,9 +61,6 @@ pub struct GreedyOptions {
     /// the descent stops starting new work and returns the best mapping
     /// found so far with `degraded = true` on the outcome.
     pub deadline: Deadline,
-    /// Deterministic fault injection for what-if planner calls; `None`
-    /// disables injection. Recommendations are bit-identical per seed.
-    pub fault: Option<FaultConfig>,
     /// Observability sink; the search records tier counters, histograms,
     /// and spans into it when present. `None` (the default) records
     /// nothing.
@@ -83,7 +79,6 @@ impl Default for GreedyOptions {
             threads: 0,
             plan_cache: true,
             deadline: Deadline::none(),
-            fault: None,
             metrics: None,
         }
     }
@@ -109,7 +104,7 @@ pub fn greedy_search(ctx: &EvalContext<'_>, options: &GreedyOptions) -> AdvisorO
     // evaluations, derivation remainders, the base comparison) shares it,
     // so re-planned contexts — the same mapping re-tuned, unchanged
     // incumbents re-costed — are answered from cache.
-    let oracle = CostOracle::with_fault(options.plan_cache, options.fault);
+    let oracle = CostOracle::new(options.plan_cache);
     let deadline = &options.deadline;
     let bounded = !deadline.is_unbounded();
     let tree = ctx.tree;
@@ -368,7 +363,6 @@ fn evaluate_exact(
         },
     );
     stats.absorb_tune(result.optimizer_calls);
-    stats.candidates_skipped += result.candidates_skipped;
     stats.deadline_hit |= result.degraded;
 
     let mut per_query: Vec<Option<PerQueryInfo>> = vec![None; ctx.workload.len()];
@@ -413,7 +407,6 @@ fn estimate_exact_cost(
         },
     );
     stats.absorb_tune(result.optimizer_calls);
-    stats.candidates_skipped += result.candidates_skipped;
     stats.deadline_hit |= result.degraded;
     result.total_cost
 }
@@ -482,7 +475,6 @@ fn estimate_with_derivation(
         },
     );
     stats.absorb_tune(result.optimizer_calls);
-    stats.candidates_skipped += result.candidates_skipped;
     stats.deadline_hit |= result.degraded;
     derived_cost + result.total_cost
 }
@@ -630,30 +622,6 @@ mod tests {
         assert!(outcome.degraded);
         assert!(outcome.stats.deadline_hit);
         assert!(outcome.estimated_cost.is_finite());
-    }
-
-    #[test]
-    fn faulty_search_is_deterministic_per_seed() {
-        let (ds, source, workload) = movie_ctx();
-        let ctx = EvalContext {
-            tree: &ds.tree,
-            source: &source,
-            workload: &workload,
-            space_budget: 1e12,
-        };
-        let options = GreedyOptions {
-            fault: Some(FaultConfig {
-                seed: 11,
-                p_plan: 0.05,
-                ..FaultConfig::default()
-            }),
-            ..GreedyOptions::default()
-        };
-        let a = greedy_search(&ctx, &options);
-        let b = greedy_search(&ctx, &options);
-        assert_eq!(a.mapping, b.mapping);
-        assert_eq!(a.estimated_cost.to_bits(), b.estimated_cost.to_bits());
-        assert!(!a.degraded);
     }
 
     #[test]

@@ -63,4 +63,3 @@ pub use profile::{
 pub use quality::{measure_quality, QualityReport};
 pub use search::{AdvisorOutcome, Deadline, SearchOptions, SearchStats};
 pub use twostep::{two_step_search, two_step_search_with};
-pub use xmlshred_rel::fault::FaultConfig;

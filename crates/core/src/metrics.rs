@@ -10,8 +10,8 @@
 //!   executor, bytes built vs. budgeted.
 //! * **schedule** — counters whose totals depend on thread interleaving even
 //!   though the *recommendation* does not: plan-cache hits/misses (two
-//!   workers can race on the same key and both count a miss), optimizer
-//!   calls counted from cache `fresh` flags, and what-if fault retries.
+//!   workers can race on the same key and both count a miss) and optimizer
+//!   calls counted from cache `fresh` flags.
 //! * **wall** — span timers. Wall-clock never contaminates the other two
 //!   classes; a span's *count* is deterministic but its nanoseconds are
 //!   reported separately and never compared.

@@ -39,7 +39,7 @@ pub fn naive_greedy_search_with(
     let start = Instant::now();
     let _span = options.metrics.as_ref().map(|m| m.span("search.naive"));
     let mut stats = SearchStats::default();
-    let oracle = CostOracle::with_fault(options.plan_cache, options.fault);
+    let oracle = CostOracle::new(options.plan_cache);
     let deadline = &options.deadline;
     let bounded = !deadline.is_unbounded();
     let tree = ctx.tree;
@@ -168,7 +168,6 @@ fn evaluate(
         },
     );
     stats.absorb_tune(result.optimizer_calls);
-    stats.candidates_skipped += result.candidates_skipped;
     stats.deadline_hit |= result.degraded;
     (result.config, result.total_cost)
 }

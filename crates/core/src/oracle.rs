@@ -18,15 +18,10 @@
 //! equality, which the test suite exercises continuously.
 
 use rustc_hash::FxHashMap;
-use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 use xmlshred_rel::catalog::Catalog;
-use xmlshred_rel::fault::{FaultConfig, FaultPlane};
-use xmlshred_rel::optimizer::{
-    plan_query, plan_query_faulty, plan_select, plan_select_faulty, PhysicalConfig,
-};
+use xmlshred_rel::optimizer::{plan_query, plan_select, PhysicalConfig};
 use xmlshred_rel::sql::{SelectQuery, SqlQuery};
 use xmlshred_rel::stats::TableStats;
 
@@ -39,11 +34,6 @@ type SelectEntry = (f64, f64);
 /// Cached outcome of planning one whole query: `(cost, used objects)`.
 type QueryEntry = (f64, Vec<String>);
 
-/// What one what-if computation spent on faults: `(retries, failures)`.
-/// Counted by the call that installs the entry, so two workers racing on
-/// one uncached key count it once, like a serial run.
-type Tally = (u64, u64);
-
 /// Shard count: bounds lock contention under parallel fan-out while keeping
 /// the structure trivially small for serial runs.
 const SHARDS: usize = 16;
@@ -51,23 +41,6 @@ const SHARDS: usize = 16;
 /// Per-shard entry bound; a full shard is cleared wholesale (counted as
 /// evictions), which bounds memory without LRU bookkeeping.
 const SHARD_CAPACITY: usize = 1 << 16;
-
-/// Bounded retries for what-if calls that fail with a *transient* fault: the
-/// initial attempt plus up to this many re-attempts, each after a short
-/// deterministic backoff. Exhausting the budget skips the candidate.
-const MAX_WHATIF_RETRIES: u32 = 3;
-
-/// Fault-site tags folded into the per-call token so select-block and
-/// whole-query plans with coincidentally equal cache keys roll independently.
-const SELECT_SITE: u64 = 1;
-const QUERY_SITE: u64 = 2;
-
-/// Deterministic fault token for one what-if call: derived from the memo
-/// key, not from call order, so injection outcomes are independent of
-/// thread schedule and cache state.
-fn whatif_token(key: CacheKey, site: u64) -> u64 {
-    key.0.rotate_left(1) ^ key.1.rotate_left(17) ^ key.2.rotate_left(41) ^ site
-}
 
 /// Point-in-time cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,10 +59,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: u64,
-    /// What-if calls that kept faulting through every retry.
-    pub whatif_failures: u64,
-    /// Retry attempts spent recovering faulted what-if calls.
-    pub whatif_retries: u64,
 }
 
 impl CacheStats {
@@ -113,8 +82,6 @@ impl CacheStats {
         metrics.count_sched(&format!("{prefix}.cache.misses"), self.misses);
         metrics.count_sched(&format!("{prefix}.cache.evictions"), self.evictions);
         metrics.count_sched(&format!("{prefix}.cache.entries"), self.entries);
-        metrics.count_sched(&format!("{prefix}.whatif.failures"), self.whatif_failures);
-        metrics.count_sched(&format!("{prefix}.whatif.retries"), self.whatif_retries);
     }
 }
 
@@ -125,31 +92,20 @@ impl CacheStats {
 /// directly with zero bookkeeping.
 pub struct CostOracle {
     enabled: bool,
-    fault: Option<FaultPlane>,
     select_shards: Vec<Mutex<FxHashMap<CacheKey, SelectEntry>>>,
     query_shards: Vec<Mutex<FxHashMap<CacheKey, QueryEntry>>>,
     lookups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    whatif_failures: AtomicU64,
-    whatif_retries: AtomicU64,
 }
 
 impl CostOracle {
     /// An oracle with the memo table on or off.
     pub fn new(enabled: bool) -> Self {
-        CostOracle::with_fault(enabled, None)
-    }
-
-    /// An oracle with the memo table on or off and optional deterministic
-    /// fault injection on its what-if planner calls. A fault config with
-    /// `p_plan == 0` never fires at this layer, so no plane is kept.
-    pub fn with_fault(enabled: bool, fault: Option<FaultConfig>) -> Self {
         let shard_count = if enabled { SHARDS } else { 0 };
         CostOracle {
             enabled,
-            fault: fault.filter(|c| c.p_plan > 0.0).map(FaultPlane::new),
             select_shards: (0..shard_count)
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
@@ -160,8 +116,6 @@ impl CostOracle {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            whatif_failures: AtomicU64::new(0),
-            whatif_retries: AtomicU64::new(0),
         }
     }
 
@@ -170,99 +124,10 @@ impl CostOracle {
         CostOracle::new(false)
     }
 
-    /// Whether the memo table is active.
+    /// Whether the memo table is active: callers compute real cache keys
+    /// only then.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Whether what-if planner faults can fire.
-    pub fn has_faults(&self) -> bool {
-        self.fault.is_some()
-    }
-
-    /// Whether callers must compute real cache keys: the memo table needs
-    /// them for lookup, and the fault plane derives injection tokens from
-    /// them (so outcomes are independent of thread schedule).
-    pub fn needs_keys(&self) -> bool {
-        self.enabled || self.fault.is_some()
-    }
-
-    /// Add one computation's [`Tally`] to the what-if counters. A zero
-    /// tally (every fault-free call) touches no shared counter.
-    fn count(&self, (retries, failures): Tally) {
-        if retries > 0 {
-            self.whatif_retries.fetch_add(retries, Ordering::Relaxed);
-        }
-        if failures > 0 {
-            self.whatif_failures.fetch_add(failures, Ordering::Relaxed);
-        }
-    }
-
-    /// One select-block planner invocation, through the fault plane when
-    /// one is armed: transient faults are retried up to
-    /// [`MAX_WHATIF_RETRIES`] times with deterministic backoff, and an
-    /// exhausted budget surfaces as an infinite cost (candidate skipped).
-    fn compute_select(
-        &self,
-        key: CacheKey,
-        catalog: &Catalog,
-        stats: &[TableStats],
-        config: &PhysicalConfig,
-        branch: &SelectQuery,
-    ) -> (SelectEntry, Tally) {
-        let Some(plane) = &self.fault else {
-            return (plan_select_raw(catalog, stats, config, branch), (0, 0));
-        };
-        let token = whatif_token(key, SELECT_SITE);
-        for attempt in 0..=MAX_WHATIF_RETRIES {
-            match plan_select_faulty(catalog, stats, config, branch, plane, token, attempt) {
-                Ok(plan) => return ((plan.est_cost(), plan.est_rows()), (u64::from(attempt), 0)),
-                Err(err) if err.is_transient() => {
-                    if attempt < MAX_WHATIF_RETRIES {
-                        std::thread::sleep(Duration::from_micros(50u64 << attempt));
-                    }
-                }
-                // A genuine planning error: same infinite-cost contract as
-                // the fault-free path, not a counted injection failure.
-                Err(_) => return ((f64::INFINITY, 0.0), (0, 0)),
-            }
-        }
-        ((f64::INFINITY, 0.0), (u64::from(MAX_WHATIF_RETRIES), 1))
-    }
-
-    /// Whole-query twin of [`CostOracle::compute_select`].
-    fn compute_query(
-        &self,
-        key: CacheKey,
-        catalog: &Catalog,
-        stats: &[TableStats],
-        config: &PhysicalConfig,
-        query: &SqlQuery,
-    ) -> (QueryEntry, Tally) {
-        let Some(plane) = &self.fault else {
-            return (plan_query_raw(catalog, stats, config, query), (0, 0));
-        };
-        let token = whatif_token(key, QUERY_SITE);
-        for attempt in 0..=MAX_WHATIF_RETRIES {
-            match plan_query_faulty(catalog, stats, config, query, plane, token, attempt) {
-                Ok(plan) => {
-                    return (
-                        (plan.est_cost, plan.used_objects()),
-                        (u64::from(attempt), 0),
-                    )
-                }
-                Err(err) if err.is_transient() => {
-                    if attempt < MAX_WHATIF_RETRIES {
-                        std::thread::sleep(Duration::from_micros(50u64 << attempt));
-                    }
-                }
-                Err(_) => return ((f64::INFINITY, Vec::new()), (0, 0)),
-            }
-        }
-        (
-            (f64::INFINITY, Vec::new()),
-            (u64::from(MAX_WHATIF_RETRIES), 1),
-        )
     }
 
     /// Cost and cardinality of one select block under `config`; `fresh` in
@@ -277,19 +142,15 @@ impl CostOracle {
         branch: &SelectQuery,
     ) -> (f64, f64, bool) {
         if !self.enabled {
-            let ((cost, rows), tally) = self.compute_select(key, catalog, stats, config, branch);
-            self.count(tally);
+            let (cost, rows) = plan_select_raw(catalog, stats, config, branch);
             return (cost, rows, true);
         }
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let shard = &self.select_shards[shard_of(key)];
         if let Some(&(cost, rows)) = lock_shard(shard).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            // Differential check only without faults: a cached entry may
-            // record a retry-exhausted (infinite) outcome a fault-free
-            // replan would not reproduce.
             #[cfg(debug_assertions)]
-            if self.fault.is_none() {
+            {
                 let fresh = plan_select_raw(catalog, stats, config, branch);
                 debug_assert!(
                     fresh == (cost, rows) || (fresh.0.is_infinite() && cost.is_infinite()),
@@ -301,10 +162,8 @@ impl CostOracle {
             return (cost, rows, false);
         }
         // Plan outside the lock; concurrent duplicate work for the same key
-        // is benign (fault tokens derive from the key, so both racers
-        // compute the same value and tally). Only the racer that installs
-        // the entry counts the tally.
-        let ((cost, rows), tally) = self.compute_select(key, catalog, stats, config, branch);
+        // is benign (both racers compute the same value).
+        let (cost, rows) = plan_select_raw(catalog, stats, config, branch);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut guard = lock_shard(shard);
         if guard.len() >= SHARD_CAPACITY {
@@ -312,10 +171,7 @@ impl CostOracle {
                 .fetch_add(guard.len() as u64, Ordering::Relaxed);
             guard.clear();
         }
-        if let Entry::Vacant(slot) = guard.entry(key) {
-            slot.insert((cost, rows));
-            self.count(tally);
-        }
+        guard.insert(key, (cost, rows));
         (cost, rows, true)
     }
 
@@ -331,8 +187,7 @@ impl CostOracle {
         query: &SqlQuery,
     ) -> (f64, Vec<String>, bool) {
         if !self.enabled {
-            let ((cost, used), tally) = self.compute_query(key, catalog, stats, config, query);
-            self.count(tally);
+            let (cost, used) = plan_query_raw(catalog, stats, config, query);
             return (cost, used, true);
         }
         self.lookups.fetch_add(1, Ordering::Relaxed);
@@ -340,7 +195,7 @@ impl CostOracle {
         if let Some((cost, used)) = lock_shard(shard).get(&key).cloned() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             #[cfg(debug_assertions)]
-            if self.fault.is_none() {
+            {
                 let fresh = plan_query_raw(catalog, stats, config, query);
                 debug_assert!(
                     (fresh.0 == cost || (fresh.0.is_infinite() && cost.is_infinite()))
@@ -352,7 +207,7 @@ impl CostOracle {
             }
             return (cost, used, false);
         }
-        let ((cost, used), tally) = self.compute_query(key, catalog, stats, config, query);
+        let (cost, used) = plan_query_raw(catalog, stats, config, query);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut guard = lock_shard(shard);
         if guard.len() >= SHARD_CAPACITY {
@@ -360,10 +215,7 @@ impl CostOracle {
                 .fetch_add(guard.len() as u64, Ordering::Relaxed);
             guard.clear();
         }
-        if let Entry::Vacant(slot) = guard.entry(key) {
-            slot.insert((cost, used.clone()));
-            self.count(tally);
-        }
+        guard.insert(key, (cost, used.clone()));
         (cost, used, true)
     }
 
@@ -386,15 +238,13 @@ impl CostOracle {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries,
-            whatif_failures: self.whatif_failures.load(Ordering::Relaxed),
-            whatif_retries: self.whatif_retries.load(Ordering::Relaxed),
         }
     }
 }
 
 /// Lock a memo shard, tolerating poison: a panic elsewhere never corrupts
 /// the memo value (pure-function results), so continuing is sound and keeps
-/// one faulted worker from wedging the whole search.
+/// one panicking worker from wedging the whole search.
 fn lock_shard<V>(
     shard: &Mutex<FxHashMap<CacheKey, V>>,
 ) -> std::sync::MutexGuard<'_, FxHashMap<CacheKey, V>> {
@@ -436,10 +286,6 @@ fn plan_query_raw(
 mod tests {
     use super::*;
 
-    fn empty_key(n: u64) -> CacheKey {
-        (1, 2, n)
-    }
-
     #[test]
     fn disabled_oracle_never_counts() {
         let oracle = CostOracle::disabled();
@@ -454,35 +300,6 @@ mod tests {
         for n in 0..1000u64 {
             assert!(shard_of((n, n.wrapping_mul(31), !n)) < SHARDS);
         }
-    }
-
-    #[test]
-    fn needs_keys_tracks_cache_and_faults() {
-        assert!(!CostOracle::disabled().needs_keys());
-        assert!(CostOracle::new(true).needs_keys());
-        let fault = FaultConfig {
-            p_plan: 0.5,
-            ..FaultConfig::default()
-        };
-        let faulty = CostOracle::with_fault(false, Some(fault));
-        assert!(faulty.needs_keys());
-        assert!(faulty.has_faults());
-    }
-
-    #[test]
-    fn zero_plan_probability_arms_no_plane() {
-        let inert = CostOracle::with_fault(true, Some(FaultConfig::default()));
-        assert!(!inert.has_faults());
-        assert!(inert.needs_keys()); // cache still wants keys
-        let storage_only = CostOracle::with_fault(
-            false,
-            Some(FaultConfig {
-                p_storage: 1.0,
-                ..FaultConfig::default()
-            }),
-        );
-        assert!(!storage_only.has_faults());
-        assert!(!storage_only.needs_keys());
     }
 
     #[test]
@@ -515,64 +332,5 @@ mod tests {
         broken.register_into(&metrics, "oracle");
         let violations = metrics.snapshot().self_check();
         assert_eq!(violations.len(), 1, "{violations:?}");
-    }
-
-    /// Two workers that miss the same key at once both run the faulty
-    /// what-if call, but its retries and failures count once: the counters
-    /// equal a serial oracle's over the same keys.
-    #[test]
-    fn racing_misses_count_whatif_faults_once() {
-        use xmlshred_rel::catalog::{ColumnDef, TableDef};
-        use xmlshred_rel::sql::Output;
-        use xmlshred_rel::types::DataType;
-
-        let mut catalog = Catalog::new();
-        let def = TableDef::new("t", vec![ColumnDef::new("a", DataType::Int)]);
-        let table = catalog.add_table(def).expect("table");
-        let mut branch = SelectQuery::single(table);
-        branch.outputs = vec![Output::col(0, 0)];
-        let config = PhysicalConfig::none();
-        let fault = FaultConfig {
-            seed: 3,
-            p_plan: 0.8,
-            ..FaultConfig::default()
-        };
-        let keys: Vec<CacheKey> = (0..500).map(empty_key).collect();
-
-        let serial = CostOracle::with_fault(true, Some(fault));
-        for &key in &keys {
-            serial.select_cost(key, &catalog, &[], &config, &branch);
-        }
-        let racing = CostOracle::with_fault(true, Some(fault));
-        let barrier = std::sync::Barrier::new(2);
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                scope.spawn(|| {
-                    for &key in &keys {
-                        barrier.wait();
-                        racing.select_cost(key, &catalog, &[], &config, &branch);
-                    }
-                });
-            }
-        });
-        let (serial, racing) = (serial.snapshot(), racing.snapshot());
-        assert!(serial.whatif_retries > 0 && serial.whatif_failures > 0);
-        assert_eq!(
-            (racing.whatif_retries, racing.whatif_failures),
-            (serial.whatif_retries, serial.whatif_failures)
-        );
-    }
-
-    #[test]
-    fn whatif_tokens_differ_by_site_and_key() {
-        let key = (3, 5, 7);
-        assert_ne!(
-            whatif_token(key, SELECT_SITE),
-            whatif_token(key, QUERY_SITE)
-        );
-        assert_ne!(
-            whatif_token((3, 5, 8), SELECT_SITE),
-            whatif_token(key, SELECT_SITE)
-        );
     }
 }

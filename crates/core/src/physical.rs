@@ -45,9 +45,6 @@ pub struct TuneResult {
     /// selection short; the configuration is the best found before expiry
     /// and still respects the storage budget.
     pub degraded: bool,
-    /// Candidates dropped because their what-if costing kept faulting
-    /// through every retry.
-    pub candidates_skipped: u64,
 }
 
 /// Cost and used-object information for one query.
@@ -157,20 +154,17 @@ pub fn tune_with(
 ) -> TuneResult {
     let _span = options.metrics.as_ref().map(|m| m.span("tune"));
     let mut optimizer_calls = 0u64;
-    let mut candidates_skipped = 0u64;
     let mut degraded = false;
     let deadline = &options.deadline;
     let bounded = !deadline.is_unbounded();
-    let faults = oracle.has_faults();
 
     // Memo-key ingredients. The context fingerprint pins the catalog and
     // statistics this invocation plans against; the config fingerprint is
     // maintained incrementally as candidates are accepted (and extended
     // per-trial), so a cache key never requires rehashing a whole
-    // configuration. Keys matter to the memo table *and* to the fault
-    // plane (injection tokens derive from them); when neither is armed the
-    // keys are never read, so zeros skip the hashing work.
-    let keyed = oracle.needs_keys();
+    // configuration. Keys matter only to the memo table; without it they
+    // are never read, so zeros skip the hashing work.
+    let keyed = oracle.is_enabled();
     let ctx_fp = if keyed {
         context_fingerprint(catalog, stats)
     } else {
@@ -358,13 +352,6 @@ pub fn tune_with(
                 continue;
             };
             optimizer_calls += calls;
-            // With faults armed, a non-finite benefit means every retry of
-            // some what-if call failed: the candidate is uncostable, not
-            // merely unhelpful.
-            if faults && !raw.is_finite() {
-                candidates_skipped += 1;
-                continue;
-            }
             let delta = raw - maintenance(&candidate);
             if delta > 1e-9 {
                 scored.push((candidate, fp, delta));
@@ -436,9 +423,6 @@ pub fn tune_with(
             );
             let delta = raw - maintenance(&remaining[top].0);
             if delta <= 1e-9 {
-                if faults && !raw.is_finite() {
-                    candidates_skipped += 1;
-                }
                 remaining.swap_remove(top);
                 if remaining.is_empty() {
                     break 'outer;
@@ -508,7 +492,6 @@ pub fn tune_with(
         per_query,
         optimizer_calls,
         degraded,
-        candidates_skipped,
     }
 }
 
@@ -999,36 +982,6 @@ mod tests {
         assert!(result.config.indexes.is_empty() && result.config.views.is_empty());
         assert_eq!(result.per_query.len(), 1);
         assert!(result.total_cost.is_finite());
-    }
-
-    #[test]
-    fn certain_plan_faults_skip_every_candidate_without_panicking() {
-        use xmlshred_rel::fault::FaultConfig;
-        let (catalog, stats, inproc, author) = setup();
-        let query = paper_query(inproc, author);
-        let oracle = CostOracle::with_fault(
-            false,
-            Some(FaultConfig {
-                seed: 7,
-                p_plan: 1.0,
-                ..FaultConfig::default()
-            }),
-        );
-        let result = tune_with(
-            &catalog,
-            &stats,
-            &[(&query, 1.0)],
-            &[],
-            1e12,
-            &oracle,
-            &TuneOptions::default(),
-        );
-        assert!(result.candidates_skipped > 0);
-        assert!(result.config.indexes.is_empty() && result.config.views.is_empty());
-        assert!(!result.degraded); // faults degrade coverage, not the deadline
-        let cache = oracle.snapshot();
-        assert!(cache.whatif_failures > 0);
-        assert!(cache.whatif_retries >= cache.whatif_failures);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::metrics::MetricsRegistry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xmlshred_rel::fault::FaultConfig;
 use xmlshred_rel::optimizer::PhysicalConfig;
 use xmlshred_shred::mapping::Mapping;
 
@@ -89,13 +88,6 @@ pub struct SearchStats {
     pub cache_misses: u64,
     /// What-if plan-cache entries discarded by capacity eviction.
     pub cache_evictions: u64,
-    /// What-if calls that kept faulting through every retry (their
-    /// candidates were skipped).
-    pub whatif_failures: u64,
-    /// Retry attempts spent recovering faulted what-if calls.
-    pub whatif_retries: u64,
-    /// Candidate structures dropped because their what-if costing failed.
-    pub candidates_skipped: u64,
     /// Whether a deadline or cancellation cut the search short.
     pub deadline_hit: bool,
     /// Wall-clock time of the search.
@@ -119,25 +111,22 @@ impl SearchStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_evictions += other.cache_evictions;
-        self.candidates_skipped += other.candidates_skipped;
         self.deadline_hit |= other.deadline_hit;
     }
 
-    /// Record the final plan-cache and fault counters for one search run.
+    /// Record the final plan-cache counters for one search run.
     pub fn absorb_cache(&mut self, cache: &crate::oracle::CacheStats) {
         self.cache_hits = cache.hits;
         self.cache_misses = cache.misses;
         self.cache_evictions = cache.evictions;
-        self.whatif_failures = cache.whatif_failures;
-        self.whatif_retries = cache.whatif_retries;
     }
 
     /// Register the search-tier counters into a [`MetricsRegistry`] under
     /// `prefix` (e.g. `search.greedy`). Counters that are a pure function
     /// of `(seed, knobs)` go to the deterministic section; `optimizer_calls`
     /// is counted from plan-cache `fresh` flags, which depend on thread
-    /// interleaving, so it lands in the schedule section. The cache and
-    /// what-if counters are the oracle tier and are registered separately
+    /// interleaving, so it lands in the schedule section. The cache
+    /// counters are the oracle tier and are registered separately
     /// via [`crate::oracle::CacheStats::register_into`]. `elapsed` is
     /// wall-clock and is covered by span timers instead.
     pub fn register_into(&self, metrics: &MetricsRegistry, prefix: &str) {
@@ -150,10 +139,6 @@ impl SearchStats {
             self.physical_tool_calls,
         );
         metrics.count(&format!("{prefix}.costs_derived"), self.costs_derived);
-        metrics.count(
-            &format!("{prefix}.candidates_skipped"),
-            self.candidates_skipped,
-        );
         metrics.count(
             &format!("{prefix}.deadline_hit"),
             u64::from(self.deadline_hit),
@@ -172,14 +157,12 @@ impl SearchStats {
     }
 }
 
-/// Parallelism, caching, robustness, and anytime knobs shared by the
-/// baseline searches (Naive-Greedy and Two-Step); Greedy carries the same
-/// knobs on [`crate::greedy::GreedyOptions`]. Output is bit-identical for
-/// any `threads`/`plan_cache` setting — threads only fan out independent
-/// evaluations (reduced in a fixed order) and the plan cache memoizes a
-/// pure function. With faults enabled, output is bit-identical per
-/// [`FaultConfig`] seed (deadlines excepted: wall-clock truncation is
-/// inherently timing-dependent).
+/// Parallelism, caching and anytime knobs shared by the baseline searches
+/// (Naive-Greedy and Two-Step); Greedy carries the same knobs on
+/// [`crate::greedy::GreedyOptions`]. Without a deadline, output is
+/// bit-identical for any `threads`/`plan_cache` setting — threads only fan
+/// out independent evaluations (reduced in a fixed order) and the plan
+/// cache memoizes a pure function.
 #[derive(Debug, Clone)]
 pub struct SearchOptions {
     /// Worker threads for candidate evaluation; `0` = available
@@ -190,9 +173,6 @@ pub struct SearchOptions {
     /// Anytime budget; the search returns its best-so-far design when it
     /// expires.
     pub deadline: Deadline,
-    /// Deterministic fault injection for what-if planner calls; `None`
-    /// disables injection.
-    pub fault: Option<FaultConfig>,
     /// Observability sink; searches record tier counters, histograms, and
     /// spans into it when present. `None` (the default) records nothing.
     pub metrics: Option<Arc<MetricsRegistry>>,
@@ -204,7 +184,6 @@ impl Default for SearchOptions {
             threads: 0,
             plan_cache: true,
             deadline: Deadline::none(),
-            fault: None,
             metrics: None,
         }
     }
@@ -268,13 +247,11 @@ mod tests {
     fn absorb_carries_degradation_counters() {
         let mut stats = SearchStats::default();
         let other = SearchStats {
-            candidates_skipped: 3,
             deadline_hit: true,
             ..SearchStats::default()
         };
         stats.absorb(&other);
         stats.absorb(&SearchStats::default());
-        assert_eq!(stats.candidates_skipped, 3);
         assert!(stats.deadline_hit);
     }
 

@@ -38,7 +38,7 @@ pub fn two_step_search_with(
     let start = Instant::now();
     let _span = options.metrics.as_ref().map(|m| m.span("search.twostep"));
     let mut stats = SearchStats::default();
-    let oracle = CostOracle::with_fault(options.plan_cache, options.fault);
+    let oracle = CostOracle::new(options.plan_cache);
     let deadline = &options.deadline;
     let bounded = !deadline.is_unbounded();
     let tree = ctx.tree;
@@ -120,7 +120,6 @@ pub fn two_step_search_with(
         },
     );
     stats.absorb_tune(result.optimizer_calls);
-    stats.candidates_skipped += result.candidates_skipped;
     stats.deadline_hit |= result.degraded;
 
     stats.absorb_cache(&oracle.snapshot());
@@ -172,8 +171,8 @@ fn best_guess_cost(
 ) -> f64 {
     let prepared = ctx.prepare(mapping);
     let config = best_guess_config(&prepared);
-    // Keys feed both the memo table and the fault plane's injection tokens.
-    let keyed = oracle.needs_keys();
+    // Keys feed the memo table; without it they are never read.
+    let keyed = oracle.is_enabled();
     let (ctx_fp, config_fp) = if keyed {
         (
             context_fingerprint(&prepared.catalog, &prepared.stats),

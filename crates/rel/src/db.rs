@@ -699,30 +699,21 @@ impl Database {
     }
 
     /// What-if: plan (and cost) a query against a hypothetical configuration
-    /// without materializing anything. Subject to injected planner faults
-    /// when a fault plane is active.
+    /// without materializing anything.
     pub fn estimate(&self, query: &SqlQuery, config: &OptimizerConfig) -> RelResult<QueryPlan> {
         self.optimize(query, &self.stats, config)
     }
 
     /// The one optimizer call: every plan this database makes — what-if or
     /// for execution, library or session — comes through here, so the
-    /// advisor prices exactly the planner the engine then runs. With a
-    /// fault plane armed the call draws one planner token and is subject
-    /// to injected planner faults.
+    /// advisor prices exactly the planner the engine then runs.
     fn optimize(
         &self,
         query: &SqlQuery,
         stats: &[TableStats],
         config: &OptimizerConfig,
     ) -> RelResult<QueryPlan> {
-        match self.fault_plane() {
-            Some(plane) => {
-                let token = plane.next_token();
-                optimizer::plan_query_faulty(&self.catalog, stats, config, query, plane, token, 0)
-            }
-            None => optimizer::plan_query(&self.catalog, stats, config, query),
-        }
+        optimizer::plan_query(&self.catalog, stats, config, query)
     }
 
     /// Estimated size in bytes of a configuration's structures.
@@ -732,8 +723,7 @@ impl Database {
 
     /// Plan a query against the *built* configuration — minus any
     /// quarantined structures — and stamp the plan with the current
-    /// configuration epoch. Subject to injected planner faults when a
-    /// fault plane is active. The stamp pins the plan/execute handoff: if
+    /// configuration epoch. The stamp pins the plan/execute handoff: if
     /// a configuration swap lands before [`Database::execute_plan`] runs
     /// the plan, execution fails with the transient
     /// [`RelError::StalePlan`] instead of dereferencing structures the

@@ -1,33 +1,24 @@
-//! Deterministic fault injection for the storage, executor, and planner
-//! layers.
+//! Deterministic fault injection for the storage and executor layers.
 //!
 //! A [`FaultPlane`] turns a [`FaultConfig`] into reproducible fault
-//! decisions: every decision is a pure function of `(seed, site, token,
-//! attempt)`, hashed through a splitmix64 finalizer, so a run with the same
-//! seed and the same sequence of gated operations injects exactly the same
-//! faults — independent of thread count or wall-clock time. This is what
-//! lets the chaos harness assert bit-identical advisor output per seed.
+//! decisions: every decision is a pure function of `(seed, token)`, hashed
+//! through a splitmix64 finalizer, so a run with the same seed and the same
+//! sequence of gated operations injects exactly the same faults —
+//! independent of thread count or wall-clock time. This is what lets the
+//! fault-schedule matrices judge a faulted statement against an oracle.
 //!
-//! Token discipline:
-//! - **Planner gates** derive their token from the what-if cache key
-//!   (context/config/query fingerprints), so the same hypothetical plan
-//!   faults identically no matter which worker thread evaluates it or in
-//!   which order candidates are scored.
-//! - **Storage gates** draw tokens from a serial counter
-//!   ([`FaultPlane::next_token`]). The morsel-driven executor keeps the
-//!   counter sequence deterministic by gating each storage access exactly
-//!   once, *before* fanning morsels out to workers, and by keeping
-//!   per-probe-gated operators (index nested loop joins) serial — so the
-//!   gate order is a function of the plan, never of worker interleaving.
-//!   Page-budget charges alone would commute (the sum is
-//!   order-independent), but the probabilistic fault roll consumes one
-//!   token per gate, and its sequence must match the serial execution's.
+//! Storage gates draw tokens from a serial counter. The morsel-driven
+//! executor keeps the counter sequence deterministic by gating each storage
+//! access exactly once, *before* fanning morsels out to workers, and by
+//! keeping per-probe-gated operators (index nested loop joins) serial — so
+//! the gate order is a function of the plan, never of worker interleaving.
+//! Page-budget charges alone would commute (the sum is order-independent),
+//! but the probabilistic fault roll consumes one token per gate, and its
+//! sequence must match the serial execution's.
 
 use crate::error::{RelError, RelResult};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Site tag mixed into planner-fault hashes.
-pub const SITE_PLAN: u64 = 0x706c_616e; // "plan"
 /// Site tag mixed into storage-fault hashes.
 pub const SITE_STORAGE: u64 = 0x7374_6f72; // "stor"
 
@@ -40,9 +31,6 @@ pub struct FaultConfig {
     pub seed: u64,
     /// Probability that a gated page read fails with [`RelError::Fault`].
     pub p_storage: f64,
-    /// Probability that a gated planner invocation fails with
-    /// [`RelError::Fault`] (per attempt; retries re-roll).
-    pub p_plan: f64,
     /// Optional budget of heap pages the executor may read before storage
     /// gates start failing with [`RelError::ResourceExhausted`].
     pub budget_pages: Option<u64>,
@@ -59,7 +47,6 @@ impl Default for FaultConfig {
         FaultConfig {
             seed: 0,
             p_storage: 0.0,
-            p_plan: 0.0,
             budget_pages: None,
             verify_checksums: false,
         }
@@ -70,18 +57,13 @@ impl FaultConfig {
     /// Whether this config can ever inject a fault, exhaust a budget, or
     /// detect corruption.
     pub fn is_active(&self) -> bool {
-        self.p_storage > 0.0
-            || self.p_plan > 0.0
-            || self.budget_pages.is_some()
-            || self.verify_checksums
+        self.p_storage > 0.0 || self.budget_pages.is_some() || self.verify_checksums
     }
 }
 
 /// Counters describing what a [`FaultPlane`] has injected so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Planner gates that failed.
-    pub plan_faults: u64,
     /// Storage gates that failed (probabilistic faults, not budget).
     pub storage_faults: u64,
     /// Storage gates that failed because the page budget ran out.
@@ -97,7 +79,6 @@ pub struct FaultPlane {
     config: FaultConfig,
     serial: AtomicU64,
     pages_charged: AtomicU64,
-    plan_faults: AtomicU64,
     storage_faults: AtomicU64,
     budget_denials: AtomicU64,
     verifications: AtomicU64,
@@ -111,7 +92,6 @@ pub struct FaultPlane {
 pub struct PlaneState {
     serial: u64,
     pages_charged: u64,
-    plan_faults: u64,
     storage_faults: u64,
     budget_denials: u64,
     verifications: u64,
@@ -182,11 +162,9 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Map `(seed, site, token, attempt)` to a uniform float in `[0, 1)`.
-fn unit_roll(seed: u64, site: u64, token: u64, attempt: u32) -> f64 {
-    let mut h = splitmix64(seed ^ site);
-    h = splitmix64(h ^ token);
-    h = splitmix64(h ^ u64::from(attempt));
+/// Map `(seed, token)` to a uniform float in `[0, 1)`.
+fn unit_roll(seed: u64, token: u64) -> f64 {
+    let h = splitmix64(splitmix64(seed ^ SITE_STORAGE) ^ token);
     // Top 53 bits give a uniform double in [0, 1).
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
@@ -198,7 +176,6 @@ impl FaultPlane {
             config,
             serial: AtomicU64::new(0),
             pages_charged: AtomicU64::new(0),
-            plan_faults: AtomicU64::new(0),
             storage_faults: AtomicU64::new(0),
             budget_denials: AtomicU64::new(0),
             verifications: AtomicU64::new(0),
@@ -210,31 +187,9 @@ impl FaultPlane {
         self.config
     }
 
-    /// Next token from the serial counter, for gates on serial code paths
-    /// (execution). Parallel callers must derive tokens from stable keys
-    /// instead.
-    pub fn next_token(&self) -> u64 {
-        self.serial.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Gate a planner invocation. `token` must be stable for the logical
-    /// operation being planned (e.g. derived from what-if fingerprints);
-    /// `attempt` distinguishes retries so a retry re-rolls deterministically.
-    pub fn plan_gate(&self, token: u64, attempt: u32) -> RelResult<()> {
-        if self.config.p_plan > 0.0
-            && unit_roll(self.config.seed, SITE_PLAN, token, attempt) < self.config.p_plan
-        {
-            self.plan_faults.fetch_add(1, Ordering::Relaxed);
-            return Err(RelError::Fault(format!(
-                "injected planner fault (token {token:#x}, attempt {attempt})"
-            )));
-        }
-        Ok(())
-    }
-
     /// Gate a storage access that reads `pages` heap pages from `table`.
     /// Charges the page budget first (budget exhaustion is not probabilistic),
-    /// then rolls for an injected page-read fault.
+    /// then rolls for an injected page-read fault on the next serial token.
     pub fn storage_gate(&self, table: &str, pages: u64) -> RelResult<()> {
         let charged = self.pages_charged.fetch_add(pages, Ordering::Relaxed) + pages;
         if let Some(budget) = self.config.budget_pages {
@@ -247,8 +202,8 @@ impl FaultPlane {
             }
         }
         if self.config.p_storage > 0.0 {
-            let token = self.next_token();
-            if unit_roll(self.config.seed, SITE_STORAGE, token, 0) < self.config.p_storage {
+            let token = self.serial.fetch_add(1, Ordering::Relaxed);
+            if unit_roll(self.config.seed, token) < self.config.p_storage {
                 self.storage_faults.fetch_add(1, Ordering::Relaxed);
                 return Err(RelError::Fault(format!(
                     "injected page-read fault on '{table}' (token {token})"
@@ -261,7 +216,6 @@ impl FaultPlane {
     /// Snapshot the injection counters.
     pub fn snapshot(&self) -> FaultStats {
         FaultStats {
-            plan_faults: self.plan_faults.load(Ordering::Relaxed),
             storage_faults: self.storage_faults.load(Ordering::Relaxed),
             budget_denials: self.budget_denials.load(Ordering::Relaxed),
             pages_charged: self.pages_charged.load(Ordering::Relaxed),
@@ -285,7 +239,6 @@ impl FaultPlane {
         PlaneState {
             serial: self.serial.load(Ordering::Relaxed),
             pages_charged: self.pages_charged.load(Ordering::Relaxed),
-            plan_faults: self.plan_faults.load(Ordering::Relaxed),
             storage_faults: self.storage_faults.load(Ordering::Relaxed),
             budget_denials: self.budget_denials.load(Ordering::Relaxed),
             verifications: self.verifications.load(Ordering::Relaxed),
@@ -300,7 +253,6 @@ impl FaultPlane {
         self.serial.store(state.serial, Ordering::Relaxed);
         self.pages_charged
             .store(state.pages_charged, Ordering::Relaxed);
-        self.plan_faults.store(state.plan_faults, Ordering::Relaxed);
         self.storage_faults
             .store(state.storage_faults, Ordering::Relaxed);
         self.budget_denials
@@ -339,11 +291,9 @@ mod tests {
         let config = FaultConfig::default();
         assert!(!config.is_active());
         let plane = FaultPlane::new(config);
-        for token in 0..1000 {
-            assert!(plane.plan_gate(token, 0).is_ok());
+        for _ in 0..1000 {
             assert!(plane.storage_gate("t", 3).is_ok());
         }
-        assert_eq!(plane.snapshot().plan_faults, 0);
         assert_eq!(plane.snapshot().storage_faults, 0);
     }
 
@@ -351,14 +301,12 @@ mod tests {
     fn rolls_are_deterministic_per_seed() {
         let config = FaultConfig {
             seed: 42,
-            p_plan: 0.3,
             p_storage: 0.3,
             ..FaultConfig::default()
         };
         let a = FaultPlane::new(config);
         let b = FaultPlane::new(config);
-        for token in 0..500 {
-            assert_eq!(a.plan_gate(token, 0).is_ok(), b.plan_gate(token, 0).is_ok());
+        for _ in 0..500 {
             assert_eq!(
                 a.storage_gate("t", 1).is_ok(),
                 b.storage_gate("t", 1).is_ok()
@@ -372,11 +320,11 @@ mod tests {
         let mk = |seed| {
             let plane = FaultPlane::new(FaultConfig {
                 seed,
-                p_plan: 0.5,
+                p_storage: 0.5,
                 ..FaultConfig::default()
             });
             (0..64)
-                .map(|t| plane.plan_gate(t, 0).is_ok())
+                .map(|_| plane.storage_gate("t", 1).is_ok())
                 .collect::<Vec<_>>()
         };
         assert_ne!(mk(1), mk(2));
@@ -386,27 +334,15 @@ mod tests {
     fn fault_rate_tracks_probability() {
         let plane = FaultPlane::new(FaultConfig {
             seed: 7,
-            p_plan: 0.25,
+            p_storage: 0.25,
             ..FaultConfig::default()
         });
         let n = 10_000u64;
-        let faults = (0..n).filter(|&t| plane.plan_gate(t, 0).is_err()).count() as f64;
+        let faults = (0..n)
+            .filter(|_| plane.storage_gate("t", 1).is_err())
+            .count() as f64;
         let rate = faults / n as f64;
         assert!((rate - 0.25).abs() < 0.02, "observed rate {rate}");
-    }
-
-    #[test]
-    fn retries_reroll() {
-        let plane = FaultPlane::new(FaultConfig {
-            seed: 3,
-            p_plan: 0.5,
-            ..FaultConfig::default()
-        });
-        // Some token must fail on attempt 0 yet pass on a later attempt.
-        let recovered = (0..256).any(|t| {
-            plane.plan_gate(t, 0).is_err() && (1..4).any(|a| plane.plan_gate(t, a).is_ok())
-        });
-        assert!(recovered);
     }
 
     #[test]

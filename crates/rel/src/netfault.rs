@@ -1,6 +1,6 @@
 //! Seeded network fault injection for the wire protocol.
 //!
-//! The storage/planner fault plane ([`crate::fault`]) covers everything
+//! The storage fault plane ([`crate::fault`]) covers everything
 //! *below* the session layer; this module covers the wire itself. A
 //! [`NetFaultConfig`] describes, with per-frame probabilities, the four
 //! failure shapes a TCP peer actually meets:

@@ -188,40 +188,6 @@ pub fn plan_select(
     plan_select_indexed(catalog, stats, &index, query)
 }
 
-/// [`plan_query`] behind a fault-injection gate: the gate rolls on
-/// `(token, attempt)` before any planning work. Callers on serial paths take
-/// `token` from [`crate::fault::FaultPlane::next_token`]; parallel what-if
-/// callers derive it from their cache key so retries and thread schedules
-/// cannot change which invocations fault.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_query_faulty(
-    catalog: &Catalog,
-    stats: &[TableStats],
-    config: &PhysicalConfig,
-    query: &SqlQuery,
-    plane: &crate::fault::FaultPlane,
-    token: u64,
-    attempt: u32,
-) -> RelResult<QueryPlan> {
-    plane.plan_gate(token, attempt)?;
-    plan_query(catalog, stats, config, query)
-}
-
-/// [`plan_select`] behind a fault-injection gate; see [`plan_query_faulty`].
-#[allow(clippy::too_many_arguments)]
-pub fn plan_select_faulty(
-    catalog: &Catalog,
-    stats: &[TableStats],
-    config: &PhysicalConfig,
-    query: &SelectQuery,
-    plane: &crate::fault::FaultPlane,
-    token: u64,
-    attempt: u32,
-) -> RelResult<BranchPlan> {
-    plane.plan_gate(token, attempt)?;
-    plan_select(catalog, stats, config, query)
-}
-
 fn plan_select_indexed(
     catalog: &Catalog,
     stats: &[TableStats],

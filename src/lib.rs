@@ -63,10 +63,10 @@ pub mod prelude {
     pub use xmlshred_core::{
         greedy_search, measure_quality, naive_greedy_search, naive_greedy_search_with, tune,
         tune_with, two_step_search, two_step_search_with, AdvisorOutcome, CostOracle, Deadline,
-        EvalContext, FaultConfig, GreedyOptions, MergeStrategy, MetricsRegistry, MetricsReport,
-        SearchOptions, SearchStats, TuneOptions,
+        EvalContext, GreedyOptions, MergeStrategy, MetricsRegistry, MetricsReport, SearchOptions,
+        SearchStats, TuneOptions,
     };
-    pub use xmlshred_rel::{Database, PhysicalConfig};
+    pub use xmlshred_rel::{Database, FaultConfig, PhysicalConfig};
     pub use xmlshred_shred::schema::derive_schema;
     pub use xmlshred_shred::shredder::load_database;
     pub use xmlshred_shred::{Mapping, SourceStats, Transformation};
