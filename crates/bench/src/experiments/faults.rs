@@ -780,16 +780,14 @@ fn mixed_schedule(db: &Database, targets: &Targets, seed: u64) -> Vec<Event> {
             10 | 11 => Event::Checkpoint,
             12 if !heap_live => Event::Analyze,
             13 if !heap_live => Event::StatsMode(!incremental),
-            // Every Insert precedes the first Apply: inserts do not yet
-            // maintain built structures, so an index built before an insert
-            // misses that insert's rows, while a checkpoint or heal rebuild
-            // does not.
-            14 if load.is_empty() && live.is_none() => {
+            14 if live.is_none() => {
                 design = draw(3) as usize;
                 Event::Apply(designs[design].1.clone())
             }
             15 if !armed => Event::Crash(CRASH_KINDS[draw(3) as usize], draw(4)),
-            16 | 17 if live.is_none() && (design != 2 || heap_rows > 0) => {
+            // A derived structure is corrupted once the load is complete,
+            // where the statistics make it the workload's preferred path.
+            16 | 17 if live.is_none() && (design == 2 && heap_rows > 0 || load.is_empty()) => {
                 Event::Corrupt(designs[design].0, draw(u64::MAX))
             }
             18 => Event::Heal,

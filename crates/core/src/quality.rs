@@ -23,6 +23,9 @@ use xmlshred_xpath::ast::Path;
 pub struct QualityReport {
     /// Weighted sum of measured execution costs.
     pub measured_cost: f64,
+    /// Weighted sum of the optimizer's estimates of the plans that ran
+    /// (the same statistics and design as `measured_cost`).
+    pub estimated_cost: f64,
     /// Total wall-clock execution time.
     pub elapsed: Duration,
     /// Per-query measured costs (0 for untranslatable queries).
@@ -127,7 +130,7 @@ fn execute_workload(
     schema: &xmlshred_shred::schema::DerivedSchema,
     workload: &[(Path, f64)],
 ) -> QualityReport {
-    let mut measured_cost = 0.0;
+    let (mut measured_cost, mut estimated_cost) = (0.0, 0.0);
     let mut elapsed = Duration::ZERO;
     let mut per_query = Vec::with_capacity(workload.len());
     let mut skipped = 0usize;
@@ -138,6 +141,7 @@ fn execute_workload(
                 Ok(outcome) => {
                     let cost = outcome.exec.measured_cost();
                     measured_cost += cost * weight;
+                    estimated_cost += outcome.plan.est_cost * weight;
                     elapsed += outcome.elapsed;
                     rows += outcome.rows.len();
                     per_query.push(cost);
@@ -155,6 +159,7 @@ fn execute_workload(
     }
     QualityReport {
         measured_cost,
+        estimated_cost,
         elapsed,
         per_query,
         skipped,

@@ -15,7 +15,8 @@
 //!    Sessions proceed untouched.
 //! 3. **Swap (write lock, short).** Re-validate against the possibly
 //!    evolved catalog, [`BuiltSet::catch_up`] to the live heaps (heaps are
-//!    insert-only, so the delta is exactly the rows past each watermark),
+//!    insert-only, so the delta is exactly the rows past each watermark,
+//!    and catching up costs O(delta)),
 //!    then log the `ApplyConfig` record and install — the same
 //!    build → log → install tail as the blocking path
 //!    ([`crate::db::Database::apply_built`]).
@@ -34,7 +35,7 @@
 use crate::built::BuiltSet;
 use crate::catalog::TableId;
 use crate::db::PhysicalConfig;
-use crate::error::{RelError, RelResult};
+use crate::error::RelResult;
 use crate::session::SessionDb;
 use crate::types::Row;
 use rustc_hash::FxHashMap;
@@ -44,12 +45,9 @@ use rustc_hash::FxHashMap;
 pub struct OnlineSwapReport {
     /// LSN of the snapshot the structures were built from.
     pub snapshot_lsn: u64,
-    /// Rows appended during the catch-up under the write lock (rows that
-    /// committed between the snapshot and the swap).
+    /// Rows appended to indexes during the catch-up under the write lock
+    /// (rows that committed between the snapshot and the swap).
     pub delta_rows: usize,
-    /// Structures rebuilt from the live heaps during catch-up (views whose
-    /// base tables grew past the snapshot).
-    pub rebuilt: usize,
     /// Structure counts installed: `(indexes, views)`.
     pub installed: (usize, usize),
     /// Configuration epoch after the swap (one-based).
@@ -78,9 +76,8 @@ impl SessionDb {
 
         // Phase 2 (no lock): build everything from the prefix.
         let mut built = BuiltSet::build(config, &|table| {
-            let rows = prefix.get(&table).map(Vec::as_slice);
-            rows.ok_or_else(|| RelError::UnknownTable(format!("#{}", table.0)))
-        })?;
+            prefix.get(&table).map_or(&[], Vec::as_slice)
+        });
 
         // Phase 3 (write lock): the catalog and heaps may have evolved
         // while we built, so re-validate and catch up; both can still
@@ -88,14 +85,13 @@ impl SessionDb {
         // install, exactly as the blocking path does.
         let mut engine = self.write_engine();
         engine.db.validate_config(config)?;
-        let (delta_rows, rebuilt) = built.catch_up(&engine.db.rows_of(), &|table| {
+        let delta_rows = built.catch_up(&engine.db.rows_of(), &|table| {
             prefix.get(&table).map_or(0, Vec::len)
-        })?;
+        });
         engine.db.apply_built(built)?;
         Ok(OnlineSwapReport {
             snapshot_lsn,
             delta_rows,
-            rebuilt,
             installed: (config.indexes.len(), config.views.len()),
             epoch: engine.db.config_epoch(),
         })

@@ -7,8 +7,10 @@
 //! snapshot prefixes (`SessionDb::apply_config_online`) — touching nothing
 //! but its own result; [`BuiltSet::catch_up`] from those prefixes to the
 //! live heaps; then `Database::apply_built` logs the `ApplyConfig` record
-//! and swaps the set in. Structures are stored in configuration order, so
-//! every walk, error and report is deterministic.
+//! and swaps the set in. From then on `Database::insert_rows` catches the
+//! installed set up with every batch, so each structure always equals a
+//! full build over the live heaps. Structures are stored in configuration
+//! order, so every walk, error and report is deterministic.
 
 use crate::catalog::{Catalog, TableId};
 use crate::error::{RelError, RelResult, StructureKind};
@@ -29,80 +31,80 @@ pub struct BuiltSet {
     views: Vec<BuiltView>,
 }
 
-/// Where a build reads a table's rows from: the full heap, a snapshot
-/// prefix of it, or a heap that is checksum-verified as it is handed out.
-pub type RowsOf<'a, 'r> = &'a dyn Fn(TableId) -> RelResult<&'r [Row]>;
+/// Where a structure reads a table's rows from: the live heap or a
+/// snapshot prefix of it. Every table a structure names is known, since
+/// configurations are validated against the catalog before any build.
+pub type RowsOf<'a, 'r> = &'a dyn Fn(TableId) -> &'r [Row];
 
-fn index_from(def: &IndexDef, rows_of: RowsOf) -> RelResult<BuiltIndex> {
-    Ok(BuiltIndex::build(def.clone(), rows_of(def.table)?))
+fn index_from(def: &IndexDef, rows_of: RowsOf) -> BuiltIndex {
+    BuiltIndex::build(def.clone(), rows_of(def.table))
 }
 
-fn view_from(def: &ViewDef, rows_of: RowsOf) -> RelResult<BuiltView> {
-    let (left, right) = (rows_of(def.left)?, rows_of(def.right)?);
-    Ok(BuiltView::build(def.clone(), left, right))
+fn view_from(def: &ViewDef, rows_of: RowsOf) -> BuiltView {
+    BuiltView::build(def.clone(), rows_of(def.left), rows_of(def.right))
 }
 
 impl BuiltSet {
     /// Materialize `config` from the rows `rows_of` hands out for each
     /// backing table. The configuration must already be validated against
     /// the catalog (see `Database::validate_config`).
-    pub fn build(config: &PhysicalConfig, rows_of: RowsOf) -> RelResult<BuiltSet> {
+    pub fn build(config: &PhysicalConfig, rows_of: RowsOf) -> BuiltSet {
         let index = |def: &IndexDef| index_from(def, rows_of);
         let view = |def: &ViewDef| view_from(def, rows_of);
-        Ok(BuiltSet {
+        BuiltSet {
             config: config.clone(),
-            indexes: config.indexes.iter().map(index).collect::<RelResult<_>>()?,
-            views: config.views.iter().map(view).collect::<RelResult<_>>()?,
-        })
+            indexes: config.indexes.iter().map(index).collect(),
+            views: config.views.iter().map(view).collect(),
+        }
     }
 
     /// Bring a set built from heap prefixes up to the rows `rows_of` hands
     /// out now, where `built_from(table)` is the prefix length the set was
     /// built over. Heaps are insert-only, so the delta is exactly the rows
-    /// past each watermark: indexes append them in heap order
-    /// (bit-identical to a full build); views rebuild iff a base table
-    /// grew. Returns `(delta_rows, rebuilt)`: rows appended to indexes and
-    /// structures rebuilt.
-    pub fn catch_up(
-        &mut self,
-        rows_of: RowsOf,
-        built_from: &dyn Fn(TableId) -> usize,
-    ) -> RelResult<(usize, usize)> {
-        let grew = |table: TableId| Ok::<_, RelError>(rows_of(table)?.len() > built_from(table));
-        let (mut delta_rows, mut rebuilt) = (0, 0);
+    /// past each watermark: indexes append them in heap order and views add
+    /// their delta join, both in O(delta) and bit-identical to a full
+    /// build. Returns the rows appended to indexes.
+    pub fn catch_up(&mut self, rows_of: RowsOf, built_from: &dyn Fn(TableId) -> usize) -> usize {
+        let mut delta_rows = 0;
         for built in &mut self.indexes {
-            let (rows, from) = (rows_of(built.def.table)?, built_from(built.def.table));
+            let (rows, from) = (rows_of(built.def.table), built_from(built.def.table));
             if rows.len() > from {
                 delta_rows += rows.len() - from;
                 built.extend_from(rows, from);
             }
         }
         for built in &mut self.views {
-            if grew(built.def.left)? || grew(built.def.right)? {
-                rebuilt += 1;
-                *built = view_from(&built.def, rows_of)?;
+            let (left, right) = (rows_of(built.def.left), rows_of(built.def.right));
+            let (left_from, right_from) = (built_from(built.def.left), built_from(built.def.right));
+            if left.len() > left_from || right.len() > right_from {
+                built.extend(left, left_from, right, right_from);
             }
         }
-        Ok((delta_rows, rebuilt))
+        delta_rows
     }
 
-    /// Re-derive one structure in place (the repair half of quarantine).
-    /// Heaps are repaired from the log, never rebuilt.
+    /// Re-derive one structure in place (the repair half of quarantine),
+    /// once `verify` passes each backing table. Heaps are repaired from the
+    /// log, never rebuilt.
     pub fn rebuild_one(
         &mut self,
         kind: StructureKind,
         name: &str,
         rows_of: RowsOf,
+        verify: &dyn Fn(TableId) -> RelResult<()>,
     ) -> RelResult<()> {
         let unknown = || RelError::UnknownIndex(name.to_string());
         match kind {
             StructureKind::Index => {
                 let built = self.index_mut(name).ok_or_else(unknown)?;
-                *built = index_from(&built.def, rows_of)?;
+                verify(built.def.table)?;
+                *built = index_from(&built.def, rows_of);
             }
             StructureKind::View => {
                 let built = self.view_mut(name).ok_or_else(unknown)?;
-                *built = view_from(&built.def, rows_of)?;
+                verify(built.def.left)?;
+                verify(built.def.right)?;
+                *built = view_from(&built.def, rows_of);
             }
             StructureKind::Heap => return Err(RelError::UnknownTable(name.to_string())),
         }
@@ -128,38 +130,34 @@ impl BuiltSet {
     }
 
     /// The configuration the planner may use: the built one minus
-    /// `quarantined` structures and — under an MVCC snapshot, where a view
-    /// cannot be clamped to the visible prefix — minus views. Borrowed when
-    /// nothing is filtered.
+    /// `quarantined` structures. Every statement plans against it, whatever
+    /// its snapshot or pending rows, since every structure answers for
+    /// both. Borrowed when nothing is quarantined.
     pub fn planning_config(
         &self,
         quarantined: &BTreeSet<(StructureKind, String)>,
-        under_snapshot: bool,
     ) -> Cow<'_, PhysicalConfig> {
-        let mut config = Cow::Borrowed(&self.config);
-        if !quarantined.is_empty() {
-            let usable = |kind: StructureKind, name: &str| {
-                !quarantined.iter().any(|(k, n)| *k == kind && n == name)
-            };
-            let config = config.to_mut();
-            config
-                .indexes
-                .retain(|def| usable(StructureKind::Index, &def.name));
-            config
-                .views
-                .retain(|def| usable(StructureKind::View, &def.name));
+        if quarantined.is_empty() {
+            return Cow::Borrowed(&self.config);
         }
-        if under_snapshot && !config.views.is_empty() {
-            config.to_mut().views.clear();
-        }
+        let usable = |kind: StructureKind, name: &str| {
+            !quarantined.iter().any(|(k, n)| *k == kind && n == name)
+        };
+        let mut config = self.config.clone();
         config
+            .indexes
+            .retain(|def| usable(StructureKind::Index, &def.name));
+        config
+            .views
+            .retain(|def| usable(StructureKind::View, &def.name));
+        Cow::Owned(config)
     }
 
     /// Measured bytes of the built indexes and views (what a space budget
     /// is enforced against).
     pub fn bytes(&self) -> usize {
         let index_bytes: usize = self.indexes.iter().map(BuiltIndex::byte_size).sum();
-        let view_bytes: usize = self.views.iter().map(|view| view.byte_size).sum();
+        let view_bytes: usize = self.views.iter().map(BuiltView::byte_size).sum();
         index_bytes + view_bytes
     }
 

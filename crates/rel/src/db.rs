@@ -18,7 +18,6 @@ use crate::storage::{self, TableHeap};
 use crate::types::{Row, Value};
 use crate::view::BuiltView;
 use crate::wal::{WalRecord, WalStats, WalWriter};
-use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -409,10 +408,17 @@ impl Database {
         let Some(heap) = self.heaps.get_mut(table.index()) else {
             return Err(RelError::UnknownTable(def.name.clone()));
         };
-        let n = rows.len();
+        let (n, from) = (rows.len(), heap.len());
         for row in rows {
             heap.insert_unchecked(def, row);
         }
+        // The batch's delta reaches every built structure, so each stays a
+        // full build over the live heaps. Infallible, O(delta) and
+        // charge-free: nothing after the log append may fail.
+        let heaps = &self.heaps;
+        let rows_of = |t: TableId| heap_rows(heaps, t);
+        let built_from = |t: TableId| if t == table { from } else { rows_of(t).len() };
+        self.built.catch_up(&rows_of, &built_from);
         Ok(n)
     }
 
@@ -565,7 +571,7 @@ impl Database {
     /// reaches the WAL.
     pub fn apply_config(&mut self, config: &OptimizerConfig) -> RelResult<()> {
         self.validate_config(config)?;
-        let built = BuiltSet::build(config, &self.rows_of())?;
+        let built = BuiltSet::build(config, &self.rows_of());
         self.apply_built(built)
     }
 
@@ -593,10 +599,9 @@ impl Database {
         self.config_epoch += 1;
     }
 
-    /// Every table's live rows, as the row source of [`BuiltSet::build`] /
-    /// [`BuiltSet::catch_up`].
-    pub(crate) fn rows_of<'a>(&'a self) -> impl Fn(TableId) -> RelResult<&'a [Row]> {
-        |table| self.try_heap(table).map(TableHeap::rows)
+    /// Every table's live rows, as the row source of a [`BuiltSet`].
+    pub(crate) fn rows_of<'a>(&'a self) -> impl Fn(TableId) -> &'a [Row] {
+        |table| heap_rows(&self.heaps, table)
     }
 
     /// Check a configuration against the catalog without building
@@ -733,20 +738,13 @@ impl Database {
     }
 
     /// Plan one statement: resolve the planning configuration (built,
-    /// minus quarantined structures, minus views under a snapshot — see
-    /// [`BuiltSet::planning_config`]), make the optimizer call with the
-    /// context's statistics, and stamp the epoch. A statement that carries
-    /// pending rows is planned bare: no built structure holds a row that
-    /// has not committed, so only sequential scans can answer it (the one
-    /// place that rule is applied; the executor's other access paths
-    /// reject pending rows).
+    /// minus quarantined structures — see [`BuiltSet::planning_config`]),
+    /// make the optimizer call with the context's statistics, and stamp the
+    /// epoch. Every statement plans against that one configuration: a
+    /// structure answers for any snapshot and any pending rows, so plan
+    /// choice cannot change an answer.
     fn plan_stmt(&self, query: &SqlQuery, ctx: &StmtCtx) -> RelResult<QueryPlan> {
-        let config = if ctx.pending.is_empty() {
-            self.built
-                .planning_config(&self.quarantined, ctx.snapshot.is_some())
-        } else {
-            Cow::Owned(OptimizerConfig::none())
-        };
+        let config = self.built.planning_config(&self.quarantined);
         let mut plan = self.optimize(query, ctx.stats.unwrap_or(&self.stats), &config)?;
         plan.epoch = self.config_epoch();
         Ok(plan)
@@ -922,7 +920,7 @@ impl Database {
 
     /// Rebuild every quarantined structure from its backing heaps and
     /// release it. Walks the quarantine in its deterministic (kind, name)
-    /// order; each backing heap is checksum-verified as it is read, so
+    /// order; each backing heap is checksum-verified before it is read, so
     /// damage is never materialized into the fresh structure. Rebuild
     /// failures are counted and the structure stays quarantined. Nothing
     /// is logged: the definitions are still part of the built
@@ -930,13 +928,12 @@ impl Database {
     /// recovery rebuilds all derived structures fresh anyway.
     fn rebuild_quarantined(&mut self, report: &mut HealReport) {
         let (catalog, heaps) = (&self.catalog, &self.heaps);
-        let verified_rows = |table: TableId| {
-            let heap = heap_of(heaps, table)?;
-            heap.verify_checksums(&catalog.try_table(table)?.name)?;
-            Ok::<_, RelError>(heap.rows())
+        let rows_of = |table: TableId| heap_rows(heaps, table);
+        let verify = |table: TableId| {
+            heap_of(heaps, table)?.verify_checksums(&catalog.try_table(table)?.name)
         };
         for (kind, name) in self.quarantined.clone() {
-            match self.built.rebuild_one(kind, &name, &verified_rows) {
+            match self.built.rebuild_one(kind, &name, &rows_of, &verify) {
                 Ok(()) => {
                     self.quarantined.remove(&(kind, name));
                     report.rebuilt += 1;
@@ -982,6 +979,11 @@ fn heap_of(heaps: &[TableHeap], table: TableId) -> RelResult<&TableHeap> {
     heaps
         .get(table.index())
         .ok_or_else(|| RelError::UnknownTable(format!("#{}", table.0)))
+}
+
+/// A table's live rows; an unknown table has none.
+fn heap_rows(heaps: &[TableHeap], table: TableId) -> &[Row] {
+    heaps.get(table.index()).map_or(&[], TableHeap::rows)
 }
 
 #[cfg(test)]

@@ -52,6 +52,7 @@ use crate::sql::Output;
 use crate::stats::TableStats;
 use crate::storage::TableHeap;
 use crate::types::{Row, Value};
+use crate::view::JoinSide;
 use rustc_hash::{FxHashMap, FxHasher};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -103,9 +104,10 @@ impl ExecOptions {
 /// in commit-LSN order, so "every row version with `commit_lsn <=
 /// snapshot_lsn`" is exactly a per-table row-count *prefix* — visibility
 /// needs no per-row version column, just these watermarks. Scans under a
-/// snapshot read `heap.rows()[..visible]`; index postings and join probes
-/// drop row ids at or past the watermark **before** any costing, so a
-/// snapshot execution's `ExecStats` describe only the rows it could see.
+/// snapshot read `heap.rows()[..visible]`; index postings, join probes and
+/// view rows (by their recorded positions) drop rows at or past the
+/// watermark **before** any costing, so a snapshot execution's `ExecStats`
+/// describe only the rows it could see.
 ///
 /// Page-level accounting (I/O cost, fault-plane budget charges, checksum
 /// verification) intentionally stays at the *live* heap's page count: the
@@ -138,10 +140,8 @@ impl SnapshotVisibility {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StmtCtx<'a> {
     /// Execute under this MVCC snapshot: every table access is clamped to
-    /// the snapshot's visible row prefix, and the statement is planned
-    /// without materialized views (a view row carries no provenance back
-    /// to a base-heap position, so it cannot be filtered to a prefix;
-    /// index seeks filter by base-row position and stay available).
+    /// the snapshot's visible row prefix — heap rows and index postings by
+    /// heap position, view rows by the two positions each records.
     pub snapshot: Option<&'a SnapshotVisibility>,
     /// Plan with these statistics (table-id order) instead of the engine's
     /// live ones. Sessions pass snapshot-clamped statistics here (see
@@ -156,19 +156,19 @@ pub struct StmtCtx<'a> {
     /// at all.
     pub deadline: Option<Instant>,
     /// Read-your-own-writes: the open transaction's buffered row batches,
-    /// in statement order (a table may repeat). A sequential scan of a
-    /// table reads its visible heap prefix and then that table's batches as
-    /// trailing morsels, so the statement sees snapshot ++ own writes at a
-    /// cost of one snapshot scan plus the transaction's own rows. Pending
-    /// rows live in no heap page and no physical structure: they charge
-    /// tuples and CPU like heap rows but no pages (pages stay at the live
-    /// heap, as for every snapshot read), and a statement that carries any
-    /// is planned without physical structures (see [`Database::run`]) —
-    /// every access path but the sequential scan rejects it.
+    /// in statement order (a table may repeat). Every access path reads
+    /// its clamped rows and then the pending rows of its tables, so the
+    /// statement sees snapshot ++ own writes: a sequential scan or an index
+    /// seek filters that table's batches as trailing morsels, an
+    /// index-nested-loop join probes them by join key, and a view scan
+    /// adds their delta join (`BuiltView::delta_join`).
+    /// Pending rows live in no heap page and no physical structure: they
+    /// charge tuples and CPU like heap rows but no pages (pages stay at the
+    /// live heap, as for every snapshot read).
     pub pending: &'a [(TableId, Vec<Row>)],
 }
 
-impl StmtCtx<'_> {
+impl<'a> StmtCtx<'a> {
     /// Raise [`RelError::Timeout`] if the deadline has passed. `site` is a
     /// stable label of the polling point, surfaced in the error.
     fn check_deadline(&self, site: &'static str) -> RelResult<()> {
@@ -178,17 +178,10 @@ impl StmtCtx<'_> {
         }
     }
 
-    /// Planner-contract guard of every access path that cannot read the
-    /// pending tail: indexes and views hold committed rows only, so
-    /// answering a statement with pending rows through one would silently
-    /// drop the transaction's own writes.
-    fn reject_pending(&self, access: &str) -> RelResult<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        Err(RelError::InvalidQuery(format!(
-            "a statement with pending rows cannot read through {access}"
-        )))
+    /// The statement's pending rows of `table`, in statement order.
+    fn pending_rows(&self, table: TableId) -> impl Iterator<Item = &'a Row> {
+        let batches = self.pending.iter().filter(move |(t, _)| *t == table);
+        batches.flat_map(|(_, rows)| rows)
     }
 
     /// The scannable prefix of a `len`-row structure of `table` (`len`
@@ -463,9 +456,8 @@ fn partition_of(key: &Value) -> usize {
 /// Execute a plan, returning rows, accounting, and the execution profile:
 /// the executor's one entry point. Rows and [`ExecStats`] are bit-identical
 /// for any `opts.threads` value. Under `ctx.snapshot` every table access is
-/// clamped to the snapshot's visible row prefix (see [`SnapshotVisibility`]);
-/// such plans must not contain view scans, which [`Database::run`]
-/// guarantees by planning snapshot statements with views stripped.
+/// clamped to the snapshot's visible row prefix (see [`SnapshotVisibility`]),
+/// and `ctx.pending` rows follow the clamped ones (see [`StmtCtx::pending`]).
 pub fn execute(
     db: &Database,
     plan: &QueryPlan,
@@ -558,18 +550,7 @@ fn execute_branch(
             filters,
             outputs,
             ..
-        } => {
-            // Materialized views carry no per-row commit provenance; the
-            // session layer plans snapshot queries with views stripped, so a
-            // ViewScan under a snapshot is a planner-contract violation.
-            if ctx.snapshot.is_some() {
-                return Err(RelError::InvalidQuery(format!(
-                    "snapshot execution cannot scan materialized view '{view}'"
-                )));
-            }
-            ctx.reject_pending("a materialized view")?;
-            execute_view_scan(db, view, filters, outputs, opts, ctx, profile, ledger)
-        }
+        } => execute_view_scan(db, view, filters, outputs, opts, ctx, profile, ledger),
     }
 }
 
@@ -650,9 +631,6 @@ fn execute_pipeline(
             )));
         }
         validate_filters(&join.inner.filters, inner_def)?;
-        if matches!(join.algo, JoinAlgo::IndexNestedLoop { .. }) {
-            ctx.reject_pending("an index-nested-loop join")?;
-        }
         inners.push((inner_table, inner_def));
     }
 
@@ -757,6 +735,13 @@ fn execute_pipeline(
                         built.verify_checksums(&inner_def.name)
                     })?;
                 }
+                // The inner table's pending rows, probed by join key.
+                let mut pending: FxHashMap<&Value, Vec<&Row>> = FxHashMap::default();
+                for row in ctx.pending_rows(inner_table) {
+                    if !row[join.inner_col].is_null() {
+                        pending.entry(&row[join.inner_col]).or_default().push(row);
+                    }
+                }
                 let mut next = Vec::new();
                 for outer in &wide {
                     // Per-probe deadline poll: INLJ is the one operator with
@@ -769,8 +754,8 @@ fn execute_pipeline(
                     }
                     // Per-probe descent.
                     stats.io_cost += BTREE_DESCENT_COST * RANDOM_PAGE_COST;
-                    let key = KeyRange::eq(vec![key.clone()]);
-                    let matched = seek_postings(built, &key, ctx, inner_table);
+                    let seek = KeyRange::eq(vec![key.clone()]);
+                    let matched = seek_postings(built, &seek, ctx, inner_table);
                     stats.io_cost +=
                         (matched.len() as f64 * entry_width / PAGE_SIZE as f64) * SEQ_PAGE_COST;
                     if !covering {
@@ -780,10 +765,15 @@ fn execute_pipeline(
                         // One descent page plus one page per fetched row.
                         plane.storage_gate(&inner_def.name, 1 + matched.len() as u64)?;
                     }
-                    stats.cpu_cost += matched.len() as f64 * CPU_TUPLE_COST;
-                    stats.tuples_processed += matched.len() as u64;
-                    for &posting in &matched {
-                        let inner = fetch_posting(heap, posting, &inner_def.name, index)?;
+                    let own = pending.get(key).map_or(&[][..], Vec::as_slice);
+                    let probed = matched.len() + own.len();
+                    stats.cpu_cost += probed as f64 * CPU_TUPLE_COST;
+                    stats.tuples_processed += probed as u64;
+                    let fetched = matched
+                        .iter()
+                        .map(|&posting| fetch_posting(heap, posting, &inner_def.name, index));
+                    for inner in fetched.chain(own.iter().map(|&row| Ok(row))) {
+                        let inner = inner?;
                         stats.cpu_cost += join.inner.filters.len() as f64 * CPU_PRED_COST;
                         if passes_quiet(inner, &join.inner.filters) {
                             let mut row = outer.clone();
@@ -910,7 +900,6 @@ fn run_scan(
             key,
             covering,
         } => {
-            ctx.reject_pending("an index seek")?;
             let scan_start = Instant::now();
             let built = db.built_index(index)?;
             // Verify the index before trusting its postings (no budget, no
@@ -951,10 +940,13 @@ fn run_scan(
                 ledger,
             )?;
             // Resolve the postings before the fan-out, so a dangling entry
-            // is a `Fault` even when the deadline stops the morsels.
-            let rows = matched
+            // is a `Fault` even when the deadline stops the morsels. The
+            // table's pending rows follow, filtered like the fetched ones.
+            let fetched = matched
                 .iter()
-                .map(|&posting| fetch_posting(heap, posting, &table_def.name, index))
+                .map(|&posting| fetch_posting(heap, posting, &table_def.name, index));
+            let rows = fetched
+                .chain(ctx.pending_rows(table).map(Ok))
                 .collect::<RelResult<Vec<_>>>()?;
             let ranges = morsel_ranges(rows.len(), opts, profile);
             let pieces = fan_out(&ranges, opts, ctx, "scan", |range| {
@@ -1036,10 +1028,27 @@ fn execute_view_scan(
     let mut stats = ExecStats::default();
     stats.io_cost += built.pages() as f64 * SEQ_PAGE_COST;
     let per_row_cpu = CPU_TUPLE_COST + filters.len() as f64 * CPU_PRED_COST;
-    let ranges = morsel_ranges(built.rows.len(), opts, profile);
+    // The rows the snapshot sees (both positions below the watermarks),
+    // then the delta join the statement's pending rows add.
+    let side = |table: TableId| {
+        let rows = db.try_heap(table)?.rows();
+        let visible = ctx.visible_rows(table, rows.len());
+        Ok::<_, RelError>(JoinSide::new(
+            rows,
+            visible,
+            ctx.pending_rows(table).collect(),
+        ))
+    };
+    let (left, right) = (side(built.def.left)?, side(built.def.right)?);
+    let pending = built.delta_join(&left, &right);
+    let visible = (built.rows.iter())
+        .filter(|(&(l, r), _)| (l as usize) < left.old && (r as usize) < right.old)
+        .map(|(_, row)| row);
+    let rows: Vec<&Row> = visible.chain(pending.iter().map(|(_, row)| row)).collect();
+    let ranges = morsel_ranges(rows.len(), opts, profile);
     let pieces = fan_out(&ranges, opts, ctx, "view", |range| {
         let mut out: Vec<Row> = Vec::new();
-        for row in &built.rows[range.clone()] {
+        for row in &rows[range.clone()] {
             if filters
                 .iter()
                 .all(|(col, op, value)| op.eval(&row[*col], value))
@@ -1252,12 +1261,11 @@ mod tests {
         }
     }
 
-    /// Read-your-own-writes: the sequential scan reads the pending rows of
-    /// its table behind the heap's, at one tuple each; every access path
-    /// that holds committed rows only refuses the statement before it
-    /// touches a structure, instead of answering without them.
+    /// Read-your-own-writes through the index: a seek reads the pending
+    /// rows of its table behind the postings, and an index-nested-loop
+    /// join probes them by key, each at one tuple per row.
     #[test]
-    fn only_the_sequential_scan_reads_pending_rows() {
+    fn index_paths_read_pending_rows() {
         let (db, t) = db_with_index(false);
         let own = vec![Value::Int(5_000), Value::Int(7), Value::str("mine")];
         let pending = [(t, vec![own])];
@@ -1265,37 +1273,28 @@ mod tests {
             pending: &pending,
             ..StmtCtx::default()
         };
-        // The statement path plans it bare although `ix` serves the filter.
+        // Planned with `ix`, as without pending rows.
         let outcome = db.run(&grp_query(t), &ctx).unwrap();
+        assert!(outcome.plan.explain().contains("ix"));
         assert_eq!(outcome.rows.len(), 11);
         assert_eq!(
             outcome.rows[10],
             vec![Value::Int(5_000), Value::str("mine")]
         );
-        assert_eq!(outcome.exec.tuples_processed, 5_001);
+        assert_eq!(outcome.exec.tuples_processed, 11);
 
-        let scan = |table_ref, access| ScanNode {
-            table_ref,
-            access,
+        let scan = ScanNode {
+            table_ref: 0,
+            access: Access::SeqScan,
             filters: vec![],
             est_rows: 0.0,
             est_cost: 0.0,
         };
-        let pipeline = |driver, joins| BranchPlan::Pipeline {
-            tables: vec![t, t],
-            driver,
-            joins,
-            outputs: vec![Output::col(0, 0)],
-            est_rows: 0.0,
-            est_cost: 0.0,
-        };
-        let seek = Access::IndexSeek {
-            index: "ix".into(),
-            key: KeyRange::eq(vec![Value::Int(7)]),
-            covering: false,
-        };
         let inlj = JoinNode {
-            inner: scan(1, Access::SeqScan),
+            inner: ScanNode {
+                table_ref: 1,
+                ..scan.clone()
+            },
             algo: JoinAlgo::IndexNestedLoop {
                 index: "ix".into(),
                 covering: false,
@@ -1306,30 +1305,27 @@ mod tests {
             est_rows: 0.0,
             est_cost: 0.0,
         };
-        let branches = [
-            pipeline(scan(0, seek), vec![]),
-            pipeline(scan(0, Access::SeqScan), vec![inlj]),
-            BranchPlan::ViewScan {
-                view: "v".into(),
-                filters: vec![],
-                outputs: vec![],
+        let plan = QueryPlan {
+            branches: vec![BranchPlan::Pipeline {
+                tables: vec![t, t],
+                driver: scan,
+                joins: vec![inlj],
+                outputs: vec![Output::col(0, 0), Output::col(1, 0)],
                 est_rows: 0.0,
                 est_cost: 0.0,
-            },
-        ];
-        for branch in branches {
-            let plan = QueryPlan {
-                branches: vec![branch],
-                order_by: vec![],
-                est_cost: 0.0,
-                epoch: 0,
-            };
-            let err = execute(&db, &plan, &ExecOptions::default(), &ctx).unwrap_err();
-            assert!(
-                matches!(&err, RelError::InvalidQuery(why) if why.contains("pending rows")),
-                "{err}"
-            );
-        }
+            }],
+            order_by: vec![],
+            est_cost: 0.0,
+            epoch: 0,
+        };
+        let (rows, ..) = execute(&db, &plan, &ExecOptions::default(), &ctx).unwrap();
+        // 499 groups of 10 x 10, and group 7 with the own row: 11 x 11.
+        assert_eq!(rows.len(), 499 * 100 + 121);
+        let mine = Value::Int(5_000);
+        assert_eq!(
+            rows.iter().filter(|r| r[0] == mine && r[1] == mine).count(),
+            1
+        );
     }
 
     #[test]

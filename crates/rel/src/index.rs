@@ -6,10 +6,11 @@
 
 use crate::catalog::{TableDef, TableId};
 use crate::cost::PAGE_SIZE;
-use crate::error::{RelError, RelResult, StructureKind};
+use crate::error::{RelResult, StructureKind};
 use crate::stats::TableStats;
+use crate::storage::{mix, SlotSums};
 use crate::types::{Row, Value};
-use std::collections::hash_map::DefaultHasher;
+use rustc_hash::FxHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
@@ -25,15 +26,19 @@ fn entry_width(key: &[Value], rows: &[u32]) -> usize {
     key.iter().map(Value::width).sum::<usize>() + NODE_OVERHEAD + rows.len() * ROW_POINTER
 }
 
-/// Hash of one `(key, postings)` entry, xor-folded into its page checksum.
-fn entry_hash(key: &[Value], rows: &[u32]) -> u64 {
-    let mut hasher = DefaultHasher::new();
+/// Hash of one key: the identity that picks its checksum slot.
+fn key_hash(key: &[Value]) -> u64 {
+    let mut hasher = FxHasher::default();
     key.len().hash(&mut hasher);
     for value in key {
         value.hash(&mut hasher);
     }
-    rows.hash(&mut hasher);
     hasher.finish()
+}
+
+/// One posting's term in its key's slot checksum.
+fn posting_hash(key_hash: u64, row: u32) -> u64 {
+    mix(key_hash ^ mix(u64::from(row)))
 }
 
 /// Logical description of an index.
@@ -159,17 +164,19 @@ impl KeyRange {
 
 /// A materialized B-tree index.
 ///
-/// Like the row heap, the built structure carries per-page xor checksums
-/// over its `(key, postings)` entries (pages laid out in key order at
-/// [`BuiltIndex::byte_size`] widths), so seeded corruption is detectable
-/// before a seek or probe can return damaged row pointers.
+/// Like the row heap, the built structure carries xor checksums over its
+/// postings, so seeded corruption is detectable before a seek or probe can
+/// return damaged row pointers. A posting folds into the slot of its key
+/// (see [`SlotSums`]), so an insert updates the checksums in O(1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuiltIndex {
     /// Definition.
     pub def: IndexDef,
     map: BTreeMap<Vec<Value>, Vec<u32>>,
-    /// Per-page xor of entry hashes, derived once at build.
-    page_sums: Vec<u64>,
+    /// Xor of posting hashes per slot, maintained on insert.
+    sums: SlotSums,
+    /// [`BuiltIndex::byte_size`], maintained on insert.
+    bytes: usize,
 }
 
 impl BuiltIndex {
@@ -179,17 +186,18 @@ impl BuiltIndex {
         let mut built = BuiltIndex {
             def,
             map: BTreeMap::new(),
-            page_sums: Vec::new(),
+            sums: SlotSums::default(),
+            bytes: 0,
         };
         built.extend_from(rows, 0);
         built
     }
 
-    /// Append entries for rows `[from, rows.len())` — the delta that
-    /// committed after a snapshot-prefix build — and recompute the page
-    /// checksums. Row indices are appended in heap order, exactly as
-    /// [`BuiltIndex::build`] over the full heap would have pushed them, so
-    /// a prefix build plus `extend_from` is bit-identical to a full build.
+    /// Append entries for rows `[from, rows.len())`, the rows the heap
+    /// gained since the index last saw it, in O(delta). Row indices are
+    /// appended in heap order, exactly as [`BuiltIndex::build`] over the
+    /// full heap would have pushed them, so a prefix build plus
+    /// `extend_from` is bit-identical to a full build.
     pub fn extend_from(&mut self, rows: &[Row], from: usize) {
         for (row_idx, row) in rows.iter().enumerate().skip(from) {
             let key: Vec<Value> = self
@@ -198,50 +206,29 @@ impl BuiltIndex {
                 .iter()
                 .map(|&c| row[c].clone())
                 .collect();
-            self.map.entry(key).or_default().push(row_idx as u32);
+            let (hash, row_idx) = (key_hash(&key), row_idx as u32);
+            self.sums.fold(hash, posting_hash(hash, row_idx));
+            let key_bytes = entry_width(&key, &[]);
+            let postings = self.map.entry(key).or_default();
+            self.bytes += ROW_POINTER + if postings.is_empty() { key_bytes } else { 0 };
+            postings.push(row_idx);
         }
-        self.page_sums = Self::compute_page_sums(&self.map);
     }
 
-    /// Per-page xor of entry hashes in key order.
-    fn compute_page_sums(map: &BTreeMap<Vec<Value>, Vec<u32>>) -> Vec<u64> {
-        let mut sums = Vec::new();
-        let mut offset = 0usize;
-        for (key, rows) in map {
-            let page = offset / PAGE_SIZE;
-            if page >= sums.len() {
-                sums.resize(page + 1, 0);
-            }
-            sums[page] ^= entry_hash(key, rows);
-            offset += entry_width(key, rows);
-        }
-        sums
-    }
-
-    /// Recompute every page checksum and compare against the sums captured
-    /// at build. `table` names the owning base table in the error. O(entries);
-    /// the executor only calls this when a fault plane is active.
+    /// Recompute every slot checksum from the postings and compare against
+    /// the maintained sums; a mismatch names its slot as the page.
+    /// `table` names the owning base table in the error. O(postings); the
+    /// executor only calls this when a fault plane is active.
     pub fn verify_checksums(&self, table: &str) -> RelResult<()> {
-        let fresh = Self::compute_page_sums(&self.map);
-        if fresh.len() != self.page_sums.len() {
-            return Err(RelError::corrupted(
-                StructureKind::Index,
-                table,
-                self.def.name.clone(),
-                fresh.len().min(self.page_sums.len()),
-            ));
-        }
-        for (page, (a, b)) in fresh.iter().zip(&self.page_sums).enumerate() {
-            if a != b {
-                return Err(RelError::corrupted(
-                    StructureKind::Index,
-                    table,
-                    self.def.name.clone(),
-                    page,
-                ));
+        let mut fresh = SlotSums::default();
+        for (key, rows) in &self.map {
+            let hash = key_hash(key);
+            for &row in rows {
+                fresh.fold(hash, posting_hash(hash, row));
             }
         }
-        Ok(())
+        self.sums
+            .verify(&fresh, StructureKind::Index, table, &self.def.name)
     }
 
     /// Damage the `n`-th entry (key order) for corruption testing: its first
@@ -271,15 +258,16 @@ impl BuiltIndex {
     /// the structure. Space-budget enforcement against built designs must
     /// use this, not the estimate.
     pub fn byte_size(&self) -> usize {
-        self.map
-            .iter()
-            .map(|(key, rows)| entry_width(key, rows))
-            .sum()
+        self.bytes
     }
 
-    /// Pages occupied by the built structure, from [`BuiltIndex::byte_size`].
+    /// Pages occupied by the built structure laid out in key order at
+    /// [`BuiltIndex::byte_size`] widths: the page the last entry starts on,
+    /// plus one.
     pub fn pages(&self) -> usize {
-        self.page_sums.len()
+        self.map.last_key_value().map_or(0, |(key, rows)| {
+            (self.bytes - entry_width(key, rows)) / PAGE_SIZE + 1
+        })
     }
 
     /// Row indices matching a seek argument, in key order.
@@ -360,6 +348,7 @@ mod tests {
     use super::*;
     use crate::catalog::{ColumnDef, TableDef};
     use crate::types::DataType;
+    use crate::{error::RelError, storage::CHECKSUM_SLOTS};
 
     fn setup() -> (TableDef, Vec<Row>) {
         let def = TableDef::new(
@@ -501,7 +490,9 @@ mod tests {
                 assert_eq!(kind, StructureKind::Index);
                 assert_eq!(table, "t");
                 assert_eq!(structure, "i_grp");
-                assert_eq!(page, 0);
+                // The slot of the damaged entry's key (grp = 3).
+                let slot = mix(key_hash(&[Value::Int(3)])) % CHECKSUM_SLOTS as u64;
+                assert_eq!(page, slot as usize);
             }
             other => panic!("expected corruption, got {other:?}"),
         }

@@ -22,9 +22,9 @@
 //! * **Read-your-own-writes.** A transaction's buffered batches ride along
 //!   on every statement it runs ([`StmtCtx::pending`]): sequential scans
 //!   read the snapshot prefix and then the transaction's own rows of that
-//!   table, in statement order. Such a statement is planned without
-//!   physical structures (they hold committed rows only) and costs one
-//!   snapshot scan plus the transaction's own rows — pages are charged at
+//!   table, in statement order; index seeks and views answer from their
+//!   clamped entries plus the matching own rows. Such a statement is
+//!   planned against the same design as any other — pages are charged at
 //!   the live heap like every snapshot read, tuples are visible + pending.
 //! * **First-committer-wins.** Commit re-checks, under the write lock, that
 //!   no other transaction committed to a written table after this

@@ -2,7 +2,7 @@
 
 use crate::catalog::TableDef;
 use crate::cost::PAGE_SIZE;
-use crate::error::{RelError, RelResult};
+use crate::error::{RelError, RelResult, StructureKind};
 use crate::types::{Row, Value};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -213,6 +213,45 @@ pub fn validate_row(def: &TableDef, row: &[Value]) -> RelResult<()> {
 /// On-page width of one row: 8-byte header plus each value's width.
 pub fn row_width(row: &[Value]) -> usize {
     8 + row.iter().map(Value::width).sum::<usize>()
+}
+
+/// Checksum slots of one derived structure (an index or a view).
+pub(crate) const CHECKSUM_SLOTS: usize = 32;
+
+/// The checksums of a derived structure. Each entry folds into the slot its
+/// identity picks (an index key, a view row's heap positions), never one
+/// its place in the structure would pick, so a slot does not depend on
+/// insertion history and an insert updates its slots in O(1).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct SlotSums([u64; CHECKSUM_SLOTS]);
+
+impl SlotSums {
+    /// Xor `hash` into the slot of `identity` (folding it again removes it).
+    pub(crate) fn fold(&mut self, identity: u64, hash: u64) {
+        self.0[(mix(identity) % CHECKSUM_SLOTS as u64) as usize] ^= hash;
+    }
+
+    /// `Corrupted`, naming the first slot where the `fresh` sums of
+    /// structure `name` differ from these, as its page.
+    pub(crate) fn verify(
+        &self,
+        fresh: &SlotSums,
+        kind: StructureKind,
+        table: &str,
+        name: &str,
+    ) -> RelResult<()> {
+        match self.0.iter().zip(&fresh.0).position(|(a, b)| a != b) {
+            None => Ok(()),
+            Some(slot) => Err(RelError::corrupted(kind, table, name, slot)),
+        }
+    }
+}
+
+/// The splitmix64 finalizer: a cheap, well-spread 64-bit mix.
+pub(crate) fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// Convert a byte size to a page count (at least one page when non-empty).

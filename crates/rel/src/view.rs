@@ -9,22 +9,59 @@
 //! redundancy a join view carries.)
 
 use crate::catalog::{TableDef, TableId};
-use crate::cost::PAGE_SIZE;
-use crate::error::{RelError, RelResult, StructureKind};
+use crate::error::{RelResult, StructureKind};
 use crate::stats::TableStats;
+use crate::storage::{row_width, SlotSums};
 use crate::types::{Row, Value};
 use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// Order-insensitive hash of one materialized row, xor-folded into its
-/// page's checksum (same scheme as the row heap's).
-fn view_row_hash(row: &[Value]) -> u64 {
+/// A map on join keys. Not `FxHashMap`: its hash of an integer-valued
+/// `Value` has constant low bits, the bits that pick a bucket, so parent
+/// ids would all probe one bucket run.
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
+
+/// Bytes a view row spends on its two recorded heap positions.
+const POSITIONS_WIDTH: usize = 8;
+
+/// A view row's heap positions, `(left, right)`: its checksum identity.
+fn position_identity((left, right): (u32, u32)) -> u64 {
+    u64::from(left) << 32 | u64::from(right)
+}
+
+/// Hash of one materialized row and its positions, xor-folded into its
+/// slot's checksum.
+fn view_row_hash(positions: (u32, u32), row: &[Value]) -> u64 {
     let mut hasher = DefaultHasher::new();
+    positions.hash(&mut hasher);
     row.len().hash(&mut hasher);
     for value in row {
         value.hash(&mut hasher);
     }
     hasher.finish()
+}
+
+/// One side of a delta join: `rows[..old]` were joined before and are
+/// reached through the view's key chains; `new` follow them, at positions
+/// `old..`.
+pub(crate) struct JoinSide<'a> {
+    rows: &'a [Row],
+    pub(crate) old: usize,
+    new: Vec<&'a Row>,
+}
+
+impl<'a> JoinSide<'a> {
+    /// A side whose first `old` rows of `rows` were joined and `new` rows
+    /// follow (a heap's own tail, or a transaction's pending rows).
+    pub(crate) fn new(rows: &'a [Row], old: usize, new: Vec<&'a Row>) -> Self {
+        JoinSide { rows, old, new }
+    }
+
+    /// A heap that grew past `from` rows.
+    fn grown(rows: &'a [Row], from: usize) -> Self {
+        JoinSide::new(rows, from, rows[from.min(rows.len())..].iter().collect())
+    }
 }
 
 /// Which side of the join a view output column comes from.
@@ -98,112 +135,145 @@ impl ViewDef {
     }
 }
 
-/// A materialized view: its definition plus the joined rows.
+/// A materialized view: its definition plus the joined rows, each keyed
+/// by the heap positions it was joined from.
 ///
-/// The materialization carries per-page xor checksums over its rows (the
-/// same layout accounting as [`BuiltView::byte_size`]), captured once at
-/// build, so seeded corruption is detectable before a view scan can return
-/// damaged rows.
+/// The view always equals a full build over the heaps it was maintained
+/// from: `BuiltView::extend` inserts a delta join of the rows the heaps
+/// gained, probing the other side through per-side join-key chains. Rows
+/// carry xor checksums in slots picked by their positions (see
+/// [`SlotSums`]), so seeded corruption is detectable before a view scan can
+/// return damaged rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BuiltView {
     /// Definition.
     pub def: ViewDef,
-    /// Materialized rows in left-table order.
-    pub rows: Vec<Row>,
-    /// Byte size of the materialization.
-    pub byte_size: usize,
-    /// Per-page xor of row hashes, derived once at build.
-    page_sums: Vec<u64>,
+    /// Materialized rows keyed by their `(left, right)` heap positions, so
+    /// they iterate in the order of a full build. A row is visible under a
+    /// snapshot iff both positions are below its watermarks.
+    pub rows: BTreeMap<(u32, u32), Row>,
+    /// Bytes of the materialized rows: what a scan reads.
+    row_bytes: usize,
+    /// Xor of row hashes per slot, maintained on insert.
+    sums: SlotSums,
+    /// Each side's join keys: the delta join's probe tables.
+    left_keys: KeyChains,
+    right_keys: KeyChains,
 }
 
 impl BuiltView {
     /// Materialize the view from the two table heaps.
     pub fn build(def: ViewDef, left_rows: &[Row], right_rows: &[Row]) -> Self {
-        use rustc_hash::FxHashMap;
-        // Hash the right side on its join column.
-        let mut right_by_key: FxHashMap<crate::types::Value, Vec<&Row>> = FxHashMap::default();
-        for row in right_rows {
-            let key = row[def.right_col].clone();
+        let mut view = BuiltView {
+            def,
+            rows: BTreeMap::new(),
+            row_bytes: 0,
+            sums: SlotSums::default(),
+            left_keys: KeyChains::default(),
+            right_keys: KeyChains::default(),
+        };
+        view.extend(left_rows, 0, right_rows, 0);
+        view
+    }
+
+    /// Bring the view from heaps of `left_from` / `right_from` rows up to
+    /// `left_rows` / `right_rows`: O(d log n) for a delta join of `d` rows,
+    /// wherever in the view they land. Bit-identical to a full build over
+    /// the grown heaps.
+    pub(crate) fn extend(
+        &mut self,
+        left_rows: &[Row],
+        left_from: usize,
+        right_rows: &[Row],
+        right_from: usize,
+    ) {
+        let delta = self.delta_join(
+            &JoinSide::grown(left_rows, left_from),
+            &JoinSide::grown(right_rows, right_from),
+        );
+        self.left_keys.note(left_rows, left_from, self.def.left_col);
+        self.right_keys
+            .note(right_rows, right_from, self.def.right_col);
+        for (positions, row) in &delta {
+            self.row_bytes += row_width(row);
+            let identity = position_identity(*positions);
+            self.sums.fold(identity, view_row_hash(*positions, row));
+        }
+        if self.rows.is_empty() {
+            // A fresh build: a sorted run bulk-loads in linear time.
+            self.rows = delta.into_iter().collect();
+        } else {
+            self.rows.extend(delta);
+        }
+    }
+
+    /// The rows `(old ++ new left) ⋈ (old ++ new right)` adds to
+    /// `old left ⋈ old right`, each with its positions, in (left, right)
+    /// order. Old rows are found through the key chains, clamped below `old`.
+    pub(crate) fn delta_join(&self, left: &JoinSide, right: &JoinSide) -> Vec<((u32, u32), Row)> {
+        let mut new_right: KeyMap<&Value, Vec<usize>> = KeyMap::default();
+        for (j, row) in right.new.iter().enumerate() {
+            let key = &row[self.def.right_col];
             if !key.is_null() {
-                right_by_key.entry(key).or_default().push(row);
+                new_right.entry(key).or_default().push(j);
             }
         }
-        let mut rows = Vec::new();
-        let mut byte_size = 0usize;
-        for left in left_rows {
-            let key = &left[def.left_col];
+        let mut out = Vec::new();
+        for (i, &l_row) in left.new.iter().enumerate() {
+            let key = &l_row[self.def.left_col];
             if key.is_null() {
                 continue;
             }
-            if let Some(matches) = right_by_key.get(key) {
-                for right in matches {
-                    let row: Row = def
-                        .outputs
-                        .iter()
-                        .map(|&(side, c)| match side {
-                            ViewSide::Left => left[c].clone(),
-                            ViewSide::Right => right[c].clone(),
-                        })
-                        .collect();
-                    byte_size += crate::storage::row_width(&row);
-                    rows.push(row);
-                }
+            let l = (left.old + i) as u32;
+            for r in self.right_keys.below(key, right.old) {
+                out.push(((l, r), self.project(l_row, &right.rows[r as usize])));
+            }
+            for &j in new_right.get(key).map_or(&[][..], Vec::as_slice) {
+                let r = (right.old + j) as u32;
+                out.push(((l, r), self.project(l_row, right.new[j])));
             }
         }
-        let page_sums = Self::compute_page_sums(&rows);
-        BuiltView {
-            def,
-            rows,
-            byte_size,
-            page_sums,
-        }
-    }
-
-    /// Per-page xor of row hashes in materialization order.
-    fn compute_page_sums(rows: &[Row]) -> Vec<u64> {
-        let mut sums = Vec::new();
-        let mut offset = 0usize;
-        for row in rows {
-            let page = offset / PAGE_SIZE;
-            if page >= sums.len() {
-                sums.resize(page + 1, 0);
+        for (j, &r_row) in right.new.iter().enumerate() {
+            let key = &r_row[self.def.right_col];
+            if key.is_null() {
+                continue;
             }
-            sums[page] ^= view_row_hash(row);
-            offset += crate::storage::row_width(row);
+            let r = (right.old + j) as u32;
+            for l in self.left_keys.below(key, left.old) {
+                out.push(((l, r), self.project(&left.rows[l as usize], r_row)));
+            }
         }
-        sums
+        out.sort_by_key(|(positions, _)| *positions);
+        out
     }
 
-    /// Recompute every page checksum and compare against the sums captured
-    /// at build. `table` names the view's left (parent) table in the error.
-    /// O(rows); the executor only calls this when a fault plane is active.
+    /// The view row joining `left` and `right`.
+    fn project(&self, left: &Row, right: &Row) -> Row {
+        (self.def.outputs.iter())
+            .map(|&(side, c)| match side {
+                ViewSide::Left => left[c].clone(),
+                ViewSide::Right => right[c].clone(),
+            })
+            .collect()
+    }
+
+    /// Recompute every slot checksum from the rows and compare against the
+    /// maintained sums; a mismatch names its slot as the page. `table`
+    /// names the view's left (parent) table in the error. O(rows); the
+    /// executor only calls this when a fault plane is active.
     pub fn verify_checksums(&self, table: &str) -> RelResult<()> {
-        let fresh = Self::compute_page_sums(&self.rows);
-        if fresh.len() != self.page_sums.len() {
-            return Err(RelError::corrupted(
-                StructureKind::View,
-                table,
-                self.def.name.clone(),
-                fresh.len().min(self.page_sums.len()),
-            ));
+        let mut fresh = SlotSums::default();
+        for (&positions, row) in &self.rows {
+            fresh.fold(position_identity(positions), view_row_hash(positions, row));
         }
-        for (page, (a, b)) in fresh.iter().zip(&self.page_sums).enumerate() {
-            if a != b {
-                return Err(RelError::corrupted(
-                    StructureKind::View,
-                    table,
-                    self.def.name.clone(),
-                    page,
-                ));
-            }
-        }
-        Ok(())
+        self.sums
+            .verify(&fresh, StructureKind::View, table, &self.def.name)
     }
 
     /// Damage materialized row `idx` for corruption testing, without
     /// touching the stored checksums. Returns false when out of range.
     pub fn corrupt_row(&mut self, idx: usize) -> bool {
-        let Some(row) = self.rows.get_mut(idx) else {
+        let Some(row) = self.rows.values_mut().nth(idx) else {
             return false;
         };
         for value in row.iter_mut() {
@@ -233,16 +303,59 @@ impl BuiltView {
         }
     }
 
-    /// Pages occupied by the materialization.
+    /// Pages a scan reads: the rows' bytes.
     pub fn pages(&self) -> usize {
-        crate::storage::pages_for_bytes(self.byte_size)
+        crate::storage::pages_for_bytes(self.row_bytes)
+    }
+
+    /// Bytes the view stores (what a space budget is enforced against):
+    /// its rows and their recorded positions. The key chains are left out:
+    /// they are maintenance state derived from the heaps, outside the
+    /// design the advisor prices (`ViewDef::estimated_bytes`), as the
+    /// statistics accumulators are outside `Database::data_bytes`.
+    pub fn byte_size(&self) -> usize {
+        self.row_bytes + POSITIONS_WIDTH * self.rows.len()
+    }
+}
+
+/// One side's join keys as chains: `heads[key]` is the newest position
+/// with that key and `prev[p]` the one before `p` (`NONE` ends a chain),
+/// so noting a row costs no allocation of its own.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct KeyChains {
+    heads: KeyMap<Value, u32>,
+    prev: Vec<u32>,
+}
+
+/// The end of a key chain.
+const NONE: u32 = u32::MAX;
+
+impl KeyChains {
+    /// Chain the join keys (column `col`) of `rows[from..]`; `from` is the
+    /// number of rows noted so far.
+    fn note(&mut self, rows: &[Row], from: usize, col: usize) {
+        for (position, row) in rows.iter().enumerate().skip(from) {
+            let key = &row[col];
+            let prev = (!key.is_null()).then(|| self.heads.insert(key.clone(), position as u32));
+            self.prev.push(prev.flatten().unwrap_or(NONE));
+        }
+    }
+
+    /// The positions with join key `key` below `below`, newest first.
+    fn below(&self, key: &Value, below: usize) -> impl Iterator<Item = u32> + '_ {
+        let head = self.heads.get(key).copied();
+        let chain = std::iter::successors(head, |&p| {
+            Some(self.prev[p as usize]).filter(|&q| q != NONE)
+        });
+        chain.skip_while(move |&p| p as usize >= below)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Value;
+    use crate::error::RelError;
+    use crate::storage::{mix, CHECKSUM_SLOTS};
 
     fn sample_def() -> ViewDef {
         ViewDef {
@@ -283,10 +396,10 @@ mod tests {
         let view = BuiltView::build(def, &left, &right);
         assert_eq!(view.rows.len(), 2);
         assert_eq!(
-            view.rows[0],
+            view.rows[&(0, 0)],
             vec![Value::Int(1), Value::str("a"), Value::str("x")]
         );
-        assert!(view.byte_size > 0);
+        assert!(view.byte_size() > 0);
     }
 
     #[test]
@@ -317,7 +430,9 @@ mod tests {
                 assert_eq!(kind, StructureKind::View);
                 assert_eq!(table, "parent");
                 assert_eq!(structure, "v");
-                assert_eq!(page, 0);
+                // The slot of the damaged row's positions: left 7, right 7.
+                let slot = mix(position_identity((7, 7))) % CHECKSUM_SLOTS as u64;
+                assert_eq!(page, slot as usize);
             }
             other => panic!("expected corruption, got {other:?}"),
         }

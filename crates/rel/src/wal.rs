@@ -541,9 +541,10 @@ fn dec_table_stats(d: &mut Dec<'_>) -> DecResult<TableStats> {
 
 /// One logical operation in the log. Replaying the sequence of records (in
 /// LSN order) against an empty database reproduces the database state
-/// bit-for-bit — including "stale on purpose" physical structures, since
-/// `ApplyConfig` rebuilds from the heap contents at its position in the
-/// sequence, exactly as the original call did.
+/// bit-for-bit — physical structures included: `ApplyConfig` builds from
+/// the heap contents at its position in the sequence and every later
+/// `InsertRows` maintains them, exactly as the original calls did, so they
+/// equal a full build over the replayed heaps.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// DDL: a table was created.

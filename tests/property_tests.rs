@@ -21,9 +21,9 @@
 //!   fault-plane charges are bit-identical to the oracle at executor
 //!   thread counts 1 and 4, with a thread-invariant heal report;
 //! * the built-set lifecycle: `BuiltSet::build` over arbitrary per-table
-//!   prefixes followed by `catch_up` is bit-identical to a full build for
-//!   every structure kind, and `rebuild_one` undoes any single-structure
-//!   damage;
+//!   prefixes followed by `catch_up` in arbitrary steps is bit-identical to
+//!   a full build for every structure kind, catching up never hides
+//!   damage, and `rebuild_one` undoes any single-structure damage;
 //! * own-write reads: with a design installed and another session
 //!   committing in between, a transaction's read of snapshot + pending
 //!   rows equals a brute-force evaluation and the same query on a fresh
@@ -974,16 +974,18 @@ proptest! {
 
     /// A derived structure is a pure function of a heap prefix, for every
     /// structure kind: building from an arbitrary per-table prefix and
-    /// catching up to the full heaps is bit-identical to building from the
-    /// full heaps — same entries, rows, page checksums and bytes, and the
-    /// same rows + `ExecStats` from an index seek and a view scan at
-    /// executor thread counts 1 and 4. Likewise
-    /// `rebuild_one` after damaging any one structure restores the
-    /// never-damaged set.
+    /// catching up in two or more arbitrary steps — the view's right side
+    /// growing under older left rows, so view rows land between existing
+    /// ones — is bit-identical at every step to a full build over the same
+    /// prefixes: same entries, rows, positions, checksums and bytes, and
+    /// the same rows + `ExecStats` from an index seek and a view scan at
+    /// executor thread counts 1 and 4. Likewise `rebuild_one` after
+    /// damaging any one structure restores the never-damaged set.
     #[test]
     fn built_set_prefix_catch_up_equals_full_build(
         case in arb_heal_case(),
         child_cut in 0u64..u64::MAX,
+        steps in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 1..4),
     ) {
         let (cols, row_seeds, _, parent_cut) = case;
         let types = heal_column_types(&cols);
@@ -992,23 +994,33 @@ proptest! {
         let n = row_seeds.len();
         // A quarter of the watermarks sit at the full heap, so "only the
         // other table grew" is a common case, not a 1-in-n one.
-        let cut_at = |seed: u64| match seed % 4 {
+        let cut_at = |seed: u64, from: usize| match seed % 4 {
             0 => n,
-            _ => (seed / 4) as usize % (n + 1),
+            _ => from + (seed / 4) as usize % (n - from + 1),
         };
-        let cut = |table: TableId| cut_at(if table == parent { parent_cut } else { child_cut });
-        let full_rows = &|table: TableId| Ok(db.heap(table).rows());
+        // Per-table watermarks: the prefix build's, each step's, the heaps'.
+        let mut marks = vec![(cut_at(parent_cut, 0), cut_at(child_cut, 0))];
+        for &(p, c) in &steps {
+            let &(at_p, at_c) = marks.last().expect("a mark");
+            marks.push((cut_at(p, at_p), cut_at(c, at_c)));
+        }
+        marks.push((n, n));
+        let at = |(p, c): (usize, usize)| move |table: TableId| if table == parent { p } else { c };
+        let full_rows = &|table: TableId| db.heap(table).rows();
+        let prefix_build = |mark| {
+            let cut = at(mark);
+            BuiltSet::build(&config, &|table| &db.heap(table).rows()[..cut(table)])
+        };
 
-        let full = BuiltSet::build(&config, full_rows).expect("full build");
-        let mut caught_up = BuiltSet::build(&config, &|table| {
-            Ok(&db.heap(table).rows()[..cut(table)])
-        })
-        .expect("prefix build");
-        let (delta_rows, rebuilt) = caught_up
-            .catch_up(full_rows, &cut)
-            .expect("catch up");
-        prop_assert_eq!(delta_rows, n - cut(parent));
-        prop_assert_eq!(rebuilt, usize::from(cut(parent) < n || cut(child) < n));
+        let full = BuiltSet::build(&config, full_rows);
+        let mut caught_up = prefix_build(marks[0]);
+        let mut delta_rows = 0;
+        for pair in marks.windows(2) {
+            let to = at(pair[1]);
+            delta_rows += caught_up.catch_up(&|table| &db.heap(table).rows()[..to(table)], &at(pair[0]));
+            prop_assert_eq!(&caught_up, &prefix_build(pair[1]));
+        }
+        prop_assert_eq!(delta_rows, n - marks[0].0);
         prop_assert_eq!(&caught_up, &full);
         prop_assert_eq!(caught_up.bytes(), full.bytes());
         let mut verified = 0;
@@ -1027,7 +1039,7 @@ proptest! {
             prop_assert!(damaged != full);
         }
         for (kind, name) in [(StructureKind::Index, "ix0"), (StructureKind::View, "v0")] {
-            damaged.rebuild_one(kind, name, full_rows).expect("rebuild");
+            damaged.rebuild_one(kind, name, full_rows, &|_| Ok(())).expect("rebuild");
         }
         prop_assert_eq!(&damaged, &full);
 
@@ -1066,6 +1078,52 @@ proptest! {
         prop_assert_eq!(from_full, from_caught_up);
         prop_assert_eq!(&from_full[..plans.len()], &from_full[plans.len()..]);
     }
+}
+
+/// An index's pages do not depend on how it was built: after every
+/// catch-up step they are the key-order layout's — 16 bytes of node
+/// overhead per key plus 4 per posting — counted to the page the last
+/// entry starts on, plus one.
+#[test]
+fn index_pages_are_the_key_order_layout() {
+    let rows: Vec<Row> = (0..3000i64)
+        .map(|i| vec![Value::Int(i), Value::str("k".repeat((i * 7 % 40) as usize))])
+        .collect();
+    let def = IndexDef::new("ix", TableId(0), vec![1, 0], vec![]);
+    let mut index = xmlshred::rel::BuiltIndex::build(def, &rows[..100]);
+    for to in [100, 1100, 1101, 3000] {
+        index.extend_from(&rows[..to], index.scan().map(|(_, r)| r.len()).sum());
+        let widths: Vec<usize> = (index.scan())
+            .map(|(key, rows)| key.iter().map(Value::width).sum::<usize>() + 16 + 4 * rows.len())
+            .collect();
+        let last_start = widths.iter().sum::<usize>() - widths[widths.len() - 1];
+        assert_eq!(index.byte_size(), widths.iter().sum::<usize>());
+        assert_eq!(index.pages(), last_start / 8192 + 1, "after {to} rows");
+    }
+    assert!(index.pages() > 1);
+}
+
+/// Damage survives maintenance: an index entry and a view row corrupted
+/// in a prefix build are still reported by `verify_each` after catching up
+/// more rows, since the delta updates the checksums and never recomputes
+/// them from the damaged structure.
+#[test]
+fn catch_up_keeps_reporting_damage() {
+    let seeds: Vec<u64> = (0..200).collect();
+    let (db, parent, child) = load_heal_tables(None, &[(DataType::Int, false)], &seeds);
+    let half = |table: TableId| db.heap(table).len() / 2;
+    let config = heal_config(parent, child);
+    let mut built = BuiltSet::build(&config, &|table| &db.heap(table).rows()[..half(table)]);
+    assert!(built.index_mut("ix0").expect("index").corrupt_entry(3));
+    assert!(built.view_mut("v0").expect("view").corrupt_row(3));
+    assert!(built.catch_up(&|table| db.heap(table).rows(), &half) > 0);
+    let mut reported = Vec::new();
+    built.verify_each(db.catalog(), |kind, result| {
+        if result.is_err() {
+            reported.push(kind);
+        }
+    });
+    assert_eq!(reported, [StructureKind::Index, StructureKind::View]);
 }
 
 // ----------------------------------------------- incremental statistics --
@@ -1143,8 +1201,8 @@ proptest! {
 
     /// Read-your-own-writes is the snapshot prefix followed by the pending
     /// batches in statement order, whatever else the engine holds: a design
-    /// on the written tables (the statement must be planned bare — an index
-    /// would drop the pending rows), rows another
+    /// on the written tables (planned against like any statement's; on
+    /// these one-page tables the optimizer scans), rows another
     /// session committed after `begin`, a table created after `begin`, and
     /// a table written twice. Three independent answers agree: the
     /// transaction's, a brute-force evaluation over the modelled rows, and
