@@ -3,10 +3,10 @@
 //! Drives an [`AdaptiveDb`] with a seeded statement schedule that changes
 //! character halfway through: the first half filters on one column, the
 //! second half on another, with insert batches interleaved throughout
-//! (feeding the incremental statistics path and the tuner's update
-//! loads). The advisor watches the sliding profile, detects the drift,
-//! re-tunes on a background thread, and installs each winning design via
-//! a non-blocking online swap.
+//! (each followed by an `ANALYZE`, and feeding the tuner's update loads).
+//! The advisor watches the sliding profile, detects the drift, re-tunes on
+//! a background thread, and installs each winning design via a
+//! non-blocking online swap.
 //!
 //! Two things are checked and printed:
 //!
@@ -101,13 +101,12 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     let table = db
         .create_table(table_def())
         .map_err(|e| format!("create_table failed: {e}"))?;
-    // Incremental statistics: the insert path below maintains per-column
-    // histograms by delta merge, so the advisor always tunes against
-    // statistics that match the heap bit-for-bit without ever re-scanning.
-    db.set_incremental_stats(true)
-        .map_err(|e| format!("enabling incremental stats failed: {e}"))?;
     db.insert_rows(table, (0..initial_rows).map(make_row))
         .map_err(|e| format!("initial load failed: {e}"))?;
+    // The advisor tunes against statistics of the loaded heap; each later
+    // insert through `AdaptiveDb` analyzes again.
+    db.analyze()
+        .map_err(|e| format!("initial analyze failed: {e}"))?;
 
     let mut adb = AdaptiveDb::new(
         SessionDb::new(db),

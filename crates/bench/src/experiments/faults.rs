@@ -60,7 +60,6 @@ enum Event {
     Create(TableDef),
     Insert(TableId, Vec<Row>),
     Analyze,
-    StatsMode(bool),
     Apply(PhysicalConfig),
     Checkpoint,
     /// Arm a crash `after_writes` WAL frames from now. It fires once.
@@ -78,10 +77,7 @@ enum Event {
 impl Event {
     fn lsns(&self) -> u64 {
         use Event::*;
-        u64::from(matches!(
-            self,
-            Create(_) | Insert(..) | Analyze | StatsMode(_) | Apply(_)
-        ))
+        u64::from(matches!(self, Create(_) | Insert(..) | Analyze | Apply(_)))
     }
 
     /// Apply a logged mutation; the durable run and the oracle share it.
@@ -90,7 +86,6 @@ impl Event {
             Event::Create(def) => db.create_table(def.clone()).map(drop),
             Event::Insert(table, rows) => db.insert_rows(*table, rows.iter().cloned()).map(drop),
             Event::Analyze => db.analyze(),
-            Event::StatsMode(on) => db.set_incremental_stats(*on),
             Event::Apply(config) => db.apply_config(config),
             Event::Checkpoint => db.checkpoint(),
             Event::Crash(..)
@@ -107,8 +102,6 @@ impl Event {
             Event::Create(_) => 'C',
             Event::Insert(..) => 'I',
             Event::Analyze => 'A',
-            Event::StatsMode(true) => 'S',
-            Event::StatsMode(false) => 's',
             Event::Apply(_) => 'D',
             Event::Checkpoint => 'K',
             Event::Crash(..) => 'X',
@@ -529,14 +522,8 @@ fn run_schedule(fx: &Fixture, schedule: &[Event], seed: u64, dir: &Path) -> Resu
     Ok(trace)
 }
 
-/// The statistics mode and every table's statistics equal the oracle's.
+/// Every table's statistics equal the oracle's.
 fn same_stats(db: &Database, oracle: &Database) -> Result<(), String> {
-    let (got, want) = (db.incremental_stats(), oracle.incremental_stats());
-    if got != want {
-        return Err(format!(
-            "incremental statistics {got} where the oracle has {want}"
-        ));
-    }
     match db.all_stats() == oracle.all_stats() {
         true => Ok(()),
         false => Err("table statistics differ from oracle".into()),
@@ -768,31 +755,30 @@ fn mixed_schedule(db: &Database, targets: &Targets, seed: u64) -> Vec<Event> {
     let designs = targets.designs();
     let mut schedule = creates(db);
     let mut load: VecDeque<Event> = inserts(db, |rows| rows).into();
-    let (mut design, mut live, mut incremental) = (2, None, false);
+    let (mut design, mut live) = (2, None);
     let (mut crash, mut armed, mut heap_rows, mut tail) = (None, false, 0, 24);
     while !load.is_empty() || tail > 0 {
         let heap_live = live == Some(StructureKind::Heap);
-        let event = match draw(22) {
+        let event = match draw(21) {
             0..=9 => match load.pop_front() {
                 Some(insert) => insert,
                 None => continue,
             },
             10 | 11 => Event::Checkpoint,
             12 if !heap_live => Event::Analyze,
-            13 if !heap_live => Event::StatsMode(!incremental),
-            14 if live.is_none() => {
+            13 if live.is_none() => {
                 design = draw(3) as usize;
                 Event::Apply(designs[design].1.clone())
             }
-            15 if !armed => Event::Crash(CRASH_KINDS[draw(3) as usize], draw(4)),
+            14 if !armed => Event::Crash(CRASH_KINDS[draw(3) as usize], draw(4)),
             // A derived structure is corrupted once the load is complete,
             // where the statistics make it the workload's preferred path.
-            16 | 17 if live.is_none() && (design == 2 && heap_rows > 0 || load.is_empty()) => {
+            15 | 16 if live.is_none() && (design == 2 && heap_rows > 0 || load.is_empty()) => {
                 Event::Corrupt(designs[design].0, draw(u64::MAX))
             }
-            18 => Event::Heal,
-            19 if crash.is_none() => Event::Restart,
-            20 | 21 if live.is_none() => {
+            17 => Event::Heal,
+            18 if crash.is_none() => Event::Restart,
+            19 | 20 if live.is_none() => {
                 let fault = [StorageFault::Roll, StorageFault::Budget][draw(2) as usize];
                 Event::Storage(fault, draw(u64::MAX))
             }
@@ -807,7 +793,6 @@ fn mixed_schedule(db: &Database, targets: &Targets, seed: u64) -> Vec<Event> {
         }
         match &event {
             Event::Insert(table, rows) if *table == targets.scan_table => heap_rows += rows.len(),
-            Event::StatsMode(on) => incremental = *on,
             Event::Crash(_, after) => (armed, crash) = (true, Some(*after)),
             Event::Corrupt(kind, _) => live = Some(*kind),
             Event::Heal | Event::Restart => live = None,

@@ -45,11 +45,6 @@ pub struct GreedyOptions {
     pub cost_derivation: bool,
     /// Safety bound on greedy rounds.
     pub max_rounds: usize,
-    /// Also evaluate the base (hybrid inlining) mapping and return it when
-    /// the descent's local minimum is worse. The paper suggests starting
-    /// from hybrid inlining in practice (Section 2.2); this keeps the
-    /// recommendation no worse than that baseline.
-    pub compare_with_base: bool,
     /// Worker threads for candidate-move evaluation and tuning fan-out;
     /// `0` = available parallelism. Output is bit-identical for any value:
     /// parallel results are reduced serially in move order.
@@ -75,7 +70,6 @@ impl Default for GreedyOptions {
             candidate_selection: true,
             cost_derivation: true,
             max_rounds: 32,
-            compare_with_base: true,
             threads: 0,
             plan_cache: true,
             deadline: Deadline::none(),
@@ -296,24 +290,23 @@ pub fn greedy_search(ctx: &EvalContext<'_>, options: &GreedyOptions) -> AdvisorO
     }
 
     // Safeguard: never recommend something worse than the tuned base
-    // mapping. Skipped past the deadline — the incumbent stays the best
-    // fully evaluated design.
-    if options.compare_with_base {
-        if bounded && deadline.expired() {
-            stats.deadline_hit = true;
-        } else {
-            let base_eval = evaluate_exact(
-                ctx,
-                base,
-                &mut stats,
-                &oracle,
-                options.threads,
-                deadline,
-                &options.metrics,
-            );
-            if base_eval.total_cost < incumbent.total_cost {
-                incumbent = base_eval;
-            }
+    // (hybrid inlining) mapping, the paper's practical starting point
+    // (Section 2.2). Skipped past the deadline — the incumbent stays the
+    // best fully evaluated design.
+    if bounded && deadline.expired() {
+        stats.deadline_hit = true;
+    } else {
+        let base_eval = evaluate_exact(
+            ctx,
+            base,
+            &mut stats,
+            &oracle,
+            options.threads,
+            deadline,
+            &options.metrics,
+        );
+        if base_eval.total_cost < incumbent.total_cost {
+            incumbent = base_eval;
         }
     }
 

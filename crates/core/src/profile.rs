@@ -358,11 +358,13 @@ impl AdaptiveDb {
         Ok(outcome)
     }
 
-    /// Insert through the profile (feeds the tuner's update loads — and,
-    /// when the engine has incremental statistics on, the stats deltas).
+    /// Insert through the profile (feeds the tuner's update loads), then
+    /// `ANALYZE`, so the tuner and the planner price the rows just
+    /// inserted.
     pub fn insert_rows(&mut self, table: TableId, rows: Vec<Row>) -> RelResult<usize> {
         self.profile.record_insert(table, rows.len());
         let n = self.db.insert_rows(table, rows)?;
+        self.db.analyze()?;
         self.maybe_adapt()?;
         Ok(n)
     }

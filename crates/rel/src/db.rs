@@ -4,7 +4,7 @@
 use crate::built::BuiltSet;
 use crate::catalog::{Catalog, TableDef, TableId};
 use crate::error::{CorruptionEvent, RelError, RelResult, StructureKind};
-use crate::exec::{self, ExecOptions, ExecProfile, ExecStats, SnapshotVisibility, StmtCtx};
+use crate::exec::{self, ExecOptions, ExecProfile, ExecStats, StmtCtx};
 use crate::fault::{backoff_nanos, CrashPoint, FaultConfig, FaultPlane};
 use crate::heal::{HealReport, ScrubReport};
 use crate::index::BuiltIndex;
@@ -13,7 +13,7 @@ use crate::plan::QueryPlan;
 use crate::recovery::{self, RecoveryReport};
 use crate::snapshot::{self, SNAPSHOT_FILE, WAL_FILE};
 use crate::sql::SqlQuery;
-use crate::stats::{ColumnStats, TableStats, TableStatsAccumulator};
+use crate::stats::{ColumnStats, TableStats};
 use crate::storage::{self, TableHeap};
 use crate::types::{Row, Value};
 use crate::view::BuiltView;
@@ -72,14 +72,6 @@ pub struct Database {
     fault: Option<Arc<FaultPlane>>,
     exec: ExecOptions,
     durability: Option<Durability>,
-    /// Incremental statistics maintenance: when on, every insert batch is
-    /// absorbed into per-table accumulators and the table's statistics are
-    /// refreshed in place — bit-identical to a full [`Database::analyze_table`]
-    /// at every point (see [`TableStatsAccumulator`]).
-    incremental_stats: bool,
-    /// Per-table accumulators, indexed by `TableId`; populated only while
-    /// `incremental_stats` is on.
-    accumulators: Vec<TableStatsAccumulator>,
     /// Physical-configuration epoch, bumped whenever the set of built
     /// structures is replaced ([`Database::install`]). Plans are stamped
     /// with the epoch they were planned under and
@@ -220,9 +212,6 @@ impl Database {
                     });
                 std::iter::once(WalRecord::CreateTable(def.clone())).chain(batches)
             })
-            .chain([WalRecord::StatsMode {
-                incremental: self.incremental_stats,
-            }])
             .chain(self.catalog.iter().map(|(id, _)| WalRecord::SetTableStats {
                 table: id,
                 stats: self.stats[id.index()].clone(),
@@ -281,14 +270,6 @@ impl Database {
         let id = self.catalog.add_table(def)?;
         self.heaps.push(TableHeap::new());
         self.stats.push(TableStats::default());
-        if self.incremental_stats {
-            let columns = self
-                .catalog
-                .try_table(id)
-                .map(|d| d.columns.len())
-                .unwrap_or(0);
-            self.accumulators.push(TableStatsAccumulator::new(columns));
-        }
         Ok(id)
     }
 
@@ -388,20 +369,6 @@ impl Database {
                 rows: rows.clone(),
             })?;
         }
-        // Incremental stats: absorb the batch delta *before* the rows move
-        // into the heap, then refresh the table's statistics from the
-        // accumulator. The result is bit-identical to a full
-        // `analyze_table` after this batch (shared histogram construction
-        // over the same sorted value run), so planner behaviour cannot
-        // depend on whether stats arrived incrementally or via a re-scan.
-        if self.incremental_stats {
-            if let Some(acc) = self.accumulators.get_mut(table.index()) {
-                acc.absorb_batch(&rows);
-                if let Some(slot) = self.stats.get_mut(table.index()) {
-                    *slot = acc.to_stats();
-                }
-            }
-        }
         // Both were checked above; the definition is borrowed afresh because
         // logging needed `&mut self` in between.
         let def = self.catalog.try_table(table)?;
@@ -427,43 +394,6 @@ impl Database {
         self.heaps.iter().map(TableHeap::byte_size).sum()
     }
 
-    /// Toggle incremental statistics maintenance on the insert path.
-    ///
-    /// Enabling seeds one accumulator per table from the current heap
-    /// contents (equivalent to a full [`Database::analyze`]) and from then
-    /// on every insert batch merges its per-batch delta instead of
-    /// requiring a re-scan. Disabling drops the accumulators and leaves
-    /// the current statistics in place. The toggle is WAL-logged
-    /// ([`WalRecord::StatsMode`]) so recovery replays the insert suffix in
-    /// the same mode and reproduces the exact pre-crash statistics.
-    ///
-    /// While the mode is on, [`Database::set_table_stats`] overrides are
-    /// transient: the next insert to that table refreshes its statistics
-    /// from the accumulator.
-    pub fn set_incremental_stats(&mut self, incremental: bool) -> RelResult<()> {
-        self.log(&WalRecord::StatsMode { incremental })?;
-        self.incremental_stats = incremental;
-        self.accumulators.clear();
-        if incremental {
-            for (id, def) in self.catalog.iter() {
-                let mut acc = TableStatsAccumulator::new(def.columns.len());
-                if let Some(heap) = self.heaps.get(id.index()) {
-                    acc.absorb_batch(heap.rows());
-                }
-                if let Some(slot) = self.stats.get_mut(id.index()) {
-                    *slot = acc.to_stats();
-                }
-                self.accumulators.push(acc);
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether incremental statistics maintenance is on.
-    pub fn incremental_stats(&self) -> bool {
-        self.incremental_stats
-    }
-
     /// Recompute statistics for every table from the stored data.
     pub fn analyze(&mut self) -> RelResult<()> {
         self.log(&WalRecord::Analyze)?;
@@ -485,36 +415,29 @@ impl Database {
     }
 
     /// The statistics computation behind [`Database::analyze`] /
-    /// [`Database::analyze_table`] (no logging). A foreign id is a no-op.
+    /// [`Database::analyze_table`] (no logging): full statistics of the
+    /// table's heap, a short row reading as `Null` past its end. A foreign
+    /// id is a no-op.
     fn compute_table_stats(&mut self, table: TableId) {
         let (Some(heap), Ok(def)) = (self.heaps.get(table.index()), self.catalog.try_table(table))
         else {
             return;
         };
-        let fresh = table_stats_of(def, heap.rows());
+        let rows = heap.rows();
+        let fresh = TableStats {
+            rows: rows.len() as u64,
+            columns: (0..def.columns.len())
+                .map(|c| {
+                    ColumnStats::build(
+                        rows.iter()
+                            .map(|row| row.get(c).cloned().unwrap_or(Value::Null)),
+                    )
+                })
+                .collect(),
+        };
         if let Some(slot) = self.stats.get_mut(table.index()) {
             *slot = fresh;
         }
-    }
-
-    /// Compute statistics clamped to an MVCC snapshot: each table's
-    /// statistics are built over its *visible row prefix* only, so rows
-    /// committed above the snapshot's watermark can never leak into
-    /// planner estimates made on behalf of that snapshot. Pure — nothing
-    /// is logged or mutated; the caller owns the result (sessions hold it
-    /// privately so one transaction's snapshot-clamped view never changes
-    /// what other sessions plan with).
-    pub fn analyze_snapshot(&self, vis: &SnapshotVisibility) -> Vec<TableStats> {
-        self.catalog
-            .iter()
-            .map(|(id, def)| {
-                let Some(heap) = self.heaps.get(id.index()) else {
-                    return TableStats::default();
-                };
-                let visible = vis.table_rows(id).min(heap.len());
-                table_stats_of(def, &heap.rows()[..visible])
-            })
-            .collect()
     }
 
     /// Install externally derived statistics (the paper derives merged-schema
@@ -706,19 +629,14 @@ impl Database {
     /// What-if: plan (and cost) a query against a hypothetical configuration
     /// without materializing anything.
     pub fn estimate(&self, query: &SqlQuery, config: &OptimizerConfig) -> RelResult<QueryPlan> {
-        self.optimize(query, &self.stats, config)
+        self.optimize(query, config)
     }
 
     /// The one optimizer call: every plan this database makes — what-if or
     /// for execution, library or session — comes through here, so the
     /// advisor prices exactly the planner the engine then runs.
-    fn optimize(
-        &self,
-        query: &SqlQuery,
-        stats: &[TableStats],
-        config: &OptimizerConfig,
-    ) -> RelResult<QueryPlan> {
-        optimizer::plan_query(&self.catalog, stats, config, query)
+    fn optimize(&self, query: &SqlQuery, config: &OptimizerConfig) -> RelResult<QueryPlan> {
+        optimizer::plan_query(&self.catalog, &self.stats, config, query)
     }
 
     /// Estimated size in bytes of a configuration's structures.
@@ -727,25 +645,18 @@ impl Database {
     }
 
     /// Plan a query against the *built* configuration — minus any
-    /// quarantined structures — and stamp the plan with the current
-    /// configuration epoch. The stamp pins the plan/execute handoff: if
+    /// quarantined structures, see [`BuiltSet::planning_config`] — with the
+    /// engine's statistics, and stamp the plan with the current
+    /// configuration epoch. Every statement plans this way: a structure
+    /// answers for any snapshot and any pending rows, so plan choice cannot
+    /// change an answer. The stamp pins the plan/execute handoff: if
     /// a configuration swap lands before [`Database::execute_plan`] runs
     /// the plan, execution fails with the transient
     /// [`RelError::StalePlan`] instead of dereferencing structures the
     /// swap dropped, and the caller replans.
     pub fn plan(&self, query: &SqlQuery) -> RelResult<QueryPlan> {
-        self.plan_stmt(query, &StmtCtx::default())
-    }
-
-    /// Plan one statement: resolve the planning configuration (built,
-    /// minus quarantined structures — see [`BuiltSet::planning_config`]),
-    /// make the optimizer call with the context's statistics, and stamp the
-    /// epoch. Every statement plans against that one configuration: a
-    /// structure answers for any snapshot and any pending rows, so plan
-    /// choice cannot change an answer.
-    fn plan_stmt(&self, query: &SqlQuery, ctx: &StmtCtx) -> RelResult<QueryPlan> {
         let config = self.built.planning_config(&self.quarantined);
-        let mut plan = self.optimize(query, ctx.stats.unwrap_or(&self.stats), &config)?;
+        let mut plan = self.optimize(query, &config)?;
         plan.epoch = self.config_epoch();
         Ok(plan)
     }
@@ -815,7 +726,7 @@ impl Database {
     ) -> RelResult<QueryOutcome> {
         let saved = self.fault_plane().map(|plane| (plane, plane.save()));
         let result = self
-            .plan_stmt(query, ctx)
+            .plan(query)
             .and_then(|plan| self.execute_stmt(plan, ctx));
         if let (Err(err), Some((plane, state))) = (&result, saved) {
             if undo(err) {
@@ -956,22 +867,6 @@ impl Database {
         self.built
             .verify_each(&self.catalog, |kind, result| report.note(kind, result));
         report
-    }
-}
-
-/// Full statistics of `rows` under `def` (a short row reads as `Null`
-/// past its end): the one builder behind every analyze path.
-fn table_stats_of(def: &TableDef, rows: &[Row]) -> TableStats {
-    TableStats {
-        rows: rows.len() as u64,
-        columns: (0..def.columns.len())
-            .map(|c| {
-                ColumnStats::build(
-                    rows.iter()
-                        .map(|row| row.get(c).cloned().unwrap_or(Value::Null)),
-                )
-            })
-            .collect(),
     }
 }
 
@@ -1646,42 +1541,6 @@ mod tests {
             db.execute_plan(pinned).unwrap_err(),
             RelError::StalePlan { .. }
         ));
-    }
-
-    #[test]
-    fn incremental_stats_match_full_analyze_bit_identically() {
-        // Satellite regression: delta merges must reconcile to exactly
-        // what a full re-scan computes — same histograms, same totals.
-        let (mut incremental, _, _) = build_dblp_like(0);
-        incremental.set_incremental_stats(true).unwrap();
-        let (mut full, inproc, author) = build_dblp_like(0);
-        let batches: Vec<i64> = vec![1, 7, 64, 128];
-        let mut next = 0i64;
-        for batch in batches {
-            let rows: Vec<Row> = (next..next + batch)
-                .map(|i| {
-                    vec![
-                        Value::Int(i),
-                        Value::Int(0),
-                        Value::str(format!("Paper {i}")),
-                        Value::str(format!("CONF{}", i % 5)),
-                        Value::Int(1960 + i % 45),
-                    ]
-                })
-                .collect();
-            next += batch;
-            incremental.insert_rows(inproc, rows.clone()).unwrap();
-            full.insert_rows(inproc, rows).unwrap();
-            full.analyze().unwrap();
-            // After every batch, the incrementally maintained statistics
-            // equal a full analyze of the same heap, bit for bit.
-            assert_eq!(incremental.all_stats(), full.all_stats());
-        }
-        let _ = author;
-        // Toggling the mode off and re-analyzing changes nothing.
-        incremental.set_incremental_stats(false).unwrap();
-        incremental.analyze().unwrap();
-        assert_eq!(incremental.all_stats(), full.all_stats());
     }
 
     #[test]

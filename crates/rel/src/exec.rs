@@ -49,7 +49,6 @@ use crate::index::{BuiltIndex, KeyRange};
 use crate::par;
 use crate::plan::{Access, BranchPlan, JoinAlgo, QueryPlan, ScanNode, ViewOutput};
 use crate::sql::Output;
-use crate::stats::TableStats;
 use crate::storage::TableHeap;
 use crate::types::{Row, Value};
 use crate::view::JoinSide;
@@ -134,20 +133,15 @@ impl SnapshotVisibility {
 
 /// Everything that varies per statement, as plain data: one value of this
 /// type replaces what used to be a function-name suffix (`_snapshot`,
-/// `_with_stats`, `_deadline`) on every layer from the session down to the
-/// executor. The default is the library path: live rows, live statistics,
-/// no deadline, no pending rows.
+/// `_deadline`) on every layer from the session down to the executor.
+/// Every statement plans with the engine's statistics. The default is the
+/// library path: live rows, no deadline, no pending rows.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StmtCtx<'a> {
     /// Execute under this MVCC snapshot: every table access is clamped to
     /// the snapshot's visible row prefix — heap rows and index postings by
     /// heap position, view rows by the two positions each records.
     pub snapshot: Option<&'a SnapshotVisibility>,
-    /// Plan with these statistics (table-id order) instead of the engine's
-    /// live ones. Sessions pass snapshot-clamped statistics here (see
-    /// [`Database::analyze_snapshot`]) so a transaction's planner choices
-    /// are a pure function of its snapshot.
-    pub stats: Option<&'a [TableStats]>,
     /// Cooperative cancellation instant: the executor polls it at operator
     /// starts, morsel boundaries, and per-probe in index-nested-loop joins,
     /// raising [`RelError::Timeout`] once passed. A fired deadline aborts

@@ -136,10 +136,6 @@ fn apply_record(
             db.apply_config(&config)?;
         }
         WalRecord::ClearConfig => db.clear_config()?,
-        // Replaying the toggle keeps the insert suffix's statistics
-        // maintenance bit-identical to the pre-crash run (incremental
-        // maintenance equals full analyze by construction).
-        WalRecord::StatsMode { incremental } => db.set_incremental_stats(incremental)?,
         // Markers carry no mutation; `recover` handles their bookkeeping
         // before dispatching here, so these arms are defensive.
         WalRecord::Checkpoint => {}

@@ -50,7 +50,6 @@ use crate::db::{Database, QueryOutcome};
 use crate::error::{RelError, RelResult};
 use crate::exec::{SnapshotVisibility, StmtCtx};
 use crate::sql::SqlQuery;
-use crate::stats::TableStats;
 use crate::storage;
 use crate::types::Row;
 use crate::wal::WalRecord;
@@ -144,7 +143,6 @@ impl SessionDb {
             inner: Arc::clone(&self.inner),
             snapshot,
             writes: Vec::new(),
-            stats: None,
         }
     }
 
@@ -242,12 +240,6 @@ pub struct Transaction {
     snapshot: SnapshotVisibility,
     /// Buffered writes in statement order. A table may appear repeatedly.
     writes: Vec<(TableId, Vec<Row>)>,
-    /// Snapshot-clamped statistics installed by [`Transaction::analyze`],
-    /// used (instead of the engine's live statistics) to plan this
-    /// transaction's snapshot reads. Private to the transaction: the
-    /// shared engine's statistics are never touched, so one session's
-    /// snapshot view cannot skew another session's planning.
-    stats: Option<Vec<TableStats>>,
 }
 
 impl Transaction {
@@ -287,18 +279,6 @@ impl Transaction {
             .sum()
     }
 
-    /// `ANALYZE` clamped to this transaction's snapshot: statistics are
-    /// computed over the visible row prefix of every table, not the live
-    /// heaps, so rows committed after `begin` cannot skew this
-    /// transaction's plans. The result is stored on the transaction and
-    /// used by [`Transaction::query`]; the shared engine's statistics are
-    /// left untouched.
-    pub fn analyze(&mut self) -> RelResult<()> {
-        let engine = read_lock(&self.inner);
-        self.stats = Some(engine.db.analyze_snapshot(&self.snapshot));
-        Ok(())
-    }
-
     /// Execute a query against this transaction's snapshot followed by its
     /// own buffered writes (read-your-own-writes, see the module docs).
     pub fn query(&self, query: &SqlQuery) -> RelResult<QueryOutcome> {
@@ -314,7 +294,6 @@ impl Transaction {
     ) -> RelResult<QueryOutcome> {
         let ctx = StmtCtx {
             snapshot: Some(&self.snapshot),
-            stats: self.stats.as_deref(),
             deadline,
             pending: &self.writes,
         };
@@ -463,36 +442,6 @@ mod tests {
         assert_eq!(sdb.execute(&count_query(t)).unwrap().rows.len(), 0);
         txn.rollback();
         assert_eq!(sdb.execute(&count_query(t)).unwrap().rows.len(), 0);
-    }
-
-    #[test]
-    fn transaction_analyze_clamps_to_snapshot() {
-        let (sdb, t) = session_with_table();
-        sdb.insert_rows(t, vec![vec![Value::Int(1), Value::Int(10)]])
-            .unwrap();
-        let mut txn = sdb.begin();
-        // Rows committed after `begin` must not leak into the
-        // transaction's statistics.
-        sdb.insert_rows(
-            t,
-            (2..100)
-                .map(|i| vec![Value::Int(i), Value::Int(i * 10)])
-                .collect(),
-        )
-        .unwrap();
-        txn.analyze().unwrap();
-        let stats = txn.stats.as_ref().expect("stats installed");
-        assert_eq!(stats[t.index()].rows, 1, "stats see the snapshot prefix");
-        // Bit-identical to analyzing the visible prefix directly.
-        let expected = sdb.with_db(|db| db.analyze_snapshot(&txn.visibility()));
-        assert_eq!(stats, &expected);
-        // Queries still answer from the snapshot, now planned with the
-        // clamped statistics.
-        assert_eq!(txn.query(&count_query(t)).unwrap().rows.len(), 1);
-        // The shared engine's live statistics were not touched: a fresh
-        // session-wide ANALYZE sees all committed rows.
-        sdb.analyze().unwrap();
-        sdb.with_db(|db| assert_eq!(db.all_stats()[t.index()].rows, 99));
     }
 
     #[test]

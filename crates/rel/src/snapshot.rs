@@ -2,12 +2,12 @@
 //!
 //! `snapshot.img` holds the records that rebuild the checkpointed state on
 //! an empty database, in the WAL's own frame format ([`crate::wal`]): one
-//! `CreateTable` per table, its rows as `InsertRows` batches, the
-//! statistics mode, one `SetTableStats` per table, the physical design as
-//! one `ApplyConfig` (when one is built), and a closing `Checkpoint`
-//! marker. Every frame carries the checkpoint's LSN — the database's
-//! `next_lsn` at checkpoint time — so recovery replays the records through
-//! the same `apply_record` as the log, then skips WAL frames below it.
+//! `CreateTable` per table, its rows as `InsertRows` batches, one
+//! `SetTableStats` per table, the physical design as one `ApplyConfig`
+//! (when one is built), and a closing `Checkpoint` marker. Every frame
+//! carries the checkpoint's LSN — the database's `next_lsn` at checkpoint
+//! time — so recovery replays the records through the same `apply_record`
+//! as the log, then skips WAL frames below it.
 //!
 //! Unlike the WAL, whose tail may legitimately be torn, a snapshot is
 //! written through a temp-file + `rename` sequence and must never be
@@ -110,7 +110,6 @@ mod tests {
                     vec![Value::Int(2), Value::Null],
                 ],
             },
-            WalRecord::StatsMode { incremental: true },
             WalRecord::SetTableStats {
                 table: TableId(0),
                 stats: TableStats {
@@ -166,6 +165,25 @@ mod tests {
                 "{case}: {err:?}"
             );
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot written while an incremental statistics mode existed
+    /// carried its toggle as a tag-11 frame. That tag is retired, so such a
+    /// snapshot is rejected whole, like the retired image format.
+    #[test]
+    fn snapshot_with_retired_stats_mode_frame_is_invalid() {
+        let dir = temp_dir("retired");
+        let mut body = 5u64.to_le_bytes().to_vec();
+        body.extend_from_slice(&[11, 1]);
+        let mut bytes = wal::encode_frame(5, &sample_records()[0]);
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&wal::crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        bytes.extend_from_slice(&wal::encode_frame(5, &WalRecord::Checkpoint));
+        fs::write(dir.join(SNAPSHOT_FILE), bytes).unwrap();
+        let err = read_snapshot(&dir).unwrap_err();
+        assert!(matches!(err, RelError::InvalidSnapshot(_)), "{err:?}");
         fs::remove_dir_all(&dir).ok();
     }
 }

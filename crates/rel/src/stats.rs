@@ -7,7 +7,7 @@
 //! [`ColumnStats`] covers all three uniformly.
 
 use crate::expr::FilterOp;
-use crate::types::{Row, Value};
+use crate::types::Value;
 
 /// Number of buckets in equi-depth histograms.
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -77,11 +77,7 @@ impl ColumnStats {
     }
 
     /// Build statistics from a *sorted* non-null value run plus the null
-    /// accounting. This is the single histogram-construction path: both
-    /// [`ColumnStats::build`] and the incremental [`ColumnAccumulator`]
-    /// funnel through it, which is what makes N delta-merges bit-identical
-    /// to one full rebuild (the accumulator maintains the same sorted run a
-    /// full collect-and-sort would produce).
+    /// accounting: [`ColumnStats::build`]'s histogram construction.
     fn from_sorted(rows: u64, nulls: u64, width_sum: usize, non_null: &[Value]) -> Self {
         if non_null.is_empty() {
             return ColumnStats {
@@ -496,131 +492,6 @@ impl TableStats {
     }
 }
 
-// ------------------------------------------------- incremental accumulators --
-
-/// Incremental statistics state for one column: the sorted non-null value
-/// run plus null/width accounting. Absorbing per-batch deltas and then
-/// calling [`ColumnAccumulator::to_stats`] yields *bit-identical* results
-/// to [`ColumnStats::build`] over the concatenation of every batch — merge
-/// order does not matter because the sorted run only depends on the value
-/// multiset, and histogram construction is shared (`from_sorted`).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ColumnAccumulator {
-    rows: u64,
-    nulls: u64,
-    width_sum: usize,
-    /// All non-null values seen so far, sorted ascending.
-    sorted: Vec<Value>,
-}
-
-impl ColumnAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        ColumnAccumulator::default()
-    }
-
-    /// Absorb one batch of values (a per-insert delta). Cost is
-    /// `O(batch log batch + total)`: sort the delta, then one linear merge
-    /// into the existing run.
-    pub fn absorb(&mut self, values: impl Iterator<Item = Value>) {
-        let mut batch: Vec<Value> = Vec::new();
-        for v in values {
-            self.rows += 1;
-            if v.is_null() {
-                self.nulls += 1;
-            } else {
-                self.width_sum += v.width();
-                batch.push(v);
-            }
-        }
-        if batch.is_empty() {
-            return;
-        }
-        batch.sort_unstable();
-        if self.sorted.is_empty() {
-            self.sorted = batch;
-            return;
-        }
-        // Two-pointer merge of the sorted runs. `Value`'s ordering is
-        // total, so the merged run equals a full sort of the combined
-        // multiset element-for-element.
-        let old = std::mem::take(&mut self.sorted);
-        let mut merged = Vec::with_capacity(old.len() + batch.len());
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() && j < batch.len() {
-            if old[i] <= batch[j] {
-                merged.push(old[i].clone());
-                i += 1;
-            } else {
-                merged.push(batch[j].clone());
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&old[i..]);
-        merged.extend_from_slice(&batch[j..]);
-        self.sorted = merged;
-    }
-
-    /// Materialize the statistics for everything absorbed so far.
-    pub fn to_stats(&self) -> ColumnStats {
-        ColumnStats::from_sorted(self.rows, self.nulls, self.width_sum, &self.sorted)
-    }
-
-    /// Bytes held by the sorted run (memory accounting for observability).
-    pub fn byte_size(&self) -> usize {
-        self.sorted.iter().map(Value::width).sum()
-    }
-}
-
-/// Incremental statistics for one table: one [`ColumnAccumulator`] per
-/// catalog column. Maintained by the insert path when incremental stats
-/// are enabled, so the planner always sees statistics equal to a full
-/// `analyze_table` without ever re-scanning the heap.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TableStatsAccumulator {
-    rows: u64,
-    columns: Vec<ColumnAccumulator>,
-}
-
-impl TableStatsAccumulator {
-    /// An empty accumulator for a table with `columns` columns.
-    pub fn new(columns: usize) -> Self {
-        TableStatsAccumulator {
-            rows: 0,
-            columns: (0..columns).map(|_| ColumnAccumulator::new()).collect(),
-        }
-    }
-
-    /// Absorb one inserted row batch, column by column. Missing cells are
-    /// absorbed as NULL, mirroring the full-analyze path.
-    pub fn absorb_batch(&mut self, rows: &[Row]) {
-        self.rows += rows.len() as u64;
-        for (c, acc) in self.columns.iter_mut().enumerate() {
-            acc.absorb(
-                rows.iter()
-                    .map(|row| row.get(c).cloned().unwrap_or(Value::Null)),
-            );
-        }
-    }
-
-    /// Materialize [`TableStats`] for everything absorbed so far.
-    pub fn to_stats(&self) -> TableStats {
-        TableStats {
-            rows: self.rows,
-            columns: self
-                .columns
-                .iter()
-                .map(ColumnAccumulator::to_stats)
-                .collect(),
-        }
-    }
-
-    /// Rows absorbed so far.
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,73 +714,5 @@ mod derive_tests {
         let empty = ColumnStats::empty();
         assert_eq!(a.merge(&empty).rows, 10);
         assert_eq!(empty.merge(&a).rows, 10);
-    }
-}
-
-#[cfg(test)]
-mod accumulator_tests {
-    use super::*;
-
-    #[test]
-    fn delta_merges_equal_full_build() {
-        // Mixed types-per-column never happens in practice, but nulls,
-        // duplicates, and skew all do; batch boundaries are adversarial.
-        let values: Vec<Value> = (0..500)
-            .map(|i| match i % 7 {
-                0 => Value::Null,
-                1 | 2 => Value::Int(i % 13),
-                _ => Value::Int(997 - i),
-            })
-            .collect();
-        let full = ColumnStats::build(values.iter().cloned());
-        for batch_size in [1usize, 3, 16, 499, 500] {
-            let mut acc = ColumnAccumulator::new();
-            for chunk in values.chunks(batch_size) {
-                acc.absorb(chunk.iter().cloned());
-            }
-            assert_eq!(acc.to_stats(), full, "batch_size={batch_size}");
-        }
-    }
-
-    #[test]
-    fn accumulator_matches_strings_and_empty_batches() {
-        let values: Vec<Value> = ["b", "a", "c", "a", "z", "m"]
-            .iter()
-            .map(Value::str)
-            .collect();
-        let mut acc = ColumnAccumulator::new();
-        acc.absorb(std::iter::empty());
-        for v in &values {
-            acc.absorb(std::iter::once(v.clone()));
-        }
-        acc.absorb(std::iter::empty());
-        assert_eq!(acc.to_stats(), ColumnStats::build(values.into_iter()));
-    }
-
-    #[test]
-    fn table_accumulator_matches_per_column_build() {
-        let rows: Vec<Row> = (0..100)
-            .map(|i| {
-                vec![
-                    Value::Int(i),
-                    if i % 5 == 0 {
-                        Value::Null
-                    } else {
-                        Value::str(format!("v{}", i % 9))
-                    },
-                ]
-            })
-            .collect();
-        let mut acc = TableStatsAccumulator::new(2);
-        for chunk in rows.chunks(7) {
-            acc.absorb_batch(chunk);
-        }
-        let expected = TableStats {
-            rows: rows.len() as u64,
-            columns: (0..2)
-                .map(|c| ColumnStats::build(rows.iter().map(|r| r[c].clone())))
-                .collect(),
-        };
-        assert_eq!(acc.to_stats(), expected);
     }
 }

@@ -311,8 +311,7 @@ impl BuiltView {
     /// Bytes the view stores (what a space budget is enforced against):
     /// its rows and their recorded positions. The key chains are left out:
     /// they are maintenance state derived from the heaps, outside the
-    /// design the advisor prices (`ViewDef::estimated_bytes`), as the
-    /// statistics accumulators are outside `Database::data_bytes`.
+    /// design the advisor prices (`ViewDef::estimated_bytes`).
     pub fn byte_size(&self) -> usize {
         self.row_bytes + POSITIONS_WIDTH * self.rows.len()
     }

@@ -596,15 +596,6 @@ pub enum WalRecord {
         /// Session-assigned transaction id.
         txn: u64,
     },
-    /// Incremental statistics maintenance was toggled. Logged so recovery
-    /// replays the insert suffix in the same stats mode the live database
-    /// used: incremental maintenance is bit-identical to full analyze by
-    /// construction, so replaying the toggle plus the inserts reproduces
-    /// the exact pre-crash statistics.
-    StatsMode {
-        /// Whether incremental maintenance is on after this record.
-        incremental: bool,
-    },
 }
 
 const TAG_CREATE_TABLE: u8 = 1;
@@ -617,7 +608,8 @@ const TAG_CLEAR_CONFIG: u8 = 7;
 const TAG_CHECKPOINT: u8 = 8;
 const TAG_TXN_BEGIN: u8 = 9;
 const TAG_TXN_COMMIT: u8 = 10;
-const TAG_STATS_MODE: u8 = 11;
+// Tag 11 once toggled a retired incremental statistics mode. It stays
+// reserved and is never reused: a frame carrying it decodes as a bad tag.
 
 impl WalRecord {
     fn encode_into(&self, e: &mut Enc) {
@@ -658,10 +650,6 @@ impl WalRecord {
                 e.u8(TAG_TXN_COMMIT);
                 e.u64(*txn);
             }
-            WalRecord::StatsMode { incremental } => {
-                e.u8(TAG_STATS_MODE);
-                e.u8(u8::from(*incremental));
-            }
         }
     }
 
@@ -689,9 +677,6 @@ impl WalRecord {
             TAG_CHECKPOINT => WalRecord::Checkpoint,
             TAG_TXN_BEGIN => WalRecord::TxnBegin { txn: d.u64()? },
             TAG_TXN_COMMIT => WalRecord::TxnCommit { txn: d.u64()? },
-            TAG_STATS_MODE => WalRecord::StatsMode {
-                incremental: d.u8()? != 0,
-            },
             tag => {
                 return Err(DecodeError::BadTag {
                     what: "record",
@@ -999,8 +984,6 @@ mod tests {
             WalRecord::Checkpoint,
             WalRecord::TxnBegin { txn: 3 },
             WalRecord::TxnCommit { txn: 3 },
-            WalRecord::StatsMode { incremental: true },
-            WalRecord::StatsMode { incremental: false },
         ]
     }
 
@@ -1248,6 +1231,20 @@ mod tests {
             WalRecord::decode(&mut Dec::new(&e.0)),
             Err(DecodeError::TrailingBytes {
                 context: "record payload"
+            })
+        );
+    }
+
+    /// Tag 11 belonged to a record that toggled a retired incremental
+    /// statistics mode. A log or snapshot still holding one reads like any
+    /// damaged frame.
+    #[test]
+    fn retired_stats_mode_tag_is_a_bad_tag() {
+        assert_eq!(
+            WalRecord::decode(&mut Dec::new(&[11, 1])),
+            Err(DecodeError::BadTag {
+                what: "record",
+                tag: 11
             })
         );
     }

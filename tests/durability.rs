@@ -162,6 +162,30 @@ fn checkpoint_snapshot_carries_physical_config_through_recovery() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Statistics change only through `ANALYZE` and installed statistics, so
+/// rows inserted after the last `ANALYZE` leave them stale. A checkpoint
+/// carries them as they are: recovery restores the snapshot's statistics
+/// frames, not a fresh analyze of the restored rows.
+#[test]
+fn checkpoint_carries_stale_statistics_through_recovery() {
+    let dir = temp_dir("stale-stats");
+    let mut db = Database::create_durable(&dir).expect("create durable");
+    let t = db.create_table(parent_def()).expect("create table");
+    db.insert_rows(t, (0..40).map(parent_row)).expect("load");
+    db.analyze().expect("analyze");
+    db.insert_rows(t, (40..60).map(parent_row)).expect("insert");
+    db.checkpoint().expect("checkpoint");
+    let live = db.all_stats().to_vec();
+    assert_eq!(live[t.index()].rows, 40, "inserts leave statistics stale");
+    drop(db);
+
+    let (db, report) = Database::open_durable(&dir).expect("recover");
+    assert!(report.snapshot_loaded);
+    assert_eq!(db.heap(t).len(), 60);
+    assert_eq!(db.all_stats(), live, "recovered stats differ from live");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn bit_flip_crash_never_resurrects_a_corrupt_frame() {
     let dir = temp_dir("bit-flip");

@@ -411,7 +411,6 @@ use xmlshred::rel::{CrashKind, CrashPoint, RelError};
 enum DurOp {
     Insert(Vec<Row>),
     Analyze,
-    StatsMode(bool),
     Checkpoint,
 }
 
@@ -452,7 +451,7 @@ fn arb_durability_case() -> impl Strategy<Value = (TableDef, Vec<DurOp>, u64, Cr
     (
         proptest::collection::vec((0u8..3, proptest::bool::ANY), 1..4),
         proptest::collection::vec(
-            (0u8..6, proptest::collection::vec(0u64..u64::MAX, 1..6)),
+            (0u8..5, proptest::collection::vec(0u64..u64::MAX, 1..6)),
             1..10,
         ),
         0u64..u64::MAX,
@@ -491,8 +490,6 @@ fn arb_durability_case() -> impl Strategy<Value = (TableDef, Vec<DurOp>, u64, Cr
                 .map(|(sel, row_seeds)| {
                     if sel == 4 {
                         DurOp::Analyze
-                    } else if sel == 5 {
-                        DurOp::StatsMode(row_seeds[0].is_multiple_of(2))
                     } else {
                         let rows = row_seeds
                             .into_iter()
@@ -605,7 +602,6 @@ proptest! {
                     oracle.insert_rows(table, rows.iter().cloned()).expect("oracle insert");
                 }
                 DurOp::Analyze => oracle.analyze().expect("oracle analyze"),
-                DurOp::StatsMode(on) => oracle.set_incremental_stats(*on).expect("oracle mode"),
                 DurOp::Checkpoint => {}
             }
         }
@@ -630,7 +626,6 @@ proptest! {
                 match op {
                     DurOp::Insert(rows) => db.insert_rows(table, rows.iter().cloned()).map(|_| ()),
                     DurOp::Analyze => db.analyze(),
-                    DurOp::StatsMode(on) => db.set_incremental_stats(*on),
                     DurOp::Checkpoint => db.checkpoint(),
                 }
             };
@@ -671,19 +666,12 @@ proptest! {
                     }
                     lsn_idx += 1;
                 }
-                DurOp::StatsMode(on) => {
-                    if lsn_idx >= committed {
-                        db.set_incremental_stats(*on).expect("resume stats mode");
-                    }
-                    lsn_idx += 1;
-                }
             }
         }
 
         // The recovered-and-resumed database equals the uncrashed oracle.
         prop_assert_eq!(db.heap(table).rows(), oracle.heap(table).rows());
         prop_assert_eq!(db.table_stats(table), oracle.table_stats(table));
-        prop_assert_eq!(db.incremental_stats(), oracle.incremental_stats());
 
         // And that state is itself durable: a clean reopen replays to the
         // same place with nothing to discard.
@@ -692,7 +680,6 @@ proptest! {
         prop_assert_eq!(report.frames_discarded, 0);
         prop_assert_eq!(db.heap(table).rows(), oracle.heap(table).rows());
         prop_assert_eq!(db.table_stats(table), oracle.table_stats(table));
-        prop_assert_eq!(db.incremental_stats(), oracle.incremental_stats());
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -1124,72 +1111,6 @@ fn catch_up_keeps_reporting_damage() {
         }
     });
     assert_eq!(reported, [StructureKind::Index, StructureKind::View]);
-}
-
-// ----------------------------------------------- incremental statistics --
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Incremental statistics maintenance is exact: absorbing N arbitrary
-    /// insert batches yields statistics bit-identical to one full
-    /// `analyze` over the same rows — histograms, distinct counts, and
-    /// `non_null` totals — for arbitrary values (NULLs and strings
-    /// included) and arbitrary batch boundaries.
-    #[test]
-    fn incremental_stats_equal_full_analyze(
-        rows in proptest::collection::vec(
-            (-50i64..50, proptest::bool::ANY, "[a-z]{0,6}", proptest::bool::ANY),
-            0..300,
-        ),
-        cuts in proptest::collection::vec(0usize..300, 0..8),
-    ) {
-        use xmlshred::rel::catalog::{ColumnDef, TableDef};
-        use xmlshred::rel::db::Database;
-        use xmlshred::rel::types::DataType;
-
-        let def = || TableDef::new("t", vec![
-            ColumnDef::new("a", DataType::Int).nullable(),
-            ColumnDef::new("b", DataType::Str).nullable(),
-        ]);
-        let all: Vec<Vec<Value>> = rows
-            .iter()
-            .map(|(i, int_null, s, str_null)| vec![
-                if *int_null { Value::Null } else { Value::Int(*i) },
-                if *str_null { Value::Null } else { Value::str(s.clone()) },
-            ])
-            .collect();
-
-        let mut incremental = Database::new();
-        let ti = incremental.create_table(def()).unwrap();
-        incremental.set_incremental_stats(true).unwrap();
-        let mut full = Database::new();
-        let tf = full.create_table(def()).unwrap();
-
-        // Split the rows at the sorted, deduped, clamped cut points.
-        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(rows.len())).collect();
-        bounds.push(0);
-        bounds.push(rows.len());
-        bounds.sort_unstable();
-        bounds.dedup();
-        for pair in bounds.windows(2) {
-            let batch = all[pair[0]..pair[1]].to_vec();
-            incremental.insert_rows(ti, batch.clone()).unwrap();
-            full.insert_rows(tf, batch).unwrap();
-            // After every delta merge the incrementally maintained
-            // statistics equal a full re-scan, bit for bit.
-            full.analyze().unwrap();
-            prop_assert_eq!(incremental.all_stats(), full.all_stats());
-        }
-        full.analyze().unwrap();
-        prop_assert_eq!(incremental.all_stats(), full.all_stats());
-        // Histogram totals reconcile exactly to the non-null count.
-        for stats in incremental.all_stats() {
-            for col in &stats.columns {
-                prop_assert_eq!(col.consistency_error(), None);
-            }
-        }
-    }
 }
 
 // ------------------------------------------------------ own-write reads --

@@ -489,7 +489,6 @@ fn failed_attempts_leave_no_trace_on_the_fault_plane() {
         lsn: 0,
         visible: vec![db.heap(inproc).len(), db.heap(author).len()],
     };
-    let stats = db.analyze_snapshot(&vis);
     let pending = [(inproc, vec![pub_row(600, "CONF7")])];
     let deadline = Some(std::time::Instant::now());
     let timeouts = [
@@ -509,21 +508,11 @@ fn failed_attempts_leave_no_trace_on_the_fault_plane() {
             },
         ),
         (
-            "snapshot+stats",
-            StmtCtx {
-                snapshot: Some(&vis),
-                stats: Some(&stats),
-                deadline,
-                ..StmtCtx::default()
-            },
-        ),
-        (
             "snapshot+pending",
             StmtCtx {
                 snapshot: Some(&vis),
                 deadline,
                 pending: &pending,
-                ..StmtCtx::default()
             },
         ),
     ];
