@@ -1,5 +1,5 @@
-//! Regenerate the paper's tables and figures, and run the engine's
-//! determinism matrices.
+//! Regenerate the paper's tables and figures, run the engine's
+//! determinism matrices, and check their pinned hashes.
 //!
 //! ```sh
 //! cargo run --release -p xmlshred-bench --bin reproduce -- all
@@ -7,6 +7,7 @@
 //! XMLSHRED_SCALE=0.2 cargo run --release -p xmlshred-bench --bin reproduce -- fig7
 //! cargo run --release -p xmlshred-bench --bin reproduce -- figures --threads 1
 //! cargo run --release -p xmlshred-bench --bin reproduce -- faults --seed 3 --points 1
+//! cargo run --release -p xmlshred-bench --bin reproduce -- pins heal faults
 //! ```
 //!
 //! Experiments: `table1`, `motivating`, `fig4`/`fig5`/`fig6` (one shared
@@ -16,17 +17,23 @@
 //! `--scale X` (or `XMLSHRED_SCALE`) scales the datasets; normalized
 //! figures are scale-stable. `--threads N` and `--no-plan-cache` shape the
 //! advisor search and `--exec-threads N` the executor; none changes a
-//! recommendation, an answer or a measured cost, and every closing hash
-//! line (`figures`, `crash`/`heal`/`faults` matrix, `soak`, `serve`,
-//! `adapt`, `exec` sweep) is identical across them. `--deadline-ms N` arms
-//! an anytime deadline on the evaluation runs. `--seed`, `--points` and
-//! `--ops` are one flag each across the seeded experiments, each with the
+//! recommendation, an answer or a measured cost, so no closing hash line
+//! (`figures`, `crash`/`heal`/`faults` matrix, `soak`, `serve`, `adapt`,
+//! `exec` sweep) moves with them. `--deadline-ms N` arms an anytime
+//! deadline on the evaluation runs. `--seed`, `--points` and `--ops` are
+//! one flag each across the seeded experiments, each with the
 //! experiment's own default; `--data-dir PATH` keeps a matrix's per-cell
 //! databases and reports, `--list-cells` lists its cells without running
-//! them, and `--metrics-out`, `--serve-clients` and `--adapt-window` belong
-//! to `profile`, `serve` and `adapt` ([`RunOptions`] documents every knob).
-//! Timings here are for reading, not for gating: the repo's one benchmark
-//! is `perf/` (see `perf/README.md`).
+//! them, and `--metrics-out` belongs to `profile` ([`RunOptions`]
+//! documents every knob). Timings here are for reading, not for gating:
+//! the repo's one benchmark is `perf/` (see `perf/README.md`).
+//!
+//! `reproduce pins [name…] [--data-dir DIR]` checks the hashes pinned in
+//! the working directory's `PINS` file (all of them when no name is
+//! given): it reruns this binary once per variant of each entry and exits
+//! nonzero on any hash that differs from its pin or from another variant
+//! ([`xmlshred_bench::pins`]). Under `--data-dir` each run keeps its
+//! stdout and its data directory in `DIR/<name>-<variant>`.
 //!
 //! A flag whose value is missing or does not parse, and any argument after
 //! the experiment name that is not a known flag, is an error naming it.
@@ -69,6 +76,17 @@ fn fail(message: &str) -> ! {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let data_dir = take_value::<String>(&mut args, "--data-dir", PATH);
+    if args.first().is_some_and(|a| a == "pins") {
+        let names = &args[1..];
+        if let Some(flag) = names.iter().find(|a| a.starts_with('-')) {
+            fail(&format!("unknown argument '{flag}'"));
+        }
+        if let Err(message) = xmlshred_bench::pins::run(names, data_dir.as_deref()) {
+            fail(&message);
+        }
+        return;
+    }
     let mut scale = BenchScale::from_env().unwrap_or_else(|m| fail(&m));
     if let Some(s) = take_value::<f64>(&mut args, "--scale", NUMBER) {
         scale = BenchScale::try_new(s).unwrap_or_else(|m| fail(&format!("--scale: {m}")));
@@ -95,13 +113,13 @@ fn main() {
         list_cells = true;
         args.remove(pos);
     }
-    let data_dir = take_value::<String>(&mut args, "--data-dir", PATH);
-    let serve_clients = take_value::<usize>(&mut args, "--serve-clients", UNSIGNED);
-    let adapt_window = take_value::<usize>(&mut args, "--adapt-window", UNSIGNED).unwrap_or(64);
     if let Some(extra) = args.get(1) {
         fail(&format!("unknown argument '{extra}'"));
     }
     let experiment = args.first().map(String::as_str).unwrap_or("all");
+    if experiment == "pins" {
+        fail("pins takes pin names and --data-dir only");
+    }
 
     println!(
         "xmlshred reproduction harness — experiment '{experiment}', scale {:.2}, threads {}, exec-threads {}, plan cache {}",
@@ -128,8 +146,6 @@ fn main() {
         metrics_out,
         data_dir,
         list_cells,
-        serve_clients,
-        adapt_window,
     };
     if let Some(ms) = deadline_ms {
         println!("anytime deadline: {ms}ms per search");

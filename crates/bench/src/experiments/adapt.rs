@@ -16,9 +16,10 @@
 //!   drops when the advisor installed a design for the new phase.
 //! * **Determinism** — the `adapt hash` folds every query answer, every
 //!   drift decision, every installed configuration fingerprint, and the
-//!   probe costs. It is a pure function of `(scale, seed, ops, window)` —
-//!   decay is statement-count-based and the tuner is thread-invariant —
-//!   so CI diffs it across `--exec-threads` values.
+//!   probe costs. It is a pure function of `(scale, seed, ops)` — decay
+//!   is statement-count-based and the tuner is thread-invariant — so it
+//!   must not move with `--exec-threads`; the repository's `PINS` file
+//!   pins it.
 
 use crate::experiments::RunOptions;
 use crate::harness::{fold, fold_answer, mix, render_table, BenchScale};
@@ -28,6 +29,9 @@ use xmlshred_rel::{
     TableDef, TableId, Value,
 };
 
+/// Statements per drift-check window, and the statements the profile
+/// must hold before the first check.
+const WINDOW: u64 = 64;
 /// Distinct values in the first-phase filter column `a`.
 const A_CARD: i64 = 50;
 /// Distinct values in the second-phase filter column `b`.
@@ -78,21 +82,16 @@ fn probe_shifted(db: &SessionDb, table: TableId) -> Result<(f64, u64), String> {
 }
 
 /// Run the adapt scenario: seeded shifting workload, advisor loop,
-/// convergence check, and the CI-diffed `adapt hash`.
+/// convergence check, and the pinned `adapt hash`.
 pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     let seed = opts.seed.unwrap_or(5);
-    let window = if opts.adapt_window == 0 {
-        64
-    } else {
-        opts.adapt_window
-    };
     let ops = opts
         .ops
         .unwrap_or_else(|| ((scale.0 * 512.0) as usize).max(256));
     let shift_at = ops / 2;
     let initial_rows = ((scale.0 * 2048.0) as i64).max(512);
     println!(
-        "\n=== Online adaptation bench (seed {seed}, {ops} stmts, window {window}, \
+        "\n=== Online adaptation bench (seed {seed}, {ops} stmts, window {WINDOW}, \
          shift at {shift_at}) ==="
     );
 
@@ -111,15 +110,15 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     let mut adb = AdaptiveDb::new(
         SessionDb::new(db),
         ProfileOptions {
-            window: window as u64,
-            min_statements: window as u64,
+            window: WINDOW,
+            min_statements: WINDOW,
             seed,
             drift_threshold: 0.25,
             ..ProfileOptions::default()
         },
     );
 
-    let mut hash = mix(seed ^ ops as u64 ^ (window as u64) << 32);
+    let mut hash = mix(seed ^ ops as u64 ^ WINDOW << 32);
     let mut next_id = initial_rows;
     let mut pre = None;
     for i in 0..ops {

@@ -7,7 +7,8 @@
 //! prints per-thread wall-clock times (the only thing allowed to differ),
 //! the per-operator timing breakdown, and a combined `exec sweep hash` over
 //! all deterministic outputs — two invocations with different
-//! `--exec-threads` must print the same hash, which CI checks.
+//! `--exec-threads` must print the same hash, which its `PINS` entry
+//! checks.
 
 use crate::experiments::RunOptions;
 use crate::harness::{

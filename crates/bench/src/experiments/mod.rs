@@ -1,4 +1,8 @@
-//! The paper's experiments, one module per table/figure group.
+//! The paper's experiments, one module per table/figure group, and the
+//! engine's determinism matrices. Each closing `… hash:` line that a
+//! contract rests on is pinned once, in the repository's `PINS` file,
+//! with the variants (thread counts) that must all print it;
+//! [`crate::pins`] checks them (`reproduce pins`).
 
 pub mod ablations;
 pub mod adapt;
@@ -47,7 +51,8 @@ pub struct RunOptions {
     pub points: Option<usize>,
     /// Operations per client in `soak`, statements in `adapt` (`--ops`;
     /// default derived from the scale). The `adapt` workload shifts at the
-    /// midpoint.
+    /// midpoint, and the printed `adapt hash` is a pure function of
+    /// `(scale, seed, ops)`.
     pub ops: Option<usize>,
     /// Executor knobs (`--exec-threads`): morsel worker threads for query
     /// execution. Results and measured costs are identical for any value;
@@ -68,13 +73,6 @@ pub struct RunOptions {
     /// `heal` its corruption site, `faults` its schedule, one letter per
     /// event.
     pub list_cells: bool,
-    /// Extra client count for the `serve` sweep (`--serve-clients`):
-    /// appended to the built-in 1/4/8 sweep when not already covered.
-    pub serve_clients: Option<usize>,
-    /// Statements per drift-check window for the `adapt` scenario
-    /// (`--adapt-window`); 0 is treated as the default 64. The printed
-    /// `adapt hash` is a pure function of `(scale, seed, ops, window)`.
-    pub adapt_window: usize,
 }
 
 impl RunOptions {

@@ -1,10 +1,10 @@
 //! `serve`: multi-session SQL server benchmark.
 //!
 //! Spawns a [`xmlshred_rel::Server`] on an ephemeral port and drives it
-//! with N concurrent client connections (N swept over 1, 4, 8, plus
-//! `--serve-clients` when not already covered), each running the same
-//! deterministic mixed read/write workload: three autocommitted
-//! single-row inserts followed by one snapshot read, repeated. Per-cell
+//! with N concurrent client connections (N swept over 1, 4, 8), each
+//! running the same deterministic mixed read/write workload: three
+//! autocommitted single-row inserts followed by one snapshot read,
+//! repeated. Every database executes with `--exec-threads`. Per-cell
 //! output is p50/p99 operation latency and throughput.
 //!
 //! The single-client cell is additionally replayed through the library
@@ -13,8 +13,8 @@
 //! hash over every query's rows plus the final table scan must be
 //! bit-identical. That is the end-to-end contract that the session layer
 //! (snapshot execution, wire codec, autocommit watermarking) does not
-//! change what a query returns; the printed `serve hash` line is stable
-//! across invocations, which CI diffs.
+//! change what a query returns. The printed `serve hash` line must not
+//! move with `--exec-threads`; the repository's `PINS` file pins it.
 
 use crate::experiments::RunOptions;
 use crate::harness::{fmt_duration, render_table, BenchScale};
@@ -22,12 +22,12 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 use xmlshred_rel::{
-    Client, ClientOptions, ColumnDef, DataType, Database, Filter, FilterOp, Output, Row,
-    SelectQuery, Server, ServerOptions, SessionDb, SqlQuery, TableDef, TableId, Value,
+    Client, ClientOptions, ColumnDef, DataType, Database, ExecOptions, Filter, FilterOp, Output,
+    Row, SelectQuery, Server, ServerOptions, SessionDb, SqlQuery, TableDef, TableId, Value,
 };
 
-/// Client counts swept; `--serve-clients N` is appended when not covered.
-/// The single-client cell doubles as the library-parity check.
+/// Client counts swept. The single-client cell doubles as the
+/// library-parity check.
 const SWEEP: [usize; 3] = [1, 4, 8];
 
 /// One benchmark operation, pre-generated so the serve path and the
@@ -89,6 +89,13 @@ fn client_ops(client: usize, ops: usize, table: TableId) -> Vec<Op> {
         .collect()
 }
 
+/// An empty in-memory database executing with `exec`.
+fn database(exec: ExecOptions) -> Database {
+    let mut db = Database::new();
+    db.set_exec_options(exec);
+    db
+}
+
 /// Nearest-rank percentile over an ascending-sorted latency vector.
 fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -103,8 +110,8 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// measurements plus the deterministic fingerprint (client 0's query rows
 /// chained with the final table scan — only meaningful at one client,
 /// where the interleaving is fixed).
-fn run_cell(clients: usize, ops: usize) -> Result<(CellResult, u64), String> {
-    let sdb = SessionDb::new(Database::new());
+fn run_cell(clients: usize, ops: usize, exec: ExecOptions) -> Result<(CellResult, u64), String> {
+    let sdb = SessionDb::new(database(exec));
     let table = sdb
         .create_table(kv_table("serve_kv"))
         .map_err(|e| format!("create_table failed: {e}"))?;
@@ -193,8 +200,8 @@ fn run_cell(clients: usize, ops: usize) -> Result<(CellResult, u64), String> {
 /// Replay client 0's operation sequence against a plain [`Database`] —
 /// no session layer, no server — and fingerprint it the same way the
 /// serve path does. Must equal the single-client serve fingerprint.
-fn library_replay(ops: usize) -> Result<u64, String> {
-    let mut db = Database::new();
+fn library_replay(ops: usize, exec: ExecOptions) -> Result<u64, String> {
+    let mut db = database(exec);
     let table = db
         .create_table(kv_table("serve_kv"))
         .map_err(|e| format!("replay create_table failed: {e}"))?;
@@ -228,11 +235,11 @@ fn library_replay(ops: usize) -> Result<u64, String> {
 /// that the clients' seeded backoff absorbs — so rejections are (a)
 /// observed, (b) bounded by the retries that absorbed them, and (c) free:
 /// every insert still commits exactly once.
-fn overload_cell() -> Result<(), String> {
+fn overload_cell(exec: ExecOptions) -> Result<(), String> {
     const CLIENTS: usize = 6;
     const MAX_ROUNDS: usize = 50;
 
-    let sdb = SessionDb::new(Database::new());
+    let sdb = SessionDb::new(database(exec));
     let table = sdb
         .create_table(kv_table("serve_kv"))
         .map_err(|e| format!("overload create_table failed: {e}"))?;
@@ -378,26 +385,20 @@ fn overload_cell() -> Result<(), String> {
 }
 
 /// Run the serve benchmark: sweep client counts, assert library parity at
-/// one client, print the latency table and the CI-checked `serve hash`.
+/// one client, print the latency table and the pinned `serve hash`.
 pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
-    let mut sweep: Vec<usize> = SWEEP.to_vec();
-    if let Some(n) = opts.serve_clients {
-        if n > 0 && !sweep.contains(&n) {
-            sweep.push(n);
-        }
-    }
     // Ops per client scale with the fixture scale, rounded to a multiple
     // of four so every client runs the same insert/read mix.
     let ops = (((scale.0 * 256.0) as usize).max(64) / 4) * 4;
     println!(
         "\n=== Multi-session serve bench ({} ops/client, clients {:?}) ===",
-        ops, sweep
+        ops, SWEEP
     );
 
     let mut cells = Vec::new();
     let mut single_hash = None;
-    for &clients in &sweep {
-        let (cell, fingerprint) = run_cell(clients, ops)?;
+    for clients in SWEEP {
+        let (cell, fingerprint) = run_cell(clients, ops, opts.exec)?;
         if clients == 1 {
             single_hash = Some(fingerprint);
         }
@@ -405,7 +406,7 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     }
     let serve_hash = single_hash.ok_or("sweep never ran a single-client cell")?;
 
-    let replay_hash = library_replay(ops)?;
+    let replay_hash = library_replay(ops, opts.exec)?;
     if replay_hash != serve_hash {
         return Err(format!(
             "single-client serve hash {serve_hash:016x} != library replay {replay_hash:016x}: \
@@ -433,5 +434,5 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
         render_table(&["clients", "ops", "wall", "p50", "p99", "ops/s"], &rows)
     );
 
-    overload_cell()
+    overload_cell(opts.exec)
 }

@@ -25,8 +25,9 @@
 //! with recovered-vs-oracle compared over rows *and* [`ExecStats`]. The
 //! closing `soak hash` digests a canonical rebuild (all expected rows in
 //! key order, scanned with `--exec-threads`) per cell — a pure function of
-//! `(scale, ops)` that CI diffs across `--exec-threads 1` vs `4` to pin
-//! the executor's thread-invariance under the chaos workload.
+//! `(scale, ops)` that must not move across `--exec-threads` (the
+//! repository's `PINS` file pins it at 1 and 4), which checks the
+//! executor's thread-invariance under the chaos workload.
 //! `--data-dir PATH` keeps the per-cell databases and writes a
 //! `soak-reports.json` artifact (per-cell server counters and drain
 //! reports).
@@ -435,7 +436,7 @@ fn run_cell(
     // order) scanned with the CLI's executor thread count. Pure function
     // of (scale, ops) — chaos seeds and interleavings cancel out — so the
     // printed hash is comparable across runs AND across --exec-threads,
-    // which is exactly what CI diffs.
+    // which is exactly what its pin checks.
     let mut canonical = Database::new();
     canonical.set_exec_options(xmlshred_rel::ExecOptions {
         threads: exec_threads,
@@ -479,7 +480,7 @@ const SOAK: MatrixSpec = MatrixSpec {
     metric: ("server.connections_accepted", "soak"),
 };
 
-/// Run the 16-cell soak matrix and print the CI-checked `soak hash`.
+/// Run the 16-cell soak matrix and print the pinned `soak hash`.
 pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     let ops = opts.ops.unwrap_or(((scale.0 * 10.0) as usize).max(10));
     let seed = opts.seed.unwrap_or(13);

@@ -14,5 +14,6 @@
 
 pub mod experiments;
 pub mod harness;
+pub mod pins;
 
 pub use harness::{BenchScale, EvalRun};

@@ -1,14 +1,26 @@
 //! `reproduce` argument handling: a flag whose value does not parse, and
 //! any argument it does not know, stop the run with an error naming the
-//! flag instead of being dropped in favour of the defaults.
+//! flag instead of being dropped in favour of the defaults. Also
+//! `reproduce pins` against the repository's `PINS` file.
 
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn reproduce(args: &[&str]) -> Output {
+    reproduce_in(Path::new(env!("CARGO_MANIFEST_DIR")), args)
+}
+
+fn reproduce_in(dir: &Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .args(args)
+        .current_dir(dir)
         .output()
         .expect("reproduce runs")
+}
+
+/// The repository root, where `PINS` lives.
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 fn assert_rejected(args: &[&str], flag: &str) {
@@ -57,6 +69,57 @@ fn removed_fault_p_flag_is_rejected() {
 #[test]
 fn removed_chaos_experiment_is_unknown() {
     assert_rejected(&["chaos", "--scale", "0.01"], "unknown experiment 'chaos'");
+}
+
+/// `--serve-clients` once appended a client count to the serve sweep,
+/// and `--adapt-window` once set the adapt scenario's drift window to its
+/// one value in use; scripts that still pass them must fail.
+#[test]
+fn removed_serve_clients_and_adapt_window_flags_are_rejected() {
+    assert_rejected(&["serve", "--serve-clients", "8"], "'--serve-clients'");
+    assert_rejected(&["adapt", "--adapt-window", "64"], "'--adapt-window'");
+}
+
+#[test]
+fn unknown_pin_is_rejected_with_the_known_names() {
+    let out = reproduce_in(&repo_root(), &["pins", "nosuch"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{out:?}");
+    assert!(
+        stderr.contains(
+            "unknown pin 'nosuch'; known: figures crash heal faults exec serve soak adapt"
+        ),
+        "{stderr}"
+    );
+}
+
+/// A `PINS` file whose `heal` hash is one digit off fails `reproduce pins
+/// heal`, naming the pin and both hashes.
+#[test]
+fn mutated_pin_fails_naming_both_hashes() {
+    let pins = std::fs::read_to_string(repo_root().join("PINS")).unwrap();
+    let line = pins
+        .lines()
+        .find(|line| line.starts_with("heal "))
+        .expect("PINS pins heal");
+    let pinned = line.split_whitespace().nth(1).unwrap().to_string();
+    let last = pinned.chars().last().unwrap();
+    let flipped = if last == '0' { '1' } else { '0' };
+    let mutated = format!("{}{flipped}", &pinned[..15]);
+    let dir = std::env::temp_dir().join(format!("xmlshred-pins-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("PINS"), pins.replace(&pinned, &mutated)).unwrap();
+    let out = reproduce_in(&dir, &["pins", "heal"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{out:?}");
+    assert!(
+        stderr.contains(&format!(
+            "pin heal (--exec-threads 1): PINS expects {mutated}, the run printed {pinned}"
+        )),
+        "{stderr}"
+    );
+    assert!(stderr.contains(line), "no re-pin line: {stderr}");
 }
 
 #[test]
