@@ -15,7 +15,7 @@
 
 use crate::experiments::RunOptions;
 use crate::harness::{render_table, space_budget, workload_spec, BenchScale};
-use xmlshred_core::{greedy_search, EvalContext, GreedyOptions, MetricsRegistry};
+use xmlshred_core::{greedy_search, EvalContext, GreedyOptions, MetricsRegistry, SearchOptions};
 use xmlshred_data::workload::{Projections, Selectivity};
 use xmlshred_rel::db::Database;
 use xmlshred_rel::optimizer::plan_query_profiled;
@@ -49,14 +49,13 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
 
     // ------------------------------------------ search + oracle tiers --
     let metrics = MetricsRegistry::shared();
-    let search = opts.search_for_run();
     let outcome = greedy_search(
         &ctx,
         &GreedyOptions {
-            threads: search.threads,
-            plan_cache: search.plan_cache,
-            deadline: search.deadline.clone(),
-            metrics: Some(metrics.clone()),
+            search: SearchOptions {
+                metrics: Some(metrics.clone()),
+                ..opts.search_for_run()
+            },
             ..GreedyOptions::default()
         },
     );

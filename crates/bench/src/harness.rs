@@ -197,10 +197,7 @@ pub fn run_algorithms(
                     greedy_search(
                         &ctx,
                         &GreedyOptions {
-                            threads: search.threads,
-                            plan_cache: search.plan_cache,
-                            deadline: search.deadline.clone(),
-                            metrics: search.metrics.clone(),
+                            search: search.clone(),
                             ..GreedyOptions::default()
                         },
                     ),

@@ -15,23 +15,17 @@
 //! benchmark harness uses to regenerate Figs. 7-9.
 
 use crate::candidates::{query_leaves, select_candidates, QueryLeaves};
-use crate::context::{EvalContext, PreparedMapping};
+use crate::context::EvalContext;
 use crate::cost_derive::DerivationContext;
 use crate::merging::merge_candidates;
 pub use crate::merging::MergeStrategy;
-use crate::metrics::MetricsRegistry;
 use crate::moves::SearchMove;
-use crate::oracle::CostOracle;
-use crate::parallel::parallel_map;
-use crate::physical::{tune_with, PerQueryInfo, TuneOptions, TuneResult};
-use crate::search::{AdvisorOutcome, Deadline, SearchStats};
-use std::sync::Arc;
-use std::time::Instant;
-use xmlshred_rel::optimizer::PhysicalConfig;
+use crate::search::{improves, AdvisorOutcome, SearchOptions, SearchRun, SearchStats, Tuned};
 use xmlshred_shred::mapping::Mapping;
 use xmlshred_shred::transform::{enumerate_transformations, Transformation};
 
-/// Ablation switches for the Greedy search.
+/// Ablation switches for the Greedy search, plus the knobs every search
+/// shares.
 #[derive(Debug, Clone)]
 pub struct GreedyOptions {
     /// Candidate merging strategy (Fig. 8).
@@ -45,21 +39,11 @@ pub struct GreedyOptions {
     pub cost_derivation: bool,
     /// Safety bound on greedy rounds.
     pub max_rounds: usize,
-    /// Worker threads for candidate-move evaluation and tuning fan-out;
-    /// `0` = available parallelism. Output is bit-identical for any value:
-    /// parallel results are reduced serially in move order.
-    pub threads: usize,
-    /// Memoize what-if planner calls in a search-wide plan cache. Pure
-    /// memoization: recommendations are identical with it on or off.
-    pub plan_cache: bool,
-    /// Anytime budget: when it expires (or its cancellation flag is raised)
-    /// the descent stops starting new work and returns the best mapping
-    /// found so far with `degraded = true` on the outcome.
-    pub deadline: Deadline,
-    /// Observability sink; the search records tier counters, histograms,
-    /// and spans into it when present. `None` (the default) records
-    /// nothing.
-    pub metrics: Option<Arc<MetricsRegistry>>,
+    /// Threads, plan cache, anytime deadline and metrics sink. Output is
+    /// bit-identical for any threads or plan-cache value; past the
+    /// deadline the descent returns the best mapping found so far with
+    /// `degraded = true` on the outcome.
+    pub search: SearchOptions,
 }
 
 impl Default for GreedyOptions {
@@ -70,37 +54,19 @@ impl Default for GreedyOptions {
             candidate_selection: true,
             cost_derivation: true,
             max_rounds: 32,
-            threads: 0,
-            plan_cache: true,
-            deadline: Deadline::none(),
-            metrics: None,
+            search: SearchOptions::default(),
         }
     }
 }
 
-/// State of the incumbent mapping during the search.
-struct Incumbent {
-    mapping: Mapping,
-    prepared: PreparedMapping,
-    config: PhysicalConfig,
-    /// Per workload query (by index): tuning info; `None` when the query is
-    /// untranslatable under the mapping.
-    per_query: Vec<Option<PerQueryInfo>>,
-    total_cost: f64,
-}
-
 /// Run the Greedy search.
 pub fn greedy_search(ctx: &EvalContext<'_>, options: &GreedyOptions) -> AdvisorOutcome {
-    let start = Instant::now();
-    let _span = options.metrics.as_ref().map(|m| m.span("search.greedy"));
-    let mut stats = SearchStats::default();
     // One memo table for the whole search: every tuning invocation (exact
-    // evaluations, derivation remainders, the base comparison) shares it,
-    // so re-planned contexts — the same mapping re-tuned, unchanged
-    // incumbents re-costed — are answered from cache.
-    let oracle = CostOracle::new(options.plan_cache);
-    let deadline = &options.deadline;
-    let bounded = !deadline.is_unbounded();
+    // evaluations, derivation remainders, the base comparison) shares the
+    // run's oracle, so re-planned contexts — the same mapping re-tuned,
+    // unchanged incumbents re-costed — are answered from cache.
+    let run = SearchRun::new("greedy", &options.search);
+    let mut stats = SearchStats::default();
     let tree = ctx.tree;
     let base = Mapping::hybrid(tree);
     let leaves: Vec<QueryLeaves> = ctx
@@ -132,15 +98,7 @@ pub fn greedy_search(ctx: &EvalContext<'_>, options: &GreedyOptions) -> AdvisorO
         }
     }
 
-    let mut incumbent = evaluate_exact(
-        ctx,
-        mapping,
-        &mut stats,
-        &oracle,
-        options.threads,
-        deadline,
-        &options.metrics,
-    );
+    let mut incumbent = run.evaluate(ctx, mapping, run.threads(), &mut stats);
 
     // Without candidate selection, merge-type candidates are every
     // applicable nonsubsumed merge transformation under M0.
@@ -175,10 +133,7 @@ pub fn greedy_search(ctx: &EvalContext<'_>, options: &GreedyOptions) -> AdvisorO
 
     // ------------------------------------------------------- greedy descent --
     for _round in 0..options.max_rounds {
-        // Anytime cutoff: never start a round past the deadline — the
-        // incumbent is a fully evaluated design, so stopping here is safe.
-        if bounded && deadline.expired() {
-            stats.deadline_hit = true;
+        if run.expired(&mut stats) {
             break;
         }
         let mut round_moves: Vec<SearchMove> = moves.clone();
@@ -192,231 +147,75 @@ pub fn greedy_search(ctx: &EvalContext<'_>, options: &GreedyOptions) -> AdvisorO
             );
         }
 
-        // Every move is costed independently against the same incumbent, so
-        // the loop fans out across scoped threads. Each worker accumulates
-        // into a private SearchStats; reduction below runs serially in move
-        // order with strict `<` (first index wins ties), so the chosen move
-        // — and therefore the whole search — is identical for any thread
-        // count.
-        let incumbent_ref = &incumbent;
-        let evaluations: Vec<Option<Option<(Mapping, f64, SearchStats)>>> = parallel_map(
-            &round_moves,
-            options.threads,
-            deadline,
-            options.metrics.as_deref(),
-            || (),
-            |_, _i, mv| {
-                let Ok(next_mapping) = mv.apply(tree, &incumbent_ref.mapping) else {
-                    return None;
-                };
-                let mut local = SearchStats {
-                    transformations_searched: 1,
-                    ..SearchStats::default()
-                };
-                let cost = if options.cost_derivation {
-                    estimate_with_derivation(
-                        ctx,
-                        incumbent_ref,
-                        &leaves,
-                        mv,
-                        &next_mapping,
-                        &mut local,
-                        &oracle,
-                        deadline,
-                        &options.metrics,
-                    )
-                } else {
-                    estimate_exact_cost(
-                        ctx,
-                        &next_mapping,
-                        &mut local,
-                        &oracle,
-                        deadline,
-                        &options.metrics,
-                    )
-                };
-                Some((next_mapping, cost, local))
-            },
-        );
-
-        let mut best: Option<(SearchMove, Mapping, f64)> = None;
-        for (mv, evaluation) in round_moves.iter().zip(evaluations) {
-            // Outer `None`: the deadline lapsed before this move was costed.
-            let Some(evaluation) = evaluation else {
-                stats.deadline_hit = true;
-                continue;
-            };
-            let Some((next_mapping, cost, local)) = evaluation else {
-                continue;
-            };
-            stats.absorb(&local);
-            if cost.is_finite() && best.as_ref().map(|(_, _, c)| cost < *c).unwrap_or(true) {
-                best = Some((mv.clone(), next_mapping, cost));
+        let best = run.round(&round_moves, &mut stats, |mv, local| {
+            let next_mapping = mv.apply(tree, &incumbent.mapping).ok()?;
+            if options.cost_derivation {
+                let cost = estimate_with_derivation(
+                    &run,
+                    ctx,
+                    &incumbent,
+                    &leaves,
+                    mv,
+                    &next_mapping,
+                    local,
+                );
+                Some((next_mapping, cost))
+            } else {
+                let exact = run.evaluate(ctx, next_mapping, 1, local);
+                Some((exact.mapping, exact.total_cost))
             }
-        }
+        });
 
-        let Some((mv, next_mapping, estimated)) = best else {
+        let Some((winner, next_mapping, estimated)) = best else {
             break;
         };
-        if estimated >= incumbent.total_cost * (1.0 - 1e-6) {
-            break; // no improvement
-        }
         // Accepting the winner requires an exact re-evaluation; past the
         // deadline we keep the (already exact) incumbent instead.
-        if bounded && deadline.expired() {
-            stats.deadline_hit = true;
+        if !improves(estimated, incumbent.total_cost) || run.expired(&mut stats) {
             break;
         }
         // Line 18: re-estimate the winner exactly, then accept. With the
         // plan cache on, this replays the estimate-phase planning against
         // the same context and is served almost entirely from the memo
-        // table.
-        let exact = evaluate_exact(
-            ctx,
-            next_mapping,
-            &mut stats,
-            &oracle,
-            options.threads,
-            deadline,
-            &options.metrics,
-        );
-        if exact.total_cost >= incumbent.total_cost * (1.0 - 1e-6) {
-            // The derived estimate was optimistic; drop the move and retry.
-            moves.retain(|m| m != &mv);
-            continue;
+        // table. A derived estimate that proves optimistic drops the move
+        // and retries.
+        let exact = run.evaluate(ctx, next_mapping, run.threads(), &mut stats);
+        if improves(exact.total_cost, incumbent.total_cost) {
+            incumbent = exact;
         }
-        incumbent = exact;
-        moves.retain(|m| m != &mv);
+        moves.retain(|m| m != &round_moves[winner]);
     }
 
     // Safeguard: never recommend something worse than the tuned base
     // (hybrid inlining) mapping, the paper's practical starting point
     // (Section 2.2). Skipped past the deadline — the incumbent stays the
     // best fully evaluated design.
-    if bounded && deadline.expired() {
-        stats.deadline_hit = true;
-    } else {
-        let base_eval = evaluate_exact(
-            ctx,
-            base,
-            &mut stats,
-            &oracle,
-            options.threads,
-            deadline,
-            &options.metrics,
-        );
+    if !run.expired(&mut stats) {
+        let base_eval = run.evaluate(ctx, base, run.threads(), &mut stats);
         if base_eval.total_cost < incumbent.total_cost {
             incumbent = base_eval;
         }
     }
 
-    stats.absorb_cache(&oracle.snapshot());
-    stats.elapsed = start.elapsed();
-    if let Some(metrics) = &options.metrics {
-        stats.register_into(metrics, "search.greedy");
-        oracle.snapshot().register_into(metrics, "oracle");
-    }
-    let degraded = stats.deadline_hit;
-    AdvisorOutcome {
-        mapping: incumbent.mapping,
-        config: incumbent.config,
-        estimated_cost: incumbent.total_cost,
+    run.finish(
         stats,
-        degraded,
-    }
-}
-
-/// Full evaluation of a mapping: prepare + run the physical design tool on
-/// the whole workload. Runs at the top level of the search, so the tuning
-/// tool may fan out across `threads` workers itself.
-fn evaluate_exact(
-    ctx: &EvalContext<'_>,
-    mapping: Mapping,
-    stats: &mut SearchStats,
-    oracle: &CostOracle,
-    threads: usize,
-    deadline: &Deadline,
-    metrics: &Option<Arc<MetricsRegistry>>,
-) -> Incumbent {
-    let prepared = ctx.prepare(&mapping);
-    let translated = prepared.translated(ctx.workload);
-    let query_refs: Vec<(&xmlshred_rel::sql::SqlQuery, f64)> =
-        translated.iter().map(|(_, q, w)| (*q, *w)).collect();
-    let result: TuneResult = tune_with(
-        &prepared.catalog,
-        &prepared.stats,
-        &query_refs,
-        &[],
-        ctx.space_budget,
-        oracle,
-        &TuneOptions {
-            threads,
-            metrics: metrics.clone(),
-            deadline: deadline.clone(),
-        },
-    );
-    stats.absorb_tune(result.optimizer_calls);
-    stats.deadline_hit |= result.degraded;
-
-    let mut per_query: Vec<Option<PerQueryInfo>> = vec![None; ctx.workload.len()];
-    for ((workload_index, _, _), info) in translated.iter().zip(result.per_query) {
-        per_query[*workload_index] = Some(info);
-    }
-    Incumbent {
-        mapping,
-        prepared,
-        config: result.config,
-        per_query,
-        total_cost: result.total_cost,
-    }
-}
-
-/// Cost-only exact evaluation (used when cost derivation is disabled).
-/// Runs inside the parallel move loop, so its own tuning stays serial —
-/// the fan-out already happens one level up.
-fn estimate_exact_cost(
-    ctx: &EvalContext<'_>,
-    mapping: &Mapping,
-    stats: &mut SearchStats,
-    oracle: &CostOracle,
-    deadline: &Deadline,
-    metrics: &Option<Arc<MetricsRegistry>>,
-) -> f64 {
-    let prepared = ctx.prepare(mapping);
-    let translated = prepared.translated(ctx.workload);
-    let query_refs: Vec<(&xmlshred_rel::sql::SqlQuery, f64)> =
-        translated.iter().map(|(_, q, w)| (*q, *w)).collect();
-    let result = tune_with(
-        &prepared.catalog,
-        &prepared.stats,
-        &query_refs,
-        &[],
-        ctx.space_budget,
-        oracle,
-        &TuneOptions {
-            threads: 1,
-            metrics: metrics.clone(),
-            deadline: deadline.clone(),
-        },
-    );
-    stats.absorb_tune(result.optimizer_calls);
-    stats.deadline_hit |= result.degraded;
-    result.total_cost
+        incumbent.mapping,
+        incumbent.config,
+        incumbent.total_cost,
+    )
 }
 
 /// Section 4.8: derive what we can from the incumbent, tune the rest with
-/// the remaining budget.
-#[allow(clippy::too_many_arguments)]
+/// the remaining budget. Runs inside the move round, so its tuning is
+/// serial.
 fn estimate_with_derivation(
+    run: &SearchRun<'_>,
     ctx: &EvalContext<'_>,
-    incumbent: &Incumbent,
+    incumbent: &Tuned,
     leaves: &[QueryLeaves],
     mv: &SearchMove,
     next_mapping: &Mapping,
     stats: &mut SearchStats,
-    oracle: &CostOracle,
-    deadline: &Deadline,
-    metrics: &Option<Arc<MetricsRegistry>>,
 ) -> f64 {
     let derivation = DerivationContext {
         tree: ctx.tree,
@@ -453,23 +252,10 @@ fn estimate_with_derivation(
         })
         .collect();
     let remaining_budget = (ctx.space_budget - derived_bytes).max(0.0);
-    // Serial tuning: this runs inside the parallel move loop.
-    let result = tune_with(
-        &prepared_next.catalog,
-        &prepared_next.stats,
-        &queries,
-        &[],
-        remaining_budget,
-        oracle,
-        &TuneOptions {
-            threads: 1,
-            metrics: metrics.clone(),
-            deadline: deadline.clone(),
-        },
-    );
-    stats.absorb_tune(result.optimizer_calls);
-    stats.deadline_hit |= result.degraded;
-    derived_cost + result.total_cost
+    derived_cost
+        + run
+            .tune(&prepared_next, &queries, remaining_budget, 1, stats)
+            .total_cost
 }
 
 #[cfg(test)]
@@ -515,15 +301,15 @@ mod tests {
         };
         let outcome = greedy_search(&ctx, &GreedyOptions::default());
         // Hybrid + tuning baseline.
-        let mut base_stats = SearchStats::default();
-        let baseline = evaluate_exact(
+        let uncached = SearchOptions {
+            plan_cache: false,
+            ..SearchOptions::default()
+        };
+        let baseline = SearchRun::new("greedy", &uncached).evaluate(
             &ctx,
             Mapping::hybrid(&ds.tree),
-            &mut base_stats,
-            &CostOracle::disabled(),
             1,
-            &Deadline::none(),
-            &None,
+            &mut SearchStats::default(),
         );
         assert!(
             outcome.estimated_cost <= baseline.total_cost + 1e-9,
@@ -606,9 +392,12 @@ mod tests {
         let outcome = greedy_search(
             &ctx,
             &GreedyOptions {
-                deadline: Deadline::at(
-                    std::time::Instant::now() - std::time::Duration::from_secs(1),
-                ),
+                search: SearchOptions {
+                    deadline: crate::search::Deadline::at(
+                        std::time::Instant::now() - std::time::Duration::from_secs(1),
+                    ),
+                    ..SearchOptions::default()
+                },
                 ..GreedyOptions::default()
             },
         );

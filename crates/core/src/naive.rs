@@ -7,21 +7,9 @@
 //! worse than Greedy's.
 
 use crate::context::EvalContext;
-use crate::metrics::MetricsRegistry;
-use crate::oracle::CostOracle;
-use crate::parallel::parallel_map;
-use crate::physical::{tune_with, TuneOptions};
-use crate::search::{AdvisorOutcome, Deadline, SearchOptions, SearchStats};
-use std::sync::Arc;
-use std::time::Instant;
-use xmlshred_rel::optimizer::PhysicalConfig;
+use crate::search::{improves, AdvisorOutcome, SearchOptions, SearchRun, SearchStats};
 use xmlshred_shred::mapping::Mapping;
 use xmlshred_shred::transform::enumerate_transformations;
-
-/// One fanned-out evaluation: outer `None` means the deadline expired
-/// before the slot started; inner `None` means the transformation did not
-/// apply.
-type Evaluation = Option<Option<(Mapping, PhysicalConfig, f64, SearchStats)>>;
 
 /// Run Naive-Greedy. `max_rounds` bounds the descent (the paper let it run
 /// for days; the harness keeps it finite).
@@ -36,87 +24,25 @@ pub fn naive_greedy_search_with(
     max_rounds: usize,
     options: &SearchOptions,
 ) -> AdvisorOutcome {
-    let start = Instant::now();
-    let _span = options.metrics.as_ref().map(|m| m.span("search.naive"));
+    let run = SearchRun::new("naive", options);
     let mut stats = SearchStats::default();
-    let oracle = CostOracle::new(options.plan_cache);
-    let deadline = &options.deadline;
-    let bounded = !deadline.is_unbounded();
     let tree = ctx.tree;
 
-    let mut mapping = Mapping::hybrid(tree);
-    let (mut config, mut cost) = evaluate(
-        ctx,
-        &mapping,
-        &mut stats,
-        &oracle,
-        options.threads,
-        deadline,
-        &options.metrics,
-    );
-
+    let start = run.evaluate(ctx, Mapping::hybrid(tree), run.threads(), &mut stats);
+    let (mut mapping, mut config, mut cost) = (start.mapping, start.config, start.total_cost);
     for _round in 0..max_rounds {
-        // Anytime cutoff: the incumbent is fully evaluated, so stopping at
-        // a round boundary always leaves a valid best-so-far design.
-        if bounded && deadline.expired() {
-            stats.deadline_hit = true;
+        if run.expired(&mut stats) {
             break;
         }
+        // Every transformation, subsumed ones included, each tuned in full.
         let transformations =
             enumerate_transformations(tree, &mapping, &|star| ctx.split_count(star));
-        // Independent full evaluations against the same incumbent mapping:
-        // fan out, then reduce serially in enumeration order (strict `<`,
-        // first index wins ties) so the accepted transformation does not
-        // depend on the thread count.
-        let mapping_ref = &mapping;
-        let evaluations: Vec<Evaluation> = parallel_map(
-            &transformations,
-            options.threads,
-            deadline,
-            options.metrics.as_deref(),
-            || (),
-            |_, _i, t| {
-                let Ok(next) = t.apply(tree, mapping_ref) else {
-                    return None;
-                };
-                let mut local = SearchStats {
-                    transformations_searched: 1,
-                    ..SearchStats::default()
-                };
-                let (next_config, next_cost) = evaluate(
-                    ctx,
-                    &next,
-                    &mut local,
-                    &oracle,
-                    1,
-                    deadline,
-                    &options.metrics,
-                );
-                Some((next, next_config, next_cost, local))
-            },
-        );
-        let mut best: Option<(Mapping, PhysicalConfig, f64)> = None;
-        for evaluation in evaluations {
-            // Outer `None`: the deadline lapsed before this transformation
-            // was evaluated.
-            let Some(evaluation) = evaluation else {
-                stats.deadline_hit = true;
-                continue;
-            };
-            let Some((next, next_config, next_cost, local)) = evaluation else {
-                continue;
-            };
-            stats.absorb(&local);
-            if best
-                .as_ref()
-                .map(|(_, _, c)| next_cost < *c)
-                .unwrap_or(true)
-            {
-                best = Some((next, next_config, next_cost));
-            }
-        }
+        let best = run.round(&transformations, &mut stats, |t, local| {
+            let next = run.evaluate(ctx, t.apply(tree, &mapping).ok()?, 1, local);
+            Some(((next.mapping, next.config), next.total_cost))
+        });
         match best {
-            Some((next, next_config, next_cost)) if next_cost < cost * (1.0 - 1e-6) => {
+            Some((_, (next, next_config), next_cost)) if improves(next_cost, cost) => {
                 mapping = next;
                 config = next_config;
                 cost = next_cost;
@@ -124,52 +50,7 @@ pub fn naive_greedy_search_with(
             _ => break,
         }
     }
-
-    stats.absorb_cache(&oracle.snapshot());
-    stats.elapsed = start.elapsed();
-    if let Some(metrics) = &options.metrics {
-        stats.register_into(metrics, "search.naive");
-        oracle.snapshot().register_into(metrics, "oracle");
-    }
-    let degraded = stats.deadline_hit;
-    AdvisorOutcome {
-        mapping,
-        config,
-        estimated_cost: cost,
-        stats,
-        degraded,
-    }
-}
-
-fn evaluate(
-    ctx: &EvalContext<'_>,
-    mapping: &Mapping,
-    stats: &mut SearchStats,
-    oracle: &CostOracle,
-    threads: usize,
-    deadline: &Deadline,
-    metrics: &Option<Arc<MetricsRegistry>>,
-) -> (PhysicalConfig, f64) {
-    let prepared = ctx.prepare(mapping);
-    let translated = prepared.translated(ctx.workload);
-    let queries: Vec<(&xmlshred_rel::sql::SqlQuery, f64)> =
-        translated.iter().map(|(_, q, w)| (*q, *w)).collect();
-    let result = tune_with(
-        &prepared.catalog,
-        &prepared.stats,
-        &queries,
-        &[],
-        ctx.space_budget,
-        oracle,
-        &TuneOptions {
-            threads,
-            metrics: metrics.clone(),
-            deadline: deadline.clone(),
-        },
-    );
-    stats.absorb_tune(result.optimizer_calls);
-    stats.deadline_hit |= result.degraded;
-    (result.config, result.total_cost)
+    run.finish(stats, mapping, config, cost)
 }
 
 #[cfg(test)]

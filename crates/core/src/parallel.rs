@@ -46,14 +46,8 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &T) -> R + Sync,
 {
-    let bounded = !deadline.is_unbounded();
-    let slots = xmlshred_rel::par::try_parallel_map(
-        items,
-        threads,
-        || bounded && deadline.expired(),
-        init,
-        work,
-    );
+    let slots =
+        xmlshred_rel::par::try_parallel_map(items, threads, || deadline.expired(), init, work);
     record_fanout(metrics, &slots);
     slots
 }

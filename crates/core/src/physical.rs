@@ -41,9 +41,9 @@ pub struct TuneResult {
     pub per_query: Vec<PerQueryInfo>,
     /// What-if optimizer calls issued.
     pub optimizer_calls: u64,
-    /// True when the anytime deadline (or cancellation) cut the greedy
-    /// selection short; the configuration is the best found before expiry
-    /// and still respects the storage budget.
+    /// True when the anytime deadline cut the greedy selection short; the
+    /// configuration is the best found before expiry and still respects
+    /// the storage budget.
     pub degraded: bool,
 }
 
@@ -156,7 +156,6 @@ pub fn tune_with(
     let mut optimizer_calls = 0u64;
     let mut degraded = false;
     let deadline = &options.deadline;
-    let bounded = !deadline.is_unbounded();
 
     // Memo-key ingredients. The context fingerprint pins the catalog and
     // statistics this invocation plans against; the config fingerprint is
@@ -360,7 +359,7 @@ pub fn tune_with(
         scored
     };
     'outer: loop {
-        if bounded && deadline.expired() {
+        if deadline.expired() {
             degraded = true;
             break;
         }
@@ -373,7 +372,7 @@ pub fn tune_with(
                 break 'outer;
             }
             refreshes -= 1;
-            if bounded && deadline.expired() {
+            if deadline.expired() {
                 degraded = true;
                 break 'outer;
             }

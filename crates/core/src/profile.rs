@@ -3,8 +3,8 @@
 //! The paper's advisor runs offline: a workload file in, a design out.
 //! This module closes the loop — it watches the statements a live
 //! [`SessionDb`] actually executes, detects when the workload has drifted
-//! away from the one the current design was tuned for, re-runs the same
-//! deadline-budgeted search ([`crate::physical::tune_with`]) against the
+//! away from the one the current design was tuned for, re-runs the
+//! physical design tool ([`crate::physical::tune_with`]) against the
 //! *observed* profile on a background thread, and installs the winner via
 //! a non-blocking online swap ([`SessionDb::apply_config_online`]).
 //!

@@ -11,10 +11,7 @@
 
 use crate::context::{EvalContext, PreparedMapping};
 use crate::oracle::CostOracle;
-use crate::parallel::parallel_map;
-use crate::physical::{tune_with, TuneOptions};
-use crate::search::{AdvisorOutcome, SearchOptions, SearchStats};
-use std::time::Instant;
+use crate::search::{improves, AdvisorOutcome, SearchOptions, SearchRun, SearchStats};
 use xmlshred_rel::index::IndexDef;
 use xmlshred_rel::optimizer::{
     config_fingerprint, context_fingerprint, query_fingerprint, PhysicalConfig,
@@ -35,65 +32,28 @@ pub fn two_step_search_with(
     max_rounds: usize,
     options: &SearchOptions,
 ) -> AdvisorOutcome {
-    let start = Instant::now();
-    let _span = options.metrics.as_ref().map(|m| m.span("search.twostep"));
+    let run = SearchRun::new("twostep", options);
     let mut stats = SearchStats::default();
-    let oracle = CostOracle::new(options.plan_cache);
-    let deadline = &options.deadline;
-    let bounded = !deadline.is_unbounded();
     let tree = ctx.tree;
 
     // ------------------------------ phase 1: logical design in isolation --
     let mut mapping = Mapping::hybrid(tree);
-    let mut cost = best_guess_cost(ctx, &mapping, &mut stats, &oracle);
+    let mut cost = best_guess_cost(ctx, &mapping, &mut stats, run.oracle());
     for _round in 0..max_rounds {
-        // Anytime cutoff at round boundaries; phase 2 still runs so the
-        // outcome always carries a real tuned configuration.
-        if bounded && deadline.expired() {
-            stats.deadline_hit = true;
+        // Phase 2 still runs past the deadline, so the outcome always
+        // carries a real tuned configuration.
+        if run.expired(&mut stats) {
             break;
         }
         let transformations =
             enumerate_transformations(tree, &mapping, &|star| ctx.split_count(star));
-        // Fan out the independent best-guess costings; reduce serially in
-        // enumeration order so the accepted transformation is independent
-        // of the thread count.
-        let mapping_ref = &mapping;
-        let evaluations: Vec<Option<Option<(Mapping, f64, SearchStats)>>> = parallel_map(
-            &transformations,
-            options.threads,
-            deadline,
-            options.metrics.as_deref(),
-            || (),
-            |_, _i, t| {
-                let Ok(next) = t.apply(tree, mapping_ref) else {
-                    return None;
-                };
-                let mut local = SearchStats {
-                    transformations_searched: 1,
-                    ..SearchStats::default()
-                };
-                let next_cost = best_guess_cost(ctx, &next, &mut local, &oracle);
-                Some((next, next_cost, local))
-            },
-        );
-        let mut best: Option<(Mapping, f64)> = None;
-        for evaluation in evaluations {
-            // Outer `None`: the deadline lapsed before this costing started.
-            let Some(evaluation) = evaluation else {
-                stats.deadline_hit = true;
-                continue;
-            };
-            let Some((next, next_cost, local)) = evaluation else {
-                continue;
-            };
-            stats.absorb(&local);
-            if best.as_ref().map(|(_, c)| next_cost < *c).unwrap_or(true) {
-                best = Some((next, next_cost));
-            }
-        }
+        let best = run.round(&transformations, &mut stats, |t, local| {
+            let next = t.apply(tree, &mapping).ok()?;
+            let next_cost = best_guess_cost(ctx, &next, local, run.oracle());
+            Some((next, next_cost))
+        });
         match best {
-            Some((next, next_cost)) if next_cost < cost * (1.0 - 1e-6) => {
+            Some((_, next, next_cost)) if improves(next_cost, cost) => {
                 mapping = next;
                 cost = next_cost;
             }
@@ -102,40 +62,8 @@ pub fn two_step_search_with(
     }
 
     // ------------------------------------ phase 2: physical design once --
-    let prepared = ctx.prepare(&mapping);
-    let translated = prepared.translated(ctx.workload);
-    let queries: Vec<(&xmlshred_rel::sql::SqlQuery, f64)> =
-        translated.iter().map(|(_, q, w)| (*q, *w)).collect();
-    let result = tune_with(
-        &prepared.catalog,
-        &prepared.stats,
-        &queries,
-        &[],
-        ctx.space_budget,
-        &oracle,
-        &TuneOptions {
-            threads: options.threads,
-            metrics: options.metrics.clone(),
-            deadline: deadline.clone(),
-        },
-    );
-    stats.absorb_tune(result.optimizer_calls);
-    stats.deadline_hit |= result.degraded;
-
-    stats.absorb_cache(&oracle.snapshot());
-    stats.elapsed = start.elapsed();
-    if let Some(metrics) = &options.metrics {
-        stats.register_into(metrics, "search.twostep");
-        oracle.snapshot().register_into(metrics, "oracle");
-    }
-    let degraded = stats.deadline_hit;
-    AdvisorOutcome {
-        mapping,
-        config: result.config,
-        estimated_cost: result.total_cost,
-        stats,
-        degraded,
-    }
+    let tuned = run.evaluate(ctx, mapping, run.threads(), &mut stats);
+    run.finish(stats, tuned.mapping, tuned.config, tuned.total_cost)
 }
 
 /// The phase-1 "best guess" physical configuration: a PK index on `ID` and

@@ -76,8 +76,7 @@ fn run(ctx: &EvalContext<'_>, strategy: &str, deadline: &Deadline, threads: usiz
         "Greedy" => greedy_search(
             ctx,
             &GreedyOptions {
-                threads,
-                deadline: deadline.clone(),
+                search: search.clone(),
                 ..GreedyOptions::default()
             },
         ),

@@ -44,14 +44,14 @@ fn setup() -> (
 
 fn run_all(ctx: &EvalContext<'_>, deadline: Deadline) -> Vec<AdvisorOutcome> {
     let search = SearchOptions {
-        deadline: deadline.clone(),
+        deadline,
         ..SearchOptions::default()
     };
     vec![
         greedy_search(
             ctx,
             &GreedyOptions {
-                deadline,
+                search: search.clone(),
                 ..GreedyOptions::default()
             },
         ),

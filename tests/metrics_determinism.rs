@@ -57,8 +57,11 @@ fn greedy_metrics_deterministic_across_thread_counts() {
         let outcome = greedy_search(
             &ctx,
             &GreedyOptions {
-                threads,
-                metrics: Some(Arc::clone(&metrics)),
+                search: SearchOptions {
+                    threads,
+                    metrics: Some(Arc::clone(&metrics)),
+                    ..SearchOptions::default()
+                },
                 ..GreedyOptions::default()
             },
         );
@@ -151,9 +154,12 @@ fn plan_cache_toggle_changes_only_schedule_section() {
         greedy_search(
             &ctx,
             &GreedyOptions {
-                threads: 2,
-                plan_cache,
-                metrics: Some(Arc::clone(&metrics)),
+                search: SearchOptions {
+                    threads: 2,
+                    plan_cache,
+                    metrics: Some(Arc::clone(&metrics)),
+                    ..SearchOptions::default()
+                },
                 ..GreedyOptions::default()
             },
         );

@@ -94,8 +94,7 @@ fn greedy_is_invariant_to_threads_and_cache() {
             greedy_search(
                 &ctx,
                 &GreedyOptions {
-                    threads: opts.threads,
-                    plan_cache: opts.plan_cache,
+                    search: opts.clone(),
                     ..GreedyOptions::default()
                 },
             )
