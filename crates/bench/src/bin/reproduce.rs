@@ -4,7 +4,8 @@
 //! ```sh
 //! cargo run --release -p xmlshred-bench --bin reproduce -- all
 //! cargo run --release -p xmlshred-bench --bin reproduce -- fig5 --threads 4
-//! XMLSHRED_SCALE=0.2 cargo run --release -p xmlshred-bench --bin reproduce -- fig7
+//! cargo run --release -p xmlshred-bench --bin reproduce -- fig7 --scale 0.2
+//! cargo run --release -p xmlshred-bench --bin reproduce -- fig4 --scale 0.25 --seed 8
 //! cargo run --release -p xmlshred-bench --bin reproduce -- figures --threads 1
 //! cargo run --release -p xmlshred-bench --bin reproduce -- faults --seed 3 --points 1
 //! cargo run --release -p xmlshred-bench --bin reproduce -- pins heal faults
@@ -14,8 +15,9 @@
 //! evaluation run), `fig7`, `fig8`, `fig9`, `updates`, `figures` (all of
 //! those), `crash`, `heal`, `faults`, `profile`, `exec`, `serve`, `soak`,
 //! `adapt`, `all`; the README's Quickstart says what each one checks.
-//! `--scale X` (or `XMLSHRED_SCALE`) scales the datasets; normalized
-//! figures are scale-stable. `--threads N` and `--no-plan-cache` shape the
+//! `--scale X` scales the datasets; normalized figures are scale-stable.
+//! `--seed K` picks draw K of the figure experiments' dataset and workload
+//! seeds (default 0). `--threads N` and `--no-plan-cache` shape the
 //! advisor search and `--exec-threads N` the executor; none changes a
 //! recommendation, an answer or a measured cost, so no closing hash line
 //! (`figures`, `crash`/`heal`/`faults` matrix, `soak`, `serve`, `adapt`,
@@ -44,7 +46,7 @@
 
 use std::time::Instant;
 use xmlshred_bench::experiments::RunOptions;
-use xmlshred_bench::harness::BenchScale;
+use xmlshred_bench::harness::Draw;
 use xmlshred_core::SearchOptions;
 
 const UNSIGNED: &str = "an unsigned integer";
@@ -87,10 +89,7 @@ fn main() {
         }
         return;
     }
-    let mut scale = BenchScale::from_env().unwrap_or_else(|m| fail(&m));
-    if let Some(s) = take_value::<f64>(&mut args, "--scale", NUMBER) {
-        scale = BenchScale::try_new(s).unwrap_or_else(|m| fail(&format!("--scale: {m}")));
-    }
+    let scale = take_value::<f64>(&mut args, "--scale", NUMBER).unwrap_or(1.0);
     let mut search = SearchOptions::default();
     if let Some(n) = take_value::<usize>(&mut args, "--threads", UNSIGNED) {
         search.threads = n;
@@ -105,6 +104,8 @@ fn main() {
     }
     let deadline_ms = take_value::<u64>(&mut args, "--deadline-ms", UNSIGNED);
     let seed = take_value::<u64>(&mut args, "--seed", UNSIGNED);
+    let draw =
+        Draw::new(scale, seed.unwrap_or(0)).unwrap_or_else(|m| fail(&format!("--scale: {m}")));
     let points = take_value::<usize>(&mut args, "--points", UNSIGNED);
     let ops = take_value::<usize>(&mut args, "--ops", UNSIGNED);
     let metrics_out = take_value::<String>(&mut args, "--metrics-out", PATH);
@@ -123,7 +124,7 @@ fn main() {
 
     println!(
         "xmlshred reproduction harness — experiment '{experiment}', scale {:.2}, threads {}, exec-threads {}, plan cache {}",
-        scale.0,
+        draw.scale,
         if search.threads == 0 {
             "auto".to_string()
         } else {
@@ -151,7 +152,7 @@ fn main() {
         println!("anytime deadline: {ms}ms per search");
     }
     let start = Instant::now();
-    match xmlshred_bench::experiments::run(experiment, scale, &opts) {
+    match xmlshred_bench::experiments::run(experiment, &draw, &opts) {
         Ok(()) => println!("\ncompleted in {:.1}s", start.elapsed().as_secs_f64()),
         Err(message) => fail(&message),
     }

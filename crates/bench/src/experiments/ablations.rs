@@ -10,19 +10,32 @@
 //! * Fig. 9 — cost derivation: 4-10x faster with at most a few percent of
 //!   quality loss.
 
-use crate::harness::{
-    fmt_duration, fold, hybrid_baseline, render_table, space_budget, workload_spec, BenchScale,
-};
+use crate::harness::{fmt_duration, fold, hybrid_baseline, render_table, space_budget, Draw};
 use std::time::Duration;
 use xmlshred_core::quality::measure_quality;
 use xmlshred_core::{greedy_search, EvalContext, GreedyOptions, MergeStrategy};
-use xmlshred_data::workload::{Projections, Selectivity, Workload};
+use xmlshred_data::workload::{Projections, Selectivity, Workload, WorkloadSpec};
 use xmlshred_data::Dataset;
 use xmlshred_shred::source_stats::SourceStats;
 
+/// One workload's measured costs in an ablation figure, in the order its
+/// digest folds them: Fig. 7 the full Greedy's; Fig. 8 tuned hybrid
+/// inlining's, then no, greedy and exhaustive merging's; Fig. 9 hybrid
+/// inlining's, then Greedy's with and without cost derivation.
+pub struct Ablation {
+    pub workload: String,
+    pub costs: Vec<f64>,
+}
+
+/// The digest of an ablation figure: every measured cost, in row order.
+pub fn digest(rows: &[Ablation]) -> u64 {
+    let costs = rows.iter().flat_map(|row| &row.costs);
+    costs.fold(0, |digest, cost| fold(digest, cost.to_bits()))
+}
+
 /// The paper's Fig. 7-9 input: the four 20-query DBLP workloads.
-fn dblp_20q(scale: BenchScale) -> Result<(Dataset, Vec<Workload>), String> {
-    let dataset = scale.dblp()?;
+fn dblp_20q(draw: &Draw) -> Result<(Dataset, Vec<Workload>), String> {
+    let dataset = draw.dblp()?;
     let workloads = [
         (Projections::Low, Selectivity::Low),
         (Projections::Low, Selectivity::High),
@@ -34,7 +47,13 @@ fn dblp_20q(scale: BenchScale) -> Result<(Dataset, Vec<Workload>), String> {
         let seed = 900
             + matches!(projections, Projections::High) as u64 * 2
             + matches!(selectivity, Selectivity::High) as u64;
-        scale.workload("dblp", &workload_spec(projections, selectivity, 20, seed))
+        let spec = WorkloadSpec {
+            projections,
+            selectivity,
+            n_queries: 20,
+            seed,
+        };
+        draw.workload("dblp", &spec)
     })
     .collect::<Result<_, _>>()?;
     Ok((dataset, workloads))
@@ -70,15 +89,15 @@ fn run_variant(
 /// (subsumed) transformation and are slow by construction — exactly the
 /// inefficiency the paper measures. Their greedy descent is capped at two
 /// rounds, so the reported speed-ups are *lower bounds* (the full Greedy
-/// runs uncapped). Returns the digest of the full Greedy's measured
-/// costs; the speed-ups are wall-clock and stay out.
-pub fn fig7(scale: BenchScale) -> Result<u64, String> {
+/// runs uncapped). Returns the full Greedy's measured costs; the speed-ups
+/// are wall-clock and stay out.
+pub fn fig7(draw: &Draw) -> Result<Vec<Ablation>, String> {
     println!("\n=== Fig. 7: speed-up due to candidate selection (DBLP, 20-query workloads) ===\n");
-    let (dataset, workloads) = dblp_20q(scale)?;
+    let (dataset, workloads) = dblp_20q(draw)?;
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
     let budget = space_budget(&dataset);
 
-    let (mut rows, mut digest) = (Vec::new(), 0);
+    let (mut rows, mut costs) = (Vec::new(), Vec::new());
     for workload in &workloads {
         // Baseline: no subsumption pruning, no candidate selection.
         let none = GreedyOptions {
@@ -98,7 +117,10 @@ pub fn fig7(scale: BenchScale) -> Result<u64, String> {
         let (t_none, _) = run_variant(&dataset, &source, workload, budget, &none);
         let (t_pruned, _) = run_variant(&dataset, &source, workload, budget, &pruned);
         let (t_full, q_full) = run_variant(&dataset, &source, workload, budget, &full);
-        digest = fold(digest, q_full.to_bits());
+        costs.push(Ablation {
+            workload: workload.name.clone(),
+            costs: vec![q_full],
+        });
         rows.push(vec![
             workload.name.clone(),
             format!(
@@ -132,20 +154,20 @@ pub fn fig7(scale: BenchScale) -> Result<u64, String> {
     println!(
         "(unpruned variants capped at two greedy rounds: reported speed-ups are lower bounds.)\n"
     );
-    Ok(digest)
+    Ok(costs)
 }
 
-/// Fig. 8: merging strategies. Returns the digest of the measured costs.
-pub fn fig8(scale: BenchScale) -> Result<u64, String> {
+/// Fig. 8: merging strategies.
+pub fn fig8(draw: &Draw) -> Result<Vec<Ablation>, String> {
     println!("\n=== Fig. 8: candidate merging strategies (DBLP, 20-query workloads) ===\n");
-    let (dataset, workloads) = dblp_20q(scale)?;
+    let (dataset, workloads) = dblp_20q(draw)?;
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
     let budget = space_budget(&dataset);
 
-    let (mut rows, mut digest) = (Vec::new(), 0);
+    let (mut rows, mut costs) = (Vec::new(), Vec::new());
     for workload in &workloads {
         let baseline = hybrid_baseline(&dataset, workload, budget);
-        digest = fold(digest, baseline.measured_cost.to_bits());
+        let mut measured = vec![baseline.measured_cost];
         let mut cells = vec![workload.name.clone()];
         let mut none_time = 1e-9f64;
         for (label, strategy) in [
@@ -158,7 +180,7 @@ pub fn fig8(scale: BenchScale) -> Result<u64, String> {
                 ..GreedyOptions::default()
             };
             let (t, q) = run_variant(&dataset, &source, workload, budget, &options);
-            digest = fold(digest, q.to_bits());
+            measured.push(q);
             if label == "none" {
                 none_time = t.as_secs_f64().max(1e-9);
             }
@@ -169,6 +191,10 @@ pub fn fig8(scale: BenchScale) -> Result<u64, String> {
             ));
         }
         rows.push(cells);
+        costs.push(Ablation {
+            workload: workload.name.clone(),
+            costs: measured,
+        });
     }
     println!(
         "{}",
@@ -186,17 +212,17 @@ pub fn fig8(scale: BenchScale) -> Result<u64, String> {
     println!(
         "paper: greedy ~= exhaustive quality at 2-10x less time; no merging ~2x worse cost.\n"
     );
-    Ok(digest)
+    Ok(costs)
 }
 
-/// Fig. 9: cost derivation. Returns the digest of the measured costs.
-pub fn fig9(scale: BenchScale) -> Result<u64, String> {
+/// Fig. 9: cost derivation.
+pub fn fig9(draw: &Draw) -> Result<Vec<Ablation>, String> {
     println!("\n=== Fig. 9: cost derivation (DBLP, 20-query workloads) ===\n");
-    let (dataset, workloads) = dblp_20q(scale)?;
+    let (dataset, workloads) = dblp_20q(draw)?;
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
     let budget = space_budget(&dataset);
 
-    let (mut rows, mut digest) = (Vec::new(), 0);
+    let (mut rows, mut costs) = (Vec::new(), Vec::new());
     for workload in &workloads {
         let baseline = hybrid_baseline(&dataset, workload, budget);
         let with = GreedyOptions::default();
@@ -206,9 +232,10 @@ pub fn fig9(scale: BenchScale) -> Result<u64, String> {
         };
         let (t_with, q_with) = run_variant(&dataset, &source, workload, budget, &with);
         let (t_without, q_without) = run_variant(&dataset, &source, workload, budget, &without);
-        for cost in [baseline.measured_cost, q_with, q_without] {
-            digest = fold(digest, cost.to_bits());
-        }
+        costs.push(Ablation {
+            workload: workload.name.clone(),
+            costs: vec![baseline.measured_cost, q_with, q_without],
+        });
         rows.push(vec![
             workload.name.clone(),
             format!("{:.2}", q_with / baseline.measured_cost),
@@ -236,5 +263,5 @@ pub fn fig9(scale: BenchScale) -> Result<u64, String> {
         )
     );
     println!("paper: 4-10x speedup, at most ~3% quality drop.\n");
-    Ok(digest)
+    Ok(costs)
 }

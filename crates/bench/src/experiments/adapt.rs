@@ -22,7 +22,7 @@
 //!   pins it.
 
 use crate::experiments::RunOptions;
-use crate::harness::{fold, fold_answer, mix, render_table, BenchScale};
+use crate::harness::{fold, fold_answer, mix, render_table};
 use xmlshred_core::profile::{AdaptiveDb, ProfileOptions};
 use xmlshred_rel::{
     ColumnDef, DataType, Database, Filter, FilterOp, Output, Row, SelectQuery, SessionDb, SqlQuery,
@@ -83,13 +83,13 @@ fn probe_shifted(db: &SessionDb, table: TableId) -> Result<(f64, u64), String> {
 
 /// Run the adapt scenario: seeded shifting workload, advisor loop,
 /// convergence check, and the pinned `adapt hash`.
-pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
+pub fn run(scale: f64, opts: &RunOptions) -> Result<(), String> {
     let seed = opts.seed.unwrap_or(5);
     let ops = opts
         .ops
-        .unwrap_or_else(|| ((scale.0 * 512.0) as usize).max(256));
+        .unwrap_or_else(|| ((scale * 512.0) as usize).max(256));
     let shift_at = ops / 2;
-    let initial_rows = ((scale.0 * 2048.0) as i64).max(512);
+    let initial_rows = ((scale * 2048.0) as i64).max(512);
     println!(
         "\n=== Online adaptation bench (seed {seed}, {ops} stmts, window {WINDOW}, \
          shift at {shift_at}) ==="

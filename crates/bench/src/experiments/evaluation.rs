@@ -17,7 +17,7 @@
 
 use crate::harness::{
     fmt_duration, fold, hybrid_baseline_exec, render_table, run_algorithms, space_budget, Algo,
-    BenchScale, EvalRun,
+    Draw, EvalRun,
 };
 use xmlshred_core::SearchOptions;
 use xmlshred_data::workload::{Workload, WorkloadSpec};
@@ -28,25 +28,64 @@ use xmlshred_shred::source_stats::SourceStats;
 /// The evaluated algorithms, in column order.
 const ALGORITHMS: [&str; 3] = ["Greedy", "Naive-Greedy", "Two-Step"];
 
-/// Run the experiment for both datasets; returns the digest of Figs. 4
-/// and 6: every measured cost and search count, no running time.
-pub fn run(scale: BenchScale, search: &SearchOptions, exec: ExecOptions) -> Result<u64, String> {
-    let dblp = scale.dblp()?;
+/// One workload's Fig. 4 and Fig. 6 columns: the measured cost of tuned
+/// hybrid inlining, then each algorithm's measured cost and transformations
+/// searched, in column order.
+pub struct Fig4Row {
+    pub dataset: String,
+    pub workload: String,
+    pub hybrid: f64,
+    pub runs: Vec<(&'static str, f64, u64)>,
+}
+
+impl Fig4Row {
+    /// `algorithm`'s measured cost normalized to hybrid inlining's, as
+    /// Fig. 4 prints it; `None` when it did not run.
+    pub fn ratio(&self, algorithm: &str) -> Option<f64> {
+        let mut runs = self.runs.iter();
+        let (_, cost, _) = runs.find(|(name, ..)| *name == algorithm)?;
+        Some(cost / self.hybrid)
+    }
+}
+
+/// The digest of Figs. 4 and 6: every measured cost and search count, no
+/// running time; one fold per dataset, then the two folded together.
+pub fn digest(rows: &[Fig4Row]) -> u64 {
+    let dataset = |name: &str| {
+        let rows = rows.iter().filter(|row| row.dataset == name);
+        rows.fold(0, |digest, row| {
+            let runs = row.runs.iter();
+            runs.fold(
+                fold(digest, row.hybrid.to_bits()),
+                |h, (_, cost, searched)| fold(fold(h, cost.to_bits()), *searched),
+            )
+        })
+    };
+    fold(dataset("dblp"), dataset("movie"))
+}
+
+/// Run the experiment for both datasets of `draw`.
+pub fn run(draw: &Draw, search: &SearchOptions, exec: ExecOptions) -> Result<Vec<Fig4Row>, String> {
+    let dblp = draw.dblp()?;
     let dblp_workloads: Vec<Workload> = WorkloadSpec::dblp_suite()
         .iter()
-        .map(|spec| scale.workload("dblp", spec))
+        .map(|spec| draw.workload("dblp", spec))
         .collect::<Result<_, _>>()?;
-    let digest = evaluate_dataset(&dblp, &dblp_workloads, true, search, exec)?;
+    let mut rows = evaluate_dataset(&dblp, &dblp_workloads, true, search, exec);
 
-    let movie = scale.movie()?;
+    let movie = draw.movie()?;
     let movie_workloads: Vec<Workload> = WorkloadSpec::movie_suite()
         .iter()
-        .map(|spec| scale.workload("movie", spec))
+        .map(|spec| draw.workload("movie", spec))
         .collect::<Result<_, _>>()?;
-    Ok(fold(
-        digest,
-        evaluate_dataset(&movie, &movie_workloads, false, search, exec)?,
-    ))
+    rows.extend(evaluate_dataset(
+        &movie,
+        &movie_workloads,
+        false,
+        search,
+        exec,
+    ));
+    Ok(rows)
 }
 
 fn evaluate_dataset(
@@ -55,7 +94,7 @@ fn evaluate_dataset(
     skip_naive_on_20: bool,
     search: &SearchOptions,
     exec: ExecOptions,
-) -> Result<u64, String> {
+) -> Vec<Fig4Row> {
     println!(
         "\n=== Figs. 4/5/6 on {} ({} elements) ===",
         dataset.name,
@@ -68,7 +107,7 @@ fn evaluate_dataset(
     let mut fig5 = Vec::new();
     let mut fig5_cache = Vec::new();
     let mut fig6 = Vec::new();
-    let mut digest = 0;
+    let mut costs = Vec::new();
     for workload in workloads {
         let naive_skipped = skip_naive_on_20 && workload.queries.len() >= 20;
         let algos: Vec<Algo> = if naive_skipped {
@@ -78,11 +117,17 @@ fn evaluate_dataset(
         };
         let baseline = hybrid_baseline_exec(dataset, workload, budget, exec);
         let runs = run_algorithms(dataset, &source, workload, budget, &algos, search, exec);
-        digest = fold(digest, baseline.measured_cost.to_bits());
-        for run in &runs {
-            digest = fold(digest, run.quality.measured_cost.to_bits());
-            digest = fold(digest, run.outcome.stats.transformations_searched);
-        }
+        costs.push(Fig4Row {
+            dataset: dataset.name.clone(),
+            workload: workload.name.clone(),
+            hybrid: baseline.measured_cost,
+            runs: (runs.iter())
+                .map(|r| {
+                    let searched = r.outcome.stats.transformations_searched;
+                    (r.algorithm, r.quality.measured_cost, searched)
+                })
+                .collect(),
+        });
 
         let twostep_time = runs
             .iter()
@@ -155,5 +200,5 @@ fn evaluate_dataset(
     if skip_naive_on_20 {
         println!("* Naive-Greedy skipped on 20-query DBLP workloads, as in the paper (it ran for days).\n");
     }
-    Ok(digest)
+    costs
 }

@@ -11,14 +11,12 @@
 //! checks.
 
 use crate::experiments::RunOptions;
-use crate::harness::{
-    fmt_duration, load_hybrid, render_table, space_budget, workload_spec, BenchScale,
-};
+use crate::harness::{fmt_duration, load_hybrid, render_table, space_budget, Draw};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 use xmlshred_core::physical::tune;
-use xmlshred_data::workload::{Projections, Selectivity, Workload};
+use xmlshred_data::workload::{Projections, Selectivity, Workload, WorkloadSpec};
 use xmlshred_data::Dataset;
 use xmlshred_rel::sql::SqlQuery;
 use xmlshred_rel::{ExecOptions, ExecStats, OperatorTiming};
@@ -28,23 +26,29 @@ use xmlshred_rel::{ExecOptions, ExecStats, OperatorTiming};
 const SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 /// Run the thread-sweep experiment on both fixtures.
-pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
+pub fn run(scale: f64, opts: &RunOptions) -> Result<(), String> {
     // The sweep executes every query once per thread count; keep the
     // fixtures small (same scaling as the profile experiment).
-    let sweep_scale = BenchScale(scale.0 * 0.05);
+    let draw = Draw::new(scale * 0.05, 0)?;
     let mut threads: Vec<usize> = SWEEP.to_vec();
     if opts.exec.threads != 0 && !threads.contains(&opts.exec.threads) {
         threads.push(opts.exec.threads);
     }
 
-    let dblp = sweep_scale.dblp()?;
-    let spec = workload_spec(Projections::High, Selectivity::Low, 6, 11);
-    let dblp_workload = sweep_scale.workload("dblp", &spec)?;
+    let spec = |projections, selectivity, seed| WorkloadSpec {
+        projections,
+        selectivity,
+        n_queries: 6,
+        seed,
+    };
+    let dblp = draw.dblp()?;
+    let spec_dblp = spec(Projections::High, Selectivity::Low, 11);
+    let dblp_workload = draw.workload("dblp", &spec_dblp)?;
     let dblp_hash = sweep_dataset(&dblp, &dblp_workload, &threads, opts.exec.morsel_rows)?;
 
-    let movie = sweep_scale.movie()?;
-    let spec = workload_spec(Projections::Low, Selectivity::High, 6, 12);
-    let movie_workload = sweep_scale.workload("movie", &spec)?;
+    let movie = draw.movie()?;
+    let spec_movie = spec(Projections::Low, Selectivity::High, 12);
+    let movie_workload = draw.workload("movie", &spec_movie)?;
     let movie_hash = sweep_dataset(&movie, &movie_workload, &threads, opts.exec.morsel_rows)?;
 
     let mut h = DefaultHasher::new();

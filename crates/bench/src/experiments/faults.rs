@@ -15,13 +15,13 @@
 use crate::experiments::RunOptions;
 use crate::harness::{
     check_answers, fold, fold_answer, fold_counters, load_hybrid, mix, run_queries, space_budget,
-    workload_spec, BenchScale, CellOut, Matrix, MatrixSpec,
+    CellOut, Draw, Matrix, MatrixSpec,
 };
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use xmlshred_core::metrics::{record_heal, record_recovery};
 use xmlshred_core::tune;
-use xmlshred_data::workload::{Projections, Selectivity};
+use xmlshred_data::workload::{Projections, Selectivity, WorkloadSpec};
 use xmlshred_data::Dataset;
 use xmlshred_rel::expr::FilterOp;
 use xmlshred_rel::sql::{Output, SqlQuery};
@@ -325,7 +325,7 @@ struct Fixture {
 /// a two-table join.
 fn fixture(
     dataset: &Dataset,
-    scale: BenchScale,
+    draw: &Draw,
     exec: ExecOptions,
     targets: bool,
 ) -> Result<(Database, Fixture), String> {
@@ -335,8 +335,13 @@ fn fixture(
         false => Projections::Low,
     };
     let seed = if name == "dblp" { 31 } else { 32 };
-    let spec = workload_spec(projections, Selectivity::Low, 4, seed);
-    let (mut db, queries) = load_hybrid(dataset, &scale.workload(name, &spec)?.queries)?;
+    let spec = WorkloadSpec {
+        projections,
+        selectivity: Selectivity::Low,
+        n_queries: 4,
+        seed,
+    };
+    let (mut db, queries) = load_hybrid(dataset, &draw.workload(name, &spec)?.queries)?;
     db.set_exec_options(exec);
     let queries: Vec<SqlQuery> = queries.into_iter().map(|(sql, _)| sql).collect();
     let targets = targets.then(|| mine_targets(&queries, name)).transpose()?;
@@ -573,16 +578,16 @@ const CRASH: MatrixSpec = MatrixSpec {
 
 /// The crash matrix: a load, analyze, checkpoint and tuned design build
 /// with one seeded crash armed, 3 kinds x `--points` seeds per fixture.
-pub fn crash(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
-    let scale = BenchScale(scale.0 * 0.02);
+pub fn crash(scale: f64, opts: &RunOptions) -> Result<(), String> {
+    let draw = Draw::new(scale * 0.02, 0)?;
     let (base_seed, seeds) = opts.matrix_seeds(7, 4);
     let header = format!(
         "Crash matrix: 3 kinds x {} seeds x 2 fixtures (crash seed {base_seed})",
         seeds.len()
     );
     let mut matrix = Matrix::start(&CRASH, &header, opts.list_cells, opts.data_dir.as_deref())?;
-    for dataset in [scale.dblp()?, scale.movie()?] {
-        let (db, fx) = fixture(&dataset, scale, opts.exec, false)?;
+    for dataset in [draw.dblp()?, draw.movie()?] {
+        let (db, fx) = fixture(&dataset, &draw, opts.exec, false)?;
         // The paper's tuning tool's design, so crashes land in builds too.
         let weighted: Vec<(&SqlQuery, f64)> = fx.queries.iter().map(|q| (q, 1.0)).collect();
         let budget = space_budget(&dataset);
@@ -658,16 +663,16 @@ const HEAL: MatrixSpec = MatrixSpec {
 /// The heal matrix: a two-phase load around a checkpoint (so heap repair
 /// reads a snapshot and a log suffix), one kind's design, one seeded
 /// corruption of its target, a heal; 3 kinds x `--points` seeds per fixture.
-pub fn heal(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
-    let scale = BenchScale(scale.0 * 0.02);
+pub fn heal(scale: f64, opts: &RunOptions) -> Result<(), String> {
+    let draw = Draw::new(scale * 0.02, 0)?;
     let (base_seed, seeds) = opts.matrix_seeds(9, 3);
     let header = format!(
         "Heal matrix: 3 kinds x {} seeds x 2 fixtures (heal seed {base_seed})",
         seeds.len()
     );
     let mut matrix = Matrix::start(&HEAL, &header, opts.list_cells, opts.data_dir.as_deref())?;
-    for dataset in [scale.dblp()?, scale.movie()?] {
-        let (db, fx) = fixture(&dataset, scale, opts.exec, true)?;
+    for dataset in [draw.dblp()?, draw.movie()?] {
+        let (db, fx) = fixture(&dataset, &draw, opts.exec, true)?;
         let targets = fx.targets.as_ref().ok_or("no heal targets")?;
         let (fixture, tables, n_queries) = (&dataset.name, db.catalog().len(), fx.queries.len());
         let heap = targets.scan_table.index();
@@ -808,16 +813,16 @@ fn mixed_schedule(db: &Database, targets: &Targets, seed: u64) -> Vec<Event> {
 
 /// The mixed matrix: `--points` seeded schedules per fixture. A failing
 /// cell names its one-cell repro.
-pub fn mixed(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
-    let scale = BenchScale(scale.0 * 0.02);
+pub fn mixed(scale: f64, opts: &RunOptions) -> Result<(), String> {
+    let draw = Draw::new(scale * 0.02, 0)?;
     let (base_seed, seeds) = opts.matrix_seeds(1, 10);
     let header = format!(
         "Fault schedules: {} seeds x 2 fixtures (schedule seed {base_seed})",
         seeds.len()
     );
     let mut matrix = Matrix::start(&FAULTS, &header, opts.list_cells, opts.data_dir.as_deref())?;
-    for dataset in [scale.dblp()?, scale.movie()?] {
-        let (db, fx) = fixture(&dataset, scale, opts.exec, true)?;
+    for dataset in [draw.dblp()?, draw.movie()?] {
+        let (db, fx) = fixture(&dataset, &draw, opts.exec, true)?;
         let (targets, fixture) = (fx.targets.as_ref().ok_or("no targets")?, &dataset.name);
         for &seed in &seeds {
             let schedule = mixed_schedule(&db, targets, mix(seed) ^ seed);

@@ -16,7 +16,7 @@ pub mod soak;
 pub mod table1;
 pub mod updates;
 
-use crate::harness::{fold, BenchScale};
+use crate::harness::{fold, Draw};
 use xmlshred_core::{Deadline, SearchOptions};
 use xmlshred_rel::ExecOptions;
 
@@ -36,7 +36,8 @@ pub struct RunOptions {
     pub search: SearchOptions,
     /// Anytime budget per strategy run, in milliseconds.
     pub deadline_ms: Option<u64>,
-    /// The running experiment's seed (`--seed`). Defaults: `crash`
+    /// The running experiment's seed (`--seed`). The figure experiments
+    /// take it as their draw index (default 0, see [`Draw`]). Defaults: `crash`
     /// positions 7; `heal` corruption sites 9; `faults` schedules 1 (a
     /// cell's schedule depends only on its fixture and its seed, so
     /// `--seed S --points 1` reruns the cells of seed `S`); `soak`
@@ -100,15 +101,15 @@ impl RunOptions {
 /// count and design; no wall-clock column, so Fig. 5 and the speed-ups of
 /// Figs. 7-9 stay out). It is identical across `--threads`,
 /// `--no-plan-cache` and `--exec-threads`.
-fn figures(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
+fn figures(draw: &Draw, opts: &RunOptions) -> Result<(), String> {
     let digests = [
-        table1::run(scale)?,
-        motivating::run(scale)?,
-        evaluation::run(scale, &opts.search_for_run(), opts.exec)?,
-        ablations::fig7(scale)?,
-        ablations::fig8(scale)?,
-        ablations::fig9(scale)?,
-        updates::run(scale)?,
+        table1::run(draw)?,
+        motivating::run(draw)?.digest(),
+        evaluation::digest(&evaluation::run(draw, &opts.search_for_run(), opts.exec)?),
+        ablations::digest(&ablations::fig7(draw)?),
+        ablations::digest(&ablations::fig8(draw)?),
+        ablations::digest(&ablations::fig9(draw)?),
+        updates::run(draw)?,
     ];
     let hash = digests.into_iter().fold(0xf16a_7e5d, fold);
     println!("\nfigures hash: {hash:016x}");
@@ -119,19 +120,22 @@ fn figures(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
 /// `fig5`, `fig6` (the three share one evaluation run, so each prints all
 /// three), `fig7`, `fig8`, `fig9`, `updates`, `figures` (all of those),
 /// `crash`, `heal`, `faults`, `profile`, `exec`, `serve`, `soak`, `adapt`,
-/// `all` (`figures`, then the matrices).
-pub fn run(id: &str, scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
+/// `all` (`figures`, then the matrices). The figure experiments run on
+/// `draw`; the matrices read only its scale, so `--seed` never moves their
+/// datasets.
+pub fn run(id: &str, draw: &Draw, opts: &RunOptions) -> Result<(), String> {
+    let scale = draw.scale;
     match id {
-        "table1" => table1::run(scale).map(drop),
-        "motivating" => motivating::run(scale).map(drop),
+        "table1" => table1::run(draw).map(drop),
+        "motivating" => motivating::run(draw).map(drop),
         "fig4" | "fig5" | "fig6" | "eval" => {
-            evaluation::run(scale, &opts.search_for_run(), opts.exec).map(drop)
+            evaluation::run(draw, &opts.search_for_run(), opts.exec).map(drop)
         }
-        "fig7" => ablations::fig7(scale).map(drop),
-        "updates" => updates::run(scale).map(drop),
-        "fig8" => ablations::fig8(scale).map(drop),
-        "fig9" => ablations::fig9(scale).map(drop),
-        "figures" => figures(scale, opts),
+        "fig7" => ablations::fig7(draw).map(drop),
+        "updates" => updates::run(draw).map(drop),
+        "fig8" => ablations::fig8(draw).map(drop),
+        "fig9" => ablations::fig9(draw).map(drop),
+        "figures" => figures(draw, opts),
         "crash" => faults::crash(scale, opts),
         "heal" => faults::heal(scale, opts),
         "faults" => faults::mixed(scale, opts),
@@ -141,7 +145,7 @@ pub fn run(id: &str, scale: BenchScale, opts: &RunOptions) -> Result<(), String>
         "soak" => soak::run(scale, opts),
         "adapt" => adapt::run(scale, opts),
         "all" => {
-            figures(scale, opts)?;
+            figures(draw, opts)?;
             faults::crash(scale, opts)?;
             faults::heal(scale, opts)?;
             faults::mixed(scale, opts)?;

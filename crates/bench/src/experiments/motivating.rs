@@ -13,7 +13,7 @@
 //! that Mapping 2 wins by a large factor with physical design and loses
 //! that advantage without it.
 
-use crate::harness::{fold, render_table, space_budget, BenchScale};
+use crate::harness::{fold, render_table, space_budget, Draw};
 use xmlshred_core::quality::{measure_quality, measure_quality_with_tuning};
 use xmlshred_rel::optimizer::PhysicalConfig;
 use xmlshred_shred::mapping::Mapping;
@@ -22,11 +22,34 @@ use xmlshred_shred::transform::Transformation;
 use xmlshred_xml::tree::NodeKind;
 use xmlshred_xpath::parser::parse_path;
 
-/// Run the experiment; returns the digest of the split count and the four
-/// measured costs.
-pub fn run(scale: BenchScale) -> Result<u64, String> {
+/// The experiment's deterministic columns: the split count and the
+/// measured costs of Mappings 1 and 2, tuned and untuned.
+pub struct Motivating {
+    pub split_count: usize,
+    pub m1_tuned: f64,
+    pub m2_tuned: f64,
+    pub m1_untuned: f64,
+    pub m2_untuned: f64,
+}
+
+impl Motivating {
+    /// The digest of the split count and the four measured costs.
+    pub fn digest(&self) -> u64 {
+        let costs = [
+            self.m1_tuned,
+            self.m2_tuned,
+            self.m1_untuned,
+            self.m2_untuned,
+        ];
+        let bits = costs.map(f64::to_bits);
+        bits.into_iter().fold(self.split_count as u64, fold)
+    }
+}
+
+/// Run the experiment on `draw`'s DBLP dataset.
+pub fn run(draw: &Draw) -> Result<Motivating, String> {
     println!("\n=== Section 1.1 motivating experiment ===\n");
-    let dataset = scale.dblp()?;
+    let dataset = draw.dblp()?;
     let tree = &dataset.tree;
     let source = SourceStats::collect(tree, &dataset.document);
 
@@ -96,6 +119,11 @@ pub fn run(scale: BenchScale) -> Result<u64, String> {
         "untuned win factor (M1/M2): {:.2}x   (paper: 0.78x — Mapping 2 loses)",
         m1_plain.measured_cost / m2_plain.measured_cost
     );
-    let costs = [m1_tuned, m2_tuned, m1_plain, m2_plain].map(|r| r.measured_cost.to_bits());
-    Ok(costs.into_iter().fold(k as u64, fold))
+    Ok(Motivating {
+        split_count: k,
+        m1_tuned: m1_tuned.measured_cost,
+        m2_tuned: m2_tuned.measured_cost,
+        m1_untuned: m1_plain.measured_cost,
+        m2_untuned: m2_plain.measured_cost,
+    })
 }

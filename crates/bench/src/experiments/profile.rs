@@ -14,9 +14,9 @@
 //! nonzero exits instead of silently skewed figures.
 
 use crate::experiments::RunOptions;
-use crate::harness::{render_table, space_budget, workload_spec, BenchScale};
+use crate::harness::{render_table, space_budget, Draw};
 use xmlshred_core::{greedy_search, EvalContext, GreedyOptions, MetricsRegistry, SearchOptions};
-use xmlshred_data::workload::{Projections, Selectivity};
+use xmlshred_data::workload::{Projections, Selectivity, WorkloadSpec};
 use xmlshred_rel::db::Database;
 use xmlshred_rel::optimizer::plan_query_profiled;
 use xmlshred_shred::schema::derive_schema;
@@ -26,13 +26,18 @@ use xmlshred_translate::translate::translate;
 
 /// Run the profile experiment. Writes the JSON report to
 /// `opts.metrics_out` when set.
-pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
+pub fn run(scale: f64, opts: &RunOptions) -> Result<(), String> {
     // The profile runs a full search plus execution; keep the fixture tiny
     // (same scaling as the fault-schedule matrices).
-    let profile_scale = BenchScale(scale.0 * 0.02);
-    let dataset = profile_scale.movie()?;
-    let spec = workload_spec(Projections::Low, Selectivity::Low, 4, 7);
-    let workload = profile_scale.workload("movie", &spec)?;
+    let draw = Draw::new(scale * 0.02, 0)?;
+    let dataset = draw.movie()?;
+    let spec = WorkloadSpec {
+        projections: Projections::Low,
+        selectivity: Selectivity::Low,
+        n_queries: 4,
+        seed: 7,
+    };
+    let workload = draw.workload("movie", &spec)?;
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
     let budget = space_budget(&dataset);
     let ctx = EvalContext {

@@ -17,7 +17,7 @@
 //! move with `--exec-threads`; the repository's `PINS` file pins it.
 
 use crate::experiments::RunOptions;
-use crate::harness::{fmt_duration, render_table, BenchScale};
+use crate::harness::{fmt_duration, render_table};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
@@ -89,10 +89,20 @@ fn client_ops(client: usize, ops: usize, table: TableId) -> Vec<Op> {
         .collect()
 }
 
-/// An empty in-memory database executing with `exec`.
+/// Rows per morsel in every serve database. The hashed single-client cell's
+/// table holds at most 192 rows at default scale (256 ops, three inserts
+/// per read), under one default 1 024-row morsel, so every scan would run
+/// serially at any `--exec-threads`; 64 rows cut it into at least three.
+const MORSEL_ROWS: usize = 64;
+
+/// An empty in-memory database executing with `exec`'s threads, in
+/// [`MORSEL_ROWS`]-row morsels.
 fn database(exec: ExecOptions) -> Database {
     let mut db = Database::new();
-    db.set_exec_options(exec);
+    db.set_exec_options(ExecOptions {
+        morsel_rows: MORSEL_ROWS,
+        ..exec
+    });
     db
 }
 
@@ -386,10 +396,10 @@ fn overload_cell(exec: ExecOptions) -> Result<(), String> {
 
 /// Run the serve benchmark: sweep client counts, assert library parity at
 /// one client, print the latency table and the pinned `serve hash`.
-pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
+pub fn run(scale: f64, opts: &RunOptions) -> Result<(), String> {
     // Ops per client scale with the fixture scale, rounded to a multiple
     // of four so every client runs the same insert/read mix.
-    let ops = (((scale.0 * 256.0) as usize).max(64) / 4) * 4;
+    let ops = (((scale * 256.0) as usize).max(64) / 4) * 4;
     println!(
         "\n=== Multi-session serve bench ({} ops/client, clients {:?}) ===",
         ops, SWEEP
@@ -435,4 +445,34 @@ pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
     );
 
     overload_cell(opts.exec)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The hashed cell's reads fan out: once its table passes one morsel,
+    /// each read's scan dispatches one morsel per started 64 rows.
+    #[test]
+    fn hashed_cell_reads_fan_out_past_one_morsel() {
+        let mut db = database(ExecOptions::with_threads(4));
+        let table = db.create_table(kv_table("serve_kv")).unwrap();
+        let (mut stored, mut reads) = (0usize, Vec::new());
+        for op in client_ops(0, 256, table) {
+            match op {
+                Op::Insert(row) => stored += db.insert_rows(table, [row]).map(|_| 1).unwrap(),
+                Op::Query(q) => {
+                    let morsels = db.execute(&q).unwrap().profile.morsels_dispatched;
+                    reads.push((stored, morsels));
+                }
+            }
+        }
+        assert_eq!(stored, 192);
+        for (rows, morsels) in reads {
+            // The scan and the projection above it each cut every row.
+            let per_scan = rows.div_ceil(MORSEL_ROWS) as u64;
+            assert_eq!(morsels, 2 * per_scan, "{rows} rows");
+            assert_eq!(per_scan > 1, rows > MORSEL_ROWS, "{rows} rows");
+        }
+    }
 }

@@ -34,7 +34,7 @@
 
 use crate::experiments::serve::{kv_table, scan_query};
 use crate::experiments::RunOptions;
-use crate::harness::{fold, fold_answer, mix, BenchScale, CellOut, Matrix, MatrixSpec};
+use crate::harness::{fold, fold_answer, mix, CellOut, Matrix, MatrixSpec};
 use std::path::Path;
 use std::time::Duration;
 use xmlshred_core::metrics::{record_drain, record_server};
@@ -481,8 +481,8 @@ const SOAK: MatrixSpec = MatrixSpec {
 };
 
 /// Run the 16-cell soak matrix and print the pinned `soak hash`.
-pub fn run(scale: BenchScale, opts: &RunOptions) -> Result<(), String> {
-    let ops = opts.ops.unwrap_or(((scale.0 * 10.0) as usize).max(10));
+pub fn run(scale: f64, opts: &RunOptions) -> Result<(), String> {
+    let ops = opts.ops.unwrap_or(((scale * 10.0) as usize).max(10));
     let seed = opts.seed.unwrap_or(13);
     let header = format!(
         "Network-chaos soak: {} clients x {} fault kinds x overload on/off \

@@ -5,17 +5,17 @@
 //! unions, repetitions, and shared types. (The paper's DBLP at 100 MB had
 //! 271 transformations; counts scale with the schema, not the data.)
 
-use crate::harness::{fold_str, render_table, space_budget, BenchScale};
+use crate::harness::{fold_str, render_table, space_budget, Draw};
 use xmlshred_data::Dataset;
 use xmlshred_shred::mapping::Mapping;
 use xmlshred_shred::transform::count_transformations;
 use xmlshred_xml::tree::NodeKind;
 
 /// Run the experiment; returns the digest of every cell.
-pub fn run(scale: BenchScale) -> Result<u64, String> {
+pub fn run(draw: &Draw) -> Result<u64, String> {
     println!("\n=== Table 1: dataset characteristics ===\n");
     let mut rows = Vec::new();
-    for dataset in [scale.dblp()?, scale.movie()?] {
+    for dataset in [draw.dblp()?, draw.movie()?] {
         rows.push(characterize(&dataset));
     }
     println!(
@@ -100,7 +100,7 @@ mod tests {
 
     #[test]
     fn characterization_shape() {
-        let row = characterize(&BenchScale(0.01).dblp().unwrap());
+        let row = characterize(&Draw::new(0.01, 0).unwrap().dblp().unwrap());
         assert_eq!(row.len(), 9);
         assert_eq!(row[0], "dblp");
         // DBLP has the shared author annotation and the shared title type.

@@ -3,21 +3,26 @@
 //! tables and shows how the tuning tool trades indexes for update cost —
 //! heavy writers get fewer and narrower structures.
 
-use crate::harness::{fold, render_table, space_budget, workload_spec, BenchScale};
+use crate::harness::{fold, render_table, space_budget, Draw};
 use xmlshred_core::context::EvalContext;
 use xmlshred_core::physical::{tune_with_updates, UpdateLoad};
-use xmlshred_data::workload::{Projections, Selectivity};
+use xmlshred_data::workload::{Projections, Selectivity, WorkloadSpec};
 use xmlshred_shred::mapping::Mapping;
 use xmlshred_shred::source_stats::SourceStats;
 
 /// Run the experiment; returns the digest of every design's structure
 /// counts and cost.
-pub fn run(scale: BenchScale) -> Result<u64, String> {
+pub fn run(draw: &Draw) -> Result<u64, String> {
     println!("\n=== Extension: update-aware physical design (not in the paper; its Section 7 future work) ===\n");
-    let dataset = scale.dblp()?;
+    let dataset = draw.dblp()?;
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
-    let spec = workload_spec(Projections::Low, Selectivity::Low, 10, 77);
-    let workload = scale.workload("dblp", &spec)?;
+    let spec = WorkloadSpec {
+        projections: Projections::Low,
+        selectivity: Selectivity::Low,
+        n_queries: 10,
+        seed: 77,
+    };
+    let workload = draw.workload("dblp", &spec)?;
     let budget = space_budget(&dataset);
     let ctx = EvalContext {
         tree: &dataset.tree,

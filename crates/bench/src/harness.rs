@@ -12,9 +12,7 @@ use xmlshred_core::{
 };
 use xmlshred_data::dblp::{generate_dblp, DblpConfig};
 use xmlshred_data::movie::{generate_movie, MovieConfig};
-use xmlshred_data::workload::{
-    dblp_workload, movie_workload, Projections, Selectivity, Workload, WorkloadSpec,
-};
+use xmlshred_data::workload::{dblp_workload, movie_workload, Workload, WorkloadSpec};
 use xmlshred_data::Dataset;
 use xmlshred_rel::{Database, ExecOptions, ExecStats, Row, SqlQuery, Value};
 use xmlshred_shred::mapping::Mapping;
@@ -24,61 +22,52 @@ use xmlshred_shred::source_stats::SourceStats;
 use xmlshred_translate::translate::translate;
 use xmlshred_xpath::Path as XPath;
 
-/// Scale factor for dataset sizes (1.0 = the default bench scale, roughly a
-/// third of the paper's 100 MB; the figures report ratios, which are scale
-/// stable).
+/// One draw of the figure experiments' inputs: the dataset scale (1.0 = the
+/// default bench scale, roughly a third of the paper's 100 MB; the figures
+/// report ratios, which are scale stable) and the draw index, which moves
+/// the generators' seeds. Draw 0 is the generators' default seeds, so it
+/// prints the figures as they have always read.
 #[derive(Debug, Clone, Copy)]
-pub struct BenchScale(pub f64);
+pub struct Draw {
+    pub scale: f64,
+    pub index: u64,
+}
 
-impl BenchScale {
-    /// Validate a scale factor: it must be a finite number greater than
-    /// zero. NaN, zero, and negative values used to slip through
-    /// `from_env` and silently collapse every dataset to the floor-50
-    /// configs, making "scaled" runs measure nothing.
-    pub fn try_new(value: f64) -> Result<Self, String> {
-        if !value.is_finite() || value <= 0.0 {
-            return Err(format!("scale must be a finite number > 0, got {value}"));
+impl Draw {
+    /// Validate the scale: it must be a finite number greater than zero.
+    /// NaN, zero and negative values would collapse every dataset to the
+    /// floor-50 configs, making "scaled" runs measure nothing.
+    pub fn new(scale: f64, index: u64) -> Result<Self, String> {
+        if !scale.is_finite() || scale <= 0.0 {
+            return Err(format!("scale must be a finite number > 0, got {scale}"));
         }
-        Ok(BenchScale(value))
-    }
-
-    /// Read from the `XMLSHRED_SCALE` environment variable (default 1.0).
-    /// An unset variable defaults; a set-but-invalid one (unparsable, NaN,
-    /// zero, or negative) is an error, not a silent fallback.
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("XMLSHRED_SCALE") {
-            Err(_) => Ok(BenchScale(1.0)),
-            Ok(raw) => Self::parse(&raw),
-        }
-    }
-
-    /// Parse a scale string with the same validation as [`BenchScale::try_new`].
-    pub fn parse(raw: &str) -> Result<Self, String> {
-        let value: f64 = raw
-            .trim()
-            .parse()
-            .map_err(|_| format!("XMLSHRED_SCALE is not a number: {raw:?}"))?;
-        Self::try_new(value).map_err(|e| format!("XMLSHRED_SCALE invalid: {e}"))
+        Ok(Draw { scale, index })
     }
 
     fn apply(&self, n: usize) -> usize {
-        ((n as f64 * self.0) as usize).max(50)
+        ((n as f64 * self.scale) as usize).max(50)
     }
 
-    /// The DBLP generator configuration at this scale.
+    /// The DBLP generator configuration: this scale, the default seed plus
+    /// the draw index.
     pub fn dblp_config(&self) -> DblpConfig {
+        let default = DblpConfig::default();
         DblpConfig {
             n_inproceedings: self.apply(20_000),
             n_books: self.apply(2_000),
-            ..DblpConfig::default()
+            seed: default.seed + self.index,
+            ..default
         }
     }
 
-    /// The Movie generator configuration at this scale.
+    /// The Movie generator configuration: this scale, the default seed plus
+    /// the draw index.
     pub fn movie_config(&self) -> MovieConfig {
+        let default = MovieConfig::default();
         MovieConfig {
             n_movies: self.apply(30_000),
-            ..MovieConfig::default()
+            seed: default.seed + self.index,
+            ..default
         }
     }
 
@@ -92,33 +81,23 @@ impl BenchScale {
         generate_movie(&self.movie_config())
     }
 
-    /// Generate a workload over the `dblp` or `movie` dataset at this scale.
+    /// Generate a workload over the `dblp` or `movie` dataset of this draw:
+    /// `spec` with `101 * index` added to its seed.
     pub fn workload(&self, dataset: &str, spec: &WorkloadSpec) -> Result<Workload, String> {
+        let spec = WorkloadSpec {
+            seed: spec.seed + 101 * self.index,
+            ..*spec
+        };
         match dataset {
             "dblp" => {
                 let config = self.dblp_config();
-                dblp_workload(spec, config.years, config.n_conferences)
+                dblp_workload(&spec, config.years, config.n_conferences)
             }
             _ => {
                 let config = self.movie_config();
-                movie_workload(spec, config.years, config.n_genres)
+                movie_workload(&spec, config.years, config.n_genres)
             }
         }
-    }
-}
-
-/// A workload's projection and selectivity bands, query count and seed.
-pub fn workload_spec(
-    projections: Projections,
-    selectivity: Selectivity,
-    n_queries: usize,
-    seed: u64,
-) -> WorkloadSpec {
-    WorkloadSpec {
-        projections,
-        selectivity,
-        n_queries,
-        seed,
     }
 }
 
@@ -172,7 +151,6 @@ pub enum Algo {
 /// Run the selected algorithms on one workload. Recommendations are
 /// identical for any `search` parallelism/caching knobs and measured costs
 /// for any `exec` options; only running time and the cache counters change.
-#[allow(clippy::too_many_arguments)]
 pub fn run_algorithms(
     dataset: &Dataset,
     source: &SourceStats,
@@ -561,6 +539,7 @@ pub fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xmlshred_data::workload::{Projections, Selectivity};
 
     #[test]
     fn table_rendering_aligns() {
@@ -588,34 +567,33 @@ mod tests {
 
     #[test]
     fn scale_applies_floor() {
-        let s = BenchScale(0.0001);
-        assert_eq!(s.apply(20_000), 50);
+        let draw = Draw::new(0.0001, 0).unwrap();
+        assert_eq!(draw.apply(20_000), 50);
     }
 
     #[test]
     fn nan_scale_rejected() {
-        let err = BenchScale::try_new(f64::NAN).unwrap_err();
+        let err = Draw::new(f64::NAN, 0).unwrap_err();
         assert!(err.contains("finite"), "{err}");
-        assert!(BenchScale::parse("NaN").is_err());
     }
 
     #[test]
     fn zero_scale_rejected() {
-        assert!(BenchScale::try_new(0.0).is_err());
-        assert!(BenchScale::parse("0").is_err());
+        assert!(Draw::new(0.0, 0).is_err());
     }
 
     #[test]
     fn negative_scale_rejected() {
-        assert!(BenchScale::try_new(-1.5).is_err());
-        assert!(BenchScale::parse("-1.5").is_err());
+        assert!(Draw::new(-1.5, 0).is_err());
     }
 
     #[test]
-    fn valid_scale_accepted_and_garbage_rejected() {
-        assert_eq!(BenchScale::parse("0.25").unwrap().0, 0.25);
-        assert_eq!(BenchScale::parse(" 2 ").unwrap().0, 2.0);
-        assert!(BenchScale::parse("lots").is_err());
+    fn draw_zero_keeps_the_default_seeds() {
+        let draw = Draw::new(0.25, 0).unwrap();
+        assert_eq!(draw.dblp_config().seed, DblpConfig::default().seed);
+        assert_eq!(draw.movie_config().seed, MovieConfig::default().seed);
+        let moved = Draw { index: 3, ..draw };
+        assert_eq!(moved.dblp_config().seed, DblpConfig::default().seed + 3);
     }
 
     #[test]
@@ -669,11 +647,16 @@ mod tests {
 
     #[test]
     fn tiny_end_to_end_run() {
-        let scale = BenchScale(0.01);
-        let dataset = scale.movie().unwrap();
+        let draw = Draw::new(0.01, 0).unwrap();
+        let dataset = draw.movie().unwrap();
         let source = SourceStats::collect(&dataset.tree, &dataset.document);
-        let spec = workload_spec(Projections::Low, Selectivity::Low, 3, 1);
-        let workload = scale.workload("movie", &spec).expect("workload generates");
+        let spec = WorkloadSpec {
+            projections: Projections::Low,
+            selectivity: Selectivity::Low,
+            n_queries: 3,
+            seed: 1,
+        };
+        let workload = draw.workload("movie", &spec).expect("workload generates");
         let budget = space_budget(&dataset);
         let runs = run_algorithms(
             &dataset,

@@ -16,4 +16,4 @@ pub mod experiments;
 pub mod harness;
 pub mod pins;
 
-pub use harness::{BenchScale, EvalRun};
+pub use harness::{Draw, EvalRun};

@@ -195,16 +195,12 @@ fn check(
     }
 }
 
-/// One variant's run: this executable, with `XMLSHRED_SCALE` cleared and
-/// stderr passed through. Under `data_dir` the run gets `--data-dir
+/// One variant's run: this executable, with stderr passed through. Under `data_dir` the run gets `--data-dir
 /// <data_dir>/<run>` and its stdout is kept there as `output.txt`.
 fn run_reproduce(args: &[String], run: &str, data_dir: Option<&Path>) -> Result<String, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate reproduce: {e}"))?;
     let mut command = Command::new(&exe);
-    command
-        .args(args)
-        .env_remove("XMLSHRED_SCALE")
-        .stderr(Stdio::inherit());
+    command.args(args).stderr(Stdio::inherit());
     let dir: Option<PathBuf> = data_dir.map(|base| base.join(run));
     if let Some(dir) = &dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;

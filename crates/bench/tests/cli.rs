@@ -170,3 +170,22 @@ fn faults_matrix_lists_its_schedules() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("faults matrix: 20 cells"), "{stdout}");
 }
+
+/// `--seed K` picks draw K of the figure experiments: Table 1's element
+/// counts move with it, so the seed reaches the runners.
+#[test]
+fn seed_picks_the_figures_draw() {
+    let elements = |seed: &str| {
+        let out = reproduce(&["table1", "--scale", "0.01", "--seed", seed]);
+        assert!(out.status.success(), "{out:?}");
+        let rows = fixture_rows(&out);
+        assert_eq!(rows.len(), 2, "{out:?}");
+        rows.into_iter()
+            .map(|row| row[1].clone())
+            .collect::<Vec<_>>()
+    };
+    let (draw0, draw1) = (elements("0"), elements("1"));
+    assert_eq!(elements("0"), draw0);
+    assert_ne!(draw0[0], draw1[0]);
+    assert_ne!(draw0[1], draw1[1]);
+}

@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use xmlshred_bench::harness::{
-    hybrid_baseline_exec, render_table, run_algorithms, space_budget, Algo, BenchScale,
+    hybrid_baseline_exec, render_table, run_algorithms, space_budget, Algo, Draw,
 };
 use xmlshred_core::quality::{measure_quality_with_exec, QualityReport};
 use xmlshred_core::{
@@ -125,9 +125,9 @@ fn investigate(
     dataset: &Dataset,
     spec: &WorkloadSpec,
     name: &str,
-    scale: BenchScale,
+    draw: &Draw,
 ) -> BTreeMap<&'static str, f64> {
-    let workload = scale.workload(&dataset.name, spec).expect("workload");
+    let workload = draw.workload(&dataset.name, spec).expect("workload");
     assert_eq!(workload.name, name);
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
     let budget = space_budget(dataset);
@@ -187,13 +187,13 @@ fn investigate(
 #[test]
 #[ignore = "scale 1, release build; run with --ignored --nocapture"]
 fn greedy_losses_under_each_pruning_switch() {
-    let scale = BenchScale(1.0);
-    let dblp = scale.dblp().expect("dblp");
+    let draw = Draw::new(1.0, 0).unwrap();
+    let dblp = draw.dblp().expect("dblp");
     let lp_hs_10 = WorkloadSpec::dblp_suite()[1];
-    let dblp = investigate(&dblp, &lp_hs_10, "LP-HS-10", scale);
-    let movie = scale.movie().expect("movie");
+    let dblp = investigate(&dblp, &lp_hs_10, "LP-HS-10", &draw);
+    let movie = draw.movie().expect("movie");
     let hp_ls_20 = WorkloadSpec::movie_suite()[2];
-    let movie = investigate(&movie, &hp_ls_20, "HP-LS-20", scale);
+    let movie = investigate(&movie, &hp_ls_20, "HP-LS-20", &draw);
     // The default variant is Fig. 4's Greedy column.
     let two_places = |ratio: f64| format!("{ratio:.2}");
     assert_eq!(two_places(dblp["Greedy (default)"]), "0.60");
