@@ -11,10 +11,8 @@
 //! cargo run --release -p xmlshred-bench --bin reproduce -- pins heal faults
 //! ```
 //!
-//! Experiments: `table1`, `motivating`, `fig4`/`fig5`/`fig6` (one shared
-//! evaluation run), `fig7`, `fig8`, `fig9`, `updates`, `figures` (all of
-//! those), `crash`, `heal`, `faults`, `profile`, `exec`, `serve`, `soak`,
-//! `adapt`, `all`; the README's Quickstart says what each one checks.
+//! Experiments: the ids [`xmlshred_bench::experiments::run`] lists; the
+//! README's Quickstart says what each one checks.
 //! `--scale X` scales the datasets; normalized figures are scale-stable.
 //! `--seed K` picks draw K of the figure experiments' dataset and workload
 //! seeds (default 0). `--threads N` and `--no-plan-cache` shape the
@@ -122,19 +120,15 @@ fn main() {
         fail("pins takes pin names and --data-dir only");
     }
 
+    let threads = |n: usize| match n {
+        0 => "auto".to_string(),
+        n => n.to_string(),
+    };
     println!(
         "xmlshred reproduction harness — experiment '{experiment}', scale {:.2}, threads {}, exec-threads {}, plan cache {}",
-        draw.scale,
-        if search.threads == 0 {
-            "auto".to_string()
-        } else {
-            search.threads.to_string()
-        },
-        if exec.threads == 0 {
-            "auto".to_string()
-        } else {
-            exec.threads.to_string()
-        },
+        scale,
+        threads(search.threads),
+        threads(exec.threads),
         if search.plan_cache { "on" } else { "off" }
     );
     let opts = RunOptions {

@@ -14,73 +14,64 @@ use crate::harness::{fmt_duration, fold, hybrid_baseline, render_table, space_bu
 use std::time::Duration;
 use xmlshred_core::quality::measure_quality;
 use xmlshred_core::{greedy_search, EvalContext, GreedyOptions, MergeStrategy};
-use xmlshred_data::workload::{Projections, Selectivity, Workload, WorkloadSpec};
+use xmlshred_data::workload::{Workload, WorkloadSpec};
 use xmlshred_data::Dataset;
 use xmlshred_shred::source_stats::SourceStats;
 
-/// One workload's measured costs in an ablation figure, in the order its
-/// digest folds them: Fig. 7 the full Greedy's; Fig. 8 tuned hybrid
-/// inlining's, then no, greedy and exhaustive merging's; Fig. 9 hybrid
-/// inlining's, then Greedy's with and without cost derivation.
-pub struct Ablation {
-    pub workload: String,
-    pub costs: Vec<f64>,
-}
-
 /// The digest of an ablation figure: every measured cost, in row order.
-pub fn digest(rows: &[Ablation]) -> u64 {
-    let costs = rows.iter().flat_map(|row| &row.costs);
+/// Each figure returns one row per workload: Fig. 7 the full Greedy's
+/// cost; Fig. 8 tuned hybrid inlining's, then no, greedy and exhaustive
+/// merging's; Fig. 9 hybrid inlining's, then Greedy's with and without
+/// cost derivation.
+pub fn digest(rows: &[Vec<f64>]) -> u64 {
+    let costs = rows.iter().flatten();
     costs.fold(0, |digest, cost| fold(digest, cost.to_bits()))
 }
 
-/// The paper's Fig. 7-9 input: the four 20-query DBLP workloads.
-fn dblp_20q(draw: &Draw) -> Result<(Dataset, Vec<Workload>), String> {
-    let dataset = draw.dblp()?;
-    let workloads = [
-        (Projections::Low, Selectivity::Low),
-        (Projections::Low, Selectivity::High),
-        (Projections::High, Selectivity::Low),
-        (Projections::High, Selectivity::High),
-    ]
-    .iter()
-    .map(|&(projections, selectivity)| {
-        let seed = 900
-            + matches!(projections, Projections::High) as u64 * 2
-            + matches!(selectivity, Selectivity::High) as u64;
-        let spec = WorkloadSpec {
-            projections,
-            selectivity,
-            n_queries: 20,
-            seed,
-        };
-        draw.workload("dblp", &spec)
-    })
-    .collect::<Result<_, _>>()?;
-    Ok((dataset, workloads))
+/// The paper's Fig. 7-9 input: `draw`'s DBLP dataset, its source
+/// statistics and space budget, and Fig. 4's four 20-query DBLP workloads.
+struct Dblp20 {
+    dataset: Dataset,
+    source: SourceStats,
+    budget: f64,
+    workloads: Vec<Workload>,
 }
 
-fn run_variant(
-    dataset: &Dataset,
-    source: &SourceStats,
-    workload: &Workload,
-    budget: f64,
-    options: &GreedyOptions,
-) -> (Duration, f64) {
-    let ctx = EvalContext {
-        tree: &dataset.tree,
-        source,
-        workload: &workload.queries,
-        space_budget: budget,
-    };
-    let outcome = greedy_search(&ctx, options);
-    let quality = measure_quality(
-        &dataset.tree,
-        &dataset.document,
-        &workload.queries,
-        &outcome.mapping,
-        &outcome.config,
-    );
-    (outcome.stats.elapsed, quality.measured_cost)
+impl Dblp20 {
+    fn new(draw: &Draw) -> Result<Dblp20, String> {
+        let dataset = draw.dblp()?;
+        let suite = WorkloadSpec::dblp_suite().into_iter();
+        let workloads = (suite.filter(|spec| spec.n_queries == 20))
+            .map(|spec| draw.workload("dblp", &spec))
+            .collect::<Result<_, _>>()?;
+        Ok(Dblp20 {
+            source: SourceStats::collect(&dataset.tree, &dataset.document),
+            budget: space_budget(&dataset),
+            dataset,
+            workloads,
+        })
+    }
+
+    /// Tuned hybrid inlining's measured cost on `workload`.
+    fn hybrid(&self, workload: &Workload) -> f64 {
+        hybrid_baseline(&self.dataset, workload, self.budget, Default::default()).measured_cost
+    }
+
+    /// Greedy under `options` on `workload`: its running time and the
+    /// measured cost of its design.
+    fn greedy(&self, workload: &Workload, options: &GreedyOptions) -> (Duration, f64) {
+        let (tree, document) = (&self.dataset.tree, &self.dataset.document);
+        let ctx = EvalContext {
+            tree,
+            source: &self.source,
+            workload: &workload.queries,
+            space_budget: self.budget,
+        };
+        let outcome = greedy_search(&ctx, options);
+        let (mapping, config) = (&outcome.mapping, &outcome.config);
+        let quality = measure_quality(tree, document, &workload.queries, mapping, config);
+        (outcome.stats.elapsed, quality.measured_cost)
+    }
 }
 
 /// Fig. 7: speed-up due to candidate selection.
@@ -91,14 +82,11 @@ fn run_variant(
 /// rounds, so the reported speed-ups are *lower bounds* (the full Greedy
 /// runs uncapped). Returns the full Greedy's measured costs; the speed-ups
 /// are wall-clock and stay out.
-pub fn fig7(draw: &Draw) -> Result<Vec<Ablation>, String> {
+pub fn fig7(draw: &Draw) -> Result<Vec<Vec<f64>>, String> {
     println!("\n=== Fig. 7: speed-up due to candidate selection (DBLP, 20-query workloads) ===\n");
-    let (dataset, workloads) = dblp_20q(draw)?;
-    let source = SourceStats::collect(&dataset.tree, &dataset.document);
-    let budget = space_budget(&dataset);
-
+    let input = Dblp20::new(draw)?;
     let (mut rows, mut costs) = (Vec::new(), Vec::new());
-    for workload in &workloads {
+    for workload in &input.workloads {
         // Baseline: no subsumption pruning, no candidate selection.
         let none = GreedyOptions {
             subsumption_pruning: false,
@@ -114,13 +102,10 @@ pub fn fig7(draw: &Draw) -> Result<Vec<Ablation>, String> {
         };
         let full = GreedyOptions::default();
 
-        let (t_none, _) = run_variant(&dataset, &source, workload, budget, &none);
-        let (t_pruned, _) = run_variant(&dataset, &source, workload, budget, &pruned);
-        let (t_full, q_full) = run_variant(&dataset, &source, workload, budget, &full);
-        costs.push(Ablation {
-            workload: workload.name.clone(),
-            costs: vec![q_full],
-        });
+        let (t_none, _) = input.greedy(workload, &none);
+        let (t_pruned, _) = input.greedy(workload, &pruned);
+        let (t_full, q_full) = input.greedy(workload, &full);
+        costs.push(vec![q_full]);
         rows.push(vec![
             workload.name.clone(),
             format!(
@@ -158,16 +143,13 @@ pub fn fig7(draw: &Draw) -> Result<Vec<Ablation>, String> {
 }
 
 /// Fig. 8: merging strategies.
-pub fn fig8(draw: &Draw) -> Result<Vec<Ablation>, String> {
+pub fn fig8(draw: &Draw) -> Result<Vec<Vec<f64>>, String> {
     println!("\n=== Fig. 8: candidate merging strategies (DBLP, 20-query workloads) ===\n");
-    let (dataset, workloads) = dblp_20q(draw)?;
-    let source = SourceStats::collect(&dataset.tree, &dataset.document);
-    let budget = space_budget(&dataset);
-
+    let input = Dblp20::new(draw)?;
     let (mut rows, mut costs) = (Vec::new(), Vec::new());
-    for workload in &workloads {
-        let baseline = hybrid_baseline(&dataset, workload, budget);
-        let mut measured = vec![baseline.measured_cost];
+    for workload in &input.workloads {
+        let hybrid = input.hybrid(workload);
+        let mut measured = vec![hybrid];
         let mut cells = vec![workload.name.clone()];
         let mut none_time = 1e-9f64;
         for (label, strategy) in [
@@ -179,22 +161,19 @@ pub fn fig8(draw: &Draw) -> Result<Vec<Ablation>, String> {
                 merge_strategy: strategy,
                 ..GreedyOptions::default()
             };
-            let (t, q) = run_variant(&dataset, &source, workload, budget, &options);
+            let (t, q) = input.greedy(workload, &options);
             measured.push(q);
             if label == "none" {
                 none_time = t.as_secs_f64().max(1e-9);
             }
             cells.push(format!(
                 "{:.2} / {:.1}x",
-                q / baseline.measured_cost,
+                q / hybrid,
                 t.as_secs_f64() / none_time
             ));
         }
         rows.push(cells);
-        costs.push(Ablation {
-            workload: workload.name.clone(),
-            costs: measured,
-        });
+        costs.push(measured);
     }
     println!(
         "{}",
@@ -216,30 +195,24 @@ pub fn fig8(draw: &Draw) -> Result<Vec<Ablation>, String> {
 }
 
 /// Fig. 9: cost derivation.
-pub fn fig9(draw: &Draw) -> Result<Vec<Ablation>, String> {
+pub fn fig9(draw: &Draw) -> Result<Vec<Vec<f64>>, String> {
     println!("\n=== Fig. 9: cost derivation (DBLP, 20-query workloads) ===\n");
-    let (dataset, workloads) = dblp_20q(draw)?;
-    let source = SourceStats::collect(&dataset.tree, &dataset.document);
-    let budget = space_budget(&dataset);
-
+    let input = Dblp20::new(draw)?;
     let (mut rows, mut costs) = (Vec::new(), Vec::new());
-    for workload in &workloads {
-        let baseline = hybrid_baseline(&dataset, workload, budget);
+    for workload in &input.workloads {
+        let hybrid = input.hybrid(workload);
         let with = GreedyOptions::default();
         let without = GreedyOptions {
             cost_derivation: false,
             ..GreedyOptions::default()
         };
-        let (t_with, q_with) = run_variant(&dataset, &source, workload, budget, &with);
-        let (t_without, q_without) = run_variant(&dataset, &source, workload, budget, &without);
-        costs.push(Ablation {
-            workload: workload.name.clone(),
-            costs: vec![baseline.measured_cost, q_with, q_without],
-        });
+        let (t_with, q_with) = input.greedy(workload, &with);
+        let (t_without, q_without) = input.greedy(workload, &without);
+        costs.push(vec![hybrid, q_with, q_without]);
         rows.push(vec![
             workload.name.clone(),
-            format!("{:.2}", q_with / baseline.measured_cost),
-            format!("{:.2}", q_without / baseline.measured_cost),
+            format!("{:.2}", q_with / hybrid),
+            format!("{:.2}", q_without / hybrid),
             format!(
                 "{:.1}x",
                 t_without.as_secs_f64() / t_with.as_secs_f64().max(1e-9)

@@ -12,12 +12,11 @@
 //! * Fig. 6 — number of transformations searched (Greedy searches 10-40x
 //!   fewer than Naive-Greedy on DBLP, 5-10x fewer on Movie).
 //!
-//! Following the paper, Naive-Greedy is skipped on the 20-query DBLP
-//! workloads ("it did not stop after running for five days").
+//! The paper skipped Naive-Greedy on the 20-query DBLP workloads ("it did
+//! not stop after running for five days"); here it runs on all twelve.
 
 use crate::harness::{
-    fmt_duration, fold, hybrid_baseline_exec, render_table, run_algorithms, space_budget, Algo,
-    Draw, EvalRun,
+    fmt_duration, fold, hybrid_baseline, render_table, run_algorithms, space_budget, Draw, EvalRun,
 };
 use xmlshred_core::SearchOptions;
 use xmlshred_data::workload::{Workload, WorkloadSpec};
@@ -25,26 +24,21 @@ use xmlshred_data::Dataset;
 use xmlshred_rel::ExecOptions;
 use xmlshred_shred::source_stats::SourceStats;
 
-/// The evaluated algorithms, in column order.
-const ALGORITHMS: [&str; 3] = ["Greedy", "Naive-Greedy", "Two-Step"];
-
 /// One workload's Fig. 4 and Fig. 6 columns: the measured cost of tuned
-/// hybrid inlining, then each algorithm's measured cost and transformations
-/// searched, in column order.
+/// hybrid inlining, then Greedy's, Naive-Greedy's and Two-Step's measured
+/// cost and transformations searched.
 pub struct Fig4Row {
     pub dataset: String,
     pub workload: String,
     pub hybrid: f64,
-    pub runs: Vec<(&'static str, f64, u64)>,
+    pub runs: [(f64, u64); 3],
 }
 
 impl Fig4Row {
-    /// `algorithm`'s measured cost normalized to hybrid inlining's, as
-    /// Fig. 4 prints it; `None` when it did not run.
-    pub fn ratio(&self, algorithm: &str) -> Option<f64> {
-        let mut runs = self.runs.iter();
-        let (_, cost, _) = runs.find(|(name, ..)| *name == algorithm)?;
-        Some(cost / self.hybrid)
+    /// Greedy's, Naive-Greedy's and Two-Step's measured cost normalized to
+    /// hybrid inlining's, as Fig. 4 prints them.
+    pub fn ratios(&self) -> [f64; 3] {
+        self.runs.map(|(cost, _)| cost / self.hybrid)
     }
 }
 
@@ -55,10 +49,9 @@ pub fn digest(rows: &[Fig4Row]) -> u64 {
         let rows = rows.iter().filter(|row| row.dataset == name);
         rows.fold(0, |digest, row| {
             let runs = row.runs.iter();
-            runs.fold(
-                fold(digest, row.hybrid.to_bits()),
-                |h, (_, cost, searched)| fold(fold(h, cost.to_bits()), *searched),
-            )
+            runs.fold(fold(digest, row.hybrid.to_bits()), |h, (cost, searched)| {
+                fold(fold(h, cost.to_bits()), *searched)
+            })
         })
     };
     fold(dataset("dblp"), dataset("movie"))
@@ -66,32 +59,22 @@ pub fn digest(rows: &[Fig4Row]) -> u64 {
 
 /// Run the experiment for both datasets of `draw`.
 pub fn run(draw: &Draw, search: &SearchOptions, exec: ExecOptions) -> Result<Vec<Fig4Row>, String> {
-    let dblp = draw.dblp()?;
-    let dblp_workloads: Vec<Workload> = WorkloadSpec::dblp_suite()
-        .iter()
-        .map(|spec| draw.workload("dblp", spec))
-        .collect::<Result<_, _>>()?;
-    let mut rows = evaluate_dataset(&dblp, &dblp_workloads, true, search, exec);
-
-    let movie = draw.movie()?;
-    let movie_workloads: Vec<Workload> = WorkloadSpec::movie_suite()
-        .iter()
-        .map(|spec| draw.workload("movie", spec))
-        .collect::<Result<_, _>>()?;
-    rows.extend(evaluate_dataset(
-        &movie,
-        &movie_workloads,
-        false,
-        search,
-        exec,
-    ));
+    let mut rows = Vec::new();
+    for (dataset, suite) in [
+        (draw.dblp()?, WorkloadSpec::dblp_suite()),
+        (draw.movie()?, WorkloadSpec::movie_suite()),
+    ] {
+        let workloads: Vec<Workload> = (suite.iter())
+            .map(|spec| draw.workload(&dataset.name, spec))
+            .collect::<Result<_, _>>()?;
+        rows.extend(evaluate_dataset(&dataset, &workloads, search, exec));
+    }
     Ok(rows)
 }
 
 fn evaluate_dataset(
     dataset: &Dataset,
     workloads: &[Workload],
-    skip_naive_on_20: bool,
     search: &SearchOptions,
     exec: ExecOptions,
 ) -> Vec<Fig4Row> {
@@ -108,43 +91,24 @@ fn evaluate_dataset(
     let mut fig5_cache = Vec::new();
     let mut fig6 = Vec::new();
     let mut costs = Vec::new();
+    let searched = |r: &EvalRun| r.outcome.stats.transformations_searched;
     for workload in workloads {
-        let naive_skipped = skip_naive_on_20 && workload.queries.len() >= 20;
-        let algos: Vec<Algo> = if naive_skipped {
-            vec![Algo::Greedy, Algo::TwoStep]
-        } else {
-            vec![Algo::Greedy, Algo::NaiveGreedy, Algo::TwoStep]
-        };
-        let baseline = hybrid_baseline_exec(dataset, workload, budget, exec);
-        let runs = run_algorithms(dataset, &source, workload, budget, &algos, search, exec);
+        let baseline = hybrid_baseline(dataset, workload, budget, exec);
+        let runs = run_algorithms(dataset, &source, workload, budget, search, exec);
         costs.push(Fig4Row {
             dataset: dataset.name.clone(),
             workload: workload.name.clone(),
             hybrid: baseline.measured_cost,
-            runs: (runs.iter())
-                .map(|r| {
-                    let searched = r.outcome.stats.transformations_searched;
-                    (r.algorithm, r.quality.measured_cost, searched)
-                })
-                .collect(),
+            runs: runs
+                .each_ref()
+                .map(|r| (r.quality.measured_cost, searched(r))),
         });
 
-        let twostep_time = runs
-            .iter()
-            .find(|r| r.algorithm == "Two-Step")
-            .map(|r| r.outcome.stats.elapsed.as_secs_f64())
-            .unwrap_or(1.0)
-            .max(1e-9);
-        // One table row: the workload, then `f` of each named algorithm's
-        // run, "n/a*" where it was skipped.
-        let row = |names: &[&str], f: &dyn Fn(&EvalRun) -> String| -> Vec<String> {
-            let cell = |name: &&str| runs.iter().find(|r| r.algorithm == *name).map(f);
-            let cells = names
-                .iter()
-                .map(|name| cell(name).unwrap_or_else(|| "n/a*".into()));
-            std::iter::once(workload.name.clone())
-                .chain(cells)
-                .collect()
+        let twostep_time = runs[2].outcome.stats.elapsed.as_secs_f64().max(1e-9);
+        // One table row: the workload, then `f` of the first `n` runs.
+        let row = |n: usize, f: &dyn Fn(&EvalRun) -> String| -> Vec<String> {
+            let name = std::iter::once(workload.name.clone());
+            name.chain(runs[..n].iter().map(f)).collect()
         };
         // Measured ratio, then the optimizer's estimate of the same plans.
         let cost = |r: &EvalRun| {
@@ -155,22 +119,18 @@ fn evaluate_dataset(
                 quality.estimated_cost / base.estimated_cost
             )
         };
-        fig4.push(row(&ALGORITHMS, &cost));
-        fig5.push(row(&ALGORITHMS, &|r| {
+        fig4.push(row(3, &cost));
+        fig5.push(row(3, &|r| {
             let elapsed = r.outcome.stats.elapsed;
-            let ratio = match r.algorithm {
-                "Two-Step" => 1.0,
-                _ => elapsed.as_secs_f64() / twostep_time,
-            };
+            let ratio = elapsed.as_secs_f64() / twostep_time;
             format!("{ratio:.1}x ({})", fmt_duration(elapsed))
         }));
-        fig5_cache.push(row(&ALGORITHMS, &|r| {
+        fig5_cache.push(row(3, &|r| {
             let (hits, stats) = (r.outcome.stats.cache_hits, &r.outcome.stats);
             let rate = 100.0 * stats.cache_hit_rate();
             format!("{hits}/{} ({rate:.0}%)", hits + stats.cache_misses)
         }));
-        let searched = |r: &EvalRun| r.outcome.stats.transformations_searched.to_string();
-        fig6.push(row(&ALGORITHMS[..2], &searched));
+        fig6.push(row(2, &|r| searched(r).to_string()));
     }
 
     println!(
@@ -197,8 +157,5 @@ fn evaluate_dataset(
         dataset.name
     );
     println!("{}", render_table(&header[..3], &fig6));
-    if skip_naive_on_20 {
-        println!("* Naive-Greedy skipped on 20-query DBLP workloads, as in the paper (it ran for days).\n");
-    }
     costs
 }

@@ -42,13 +42,11 @@ pub fn run(scale: f64, opts: &RunOptions) -> Result<(), String> {
         seed,
     };
     let dblp = draw.dblp()?;
-    let spec_dblp = spec(Projections::High, Selectivity::Low, 11);
-    let dblp_workload = draw.workload("dblp", &spec_dblp)?;
+    let dblp_workload = draw.workload("dblp", &spec(Projections::High, Selectivity::Low, 11))?;
     let dblp_hash = sweep_dataset(&dblp, &dblp_workload, &threads, opts.exec.morsel_rows)?;
 
     let movie = draw.movie()?;
-    let spec_movie = spec(Projections::Low, Selectivity::High, 12);
-    let movie_workload = draw.workload("movie", &spec_movie)?;
+    let movie_workload = draw.workload("movie", &spec(Projections::Low, Selectivity::High, 12))?;
     let movie_hash = sweep_dataset(&movie, &movie_workload, &threads, opts.exec.morsel_rows)?;
 
     let mut h = DefaultHasher::new();

@@ -22,27 +22,18 @@ use xmlshred_shred::transform::Transformation;
 use xmlshred_xml::tree::NodeKind;
 use xmlshred_xpath::parser::parse_path;
 
-/// The experiment's deterministic columns: the split count and the
-/// measured costs of Mappings 1 and 2, tuned and untuned.
+/// The experiment's deterministic columns: the split count, then the
+/// measured costs of Mappings 1 and 2 tuned, then of both untuned.
 pub struct Motivating {
     pub split_count: usize,
-    pub m1_tuned: f64,
-    pub m2_tuned: f64,
-    pub m1_untuned: f64,
-    pub m2_untuned: f64,
+    pub costs: [f64; 4],
 }
 
 impl Motivating {
     /// The digest of the split count and the four measured costs.
     pub fn digest(&self) -> u64 {
-        let costs = [
-            self.m1_tuned,
-            self.m2_tuned,
-            self.m1_untuned,
-            self.m2_untuned,
-        ];
-        let bits = costs.map(f64::to_bits);
-        bits.into_iter().fold(self.split_count as u64, fold)
+        let costs = self.costs.iter();
+        costs.fold(self.split_count as u64, |h, cost| fold(h, cost.to_bits()))
     }
 }
 
@@ -121,9 +112,6 @@ pub fn run(draw: &Draw) -> Result<Motivating, String> {
     );
     Ok(Motivating {
         split_count: k,
-        m1_tuned: m1_tuned.measured_cost,
-        m2_tuned: m2_tuned.measured_cost,
-        m1_untuned: m1_plain.measured_cost,
-        m2_untuned: m2_plain.measured_cost,
+        costs: [m1_tuned, m2_tuned, m1_plain, m2_plain].map(|r| r.measured_cost),
     })
 }

@@ -16,7 +16,7 @@
 use crate::experiments::RunOptions;
 use crate::harness::{render_table, space_budget, Draw};
 use xmlshred_core::{greedy_search, EvalContext, GreedyOptions, MetricsRegistry, SearchOptions};
-use xmlshred_data::workload::{Projections, Selectivity, WorkloadSpec};
+use xmlshred_data::workload::WorkloadSpec;
 use xmlshred_rel::db::Database;
 use xmlshred_rel::optimizer::plan_query_profiled;
 use xmlshred_shred::schema::derive_schema;
@@ -31,11 +31,11 @@ pub fn run(scale: f64, opts: &RunOptions) -> Result<(), String> {
     // (same scaling as the fault-schedule matrices).
     let draw = Draw::new(scale * 0.02, 0)?;
     let dataset = draw.movie()?;
+    // Movie LP-LS's shape, four queries under their own seed.
     let spec = WorkloadSpec {
-        projections: Projections::Low,
-        selectivity: Selectivity::Low,
         n_queries: 4,
         seed: 7,
+        ..WorkloadSpec::movie_suite()[0]
     };
     let workload = draw.workload("movie", &spec)?;
     let source = SourceStats::collect(&dataset.tree, &dataset.document);

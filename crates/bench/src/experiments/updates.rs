@@ -6,7 +6,7 @@
 use crate::harness::{fold, render_table, space_budget, Draw};
 use xmlshred_core::context::EvalContext;
 use xmlshred_core::physical::{tune_with_updates, UpdateLoad};
-use xmlshred_data::workload::{Projections, Selectivity, WorkloadSpec};
+use xmlshred_data::workload::WorkloadSpec;
 use xmlshred_shred::mapping::Mapping;
 use xmlshred_shred::source_stats::SourceStats;
 
@@ -16,11 +16,10 @@ pub fn run(draw: &Draw) -> Result<u64, String> {
     println!("\n=== Extension: update-aware physical design (not in the paper; its Section 7 future work) ===\n");
     let dataset = draw.dblp()?;
     let source = SourceStats::collect(&dataset.tree, &dataset.document);
+    // LP-LS-10's shape under its own seed.
     let spec = WorkloadSpec {
-        projections: Projections::Low,
-        selectivity: Selectivity::Low,
-        n_queries: 10,
         seed: 77,
+        ..WorkloadSpec::dblp_suite()[0]
     };
     let workload = draw.workload("dblp", &spec)?;
     let budget = space_budget(&dataset);

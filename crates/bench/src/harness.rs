@@ -26,11 +26,12 @@ use xmlshred_xpath::Path as XPath;
 /// default bench scale, roughly a third of the paper's 100 MB; the figures
 /// report ratios, which are scale stable) and the draw index, which moves
 /// the generators' seeds. Draw 0 is the generators' default seeds, so it
-/// prints the figures as they have always read.
+/// prints the figures as they have always read. Built by [`Draw::new`],
+/// which checks the scale.
 #[derive(Debug, Clone, Copy)]
 pub struct Draw {
-    pub scale: f64,
-    pub index: u64,
+    pub(crate) scale: f64,
+    pub(crate) index: u64,
 }
 
 impl Draw {
@@ -48,8 +49,7 @@ impl Draw {
         ((n as f64 * self.scale) as usize).max(50)
     }
 
-    /// The DBLP generator configuration: this scale, the default seed plus
-    /// the draw index.
+    /// The DBLP generator configuration of this draw.
     pub fn dblp_config(&self) -> DblpConfig {
         let default = DblpConfig::default();
         DblpConfig {
@@ -60,8 +60,7 @@ impl Draw {
         }
     }
 
-    /// The Movie generator configuration: this scale, the default seed plus
-    /// the draw index.
+    /// The Movie generator configuration of this draw.
     pub fn movie_config(&self) -> MovieConfig {
         let default = MovieConfig::default();
         MovieConfig {
@@ -110,21 +109,14 @@ pub fn space_budget(dataset: &Dataset) -> f64 {
 /// One algorithm's run on one workload: search outcome plus measured
 /// quality.
 pub struct EvalRun {
-    /// Algorithm name (`Greedy`, `Naive-Greedy`, `Two-Step`).
-    pub algorithm: &'static str,
     /// Search outcome.
     pub outcome: AdvisorOutcome,
     /// Measured execution quality of the recommendation.
     pub quality: QualityReport,
 }
 
-/// The hybrid-inlining baseline (tuned), which Fig. 4 normalizes against.
-pub fn hybrid_baseline(dataset: &Dataset, workload: &Workload, budget: f64) -> QualityReport {
-    hybrid_baseline_exec(dataset, workload, budget, ExecOptions::default())
-}
-
-/// [`hybrid_baseline`] with explicit executor options.
-pub fn hybrid_baseline_exec(
+/// The tuned hybrid-inlining baseline that Figs. 4, 8 and 9 normalize against.
+pub fn hybrid_baseline(
     dataset: &Dataset,
     workload: &Workload,
     budget: f64,
@@ -140,64 +132,39 @@ pub fn hybrid_baseline_exec(
     )
 }
 
-/// Which algorithms to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algo {
-    Greedy,
-    NaiveGreedy,
-    TwoStep,
-}
-
-/// Run the selected algorithms on one workload. Recommendations are
-/// identical for any `search` parallelism/caching knobs and measured costs
-/// for any `exec` options; only running time and the cache counters change.
+/// Run Greedy, Naive-Greedy and Two-Step, in that order, on one workload.
+/// Recommendations are identical for any `search` parallelism/caching knobs
+/// and measured costs for any `exec` options; only running time and the
+/// cache counters change.
 pub fn run_algorithms(
     dataset: &Dataset,
     source: &SourceStats,
     workload: &Workload,
     budget: f64,
-    algos: &[Algo],
     search: &SearchOptions,
     exec: ExecOptions,
-) -> Vec<EvalRun> {
+) -> [EvalRun; 3] {
     let ctx = EvalContext {
         tree: &dataset.tree,
         source,
         workload: &workload.queries,
         space_budget: budget,
     };
-    algos
-        .iter()
-        .map(|algo| {
-            let (name, outcome): (&'static str, AdvisorOutcome) = match algo {
-                Algo::Greedy => (
-                    "Greedy",
-                    greedy_search(
-                        &ctx,
-                        &GreedyOptions {
-                            search: search.clone(),
-                            ..GreedyOptions::default()
-                        },
-                    ),
-                ),
-                Algo::NaiveGreedy => ("Naive-Greedy", naive_greedy_search_with(&ctx, 3, search)),
-                Algo::TwoStep => ("Two-Step", two_step_search_with(&ctx, 6, search)),
-            };
-            let quality = measure_quality_with_exec(
-                &dataset.tree,
-                &dataset.document,
-                &workload.queries,
-                &outcome.mapping,
-                &outcome.config,
-                exec,
-            );
-            EvalRun {
-                algorithm: name,
-                outcome,
-                quality,
-            }
-        })
-        .collect()
+    let greedy = GreedyOptions {
+        search: search.clone(),
+        ..GreedyOptions::default()
+    };
+    [
+        greedy_search(&ctx, &greedy),
+        naive_greedy_search_with(&ctx, 3, search),
+        two_step_search_with(&ctx, 6, search),
+    ]
+    .map(|outcome| {
+        let (tree, document, queries) = (&dataset.tree, &dataset.document, &workload.queries);
+        let (mapping, config) = (&outcome.mapping, &outcome.config);
+        let quality = measure_quality_with_exec(tree, document, queries, mapping, config, exec);
+        EvalRun { outcome, quality }
+    })
 }
 
 // ------------------------------------------------------ matrix scaffolding --
@@ -539,7 +506,6 @@ pub fn fmt_duration(d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmlshred_data::workload::{Projections, Selectivity};
 
     #[test]
     fn table_rendering_aligns() {
@@ -572,28 +538,11 @@ mod tests {
     }
 
     #[test]
-    fn nan_scale_rejected() {
+    fn nan_zero_and_negative_scales_rejected() {
         let err = Draw::new(f64::NAN, 0).unwrap_err();
         assert!(err.contains("finite"), "{err}");
-    }
-
-    #[test]
-    fn zero_scale_rejected() {
         assert!(Draw::new(0.0, 0).is_err());
-    }
-
-    #[test]
-    fn negative_scale_rejected() {
         assert!(Draw::new(-1.5, 0).is_err());
-    }
-
-    #[test]
-    fn draw_zero_keeps_the_default_seeds() {
-        let draw = Draw::new(0.25, 0).unwrap();
-        assert_eq!(draw.dblp_config().seed, DblpConfig::default().seed);
-        assert_eq!(draw.movie_config().seed, MovieConfig::default().seed);
-        let moved = Draw { index: 3, ..draw };
-        assert_eq!(moved.dblp_config().seed, DblpConfig::default().seed + 3);
     }
 
     #[test]
@@ -651,23 +600,19 @@ mod tests {
         let dataset = draw.movie().unwrap();
         let source = SourceStats::collect(&dataset.tree, &dataset.document);
         let spec = WorkloadSpec {
-            projections: Projections::Low,
-            selectivity: Selectivity::Low,
             n_queries: 3,
-            seed: 1,
+            ..WorkloadSpec::movie_suite()[0]
         };
         let workload = draw.workload("movie", &spec).expect("workload generates");
-        let budget = space_budget(&dataset);
+        let (budget, search) = (space_budget(&dataset), SearchOptions::default());
         let runs = run_algorithms(
             &dataset,
             &source,
             &workload,
             budget,
-            &[Algo::Greedy],
-            &SearchOptions::default(),
-            ExecOptions::default(),
+            &search,
+            Default::default(),
         );
-        assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].quality.skipped, 0);
+        assert!(runs.iter().all(|run| run.quality.skipped == 0));
     }
 }

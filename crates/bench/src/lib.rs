@@ -15,5 +15,3 @@
 pub mod experiments;
 pub mod harness;
 pub mod pins;
-
-pub use harness::{Draw, EvalRun};
