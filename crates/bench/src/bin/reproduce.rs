@@ -7,6 +7,7 @@
 //! cargo run --release -p xmlshred-bench --bin reproduce -- fig7 --scale 0.2
 //! cargo run --release -p xmlshred-bench --bin reproduce -- fig4 --scale 0.25 --seed 8
 //! cargo run --release -p xmlshred-bench --bin reproduce -- figures --threads 1
+//! cargo run --release -p xmlshred-bench --bin reproduce -- claims --scale 0.25
 //! cargo run --release -p xmlshred-bench --bin reproduce -- faults --seed 3 --points 1
 //! cargo run --release -p xmlshred-bench --bin reproduce -- pins heal faults
 //! ```
@@ -15,10 +16,11 @@
 //! README's Quickstart says what each one checks.
 //! `--scale X` scales the datasets; normalized figures are scale-stable.
 //! `--seed K` picks draw K of the figure experiments' dataset and workload
-//! seeds (default 0). `--threads N` and `--no-plan-cache` shape the
-//! advisor search and `--exec-threads N` the executor; none changes a
-//! recommendation, an answer or a measured cost, so no closing hash line
-//! (`figures`, `crash`/`heal`/`faults` matrix, `soak`, `serve`, `adapt`,
+//! seeds (default 0); `claims` judges draws 0-11 and rejects it.
+//! `--threads N` and `--no-plan-cache` shape the advisor search and
+//! `--exec-threads N` the executor; none changes a recommendation, an
+//! answer or a measured cost, so no closing hash line (`figures`,
+//! `claims`, `crash`/`heal`/`faults` matrix, `soak`, `serve`, `adapt`,
 //! `exec` sweep) moves with them. `--deadline-ms N` arms an anytime
 //! deadline on the evaluation runs. `--seed`, `--points` and `--ops` are
 //! one flag each across the seeded experiments, each with the

@@ -10,68 +10,58 @@
 //! * Fig. 9 — cost derivation: 4-10x faster with at most a few percent of
 //!   quality loss.
 
-use crate::harness::{fmt_duration, fold, hybrid_baseline, render_table, space_budget, Draw};
+use crate::harness::{fmt_duration, fold, render_table, Draw, SearchInput};
 use std::time::Duration;
-use xmlshred_core::quality::measure_quality;
-use xmlshred_core::{greedy_search, EvalContext, GreedyOptions, MergeStrategy};
+use xmlshred_core::{GreedyOptions, MergeStrategy, SearchOptions};
 use xmlshred_data::workload::{Workload, WorkloadSpec};
-use xmlshred_data::Dataset;
-use xmlshred_shred::source_stats::SourceStats;
 
-/// The digest of an ablation figure: every measured cost, in row order.
-/// Each figure returns one row per workload: Fig. 7 the full Greedy's
-/// cost; Fig. 8 tuned hybrid inlining's, then no, greedy and exhaustive
-/// merging's; Fig. 9 hybrid inlining's, then Greedy's with and without
-/// cost derivation.
+/// The digest of an ablation figure: every measured cost, in row order
+/// (each figure returns one row per workload).
 pub fn digest(rows: &[Vec<f64>]) -> u64 {
     let costs = rows.iter().flatten();
     costs.fold(0, |digest, cost| fold(digest, cost.to_bits()))
 }
 
-/// The paper's Fig. 7-9 input: `draw`'s DBLP dataset, its source
-/// statistics and space budget, and Fig. 4's four 20-query DBLP workloads.
-struct Dblp20 {
-    dataset: Dataset,
-    source: SourceStats,
-    budget: f64,
-    workloads: Vec<Workload>,
+/// Greedy's running time and measured cost under `options`.
+fn timed(input: &SearchInput, workload: &Workload, options: GreedyOptions) -> (Duration, f64) {
+    let run = input.greedy(workload, options);
+    (run.outcome.stats.elapsed, run.quality.measured_cost)
 }
 
-impl Dblp20 {
-    fn new(draw: &Draw) -> Result<Dblp20, String> {
-        let dataset = draw.dblp()?;
-        let suite = WorkloadSpec::dblp_suite().into_iter();
-        let workloads = (suite.filter(|spec| spec.n_queries == 20))
-            .map(|spec| draw.workload("dblp", &spec))
-            .collect::<Result<_, _>>()?;
-        Ok(Dblp20 {
-            source: SourceStats::collect(&dataset.tree, &dataset.document),
-            budget: space_budget(&dataset),
-            dataset,
-            workloads,
-        })
-    }
+/// `slow`'s running time over `fast`'s.
+fn speedup(slow: Duration, fast: Duration) -> String {
+    format!("{:.1}x", slow.as_secs_f64() / fast.as_secs_f64().max(1e-9))
+}
 
-    /// Tuned hybrid inlining's measured cost on `workload`.
-    fn hybrid(&self, workload: &Workload) -> f64 {
-        hybrid_baseline(&self.dataset, workload, self.budget, Default::default()).measured_cost
+/// One ablation figure on `draw`'s DBLP dataset and Fig. 4's four 20-query
+/// DBLP workloads. `cells` measures one workload: its measured costs (the
+/// figure's deterministic columns) and its table cells after the workload.
+/// The report is `title`, the table under the comma-separated `columns`,
+/// then `notes`.
+fn ablation(
+    draw: &Draw,
+    search: &SearchOptions,
+    (title, columns, notes): (&str, &str, &str),
+    cells: impl Fn(&SearchInput, &Workload) -> (Vec<f64>, Vec<String>),
+) -> Result<(Vec<Vec<f64>>, String), String> {
+    let suite = WorkloadSpec::dblp_suite().into_iter();
+    let workloads: Vec<Workload> = (suite.filter(|spec| spec.n_queries == 20))
+        .map(|spec| draw.workload("dblp", &spec))
+        .collect::<Result<_, _>>()?;
+    let input = SearchInput::new(draw.dblp()?, search);
+    let (mut costs, mut rows) = (Vec::new(), Vec::new());
+    for workload in &workloads {
+        let (measured, cells) = cells(&input, workload);
+        costs.push(measured);
+        rows.push([vec![workload.name.clone()], cells].concat());
     }
-
-    /// Greedy under `options` on `workload`: its running time and the
-    /// measured cost of its design.
-    fn greedy(&self, workload: &Workload, options: &GreedyOptions) -> (Duration, f64) {
-        let (tree, document) = (&self.dataset.tree, &self.dataset.document);
-        let ctx = EvalContext {
-            tree,
-            source: &self.source,
-            workload: &workload.queries,
-            space_budget: self.budget,
-        };
-        let outcome = greedy_search(&ctx, options);
-        let (mapping, config) = (&outcome.mapping, &outcome.config);
-        let quality = measure_quality(tree, document, &workload.queries, mapping, config);
-        (outcome.stats.elapsed, quality.measured_cost)
-    }
+    let columns: Vec<&str> = columns.split(", ").collect();
+    let report = format!(
+        "\n=== {title} (DBLP, 20-query workloads), draw {} ===\n\n{}\n{notes}\n\n",
+        draw.index,
+        render_table(&columns, &rows)
+    );
+    Ok((costs, report))
 }
 
 /// Fig. 7: speed-up due to candidate selection.
@@ -80,161 +70,91 @@ impl Dblp20 {
 /// (subsumed) transformation and are slow by construction — exactly the
 /// inefficiency the paper measures. Their greedy descent is capped at two
 /// rounds, so the reported speed-ups are *lower bounds* (the full Greedy
-/// runs uncapped). Returns the full Greedy's measured costs; the speed-ups
-/// are wall-clock and stay out.
-pub fn fig7(draw: &Draw) -> Result<Vec<Vec<f64>>, String> {
-    println!("\n=== Fig. 7: speed-up due to candidate selection (DBLP, 20-query workloads) ===\n");
-    let input = Dblp20::new(draw)?;
-    let (mut rows, mut costs) = (Vec::new(), Vec::new());
-    for workload in &input.workloads {
-        // Baseline: no subsumption pruning, no candidate selection.
-        let none = GreedyOptions {
-            subsumption_pruning: false,
+/// runs uncapped). Returns the full Greedy's measured costs (the speed-ups
+/// are wall-clock and stay out) and the report.
+pub fn fig7(draw: &Draw, search: &SearchOptions) -> Result<(Vec<Vec<f64>>, String), String> {
+    let text = (
+        "Fig. 7: speed-up due to candidate selection",
+        "workload, speedup: subsumption pruning, speedup: all rules, time (no pruning), \
+         time (full Greedy), quality (cost)",
+        "paper: subsumption pruning alone 8-12x, all rules ~2x more.\n\
+         (unpruned variants capped at two greedy rounds: reported speed-ups are lower bounds.)",
+    );
+    ablation(draw, search, text, |input, workload| {
+        // No candidate selection, with or without subsumption pruning.
+        let unselected = |subsumption_pruning| GreedyOptions {
+            subsumption_pruning,
             candidate_selection: false,
             max_rounds: 2,
             ..GreedyOptions::default()
         };
-        // Subsumption pruning only.
-        let pruned = GreedyOptions {
-            candidate_selection: false,
-            max_rounds: 2,
-            ..GreedyOptions::default()
-        };
-        let full = GreedyOptions::default();
-
-        let (t_none, _) = input.greedy(workload, &none);
-        let (t_pruned, _) = input.greedy(workload, &pruned);
-        let (t_full, q_full) = input.greedy(workload, &full);
-        costs.push(vec![q_full]);
-        rows.push(vec![
-            workload.name.clone(),
-            format!(
-                "{:.1}x",
-                t_none.as_secs_f64() / t_pruned.as_secs_f64().max(1e-9)
-            ),
-            format!(
-                "{:.1}x",
-                t_none.as_secs_f64() / t_full.as_secs_f64().max(1e-9)
-            ),
+        let (t_none, _) = timed(input, workload, unselected(false));
+        let (t_pruned, _) = timed(input, workload, unselected(true));
+        let (t_full, q_full) = timed(input, workload, GreedyOptions::default());
+        let cells = vec![
+            speedup(t_none, t_pruned),
+            speedup(t_none, t_full),
             fmt_duration(t_none),
             fmt_duration(t_full),
             format!("{q_full:.0}"),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "speedup: subsumption pruning",
-                "speedup: all rules",
-                "time (no pruning)",
-                "time (full Greedy)",
-                "quality (cost)",
-            ],
-            &rows,
-        )
-    );
-    println!("paper: subsumption pruning alone 8-12x, all rules ~2x more.");
-    println!(
-        "(unpruned variants capped at two greedy rounds: reported speed-ups are lower bounds.)\n"
-    );
-    Ok(costs)
+        ];
+        (vec![q_full], cells)
+    })
 }
 
-/// Fig. 8: merging strategies.
-pub fn fig8(draw: &Draw) -> Result<Vec<Vec<f64>>, String> {
-    println!("\n=== Fig. 8: candidate merging strategies (DBLP, 20-query workloads) ===\n");
-    let input = Dblp20::new(draw)?;
-    let (mut rows, mut costs) = (Vec::new(), Vec::new());
-    for workload in &input.workloads {
-        let hybrid = input.hybrid(workload);
-        let mut measured = vec![hybrid];
-        let mut cells = vec![workload.name.clone()];
-        let mut none_time = 1e-9f64;
-        for (label, strategy) in [
-            ("none", MergeStrategy::None),
-            ("greedy", MergeStrategy::Greedy),
-            ("exhaustive", MergeStrategy::Exhaustive),
+/// Fig. 8: merging strategies. Returns tuned hybrid inlining's measured
+/// cost, then no, greedy and exhaustive merging's.
+pub fn fig8(draw: &Draw, search: &SearchOptions) -> Result<(Vec<Vec<f64>>, String), String> {
+    let text = (
+        "Fig. 8: candidate merging strategies",
+        "workload, no merge (quality/time), greedy merge, exhaustive merge",
+        "quality normalized to tuned hybrid inlining; time normalized to no-merging.\n\
+         paper: greedy ~= exhaustive quality at 2-10x less time; no merging ~2x worse cost.",
+    );
+    ablation(draw, search, text, |input, workload| {
+        let hybrid = input.hybrid(workload, Default::default()).measured_cost;
+        let (mut measured, mut cells, mut none_time) = (vec![hybrid], Vec::new(), None);
+        for merge_strategy in [
+            MergeStrategy::None,
+            MergeStrategy::Greedy,
+            MergeStrategy::Exhaustive,
         ] {
             let options = GreedyOptions {
-                merge_strategy: strategy,
+                merge_strategy,
                 ..GreedyOptions::default()
             };
-            let (t, q) = input.greedy(workload, &options);
+            let (t, q) = timed(input, workload, options);
             measured.push(q);
-            if label == "none" {
-                none_time = t.as_secs_f64().max(1e-9);
-            }
-            cells.push(format!(
-                "{:.2} / {:.1}x",
-                q / hybrid,
-                t.as_secs_f64() / none_time
-            ));
+            let speed = speedup(t, *none_time.get_or_insert(t));
+            cells.push(format!("{:.2} / {speed}", q / hybrid));
         }
-        rows.push(cells);
-        costs.push(measured);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "no merge (quality/time)",
-                "greedy merge",
-                "exhaustive merge",
-            ],
-            &rows,
-        )
-    );
-    println!("quality normalized to tuned hybrid inlining; time normalized to no-merging.");
-    println!(
-        "paper: greedy ~= exhaustive quality at 2-10x less time; no merging ~2x worse cost.\n"
-    );
-    Ok(costs)
+        (measured, cells)
+    })
 }
 
-/// Fig. 9: cost derivation.
-pub fn fig9(draw: &Draw) -> Result<Vec<Vec<f64>>, String> {
-    println!("\n=== Fig. 9: cost derivation (DBLP, 20-query workloads) ===\n");
-    let input = Dblp20::new(draw)?;
-    let (mut rows, mut costs) = (Vec::new(), Vec::new());
-    for workload in &input.workloads {
-        let hybrid = input.hybrid(workload);
-        let with = GreedyOptions::default();
+/// Fig. 9: cost derivation. Returns hybrid inlining's measured cost, then
+/// Greedy's with and without cost derivation.
+pub fn fig9(draw: &Draw, search: &SearchOptions) -> Result<(Vec<Vec<f64>>, String), String> {
+    let text = (
+        "Fig. 9: cost derivation",
+        "workload, quality with derivation, quality without, speedup, time with, time without",
+        "paper: 4-10x speedup, at most ~3% quality drop.",
+    );
+    ablation(draw, search, text, |input, workload| {
+        let hybrid = input.hybrid(workload, Default::default()).measured_cost;
         let without = GreedyOptions {
             cost_derivation: false,
             ..GreedyOptions::default()
         };
-        let (t_with, q_with) = input.greedy(workload, &with);
-        let (t_without, q_without) = input.greedy(workload, &without);
-        costs.push(vec![hybrid, q_with, q_without]);
-        rows.push(vec![
-            workload.name.clone(),
+        let (t_with, q_with) = timed(input, workload, GreedyOptions::default());
+        let (t_without, q_without) = timed(input, workload, without);
+        let cells = vec![
             format!("{:.2}", q_with / hybrid),
             format!("{:.2}", q_without / hybrid),
-            format!(
-                "{:.1}x",
-                t_without.as_secs_f64() / t_with.as_secs_f64().max(1e-9)
-            ),
+            speedup(t_without, t_with),
             fmt_duration(t_with),
             fmt_duration(t_without),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "workload",
-                "quality with derivation",
-                "quality without",
-                "speedup",
-                "time with",
-                "time without",
-            ],
-            &rows,
-        )
-    );
-    println!("paper: 4-10x speedup, at most ~3% quality drop.\n");
-    Ok(costs)
+        ];
+        (vec![hybrid, q_with, q_without], cells)
+    })
 }

@@ -15,14 +15,10 @@
 //! The paper skipped Naive-Greedy on the 20-query DBLP workloads ("it did
 //! not stop after running for five days"); here it runs on all twelve.
 
-use crate::harness::{
-    fmt_duration, fold, hybrid_baseline, render_table, run_algorithms, space_budget, Draw, EvalRun,
-};
+use crate::harness::{fmt_duration, fold, render_table, Draw, EvalRun, SearchInput};
 use xmlshred_core::SearchOptions;
 use xmlshred_data::workload::{Workload, WorkloadSpec};
-use xmlshred_data::Dataset;
 use xmlshred_rel::ExecOptions;
-use xmlshred_shred::source_stats::SourceStats;
 
 /// One workload's Fig. 4 and Fig. 6 columns: the measured cost of tuned
 /// hybrid inlining, then Greedy's, Naive-Greedy's and Two-Step's measured
@@ -57,9 +53,14 @@ pub fn digest(rows: &[Fig4Row]) -> u64 {
     fold(dataset("dblp"), dataset("movie"))
 }
 
-/// Run the experiment for both datasets of `draw`.
-pub fn run(draw: &Draw, search: &SearchOptions, exec: ExecOptions) -> Result<Vec<Fig4Row>, String> {
-    let mut rows = Vec::new();
+/// Run the experiment for both datasets of `draw`; returns the rows and
+/// the report.
+pub fn run(
+    draw: &Draw,
+    search: &SearchOptions,
+    exec: ExecOptions,
+) -> Result<(Vec<Fig4Row>, String), String> {
+    let (mut rows, mut report) = (Vec::new(), String::new());
     for (dataset, suite) in [
         (draw.dblp()?, WorkloadSpec::dblp_suite()),
         (draw.movie()?, WorkloadSpec::movie_suite()),
@@ -67,24 +68,25 @@ pub fn run(draw: &Draw, search: &SearchOptions, exec: ExecOptions) -> Result<Vec
         let workloads: Vec<Workload> = (suite.iter())
             .map(|spec| draw.workload(&dataset.name, spec))
             .collect::<Result<_, _>>()?;
-        rows.extend(evaluate_dataset(&dataset, &workloads, search, exec));
+        report += &format!(
+            "\n=== Figs. 4/5/6 on {}, draw {} ({} elements) ===\n",
+            dataset.name,
+            draw.index,
+            dataset.document.subtree_size()
+        );
+        let input = SearchInput::new(dataset, search);
+        rows.extend(evaluate_dataset(&input, &workloads, exec, &mut report));
     }
-    Ok(rows)
+    Ok((rows, report))
 }
 
 fn evaluate_dataset(
-    dataset: &Dataset,
+    input: &SearchInput,
     workloads: &[Workload],
-    search: &SearchOptions,
     exec: ExecOptions,
+    report: &mut String,
 ) -> Vec<Fig4Row> {
-    println!(
-        "\n=== Figs. 4/5/6 on {} ({} elements) ===",
-        dataset.name,
-        dataset.document.subtree_size()
-    );
-    let source = SourceStats::collect(&dataset.tree, &dataset.document);
-    let budget = space_budget(dataset);
+    let (dataset, search) = (&input.dataset, &input.search);
 
     let mut fig4 = Vec::new();
     let mut fig5 = Vec::new();
@@ -93,8 +95,8 @@ fn evaluate_dataset(
     let mut costs = Vec::new();
     let searched = |r: &EvalRun| r.outcome.stats.transformations_searched;
     for workload in workloads {
-        let baseline = hybrid_baseline(dataset, workload, budget, exec);
-        let runs = run_algorithms(dataset, &source, workload, budget, search, exec);
+        let baseline = input.hybrid(workload, exec);
+        let runs = input.algorithms(workload, exec);
         costs.push(Fig4Row {
             dataset: dataset.name.clone(),
             workload: workload.name.clone(),
@@ -133,29 +135,21 @@ fn evaluate_dataset(
         fig6.push(row(2, &|r| searched(r).to_string()));
     }
 
-    println!(
-        "\n--- Fig. 4 ({}): workload cost normalized to tuned hybrid inlining, measured \
-         (estimated) (lower = better) ---",
-        dataset.name
-    );
+    let name = &dataset.name;
     let header = ["workload", "Greedy", "Naive-Greedy", "Two-Step"];
-    println!("{}", render_table(&header, &fig4));
-    println!(
-        "--- Fig. 5 ({}): advisor running time, normalized to Two-Step ---",
-        dataset.name
-    );
-    println!("{}", render_table(&header, &fig5));
-    println!(
-        "--- Fig. 5 supplement ({}): what-if plan-cache hits/lookups (threads={}, cache {}) ---",
-        dataset.name,
+    let cache = if search.plan_cache { "on" } else { "off" };
+    *report += &format!(
+        "\n--- Fig. 4 ({name}): workload cost normalized to tuned hybrid inlining, measured \
+         (estimated) (lower = better) ---\n{}\n\
+         --- Fig. 5 ({name}): advisor running time, normalized to Two-Step ---\n{}\n\
+         --- Fig. 5 supplement ({name}): what-if plan-cache hits/lookups (threads={}, cache \
+         {cache}) ---\n{}\n\
+         --- Fig. 6 ({name}): transformations searched ---\n{}\n",
+        render_table(&header, &fig4),
+        render_table(&header, &fig5),
         search.threads,
-        if search.plan_cache { "on" } else { "off" }
+        render_table(&header, &fig5_cache),
+        render_table(&header[..3], &fig6),
     );
-    println!("{}", render_table(&header, &fig5_cache));
-    println!(
-        "--- Fig. 6 ({}): transformations searched ---",
-        dataset.name
-    );
-    println!("{}", render_table(&header[..3], &fig6));
     costs
 }

@@ -6,6 +6,7 @@
 
 pub mod ablations;
 pub mod adapt;
+pub mod claims;
 pub mod evaluation;
 pub mod exec_parallel;
 pub mod faults;
@@ -37,7 +38,8 @@ pub struct RunOptions {
     /// Anytime budget per strategy run, in milliseconds.
     pub deadline_ms: Option<u64>,
     /// The running experiment's seed (`--seed`). The figure experiments
-    /// take it as their draw index (default 0, see [`Draw`]). Defaults: `crash`
+    /// take it as their draw index (default 0, see [`Draw`]); `claims`
+    /// judges draws 0-11 and rejects it. Defaults: `crash`
     /// positions 7; `heal` corruption sites 9; `faults` schedules 1 (a
     /// cell's schedule depends only on its fixture and its seed, so
     /// `--seed S --points 1` reruns the cells of seed `S`); `soak`
@@ -102,40 +104,50 @@ impl RunOptions {
 /// Figs. 7-9 stay out). It is identical across `--threads`,
 /// `--no-plan-cache` and `--exec-threads`.
 fn figures(draw: &Draw, opts: &RunOptions) -> Result<(), String> {
+    let search = opts.search_for_run();
     let digests = [
-        table1::run(draw)?,
-        motivating::run(draw)?.digest(),
-        evaluation::digest(&evaluation::run(draw, &opts.search_for_run(), opts.exec)?),
-        ablations::digest(&ablations::fig7(draw)?),
-        ablations::digest(&ablations::fig8(draw)?),
-        ablations::digest(&ablations::fig9(draw)?),
-        updates::run(draw)?,
+        shown(table1::run(draw))?,
+        shown(motivating::run(draw))?.digest(),
+        evaluation::digest(&shown(evaluation::run(draw, &search, opts.exec))?),
+        ablations::digest(&shown(ablations::fig7(draw, &search))?),
+        ablations::digest(&shown(ablations::fig8(draw, &search))?),
+        ablations::digest(&shown(ablations::fig9(draw, &search))?),
+        shown(updates::run(draw))?,
     ];
     let hash = digests.into_iter().fold(0xf16a_7e5d, fold);
     println!("\nfigures hash: {hash:016x}");
     Ok(())
 }
 
+/// Print a figure runner's report and return its deterministic columns:
+/// the runners compute their report, and only this module prints it.
+fn shown<T>(run: Result<(T, String), String>) -> Result<T, String> {
+    let (columns, report) = run?;
+    print!("{report}");
+    Ok(columns)
+}
+
 /// Run an experiment by id. Known ids: `table1`, `motivating`, `fig4`,
 /// `fig5`, `fig6` (the three share one evaluation run, so each prints all
 /// three), `fig7`, `fig8`, `fig9`, `updates`, `figures` (all of those),
-/// `crash`, `heal`, `faults`, `profile`, `exec`, `serve`, `soak`, `adapt`,
-/// `all` (`figures`, then the matrices). The figure experiments run on
-/// `draw`; the matrices read only its scale, so `--seed` never moves their
+/// `claims` (the paper's claims over draws 0-11, see [`claims`]), `crash`,
+/// `heal`, `faults`, `profile`, `exec`, `serve`, `soak`, `adapt`, `all`
+/// (`figures`, then the matrices). The figure experiments run on `draw`;
+/// the matrices read only its scale, so `--seed` never moves their
 /// datasets.
 pub fn run(id: &str, draw: &Draw, opts: &RunOptions) -> Result<(), String> {
     let scale = draw.scale;
+    let search = opts.search_for_run();
     match id {
-        "table1" => table1::run(draw).map(drop),
-        "motivating" => motivating::run(draw).map(drop),
-        "fig4" | "fig5" | "fig6" | "eval" => {
-            evaluation::run(draw, &opts.search_for_run(), opts.exec).map(drop)
-        }
-        "fig7" => ablations::fig7(draw).map(drop),
-        "updates" => updates::run(draw).map(drop),
-        "fig8" => ablations::fig8(draw).map(drop),
-        "fig9" => ablations::fig9(draw).map(drop),
+        "table1" => shown(table1::run(draw)).map(drop),
+        "motivating" => shown(motivating::run(draw)).map(drop),
+        "fig4" | "fig5" | "fig6" | "eval" => shown(evaluation::run(draw, &search, opts.exec)).map(drop),
+        "fig7" => shown(ablations::fig7(draw, &search)).map(drop),
+        "updates" => shown(updates::run(draw)).map(drop),
+        "fig8" => shown(ablations::fig8(draw, &search)).map(drop),
+        "fig9" => shown(ablations::fig9(draw, &search)).map(drop),
         "figures" => figures(draw, opts),
+        "claims" => claims::run(scale, opts),
         "crash" => faults::crash(scale, opts),
         "heal" => faults::heal(scale, opts),
         "faults" => faults::mixed(scale, opts),
@@ -154,7 +166,7 @@ pub fn run(id: &str, draw: &Draw, opts: &RunOptions) -> Result<(), String> {
             Ok(())
         }
         other => Err(format!(
-            "unknown experiment '{other}'; known: table1 motivating fig4 fig5 fig6 fig7 fig8 fig9 updates figures crash heal faults profile exec serve soak adapt all"
+            "unknown experiment '{other}'; known: table1 motivating fig4 fig5 fig6 fig7 fig8 fig9 updates figures claims crash heal faults profile exec serve soak adapt all"
         )),
     }
 }

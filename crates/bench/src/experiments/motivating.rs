@@ -37,9 +37,9 @@ impl Motivating {
     }
 }
 
-/// Run the experiment on `draw`'s DBLP dataset.
-pub fn run(draw: &Draw) -> Result<Motivating, String> {
-    println!("\n=== Section 1.1 motivating experiment ===\n");
+/// Run the experiment on `draw`'s DBLP dataset; returns its columns and
+/// the report.
+pub fn run(draw: &Draw) -> Result<(Motivating, String), String> {
     let dataset = draw.dblp()?;
     let tree = &dataset.tree;
     let source = SourceStats::collect(tree, &dataset.document);
@@ -62,7 +62,6 @@ pub fn run(draw: &Draw) -> Result<Motivating, String> {
     let mapping2 = Transformation::RepetitionSplit { star, count: k }
         .apply(tree, &mapping1)
         .map_err(|e| e.to_string())?;
-    println!("Section 4.6 split count: k = {k} (paper: 5)\n");
 
     let budget = space_budget(&dataset);
     let m1_tuned =
@@ -89,29 +88,31 @@ pub fn run(draw: &Draw) -> Result<Motivating, String> {
             "27 s".into(),
         ],
     ];
-    println!(
-        "{}",
-        render_table(
-            &[
-                "mapping",
-                "tuned (cost units)",
-                "untuned (cost units)",
-                "paper tuned",
-                "paper untuned",
-            ],
-            &rows,
-        )
+    let table = render_table(
+        &[
+            "mapping",
+            "tuned (cost units)",
+            "untuned (cost units)",
+            "paper tuned",
+            "paper untuned",
+        ],
+        &rows,
     );
-    println!(
-        "tuned win factor (M1/M2):   {:.1}x   (paper: ~20x)",
-        m1_tuned.measured_cost / m2_tuned.measured_cost
-    );
-    println!(
-        "untuned win factor (M1/M2): {:.2}x   (paper: 0.78x — Mapping 2 loses)",
+    let report = format!(
+        "\n=== Section 1.1 motivating experiment, draw {} ===\n\n\
+         Section 4.6 split count: k = {k} (paper: 5)\n\n{table}\n\
+         tuned win factor (M1/M2):   {:.1}x   (paper: ~20x)\n\
+         untuned win factor (M1/M2): {:.2}x   (paper: 0.78x — Mapping 2 loses)\n",
+        draw.index,
+        m1_tuned.measured_cost / m2_tuned.measured_cost,
         m1_plain.measured_cost / m2_plain.measured_cost
     );
-    Ok(Motivating {
-        split_count: k,
-        costs: [m1_tuned, m2_tuned, m1_plain, m2_plain].map(|r| r.measured_cost),
-    })
+    let costs = [m1_tuned, m2_tuned, m1_plain, m2_plain].map(|r| r.measured_cost);
+    Ok((
+        Motivating {
+            split_count: k,
+            costs,
+        },
+        report,
+    ))
 }

@@ -14,14 +14,13 @@
 //! nonzero exits instead of silently skewed figures.
 
 use crate::experiments::RunOptions;
-use crate::harness::{render_table, space_budget, Draw};
-use xmlshred_core::{greedy_search, EvalContext, GreedyOptions, MetricsRegistry, SearchOptions};
+use crate::harness::{render_table, Draw, SearchInput};
+use xmlshred_core::{greedy_search, GreedyOptions, MetricsRegistry, SearchOptions};
 use xmlshred_data::workload::WorkloadSpec;
 use xmlshred_rel::db::Database;
 use xmlshred_rel::optimizer::plan_query_profiled;
 use xmlshred_shred::schema::derive_schema;
 use xmlshred_shred::shredder::load_database;
-use xmlshred_shred::source_stats::SourceStats;
 use xmlshred_translate::translate::translate;
 
 /// Run the profile experiment. Writes the JSON report to
@@ -30,7 +29,8 @@ pub fn run(scale: f64, opts: &RunOptions) -> Result<(), String> {
     // The profile runs a full search plus execution; keep the fixture tiny
     // (same scaling as the fault-schedule matrices).
     let draw = Draw::new(scale * 0.02, 0)?;
-    let dataset = draw.movie()?;
+    let input = SearchInput::new(draw.movie()?, &Default::default());
+    let dataset = &input.dataset;
     // Movie LP-LS's shape, four queries under their own seed.
     let spec = WorkloadSpec {
         n_queries: 4,
@@ -38,14 +38,7 @@ pub fn run(scale: f64, opts: &RunOptions) -> Result<(), String> {
         ..WorkloadSpec::movie_suite()[0]
     };
     let workload = draw.workload("movie", &spec)?;
-    let source = SourceStats::collect(&dataset.tree, &dataset.document);
-    let budget = space_budget(&dataset);
-    let ctx = EvalContext {
-        tree: &dataset.tree,
-        source: &source,
-        workload: &workload.queries,
-        space_budget: budget,
-    };
+    let ctx = input.ctx(&workload);
 
     println!(
         "\n=== Profile: three-tier metrics report on {} ===",
@@ -89,7 +82,7 @@ pub fn run(scale: f64, opts: &RunOptions) -> Result<(), String> {
         "space.estimated_bytes",
         db.config_bytes(db.built_config()) as u64,
     );
-    metrics.count("space.budget_bytes", budget as u64);
+    metrics.count("space.budget_bytes", input.budget as u64);
 
     // Statistics consistency sweep: every column histogram must reconcile
     // with its row counts (the `rescale` bug this PR fixes broke exactly

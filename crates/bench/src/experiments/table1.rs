@@ -11,31 +11,32 @@ use xmlshred_shred::mapping::Mapping;
 use xmlshred_shred::transform::count_transformations;
 use xmlshred_xml::tree::NodeKind;
 
-/// Run the experiment; returns the digest of every cell.
-pub fn run(draw: &Draw) -> Result<u64, String> {
-    println!("\n=== Table 1: dataset characteristics ===\n");
+/// Run the experiment; returns the digest of every cell and the report.
+pub fn run(draw: &Draw) -> Result<(u64, String), String> {
     let mut rows = Vec::new();
     for dataset in [draw.dblp()?, draw.movie()?] {
         rows.push(characterize(&dataset));
     }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "dataset",
-                "elements",
-                "~MB",
-                "space limit MB",
-                "transformations",
-                "nonsubsumed",
-                "unions",
-                "repetitions",
-                "shared types",
-            ],
-            &rows,
-        )
+    let table = render_table(
+        &[
+            "dataset",
+            "elements",
+            "~MB",
+            "space limit MB",
+            "transformations",
+            "nonsubsumed",
+            "unions",
+            "repetitions",
+            "shared types",
+        ],
+        &rows,
     );
-    Ok(rows.iter().flatten().fold(0, |h, cell| fold_str(h, cell)))
+    let digest = rows.iter().flatten().fold(0, |h, cell| fold_str(h, cell));
+    let header = format!(
+        "=== Table 1: dataset characteristics, draw {} ===",
+        draw.index
+    );
+    Ok((digest, format!("\n{header}\n\n{table}\n")))
 }
 
 fn characterize(dataset: &Dataset) -> Vec<String> {

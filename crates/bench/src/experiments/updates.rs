@@ -3,33 +3,24 @@
 //! tables and shows how the tuning tool trades indexes for update cost —
 //! heavy writers get fewer and narrower structures.
 
-use crate::harness::{fold, render_table, space_budget, Draw};
-use xmlshred_core::context::EvalContext;
+use crate::harness::{fold, render_table, Draw, SearchInput};
 use xmlshred_core::physical::{tune_with_updates, UpdateLoad};
 use xmlshred_data::workload::WorkloadSpec;
 use xmlshred_shred::mapping::Mapping;
-use xmlshred_shred::source_stats::SourceStats;
 
 /// Run the experiment; returns the digest of every design's structure
-/// counts and cost.
-pub fn run(draw: &Draw) -> Result<u64, String> {
-    println!("\n=== Extension: update-aware physical design (not in the paper; its Section 7 future work) ===\n");
-    let dataset = draw.dblp()?;
-    let source = SourceStats::collect(&dataset.tree, &dataset.document);
+/// counts and cost, and the report.
+pub fn run(draw: &Draw) -> Result<(u64, String), String> {
+    let input = SearchInput::new(draw.dblp()?, &Default::default());
     // LP-LS-10's shape under its own seed.
     let spec = WorkloadSpec {
         seed: 77,
         ..WorkloadSpec::dblp_suite()[0]
     };
     let workload = draw.workload("dblp", &spec)?;
-    let budget = space_budget(&dataset);
-    let ctx = EvalContext {
-        tree: &dataset.tree,
-        source: &source,
-        workload: &workload.queries,
-        space_budget: budget,
-    };
-    let prepared = ctx.prepare(&Mapping::hybrid(&dataset.tree));
+    let prepared = input
+        .ctx(&workload)
+        .prepare(&Mapping::hybrid(&input.dataset.tree));
     let translated = prepared.translated(&workload.queries);
     let queries: Vec<(&xmlshred_rel::sql::SqlQuery, f64)> =
         translated.iter().map(|(_, q, w)| (*q, *w)).collect();
@@ -54,7 +45,7 @@ pub fn run(draw: &Draw) -> Result<u64, String> {
             &prepared.stats,
             &queries,
             &updates,
-            budget,
+            input.budget,
         );
         let config = &result.config;
         for value in [config.indexes.len(), config.views.len()] {
@@ -68,21 +59,20 @@ pub fn run(draw: &Draw) -> Result<u64, String> {
             format!("{:.0}", result.total_cost),
         ]);
     }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "updates per period (% of rows)",
-                "indexes",
-                "views",
-                "read workload cost",
-            ],
-            &rows,
-        )
+    let table = render_table(
+        &[
+            "updates per period (% of rows)",
+            "indexes",
+            "views",
+            "read workload cost",
+        ],
+        &rows,
     );
-    println!(
-        "({} base rows; query-only cost degrades as structures are priced out by maintenance.)\n",
-        total_rows
+    let report = format!(
+        "\n=== Extension: update-aware physical design (not in the paper; its Section 7 future \
+         work), draw {} ===\n\n{table}\n({total_rows} base rows; query-only cost degrades as \
+         structures are priced out by maintenance.)\n\n",
+        draw.index
     );
-    Ok(digest)
+    Ok((digest, report))
 }

@@ -1,5 +1,5 @@
 //! Shared machinery: scaled datasets, workload suites, algorithm runners,
-//! and text-table rendering.
+//! and markdown-table rendering.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -115,56 +115,77 @@ pub struct EvalRun {
     pub quality: QualityReport,
 }
 
-/// The tuned hybrid-inlining baseline that Figs. 4, 8 and 9 normalize against.
-pub fn hybrid_baseline(
-    dataset: &Dataset,
-    workload: &Workload,
-    budget: f64,
-    exec: ExecOptions,
-) -> QualityReport {
-    measure_quality_with_tuning_exec(
-        &dataset.tree,
-        &dataset.document,
-        &workload.queries,
-        &Mapping::hybrid(&dataset.tree),
-        budget,
-        exec,
-    )
+/// One dataset of a draw, its source statistics and space budget, and the
+/// run's search options: what every advisor search of the figure runners
+/// shares. Recommendations are identical for any parallelism or caching
+/// knob of `search` and measured costs for any executor options; only
+/// running time and the cache counters change.
+pub(crate) struct SearchInput {
+    pub(crate) dataset: Dataset,
+    source: SourceStats,
+    pub(crate) budget: f64,
+    pub(crate) search: SearchOptions,
 }
 
-/// Run Greedy, Naive-Greedy and Two-Step, in that order, on one workload.
-/// Recommendations are identical for any `search` parallelism/caching knobs
-/// and measured costs for any `exec` options; only running time and the
-/// cache counters change.
-pub fn run_algorithms(
-    dataset: &Dataset,
-    source: &SourceStats,
-    workload: &Workload,
-    budget: f64,
-    search: &SearchOptions,
-    exec: ExecOptions,
-) -> [EvalRun; 3] {
-    let ctx = EvalContext {
-        tree: &dataset.tree,
-        source,
-        workload: &workload.queries,
-        space_budget: budget,
-    };
-    let greedy = GreedyOptions {
-        search: search.clone(),
-        ..GreedyOptions::default()
-    };
-    [
-        greedy_search(&ctx, &greedy),
-        naive_greedy_search_with(&ctx, 3, search),
-        two_step_search_with(&ctx, 6, search),
-    ]
-    .map(|outcome| {
-        let (tree, document, queries) = (&dataset.tree, &dataset.document, &workload.queries);
-        let (mapping, config) = (&outcome.mapping, &outcome.config);
+impl SearchInput {
+    pub(crate) fn new(dataset: Dataset, search: &SearchOptions) -> SearchInput {
+        SearchInput {
+            source: SourceStats::collect(&dataset.tree, &dataset.document),
+            budget: space_budget(&dataset),
+            dataset,
+            search: search.clone(),
+        }
+    }
+
+    /// The advisor's context for `workload`.
+    pub(crate) fn ctx<'a>(&'a self, workload: &'a Workload) -> EvalContext<'a> {
+        EvalContext {
+            tree: &self.dataset.tree,
+            source: &self.source,
+            workload: &workload.queries,
+            space_budget: self.budget,
+        }
+    }
+
+    /// Tuned hybrid inlining on `workload`: the baseline that Figs. 4, 8
+    /// and 9 normalize against.
+    pub(crate) fn hybrid(&self, workload: &Workload, exec: ExecOptions) -> QualityReport {
+        let (tree, document) = (&self.dataset.tree, &self.dataset.document);
+        let (queries, hybrid) = (&workload.queries, Mapping::hybrid(tree));
+        measure_quality_with_tuning_exec(tree, document, queries, &hybrid, self.budget, exec)
+    }
+
+    /// `outcome`'s design, measured on `workload`.
+    fn measure(&self, workload: &Workload, outcome: AdvisorOutcome, exec: ExecOptions) -> EvalRun {
+        let (tree, document) = (&self.dataset.tree, &self.dataset.document);
+        let (queries, mapping, config) = (&workload.queries, &outcome.mapping, &outcome.config);
         let quality = measure_quality_with_exec(tree, document, queries, mapping, config, exec);
         EvalRun { outcome, quality }
-    })
+    }
+
+    /// Greedy under `options`, at the run's search options, on `workload`.
+    pub(crate) fn greedy(&self, workload: &Workload, options: GreedyOptions) -> EvalRun {
+        let search = self.search.clone();
+        let outcome = greedy_search(&self.ctx(workload), &GreedyOptions { search, ..options });
+        self.measure(workload, outcome, ExecOptions::default())
+    }
+
+    /// Greedy, Naive-Greedy and Two-Step, in that order, on `workload`.
+    pub(crate) fn algorithms(&self, workload: &Workload, exec: ExecOptions) -> [EvalRun; 3] {
+        let (ctx, search) = (self.ctx(workload), &self.search);
+        [
+            greedy_search(
+                &ctx,
+                &GreedyOptions {
+                    search: search.clone(),
+                    ..GreedyOptions::default()
+                },
+            ),
+            naive_greedy_search_with(&ctx, 3, search),
+            two_step_search_with(&ctx, 6, search),
+        ]
+        .map(|outcome| self.measure(workload, outcome, exec))
+    }
 }
 
 // ------------------------------------------------------ matrix scaffolding --
@@ -457,38 +478,30 @@ pub fn fold_answer(mut hash: u64, rows: &[Row], stats: &ExecStats) -> u64 {
 
 // ------------------------------------------------------------- rendering --
 
-/// Render an aligned text table.
+/// Render an aligned GitHub pipe table: a header row, a `|---|` rule and
+/// one row per entry, every column padded to its widest cell, so a printed
+/// table pastes into markdown as it stands.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.chars().count());
         }
     }
-    let mut out = String::new();
-    let line = |cells: &[String], widths: &[usize], out: &mut String| {
-        for (i, cell) in cells.iter().enumerate() {
-            if i > 0 {
-                out.push_str("  ");
-            }
-            out.push_str(cell);
-            for _ in cell.len()..widths[i] {
-                out.push(' ');
-            }
-        }
-        out.push('\n');
+    let line = |cells: Vec<String>| -> String {
+        let padded = cells
+            .iter()
+            .zip(&widths)
+            .map(|(cell, &width)| format!(" {cell}{} |", " ".repeat(width - cell.chars().count())));
+        format!("|{}\n", padded.collect::<String>())
     };
-    let header_cells: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    line(&header_cells, &widths, &mut out);
-    // saturating_sub: an empty header slice must render an (empty) table,
-    // not underflow the separator width and panic.
-    let total: usize = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
-    out.push_str(&"-".repeat(total));
-    out.push('\n');
+    let mut out = line(headers.iter().map(|h| h.to_string()).collect());
+    let rule = widths
+        .iter()
+        .map(|width| format!("{}|", "-".repeat(width + 2)));
+    out.push_str(&format!("|{}\n", rule.collect::<String>()));
     for row in rows {
-        line(row, &widths, &mut out);
+        out.push_str(&line(row.clone()));
     }
     out
 }
@@ -517,8 +530,15 @@ mod tests {
             ],
         );
         let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("a  "));
+        assert_eq!(
+            lines,
+            [
+                "| a   | bb |",
+                "|-----|----|",
+                "| xxx | y  |",
+                "| 1   | 22 |"
+            ]
+        );
     }
 
     #[test]
@@ -526,9 +546,9 @@ mod tests {
         // Regression: `2 * (widths.len() - 1)` underflowed on an empty
         // header slice.
         let t = render_table(&[], &[]);
-        assert_eq!(t, "\n\n");
+        assert_eq!(t, "|\n|\n");
         let one = render_table(&["only"], &[vec!["x".into()]]);
-        assert!(one.contains("----"));
+        assert!(one.contains("|------|"), "{one}");
     }
 
     #[test]
@@ -597,22 +617,13 @@ mod tests {
     #[test]
     fn tiny_end_to_end_run() {
         let draw = Draw::new(0.01, 0).unwrap();
-        let dataset = draw.movie().unwrap();
-        let source = SourceStats::collect(&dataset.tree, &dataset.document);
+        let input = SearchInput::new(draw.movie().unwrap(), &SearchOptions::default());
         let spec = WorkloadSpec {
             n_queries: 3,
             ..WorkloadSpec::movie_suite()[0]
         };
         let workload = draw.workload("movie", &spec).expect("workload generates");
-        let (budget, search) = (space_budget(&dataset), SearchOptions::default());
-        let runs = run_algorithms(
-            &dataset,
-            &source,
-            &workload,
-            budget,
-            &search,
-            Default::default(),
-        );
+        let runs = input.algorithms(&workload, Default::default());
         assert!(runs.iter().all(|run| run.quality.skipped == 0));
     }
 }

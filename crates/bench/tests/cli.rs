@@ -1,10 +1,12 @@
 //! `reproduce` argument handling: a flag whose value does not parse, and
 //! any argument it does not know, stop the run with an error naming the
 //! flag instead of being dropped in favour of the defaults. Also
-//! `reproduce pins` against the repository's `PINS` file.
+//! `reproduce pins` against the repository's `PINS` file, and
+//! EXPERIMENTS.md's claims block against its pin.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use xmlshred_bench::experiments::claims;
 
 fn reproduce(args: &[&str]) -> Output {
     reproduce_in(Path::new(env!("CARGO_MANIFEST_DIR")), args)
@@ -80,6 +82,30 @@ fn removed_serve_clients_and_adapt_window_flags_are_rejected() {
     assert_rejected(&["adapt", "--adapt-window", "64"], "'--adapt-window'");
 }
 
+/// `claims` judges draws 0-11; a seed picking one draw must fail, not be
+/// dropped.
+#[test]
+fn claims_rejects_a_seed() {
+    assert_rejected(&["claims", "--seed", "3"], "--seed");
+}
+
+/// The claims block in EXPERIMENTS.md is the one `reproduce claims`
+/// prints: it digests to the `claims` pin, which `reproduce pins claims`
+/// checks against a run.
+#[test]
+fn experiments_md_claims_block_digests_to_its_pin() {
+    let doc = std::fs::read_to_string(repo_root().join("EXPERIMENTS.md")).unwrap();
+    let (_, rest) = doc.split_once(claims::BEGIN).expect("a claims block");
+    let (block, _) = rest.split_once(claims::END).expect("a closed claims block");
+    let pins = std::fs::read_to_string(repo_root().join("PINS")).unwrap();
+    let pin = pins.lines().find_map(|line| line.strip_prefix("claims "));
+    let pin = pin.and_then(|rest| rest.split_whitespace().next());
+    assert_eq!(
+        Some(format!("{:016x}", claims::digest(block)).as_str()),
+        pin
+    );
+}
+
 #[test]
 fn unknown_pin_is_rejected_with_the_known_names() {
     let out = reproduce_in(&repo_root(), &["pins", "nosuch"]);
@@ -87,7 +113,7 @@ fn unknown_pin_is_rejected_with_the_known_names() {
     assert!(!out.status.success(), "{out:?}");
     assert!(
         stderr.contains(
-            "unknown pin 'nosuch'; known: figures crash heal faults exec serve soak adapt"
+            "unknown pin 'nosuch'; known: figures claims crash heal faults exec serve soak adapt"
         ),
         "{stderr}"
     );
@@ -130,12 +156,18 @@ fn heal_matrix_lists_its_cells() {
     assert!(stdout.contains("heal matrix: 18 cells"), "{stdout}");
 }
 
-/// The table rows of a matrix's stdout: the lines that start with a fixture.
+/// The table rows of a matrix's stdout: the pipe-table rows whose first
+/// cell is a fixture, split into trimmed cells.
 fn fixture_rows(out: &Output) -> Vec<Vec<String>> {
     String::from_utf8_lossy(&out.stdout)
         .lines()
-        .filter(|line| line.starts_with("dblp ") || line.starts_with("movie "))
-        .map(|line| line.split_whitespace().map(str::to_string).collect())
+        .filter(|line| line.starts_with("| dblp ") || line.starts_with("| movie "))
+        .map(|line| {
+            line.trim_matches('|')
+                .split('|')
+                .map(|c| c.trim().into())
+                .collect()
+        })
         .collect()
 }
 
@@ -151,7 +183,11 @@ fn crash_listing_names_the_frames_the_run_crashes_at() {
     let listed: Vec<Vec<String>> = fixture_rows(&listed)
         .into_iter()
         .map(|row| {
-            let frame = row[3].strip_prefix("crash@").unwrap_or("?").to_string();
+            // `crash@N`, then the frame's kind when it has one.
+            let frame = row[3]
+                .strip_prefix("crash@")
+                .and_then(|f| f.split(' ').next());
+            let frame = frame.unwrap_or("?").to_string();
             vec![row[0].clone(), row[1].clone(), row[2].clone(), frame]
         })
         .collect();
